@@ -2,18 +2,26 @@
 causal-strength measures: average causal effect under backdoor
 adjustment, and conditional mutual information.
 
-The network is fitted with additive (Laplace) smoothing; unseen parent
-configurations default to the uniform distribution, so the joint
-factorization always normalizes.  ACE adjusts on the treatment's
-parents, which block every backdoor path in any DAG; for exogenous
-treatments this reduces to a difference of conditional means.  CMI is a
-plug-in estimate from the smoothed empirical contingency table, clamped
-at zero from below.  All information quantities are in nats.
+Every conditional table, fitted or exact, is one dense array shaped
+``(|parent_1|, ..., |parent_m|, K)``: one axis per parent in
+``graph.parents(node)`` order (node declaration order), sized by the
+graph's category counts, then the node's own K categories.  The full
+joint (``joint_tensor``) is the broadcast product of these arrays with
+one axis per node in declaration order.
+
+The network is fitted with additive (Laplace) smoothing; a parent
+configuration never observed is uniform 1/K for every alpha, alpha=0
+included, so the joint factorization always normalizes.  ACE adjusts on
+the treatment's parents, which block every backdoor path in any DAG;
+for exogenous treatments this reduces to a difference of conditional
+means.  CMI is a plug-in estimate from the smoothed empirical
+contingency table, clamped at zero from below.  All information
+quantities are in nats.
 """
 
 from __future__ import annotations
 
-import math
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -31,6 +39,7 @@ from .errors import (
 from .ingest import GraphSpec, builtin_graph_spec
 
 _NORM_TOL = 1e-9
+_STATE_LIMIT = 10 ** 7
 
 
 class CausalGraph:
@@ -177,39 +186,36 @@ class DiscreteDataset:
 
 @dataclass
 class ConditionalTable:
-    """Laplace-smoothed P(node | parents).
+    """P(node | parents) as one dense array.
 
-    ``counts`` maps a parent-label tuple to a count vector over the
-    node's categories; probabilities are (count + alpha) /
-    (total + alpha * K).  Parent configurations never observed fall back
-    to the uniform distribution, which is the same formula at zero
-    counts.  Exact tables (probabilities given, nothing fitted) set
-    ``probs`` directly and leave ``counts`` empty.
+    ``probs`` has shape ``(|parent_1|, ..., |parent_m|, K)``: one axis
+    per parent, in ``graph.parents(node)`` order and sized by the graph's
+    category counts, then one axis over the node's K categories.  A
+    fitted table keeps its integer ``counts`` of the same shape, and
+    probabilities are (count + alpha) / (total + alpha * K); a parent
+    configuration never observed is uniform 1/K for every alpha,
+    alpha=0 included.  Exact tables (probabilities given, nothing
+    fitted) leave ``counts`` as None.
     """
 
     node: str
     parents: tuple[str, ...]
     categories: tuple[str, ...]
     parent_categories: tuple[tuple[str, ...], ...]
+    probs: np.ndarray
+    counts: np.ndarray | None = None
     alpha: float = 1.0
-    counts: dict = None
-    probs: dict = None
-
-    def __post_init__(self):
-        if self.counts is None:
-            self.counts = {}
-        if self.probs is None:
-            self.probs = {}
 
     def dist(self, config: tuple[str, ...]) -> np.ndarray:
         """Probability vector over node categories for one parent config."""
-        if config in self.probs:
-            return self.probs[config]
-        k = len(self.categories)
-        counts = self.counts.get(config)
-        if counts is None:
-            return np.full(k, 1.0 / k)
-        return (counts + self.alpha) / (counts.sum() + self.alpha * k)
+        try:
+            idx = tuple(cats.index(label) for cats, label
+                        in zip(self.parent_categories, config))
+        except ValueError:
+            raise UnknownLevelError(
+                f"{config} is not a parent configuration of {self.node!r}"
+            ) from None
+        return self.probs[idx]
 
     def prob(self, value: str, assignment: Mapping[str, str]) -> float:
         config = tuple(assignment[p] for p in self.parents)
@@ -221,29 +227,29 @@ class ConditionalTable:
         return float(self.dist(config)[i])
 
     def parent_configs(self) -> Iterator[tuple[str, ...]]:
-        import itertools
         yield from itertools.product(*self.parent_categories)
 
     def validate_normalized(self, tol: float = _NORM_TOL) -> "ConditionalTable":
-        for config in self.parent_configs():
-            total = float(np.sum(self.dist(config)))
-            if abs(total - 1.0) > tol:
-                raise NotNormalizedError(
-                    f"{self.node!r} | {config}: probabilities sum to {total}")
+        totals = self.probs.sum(axis=-1).ravel()
+        bad = np.flatnonzero(np.abs(totals - 1.0) > tol)
+        if bad.size:
+            config = next(itertools.islice(self.parent_configs(), bad[0], None))
+            raise NotNormalizedError(f"{self.node!r} | {config}: "
+                                     f"probabilities sum to {totals[bad[0]]}")
         return self
 
 
 def _config_index(data: DiscreteDataset, variables: Sequence[str]
-                  ) -> tuple[np.ndarray, int, list[int]]:
-    """Mixed-radix row index over the given variables' codes."""
-    sizes = [len(data.categories[v]) for v in variables]
+                  ) -> tuple[np.ndarray, int]:
+    """Mixed-radix row index over the given variables' codes, and the
+    number of configurations (all rows 0 of 1 for no variables)."""
     idx = np.zeros(len(data), dtype=np.int64)
-    for v, k in zip(variables, sizes):
-        idx = idx * k + data.column(v)
     total = 1
-    for k in sizes:
+    for v in variables:
+        k = len(data.categories[v])
+        idx = idx * k + data.column(v)
         total *= k
-    return idx, total, sizes
+    return idx, total
 
 
 def fit_cpts(graph: CausalGraph, data: DiscreteDataset, alpha: float = 1.0
@@ -252,30 +258,28 @@ def fit_cpts(graph: CausalGraph, data: DiscreteDataset, alpha: float = 1.0
     missing = [n for n in graph.nodes if n not in data.variables]
     if missing:
         raise MissingVariableError(f"dataset lacks variables {missing}")
+    for node in graph.nodes:
+        col = data.column(node)
+        if col.size and col.max() >= len(graph.categories[node]):
+            raise SchemaError(
+                f"variable {node!r}: dataset code {int(col.max())} beyond "
+                f"the graph's {len(graph.categories[node])} categories")
     tables = {}
     for node in graph.nodes:
         parents = tuple(graph.parents(node))
-        cats = graph.categories[node]
-        parent_cats = tuple(graph.categories[p] for p in parents)
-        k = len(cats)
-        if parents:
-            cfg_idx, n_cfg, sizes = _config_index(data, parents)
-            flat = np.bincount(cfg_idx * k + data.column(node),
-                               minlength=n_cfg * k).reshape(n_cfg, k)
-            counts = {}
-            for flat_idx in np.flatnonzero(flat.sum(axis=1)):
-                rem, cfg = int(flat_idx), []
-                for size in reversed(sizes):
-                    rem, digit = divmod(rem, size)
-                    cfg.append(digit)
-                cfg.reverse()
-                labels = tuple(pc[d] for pc, d in zip(parent_cats, cfg))
-                counts[labels] = flat[flat_idx].astype(np.float64)
-        else:
-            vec = np.bincount(data.column(node), minlength=k)
-            counts = {(): vec.astype(np.float64)}
-        tables[node] = ConditionalTable(node, parents, cats, parent_cats,
-                                        alpha=alpha, counts=counts)
+        shape = tuple(len(graph.categories[v]) for v in (*parents, node))
+        flat = np.ravel_multi_index(
+            [data.column(v) for v in (*parents, node)], shape)
+        counts = np.bincount(flat, minlength=np.prod(shape)).reshape(shape)
+        k = shape[-1]
+        total = counts.sum(axis=-1, keepdims=True)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            probs = np.where(total > 0, (counts + alpha) / (total + alpha * k),
+                             1.0 / k)
+        tables[node] = ConditionalTable(
+            node, parents, graph.categories[node],
+            tuple(graph.categories[p] for p in parents), probs,
+            counts=counts, alpha=alpha)
     return tables
 
 
@@ -293,10 +297,51 @@ def joint_probability(graph: CausalGraph,
 
 
 def enumerate_assignments(graph: CausalGraph) -> Iterator[dict[str, str]]:
-    import itertools
     names = graph.nodes
     for combo in itertools.product(*(graph.categories[n] for n in names)):
         yield dict(zip(names, combo))
+
+
+def joint_tensor(graph: CausalGraph, tables: Mapping[str, ConditionalTable],
+                 do: Mapping[str, str] | None = None) -> np.ndarray:
+    """Full joint distribution with one axis per node (declaration
+    order), optionally under do-surgery that fixes some nodes' levels."""
+    if graph.state_space() > _STATE_LIMIT:
+        raise StateExplosionError(
+            f"state space {graph.state_space()} exceeds {_STATE_LIMIT}")
+    axis = {node: i for i, node in enumerate(graph.nodes)}
+    shape = tuple(len(graph.categories[n]) for n in graph.nodes)
+    joint = np.ones(shape)
+    for node in graph.nodes:
+        cats = graph.categories[node]
+        if do is not None and node in do:
+            if do[node] not in cats:
+                raise UnknownLevelError(
+                    f"{do[node]!r} is not a category of {node!r}")
+            factor = np.zeros(len(cats))
+            factor[cats.index(do[node])] = 1.0
+            participating = (node,)
+        else:
+            table = tables[node]
+            factor = table.probs
+            participating = table.parents + (node,)
+        # parents are already in declaration order; only the node's own
+        # axis may need to move among them
+        positions = [axis[v] for v in participating]
+        factor = np.transpose(factor, np.argsort(positions))
+        dims = [1] * len(shape)
+        for v in participating:
+            dims[axis[v]] = shape[axis[v]]
+        joint = joint * factor.reshape(dims)
+    return joint
+
+
+def marginal(graph: CausalGraph, joint: np.ndarray, keep: Sequence[str]
+             ) -> np.ndarray:
+    """Sum a ``joint_tensor`` over every node not in ``keep``; the kept
+    axes stay in declaration order."""
+    return joint.sum(axis=tuple(i for i, node in enumerate(graph.nodes)
+                                if node not in keep))
 
 
 # --- information measures ----------------------------------------------------
@@ -321,28 +366,17 @@ def conditional_entropy(joint: Sequence[Sequence[float]]) -> float:
     """H(X | Y) = -sum_{x,y} p(x,y) ln p(x|y) for a joint table p[x, y]."""
     p = np.asarray(joint, dtype=np.float64)
     _check_normalized(p)
-    p_y = p.sum(axis=0)
-    out = 0.0
-    for j in range(p.shape[1]):
-        if p_y[j] <= 0:
-            continue
-        col = p[:, j]
-        nz = col[col > 0]
-        out -= float(np.sum(nz * np.log(nz / p_y[j])))
-    return out
+    i, j = np.nonzero(p > 0)
+    return float(-np.sum(p[i, j] * np.log(p[i, j] / p.sum(axis=0)[j])))
 
 
 def mutual_information(joint: Sequence[Sequence[float]]) -> float:
     """I(X; Y) = sum p(x,y) ln [p(x,y) / (p(x) p(y))]; >= 0."""
     p = np.asarray(joint, dtype=np.float64)
     _check_normalized(p)
-    p_x = p.sum(axis=1)
-    p_y = p.sum(axis=0)
-    out = 0.0
-    for i in range(p.shape[0]):
-        for j in range(p.shape[1]):
-            if p[i, j] > 0:
-                out += p[i, j] * math.log(p[i, j] / (p_x[i] * p_y[j]))
+    i, j = np.nonzero(p > 0)
+    out = np.sum(p[i, j] * np.log(p[i, j] / (p.sum(axis=1)[i]
+                                            * p.sum(axis=0)[j])))
     return float(max(0.0, out))
 
 
@@ -374,10 +408,7 @@ def conditional_mutual_information(data: DiscreteDataset, x: str, y: str,
             raise MissingVariableError(f"variable {v!r} not in dataset")
     kx = len(data.categories[x])
     ky = len(data.categories[y])
-    if z:
-        z_idx, kz, _ = _config_index(data, z)
-    else:
-        z_idx, kz = np.zeros(len(data), dtype=np.int64), 1
+    z_idx, kz = _config_index(data, z)
     flat = np.bincount((data.column(x) * ky + data.column(y)) * kz + z_idx,
                        minlength=kx * ky * kz).astype(np.float64)
     p = (flat + alpha)
@@ -386,11 +417,9 @@ def conditional_mutual_information(data: DiscreteDataset, x: str, y: str,
     p_z = p.sum(axis=(0, 1))
     p_xz = p.sum(axis=1)
     p_yz = p.sum(axis=0)
-    out = 0.0
-    nz = p > 0
-    for i, j, k in zip(*np.nonzero(nz)):
-        out += p[i, j, k] * math.log(
-            p[i, j, k] * p_z[k] / (p_xz[i, k] * p_yz[j, k]))
+    i, j, k = np.nonzero(p > 0)
+    cell = p[i, j, k]
+    out = np.sum(cell * np.log(cell * p_z[k] / (p_xz[i, k] * p_yz[j, k])))
     return float(max(0.0, out))
 
 
@@ -442,8 +471,17 @@ def ace(graph: CausalGraph, data_or_cpts, treatment: str, effect: str,
     else:
         value = _ace_from_cpts(graph, data_or_cpts, treatment, effect, lo, hi)
     if normalized:
-        value /= len(graph.categories[treatment]) - 1
+        value /= _level_steps(graph, treatment)
     return value
+
+
+def _level_steps(graph: CausalGraph, treatment: str) -> int:
+    """Divisor of the per-level-normalized ACE: #levels - 1."""
+    steps = len(graph.categories[treatment]) - 1
+    if steps == 0:
+        raise UnknownLevelError(
+            f"{treatment!r} has one category; a normalized ACE needs two")
+    return steps
 
 
 def _ace_from_data(graph: CausalGraph, data: DiscreteDataset, treatment: str,
@@ -459,10 +497,7 @@ def _ace_from_data(graph: CausalGraph, data: DiscreteDataset, treatment: str,
         raise UnknownLevelError(
             f"dataset categories for {treatment!r} lack {lo!r}/{hi!r}") from None
     adjust = graph.parents(treatment)
-    if adjust:
-        z_idx, n_cfg, _ = _config_index(data, adjust)
-    else:
-        z_idx, n_cfg = np.zeros(len(data), dtype=np.int64), 1
+    z_idx, n_cfg = _config_index(data, adjust)
 
     z_counts = np.bincount(z_idx, minlength=n_cfg).astype(np.float64)
     diffs = np.zeros(n_cfg)
@@ -492,41 +527,32 @@ def _ace_from_data(graph: CausalGraph, data: DiscreteDataset, treatment: str,
 
 def _ace_from_cpts(graph: CausalGraph, cpts: Mapping[str, ConditionalTable],
                    treatment: str, effect: str, lo: str, hi: str) -> float:
-    """Backdoor adjustment by exact enumeration of the observational joint."""
+    """Backdoor adjustment on marginals of the observational joint."""
     if effect not in graph.nodes:
         raise MissingVariableError(
             f"effect {effect!r} must be a graph node for CPT-based ACE")
-    if graph.state_space() > 10 ** 7:
-        raise StateExplosionError(
-            f"state space {graph.state_space()} exceeds 10^7")
+    joint = joint_tensor(graph, cpts)
     adjust = graph.parents(treatment)
-    effect_cats = graph.categories[effect]
-    # accumulate, per (z-config, treatment level), total mass and
-    # expected outcome mass
-    mass: dict = {}
-    moment: dict = {}
-    z_mass: dict = {}
-    for assignment in enumerate_assignments(graph):
-        p = joint_probability(graph, cpts, assignment)
-        if p == 0.0:
-            continue
-        zkey = tuple(assignment[v] for v in adjust)
-        z_mass[zkey] = z_mass.get(zkey, 0.0) + p
-        tkey = (zkey, assignment[treatment])
-        mass[tkey] = mass.get(tkey, 0.0) + p
-        outcome = effect_cats.index(assignment[effect])
-        moment[tkey] = moment.get(tkey, 0.0) + p * outcome
-    out = 0.0
-    for zkey, pz in z_mass.items():
-        arms = []
-        for level in (hi, lo):
-            tkey = (zkey, level)
-            if mass.get(tkey, 0.0) == 0.0:
-                raise EmptyStratumError(
-                    f"P({treatment}={level}, Z={zkey}) = 0")
-            arms.append(moment[tkey] / mass[tkey])
-        out += pz * (arms[0] - arms[1])
-    return out
+    keep = set(adjust) | {treatment}
+    outcome = np.arange(len(graph.categories[effect]), dtype=np.float64)
+    e_axis = graph.nodes.index(effect)
+    outcome = outcome.reshape([-1 if a == e_axis else 1
+                               for a in range(joint.ndim)])
+    # P(z, x) and E[Y 1{z, x}]; kept axes stay in declaration order
+    mass = marginal(graph, joint, keep)
+    moment = marginal(graph, joint * outcome, keep)
+    t_axis = [n for n in graph.nodes if n in keep].index(treatment)
+    z_mass = mass.sum(axis=t_axis)
+    arms = []
+    for level in (hi, lo):
+        i = graph.categories[treatment].index(level)
+        arm_mass = np.take(mass, i, axis=t_axis)
+        if np.any((z_mass > 0) & (arm_mass == 0)):
+            raise EmptyStratumError(
+                f"P({treatment}={level}, Z) = 0 in some stratum of {adjust}")
+        arms.append(np.take(moment, i, axis=t_axis)
+                    / np.where(z_mass > 0, arm_mass, 1.0))
+    return float(np.sum(z_mass * (arms[0] - arms[1])))
 
 
 def edge_report(graph: CausalGraph, data: DiscreteDataset,

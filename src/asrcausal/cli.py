@@ -251,12 +251,13 @@ def _cmd_synth(config) -> int:
         edges = []
         for cause, effect in spec.graph.edges:
             others = [p for p in spec.graph.parents(effect) if p != cause]
+            raw = synthetic.true_ace(spec, cause, effect)
+            levels = len(spec.graph.categories[cause]) - 1
             edges.append({
                 "cause": cause,
                 "effect": effect,
-                "ace": synthetic.true_ace(spec, cause, effect),
-                "ace_normalized": synthetic.true_ace(spec, cause, effect,
-                                                     normalized=True),
+                "ace": raw,
+                "ace_normalized": raw / levels if levels else 0.0,
                 "cmi": synthetic.true_cmi(spec, cause, effect, others),
                 "conditioning": others,
             })
@@ -500,11 +501,14 @@ def _cmd_fit(config) -> int:
     cpts = causal_mod.fit_cpts(graph, data, config.alpha)
     doc = {}
     for node, table in cpts.items():
+        rows = table.counts.reshape(-1, len(table.categories))
+        # nonzero parent configurations only; a root node always has its row
         doc[node] = {
             "parents": list(table.parents),
             "alpha": table.alpha,
-            "counts": {"|".join(cfg): [int(c) for c in vec]
-                       for cfg, vec in sorted(table.counts.items())},
+            "counts": {"|".join(cfg): [int(c) for c in row]
+                       for cfg, row in zip(table.parent_configs(), rows)
+                       if row.any() or not table.parents},
         }
     _write_text(config.out, ingest.write_report(doc))
     return 0

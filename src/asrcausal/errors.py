@@ -69,10 +69,6 @@ class MissingModelError(ToolkitError):
     code = "E_MISSING_MODEL"
 
 
-class DegenerateInputError(ToolkitError):
-    code = "E_DEGENERATE"
-
-
 class ZeroPosteriorError(ToolkitError):
     """A phone's summed posterior is zero on some frame, so its log is
     undefined; callers may opt into the 1e-10 floor instead."""

@@ -2,8 +2,8 @@
 truth, used to validate the ACE and CMI estimators at desk scale.
 
 Ground truth comes from full enumeration of the (possibly mutilated)
-joint distribution, never from sampling, so acceptance tolerances carry
-no Monte Carlo error on the oracle side.
+joint distribution (``causal.joint_tensor``), never from sampling, so
+acceptance tolerances carry no Monte Carlo error on the oracle side.
 
 Sampling is ancestral in topological order from a documented, portable
 generator: a Philox 4x64 counter-based bit generator keyed by the seed
@@ -26,17 +26,17 @@ from typing import Mapping, Sequence
 import numpy as np
 from scipy.special import ndtri
 
-from .causal import CausalGraph, ConditionalTable, DiscreteDataset
-from .errors import (
-    InvalidSpecError,
-    NotNormalizedError,
-    SchemaError,
-    StateExplosionError,
-    UnknownLevelError,
+from .causal import (
+    CausalGraph,
+    ConditionalTable,
+    DiscreteDataset,
+    _default_levels,
+    _level_steps,
+    joint_tensor,
+    marginal,
 )
+from .errors import InvalidSpecError, NotNormalizedError, SchemaError
 from .ingest import GraphSpec, parse_graph_spec, write_graph_spec
-
-_STATE_LIMIT = 10 ** 7
 
 
 @dataclass(frozen=True)
@@ -86,18 +86,33 @@ class ScmSpec:
 def exact_table(graph: CausalGraph, node: str,
                 probs: Mapping[tuple[str, ...], Sequence[float]]
                 ) -> ConditionalTable:
-    """Build a ConditionalTable from explicitly given probabilities."""
+    """Build a ConditionalTable from explicitly given probabilities,
+    one vector per parent configuration (a tuple of parent labels)."""
     parents = tuple(graph.parents(node))
-    table = ConditionalTable(
-        node, parents, graph.categories[node],
-        tuple(graph.categories[p] for p in parents),
-        probs={cfg: np.asarray(vec, dtype=np.float64)
-               for cfg, vec in probs.items()})
-    for config in table.parent_configs():
-        if config not in table.probs:
+    cats = graph.categories[node]
+    parent_cats = tuple(graph.categories[p] for p in parents)
+    dense = np.empty(tuple(len(c) for c in parent_cats) + (len(cats),))
+    given = np.zeros(dense.shape[:-1], dtype=bool)
+    for config, vec in probs.items():
+        vec = np.asarray(vec, dtype=np.float64)
+        if vec.shape != (len(cats),):
             raise InvalidSpecError(
-                f"table for {node!r}: no probabilities for config {config}")
-    return table
+                f"table for {node!r}, config {config}: {vec.size} "
+                f"probabilities for {len(cats)} categories")
+        if len(config) != len(parents) or any(
+                label not in c for c, label in zip(parent_cats, config)):
+            raise InvalidSpecError(
+                f"table for {node!r}: {config} is not a configuration of "
+                f"parents {parents}")
+        idx = tuple(c.index(label) for c, label in zip(parent_cats, config))
+        dense[idx] = vec
+        given[idx] = True
+    if not given.all():
+        config = next(c for c, ok in zip(itertools.product(*parent_cats),
+                                         given.ravel()) if not ok)
+        raise InvalidSpecError(
+            f"table for {node!r}: no probabilities for config {config}")
+    return ConditionalTable(node, parents, cats, parent_cats, dense)
 
 
 def generate(spec: ScmSpec, n: int | None = None, seed: int | None = None
@@ -116,23 +131,11 @@ def generate(spec: ScmSpec, n: int | None = None, seed: int | None = None
     code_of: dict[str, np.ndarray] = {}
     for j, node in enumerate(graph.topo_order):
         table = spec.tables[node]
-        k = len(graph.categories[node])
-        parent_cats = [graph.categories[p] for p in table.parents]
-        n_cfg = 1
-        for cats in parent_cats:
-            n_cfg *= len(cats)
-        cum = np.empty((n_cfg, k))
-        for idx, config in enumerate(itertools.product(*parent_cats)):
-            cum[idx] = np.cumsum(table.dist(config))
-        if table.parents:
-            cfg_idx = np.zeros(n, dtype=np.int64)
-            for p, cats in zip(table.parents, parent_cats):
-                cfg_idx = cfg_idx * len(cats) + code_of[p]
-            rows = cum[cfg_idx]
-        else:
-            rows = np.broadcast_to(cum[0], (n, k))
+        cum = np.cumsum(table.probs, axis=-1)
+        # one CDF row per sample, picked by its parents' codes
+        rows = cum[tuple(code_of[p] for p in table.parents)]
         codes = (u[:, j][:, None] >= rows).sum(axis=1)
-        code_of[node] = np.minimum(codes, k - 1).astype(np.int64)
+        code_of[node] = np.minimum(codes, cum.shape[-1] - 1).astype(np.int64)
 
     continuous = {}
     for m, node in enumerate(emitter_nodes):
@@ -147,52 +150,6 @@ def generate(spec: ScmSpec, n: int | None = None, seed: int | None = None
 
 
 # --- exact enumeration oracles -----------------------------------------------
-
-def _joint_array(spec: ScmSpec, do: Mapping[str, str] | None = None
-                 ) -> np.ndarray:
-    """Full joint distribution as an array with one axis per node
-    (declaration order), optionally under do-surgery on some nodes."""
-    graph = spec.graph
-    if graph.state_space() > _STATE_LIMIT:
-        raise StateExplosionError(
-            f"state space {graph.state_space()} exceeds {_STATE_LIMIT}")
-    axis = {node: i for i, node in enumerate(graph.nodes)}
-    shape = tuple(len(graph.categories[n]) for n in graph.nodes)
-    joint = np.ones(shape)
-    for node in graph.nodes:
-        k = len(graph.categories[node])
-        if do is not None and node in do:
-            level = do[node]
-            if level not in graph.categories[node]:
-                raise UnknownLevelError(
-                    f"{level!r} is not a category of {node!r}")
-            small = np.zeros(k)
-            small[graph.categories[node].index(level)] = 1.0
-            participating = (node,)
-        else:
-            table = spec.tables[node]
-            parent_cats = [graph.categories[p] for p in table.parents]
-            small = np.empty(tuple(len(c) for c in parent_cats) + (k,))
-            for idx, config in enumerate(itertools.product(*parent_cats)):
-                small[np.unravel_index(idx, small.shape[:-1]) if parent_cats
-                      else ()] = table.dist(config)
-            participating = table.parents + (node,)
-        positions = [axis[v] for v in participating]
-        order = np.argsort(positions)
-        small = np.transpose(small, order)
-        dims = [1] * len(shape)
-        for v in participating:
-            dims[axis[v]] = len(graph.categories[v])
-        joint = joint * small.reshape(dims)
-    return joint
-
-
-def _marginal(spec: ScmSpec, joint: np.ndarray, keep: Sequence[str]
-              ) -> np.ndarray:
-    axis = {node: i for i, node in enumerate(spec.graph.nodes)}
-    drop = tuple(i for n, i in axis.items() if n not in keep)
-    return joint.sum(axis=drop)
-
 
 def _entropy_of(p: np.ndarray) -> float:
     flat = p.ravel()
@@ -213,18 +170,15 @@ def true_ace(spec: ScmSpec, treatment: str, effect: str,
              normalized: bool = False) -> float:
     """Exact ACE by enumerating the two mutilated models do(X=hi), do(X=lo)."""
     graph = spec.graph
-    cats = graph.categories[treatment]
-    lo = cats[0] if level_lo is None else level_lo
-    hi = cats[-1] if level_hi is None else level_hi
+    lo, hi = _default_levels(graph, treatment, level_lo, level_hi)
     outcome = _outcome_values(spec, effect)
     arms = []
     for level in (hi, lo):
-        joint = _joint_array(spec, do={treatment: level})
-        pe = _marginal(spec, joint, [effect])
-        arms.append(float(np.dot(pe, outcome)))
+        joint = joint_tensor(graph, spec.tables, do={treatment: level})
+        arms.append(float(np.dot(marginal(graph, joint, [effect]), outcome)))
     value = arms[0] - arms[1]
     if normalized:
-        value /= len(cats) - 1
+        value /= _level_steps(graph, treatment)
     return value
 
 
@@ -236,11 +190,12 @@ def true_cmi(spec: ScmSpec, x: str, y: str, z: Sequence[str] = ()) -> float:
     enumeration round-off below 1e-12) for d-separated triples.
     """
     z = list(z)
-    joint = _joint_array(spec)
-    h_xz = _entropy_of(_marginal(spec, joint, [x] + z))
-    h_yz = _entropy_of(_marginal(spec, joint, [y] + z))
-    h_z = _entropy_of(_marginal(spec, joint, z)) if z else 0.0
-    h_xyz = _entropy_of(_marginal(spec, joint, [x, y] + z))
+    graph = spec.graph
+    joint = joint_tensor(graph, spec.tables)
+    h_xz = _entropy_of(marginal(graph, joint, [x] + z))
+    h_yz = _entropy_of(marginal(graph, joint, [y] + z))
+    h_z = _entropy_of(marginal(graph, joint, z)) if z else 0.0
+    h_xyz = _entropy_of(marginal(graph, joint, [x, y] + z))
     value = h_xz + h_yz - h_z - h_xyz
     if abs(value) < 1e-12:
         return 0.0

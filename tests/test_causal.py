@@ -109,6 +109,25 @@ class TestFitCpts:
         with pytest.raises(MissingVariableError):
             fit_cpts(binary_chain(), data)
 
+    def test_unseen_config_uniform_for_any_alpha(self):
+        graph = graph_of([("X", "exogenous", ["0", "1"]),
+                          ("Y", "endogenous", ["a", "b", "c"])], [("X", "Y")])
+        data = DiscreteDataset.from_rows(
+            {"X": ["0", "1"], "Y": ["a", "b", "c"]},
+            [{"X": "0", "Y": "a"}, {"X": "0", "Y": "c"}])
+        for alpha in (0.0, 0.3, 1.0):
+            table = fit_cpts(graph, data, alpha)["Y"]
+            assert table.dist(("1",)).tolist() == [1 / 3] * 3
+            assert table.counts.shape == (2, 3)
+            table.validate_normalized()
+
+    def test_code_beyond_graph_categories(self):
+        # the dataset declares a third X category the graph lacks
+        data = DiscreteDataset.from_rows(
+            {"X": ["0", "1", "2"], "Y": ["0", "1"]}, [{"X": "2", "Y": "0"}])
+        with pytest.raises(SchemaError):
+            fit_cpts(binary_chain(), data)
+
 
 class TestJointProbability:
     def test_three_independent_uniform_binaries(self):
@@ -148,6 +167,40 @@ class TestJointProbability:
         cpts = fit_cpts(graph, data)
         with pytest.raises(IncompleteAssignmentError):
             joint_probability(graph, cpts, {"X": "0"})
+
+
+class TestJointTensor:
+    def test_matches_joint_probability_for_fitted_cpts(self):
+        spec = synthetic.paper_shaped_spec(n=2000, seed=5)
+        graph = spec.graph
+        cpts = fit_cpts(graph, synthetic.generate(spec))
+        joint = causal.joint_tensor(graph, cpts)
+        assert joint.shape == tuple(len(graph.categories[n])
+                                    for n in graph.nodes)
+        for assignment in enumerate_assignments(graph):
+            index = tuple(graph.categories[n].index(assignment[n])
+                          for n in graph.nodes)
+            assert joint[index] == joint_probability(graph, cpts, assignment)
+
+    def test_do_replaces_factor_with_indicator(self):
+        spec = confounded_spec()
+        graph, tables = spec.graph, spec.tables
+        joint = causal.joint_tensor(graph, tables, do={"X": "1"})
+        for assignment in enumerate_assignments(graph):
+            expected = 1.0
+            for node in graph.nodes:
+                if node == "X":
+                    expected *= float(assignment["X"] == "1")
+                else:
+                    expected *= tables[node].prob(assignment[node], assignment)
+            index = tuple(graph.categories[n].index(assignment[n])
+                          for n in graph.nodes)
+            assert joint[index] == pytest.approx(expected, abs=1e-15)
+
+    def test_unknown_do_level(self):
+        spec = confounded_spec()
+        with pytest.raises(UnknownLevelError):
+            causal.joint_tensor(spec.graph, spec.tables, do={"X": "7"})
 
 
 class TestEntropy:
@@ -341,6 +394,23 @@ class TestAce:
         # the naive conditional contrast is biased by the confounder
         naive = 5.9 / 7 - 2.8 / 11
         assert abs(naive - truth) > 0.1
+
+    def test_cpt_ace_matches_truth_on_paper_shaped(self):
+        spec = synthetic.paper_shaped_spec(n=10)
+        for cause in ("Age", "VocabDiff"):
+            adjusted = ace(spec.graph, spec.tables, cause, "GoP")
+            truth = synthetic.true_ace(spec, cause, "GoP")
+            assert abs(adjusted - truth) < 1e-9
+
+    def test_normalized_needs_two_levels(self):
+        graph = graph_of([("X", "exogenous", ["only"]),
+                          ("Y", "endogenous", ["0", "1"])], [("X", "Y")])
+        data = DiscreteDataset.from_rows(
+            {"X": ["only"], "Y": ["0", "1"]},
+            [{"X": "only", "Y": "0"}, {"X": "only", "Y": "1"}])
+        assert ace(graph, data, "X", "Y") == 0.0
+        with pytest.raises(UnknownLevelError):
+            ace(graph, data, "X", "Y", normalized=True)
 
     def test_estimate_recovers_confounded_truth(self):
         spec = confounded_spec()

@@ -109,6 +109,18 @@ class TestSynth:
             json.loads(out.read_text()))
         assert len(data) == 50
 
+    def test_spec_with_short_probability_vector_exits_1(self, tmp_path,
+                                                         capsys):
+        from asrcausal import synthetic
+        doc = json.loads(synthetic.write_scm_spec(synthetic.copy_chain_spec()))
+        doc["tables"]["X"][""] = [0.5, 0.5]  # X has three categories
+        spec_path = tmp_path / "scm.json"
+        spec_path.write_text(json.dumps(doc))
+        assert run_cli("synth", "--spec", str(spec_path),
+                       "--out", str(tmp_path / "d.json")) == 1
+        diagnostic = json.loads(capsys.readouterr().err.strip())
+        assert diagnostic["error"] == "E_INVALID_SPEC"
+
 
 class TestAlign:
     def test_scores_every_model(self, workdir):
@@ -276,6 +288,41 @@ class TestPipeline:
         assert set(doc) == {"Age", "Gender", "SNR", "VocabDiff", "NoWords",
                             "GoP", "SubsErr", "DelErr", "InsErr"}
         assert doc["GoP"]["parents"] == ["Age", "VocabDiff"]
+
+    def test_fit_rejects_category_beyond_graph(self, tmp_path, capsys):
+        from asrcausal import synthetic
+        doc = synthetic.generate(
+            synthetic.paper_shaped_spec(n=20, seed=1)).to_document()
+        gop = [v["name"] for v in doc["variables"]].index("GoP")
+        doc["variables"][gop]["categories"].append("Extra")
+        doc["rows"][0][gop] = 3
+        (tmp_path / "d.json").write_text(json.dumps(doc))
+        assert run_cli("fit", "--in", str(tmp_path / "d.json"),
+                       "--out", str(tmp_path / "cpts.json")) == 1
+        diagnostic = json.loads(capsys.readouterr().err.strip())
+        assert diagnostic["error"] == "E_SCHEMA"
+
+    def test_fit_bytes_with_unseen_config_and_zero_alpha(self, tmp_path):
+        graph = {"nodes": [{"name": "X", "kind": "exogenous",
+                            "categories": ["a", "b", "c"]},
+                           {"name": "Y", "kind": "endogenous",
+                            "categories": ["lo", "hi"]}],
+                 "edges": [["X", "Y"]]}
+        data = {"variables": [{"name": "X", "categories": ["a", "b", "c"]},
+                              {"name": "Y", "categories": ["lo", "hi"]}],
+                "rows": [[0, 0], [0, 1], [0, 1], [2, 0]], "continuous": {}}
+        (tmp_path / "g.json").write_text(json.dumps(graph))
+        (tmp_path / "d.json").write_text(json.dumps(data))
+        assert run_cli("fit", "--in", str(tmp_path / "d.json"),
+                       "--graph", str(tmp_path / "g.json"), "--alpha", "0",
+                       "--out", str(tmp_path / "cpts.json")) == 0
+        # X=b is never observed, so Y has no row for it
+        assert (tmp_path / "cpts.json").read_text() == (
+            '{\n "X": {\n  "alpha": 0.0,\n  "counts": {\n   "": [\n'
+            '    3,\n    0,\n    1\n   ]\n  },\n  "parents": []\n },\n'
+            ' "Y": {\n  "alpha": 0.0,\n  "counts": {\n   "a": [\n'
+            '    1,\n    2\n   ],\n   "c": [\n    1,\n    0\n   ]\n'
+            '  },\n  "parents": [\n   "X"\n  ]\n }\n}\n')
 
     def test_ace_and_cmi_to_stdout(self, workdir, capsys):
         self.assemble(workdir)

@@ -4,11 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from asrcausal import synthetic
+from asrcausal import causal, synthetic
 from asrcausal.causal import CausalGraph
 from asrcausal.errors import (
     InvalidSpecError,
     StateExplosionError,
+    UnknownLevelError,
 )
 from asrcausal.ingest import GraphSpec, NodeSpec
 from asrcausal.synthetic import (
@@ -75,7 +76,7 @@ class TestGenerate:
     def test_sampled_joint_close_to_enumerated(self):
         spec = confounded_triple(n=200_000)
         data = generate(spec)
-        joint = synthetic._joint_array(spec)
+        joint = causal.joint_tensor(spec.graph, spec.tables)
         counts = np.zeros(joint.shape)
         for row in data.codes:
             counts[tuple(row)] += 1
@@ -144,6 +145,17 @@ class TestTrueAce:
         raw = true_ace(spec, "Age", "SubsErr")
         norm = true_ace(spec, "Age", "SubsErr", normalized=True)
         assert norm == pytest.approx(raw / 10)
+
+    def test_normalized_needs_two_levels(self):
+        graph = small_graph([("X", "Y")],
+                            [("X", "exogenous", ["only"]),
+                             ("Y", "endogenous", ["0", "1"])])
+        tables = {"X": exact_table(graph, "X", {(): [1.0]}),
+                  "Y": exact_table(graph, "Y", {("only",): [0.5, 0.5]})}
+        spec = ScmSpec(graph, tables, seed=0, n=1)
+        assert true_ace(spec, "X", "Y") == 0.0
+        with pytest.raises(UnknownLevelError):
+            true_ace(spec, "X", "Y", normalized=True)
 
     def test_state_explosion_guard(self):
         nodes = [(f"N{i}", "exogenous", [str(j) for j in range(10)])
@@ -219,6 +231,21 @@ class TestFixtures:
         spec = ScmSpec(graph, {"X": table}, seed=0, n=1)
         with pytest.raises(InvalidSpecError):
             spec.validate()
+
+    def test_exact_table_rejects_wrong_length(self):
+        graph = small_graph([], [("X", "exogenous", ["a", "b", "c"])])
+        with pytest.raises(InvalidSpecError):
+            exact_table(graph, "X", {(): [0.5, 0.5]})
+
+    def test_exact_table_rejects_unknown_config(self):
+        spec = chain_spec()
+        with pytest.raises(InvalidSpecError):
+            exact_table(spec.graph, "Y", {("0",): [0.5, 0.5],
+                                          ("1",): [0.5, 0.5],
+                                          ("zz",): [0.5, 0.5]})
+        with pytest.raises(InvalidSpecError):
+            exact_table(spec.graph, "Y", {("0",): [0.5, 0.5],
+                                          ("1", "0"): [0.5, 0.5]})
 
     def test_validation_rejects_bad_emitter(self):
         spec = chain_spec()
