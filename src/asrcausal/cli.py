@@ -3,9 +3,15 @@ artifacts, with deterministic outputs.
 
 Exit codes: 0 success, 1 data error (a structured error record goes to
 stderr), 2 usage error.  Stages with an ``--out`` skip recomputation
-when the output is newer than every input (override with ``--force``).
+when the output is newer than every input (override with ``--force``);
+outputs are written through a temporary file and renamed into place.
 Per-record stages fan out over a bounded thread pool; merges preserve
 input order, so the parallelism degree never changes output bytes.
+
+Each subcommand imports the stage modules it runs, after its freshness
+check, so ``--help`` and up-to-date skips load no NumPy.  Stage functions
+are called as module attributes (``causal_mod.fit_cpts``), so wrappers
+installed on the modules see every call.
 """
 
 from __future__ import annotations
@@ -15,13 +21,19 @@ import json
 import os
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import alignment, covariates, discretize, synthetic
-from . import causal as causal_mod
 from . import ingest
 from .errors import IoError, SchemaError, ToolkitError
 
+if TYPE_CHECKING:
+    from . import causal as causal_mod
+    from . import synthetic
+
 PARALLEL_ENV = "ASRCAUSAL_PARALLEL"
+
+_BUILTIN_GRAPHS = ("paper-default", "fig3e")
+_BUILTIN_SCMS = ("paper-shaped", "copy-chain")
 
 # Node -> record field for the nine-variable analysis layout.
 _CATEGORICAL_SOURCES = {"Age": "grade", "Gender": "gender"}
@@ -203,9 +215,19 @@ def _read_text(path: str) -> str:
 
 
 def _write_text(path: str, text: str):
+    """Write ``text`` to a temporary file next to ``path`` and rename it
+    over ``path``: an interrupted write leaves the previous output (or
+    none), never a truncated one that looks fresh."""
+    target = Path(path)
+    tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
     try:
-        Path(path).parent.mkdir(parents=True, exist_ok=True)
-        Path(path).write_text(text)
+        target.parent.mkdir(parents=True, exist_ok=True)
+        try:
+            tmp.write_text(text)
+            os.replace(tmp, target)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from None
 
@@ -215,19 +237,30 @@ def _read_records(path: str):
         return ingest.parse_utterances(fh)
 
 
+def _graph_inputs(value: str) -> list[str]:
+    """Freshness inputs of a ``--graph`` value: the file, unless builtin."""
+    return [] if value in _BUILTIN_GRAPHS else [value]
+
+
 def _load_graph(value: str) -> causal_mod.CausalGraph:
-    if value in ("paper-default", "fig3e"):
+    from . import causal as causal_mod
+
+    if value in _BUILTIN_GRAPHS:
         return causal_mod.CausalGraph.builtin(value)
     return causal_mod.CausalGraph(ingest.parse_graph_spec(_read_text(value)))
 
 
 def _load_dataset(path: str) -> causal_mod.DiscreteDataset:
+    from . import causal as causal_mod
+
     return causal_mod.DiscreteDataset.from_document(
         ingest.parse_report(_read_text(path)))
 
 
 def _load_scm(value: str, n, seed) -> synthetic.ScmSpec:
-    if value in ("paper-shaped", "copy-chain"):
+    from . import synthetic
+
+    if value in _BUILTIN_SCMS:
         return synthetic.builtin_scm_spec(value, n=n, seed=seed)
     spec = synthetic.parse_scm_spec(_read_text(value))
     if n is not None:
@@ -240,10 +273,12 @@ def _load_scm(value: str, n, seed) -> synthetic.ScmSpec:
 # --- subcommands ---------------------------------------------------------------
 
 def _cmd_synth(config) -> int:
-    inputs = [] if config.spec in ("paper-shaped", "copy-chain") else [config.spec]
+    inputs = [] if config.spec in _BUILTIN_SCMS else [config.spec]
     if _is_fresh(config.out, inputs, config.force):
         print(f"synth: {config.out} is fresh, skipping", file=sys.stderr)
         return 0
+    from . import synthetic
+
     spec = _load_scm(config.spec, config.n, config.seed)
     data = synthetic.generate(spec)
     _write_text(config.out, ingest.write_report(data.to_document()))
@@ -269,6 +304,8 @@ def _cmd_align(config) -> int:
     if _is_fresh(config.out, [config.inp], config.force):
         print(f"align: {config.out} is fresh, skipping", file=sys.stderr)
         return 0
+    from . import alignment
+
     records = _read_records(config.inp)
     if config.models:
         models = [m for m in config.models.split(",") if m]
@@ -311,6 +348,8 @@ def _cmd_covariates(config) -> int:
     if _is_fresh(config.out, inputs, config.force):
         print(f"covariates: {config.out} is fresh, skipping", file=sys.stderr)
         return 0
+    from . import alignment, covariates
+
     records = _read_records(config.inp)
 
     freq = None
@@ -374,6 +413,8 @@ def _parse_bin_overrides(pairs) -> dict[str, str]:
 def _fit_or_reuse(variable, values, method, persisted):
     if persisted is not None and variable in persisted:
         return persisted[variable]
+    from . import discretize
+
     if method == "sigma":
         return discretize.fit_sigma_bins(values, variable)
     if method == "kde":
@@ -386,6 +427,9 @@ def _cmd_discretize(config) -> int:
     if _is_fresh(config.out, inputs, config.force):
         print(f"discretize: {config.out} is fresh, skipping", file=sys.stderr)
         return 0
+    from . import causal as causal_mod
+    from . import discretize
+
     methods = _parse_bin_overrides(config.bin)
     records = _read_records(config.records)
     persisted = None
@@ -453,6 +497,8 @@ def _cmd_oracle(config) -> int:
     if _is_fresh(config.out, [config.inp], config.force):
         print(f"oracle: {config.out} is fresh, skipping", file=sys.stderr)
         return 0
+    from . import alignment
+
     records = _read_records(config.inp)
     choice = alignment.oracle_select(records)
     models = sorted(records[0].hypotheses) if records else []
@@ -476,6 +522,8 @@ def _cmd_correlate(config) -> int:
     if _is_fresh(config.out, [config.inp], config.force):
         print(f"correlate: {config.out} is fresh, skipping", file=sys.stderr)
         return 0
+    from . import alignment
+
     records = _read_records(config.inp)
     if config.by_grade:
         out = Path(config.out)
@@ -493,9 +541,12 @@ def _cmd_correlate(config) -> int:
 
 
 def _cmd_fit(config) -> int:
-    if _is_fresh(config.out, [config.inp], config.force):
+    inputs = [config.inp, *_graph_inputs(config.graph)]
+    if _is_fresh(config.out, inputs, config.force):
         print(f"fit: {config.out} is fresh, skipping", file=sys.stderr)
         return 0
+    from . import causal as causal_mod
+
     graph = _load_graph(config.graph)
     data = _load_dataset(config.inp)
     cpts = causal_mod.fit_cpts(graph, data, config.alpha)
@@ -524,6 +575,8 @@ def _emit(config, payload: dict) -> int:
 
 
 def _cmd_ace(config) -> int:
+    from . import causal as causal_mod
+
     graph = _load_graph(config.graph)
     data = _load_dataset(config.inp)
     value = causal_mod.ace(graph, data, config.treatment, config.effect,
@@ -540,6 +593,8 @@ def _cmd_ace(config) -> int:
 
 
 def _cmd_cmi(config) -> int:
+    from . import causal as causal_mod
+
     data = _load_dataset(config.inp)
     if config.z is not None:
         z = [v for v in config.z.split(",") if v]
@@ -562,10 +617,13 @@ def _cmd_report(config) -> int:
         else:
             name, path = Path(entry).stem, entry
         named.append((name, path))
-    inputs = [p for _, p in named] + [config.records, config.scores]
+    inputs = [p for _, p in named] + [config.records, config.scores,
+                                      *_graph_inputs(config.graph)]
     if _is_fresh(config.out, inputs, config.force):
         print(f"report: {config.out} is fresh, skipping", file=sys.stderr)
         return 0
+    from . import causal as causal_mod
+
     graph = _load_graph(config.graph)
     report: dict = {"graph": config.graph, "models": {}}
     for name, path in named:
@@ -577,6 +635,8 @@ def _cmd_report(config) -> int:
             "by_effect": causal_mod.group_by_effect(edges),
         }
     if config.records:
+        from . import alignment
+
         records = _read_records(config.records)
         models = sorted({m for r in records for m in r.hypotheses})
         grade_errors = {}

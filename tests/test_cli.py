@@ -1,11 +1,18 @@
 import json
+import os
 import random
+import subprocess
+import sys
 import wave
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from asrcausal import causal, cli, ingest
+from asrcausal.errors import IoError
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(*argv):
@@ -369,3 +376,109 @@ class TestCaching:
         assert run_cli("align", "--in", str(workdir / "records.jsonl"),
                        "--out", str(out), "--force") == 0
         assert out.stat().st_mtime_ns >= first
+
+    @pytest.mark.parametrize("stage", ["fit", "report"])
+    def test_edited_graph_file_invalidates_output(self, tmp_path, capsys,
+                                                  stage):
+        graph = {"nodes": [{"name": "X", "kind": "exogenous",
+                            "categories": ["a", "b"]},
+                           {"name": "Y", "kind": "endogenous",
+                            "categories": ["lo", "hi"]}],
+                 "edges": [["X", "Y"]]}
+        data = {"variables": [{"name": "X", "categories": ["a", "b"]},
+                              {"name": "Y", "categories": ["lo", "hi"]}],
+                "rows": [[0, 0], [0, 1], [1, 1], [1, 0]], "continuous": {}}
+        g, d, out = tmp_path / "g.json", tmp_path / "d.json", tmp_path / "o"
+        g.write_text(json.dumps(graph))
+        d.write_text(json.dumps(data))
+        argv = (stage, "--in", str(d), "--graph", str(g), "--out", str(out))
+        assert run_cli(*argv) == 0
+        assert run_cli(*argv) == 0
+        assert "is fresh, skipping" in capsys.readouterr().err
+        later = out.stat().st_mtime_ns + 10**9
+        os.utime(g, ns=(later, later))
+        assert run_cli(*argv) == 0
+        assert "skipping" not in capsys.readouterr().err
+
+
+class TestAtomicWrite:
+    def test_failed_encoding_keeps_previous_output(self, tmp_path):
+        out = tmp_path / "out.json"
+        out.write_text("previous\n")
+        # a lone surrogate fails to encode after the file is opened
+        with pytest.raises(UnicodeEncodeError):
+            cli._write_text(str(out), "x" * 100_000 + "\ud800")
+        assert out.read_text() == "previous\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
+
+    def test_failed_rename_keeps_previous_output(self, tmp_path,
+                                                 monkeypatch):
+        def no_space(src, dst):
+            raise OSError(28, "No space left on device")
+
+        out = tmp_path / "out.json"
+        out.write_text("previous\n")
+        monkeypatch.setattr(cli.os, "replace", no_space)
+        with pytest.raises(IoError):
+            cli._write_text(str(out), "new\n")
+        assert out.read_text() == "previous\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
+
+
+PROBE = """
+import json, sys
+{body}
+print(json.dumps([m for m in ("numpy", "scipy") if m in sys.modules]))
+"""
+
+
+def probe(body, cwd):
+    """Run ``body`` in a fresh interpreter on the checkout's sources;
+    return the numerical libraries it left loaded, and its stderr."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run([sys.executable, "-c", PROBE.format(body=body)],
+                          cwd=cwd, env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stdout.splitlines()[-1])), proc.stderr
+
+
+class TestImports:
+    def test_import_and_help_load_no_numerics(self, tmp_path):
+        assert probe("import asrcausal.cli", tmp_path)[0] == set()
+        help_body = ("from asrcausal import cli\n"
+                     "try:\n    cli.main(['--help'])\n"
+                     "except SystemExit:\n    pass")
+        assert probe(help_body, tmp_path)[0] == set()
+
+    def test_package_attribute_imports_submodule(self, tmp_path):
+        loaded, _ = probe("import asrcausal\n"
+                          "assert 'asrcausal.causal' not in sys.modules\n"
+                          "asrcausal.causal.fit_cpts", tmp_path)
+        assert "numpy" in loaded
+
+    def test_fresh_skip_loads_no_numpy(self, tmp_path):
+        assert run_cli("synth", "--spec", "paper-shaped", "--n", "200",
+                       "--out", str(tmp_path / "d.json")) == 0
+        argv = ["fit", "--in", str(tmp_path / "d.json"),
+                "--out", str(tmp_path / "cpts.json")]
+        assert run_cli(*argv) == 0
+        loaded, err = probe(f"from asrcausal import cli\ncli.main({argv!r})",
+                            tmp_path)
+        assert "is fresh, skipping" in err
+        assert "numpy" not in loaded
+
+    def test_scoring_stages_load_no_numpy(self, workdir):
+        body = "from asrcausal import cli\n" + "\n".join(
+            f"assert cli.main({argv!r}) == 0" for argv in (
+                ["align", "--in", "records.jsonl", "--out", "scores.jsonl"],
+                ["oracle", "--in", "records.jsonl", "--out", "oracle.json"],
+                ["correlate", "--in", "records.jsonl", "--out", "c.csv"]))
+        assert probe(body, workdir)[0] == set()
+        assert (workdir / "c.csv").exists()
+
+    def test_synth_loads_no_scipy(self, tmp_path):
+        loaded, _ = probe("from asrcausal import cli\n"
+                          "assert cli.main(['synth', '--spec', 'paper-shaped',"
+                          " '--n', '500', '--out', 'd.json']) == 0", tmp_path)
+        assert loaded == {"numpy"}

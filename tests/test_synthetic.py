@@ -1,5 +1,6 @@
 import itertools
 import math
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -252,3 +253,38 @@ class TestFixtures:
         spec.emitters["Y"] = EffectEmitter((1.0,), 0.1)  # wrong arity
         with pytest.raises(InvalidSpecError):
             spec.validate()
+
+
+class TestNdtri:
+    """The NumPy inverse normal CDF that maps emitter uniforms to noise."""
+
+    @staticmethod
+    def grid():
+        # branch boundaries at exp(-2), 1 - exp(-2) and exp(-32) (x = 8)
+        edges = [1e-300, 1e-100, 1e-15, math.exp(-32), 1e-12, math.exp(-2),
+                 0.5, 1 - math.exp(-2), 1 - 1e-12]
+        near = [np.nextafter(e, d) for e in edges for d in (0.0, 1.0)]
+        sample = np.random.default_rng(2024).random(10_000)
+        return np.concatenate([edges, near, sample])
+
+    def test_matches_statistics_inv_cdf(self):
+        p = self.grid()
+        expected = np.array([NormalDist().inv_cdf(float(q)) for q in p])
+        np.testing.assert_allclose(synthetic._ndtri(p), expected,
+                                   rtol=0, atol=1e-12)
+
+    def test_symmetric(self):
+        # 1 - q is exact for q >= 0.5, so (q, 1 - q) are true complements
+        p = self.grid()
+        q = np.maximum(p, 1 - p)
+        q = q[q < 1]
+        np.testing.assert_allclose(synthetic._ndtri(1 - q),
+                                   -synthetic._ndtri(q), rtol=0, atol=1e-12)
+
+    def test_within_4_ulp_of_scipy(self):
+        special = pytest.importorskip("scipy.special")
+        p = self.grid()
+        expected = special.ndtri(p)
+        ulps = np.abs(synthetic._ndtri(p) - expected) / np.spacing(
+            np.abs(expected))
+        assert ulps.max() <= 4
