@@ -164,24 +164,43 @@ class DiscreteDataset:
             "variables": [{"name": v, "categories": list(self.categories[v])}
                           for v in self.variables],
             "rows": self.codes.tolist(),
-            "continuous": {k: [float(x) for x in v]
+            "continuous": {k: v.tolist()
                            for k, v in sorted(self.continuous.items())},
         }
 
     @classmethod
     def from_document(cls, doc: dict) -> "DiscreteDataset":
+        """Read a dataset document.  ``rows`` must be equal-length lists
+        of JSON integers and each continuous column a list of numbers."""
         try:
             variables = [v["name"] for v in doc["variables"]]
             categories = {v["name"]: list(v["categories"])
                           for v in doc["variables"]}
-            rows = np.array(doc["rows"], dtype=np.int64)
-        except (KeyError, TypeError) as exc:
+            rows = doc["rows"]
+            continuous = doc.get("continuous", {}).items()
+        except (KeyError, TypeError, AttributeError) as exc:
             raise SchemaError(f"bad dataset document: {exc}") from None
-        if rows.size == 0:
-            rows = rows.reshape(0, len(variables))
-        continuous = {k: np.asarray(v, dtype=np.float64)
-                      for k, v in doc.get("continuous", {}).items()}
-        return cls(variables, categories, rows, continuous)
+        codes = _typed_array(
+            rows, "iu", "dataset rows must be equal-length lists of integer "
+                        "category codes")
+        if codes.size == 0:
+            codes = codes.reshape(0, len(variables))
+        return cls(variables, categories, codes, {
+            name: _typed_array(values, "iuf",
+                               f"continuous column {name!r} must hold numbers")
+            for name, values in continuous})
+
+
+def _typed_array(values, kinds: str, message: str) -> np.ndarray:
+    """``np.array(values)``, raising SchemaError(message) when it is
+    ragged or, unless empty, has a dtype kind outside ``kinds``."""
+    try:
+        array = np.array(values)
+    except ValueError:
+        raise SchemaError(message) from None
+    if array.size and array.dtype.kind not in kinds:
+        raise SchemaError(message)
+    return array
 
 
 @dataclass

@@ -11,6 +11,12 @@ Formats (all diff-able, hand-editable text):
   and ``edges`` (list of [from, to]);
 * reports: canonical JSON, keys sorted, reals quantized to 6 decimals.
 
+``write_report`` writes a report in one pass with a private encoder that
+quantizes as it emits.  Its bytes are those of ``json.dumps(...,
+sort_keys=True, indent=1)`` on the quantized tree, so readers, golden
+files and digests do not depend on which encoder wrote them, and it
+raises ``IoError`` for exactly the values ``json.dumps`` rejects.
+
 Every malformed input raises a typed error naming the offending line or
 field; no partially constructed value ever escapes.
 """
@@ -20,6 +26,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import chain, repeat
+from json.encoder import encode_basestring_ascii as _encode_str
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -354,32 +362,108 @@ def write_graph_spec(spec: GraphSpec) -> str:
 
 # --- deterministic report serialization -------------------------------------
 
-def _quantize(obj, places: int = 6):
-    """Round reals to fixed precision; NaN becomes null; keys sorted later."""
-    if isinstance(obj, float):
-        if math.isnan(obj):
+_PLACES = 6  # decimals kept for every real in a report
+
+
+def _quantize(value):
+    """Round a real to fixed precision; NaN becomes None, ±inf passes.
+
+    A value that rounds to zero becomes 0.0 (never -0.0).  ``round`` is
+    called on the value itself, so a float subclass such as
+    ``np.float64`` rounds with its own ``__round__``.  Anything that is
+    not a float is returned unchanged.
+    """
+    if isinstance(value, float):
+        if math.isnan(value):
             return None
-        if math.isinf(obj):
-            return obj
-        q = round(obj, places)
+        if math.isinf(value):
+            return value
+        q = round(value, _PLACES)
         return 0.0 if q == 0 else q
-    if isinstance(obj, dict):
-        return {str(k): _quantize(v, places) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_quantize(v, places) for v in obj]
-    return obj
+    return value
+
+
+def _scalar(value) -> str:
+    """JSON text of a non-container value, by ``json.dumps``' rules."""
+    if isinstance(value, str):
+        return _encode_str(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if math.isinf(value):
+            return "Infinity" if value > 0 else "-Infinity"
+        return float.__repr__(value)
+    raise TypeError(f"Object of type {type(value).__name__} "
+                    f"is not JSON serializable")
+
+
+def _encode(value, ind: str) -> str:
+    """Canonical JSON text of ``value``, whose line is indented by ``ind``.
+
+    ``ind`` is a newline plus one space per nesting level.  Lists of
+    exact ints, of finite exact floats and of equal-length rows of exact
+    ints are each formatted by one join; any other value recurses.
+    """
+    if isinstance(value, float):
+        return _scalar(_quantize(value))
+    if isinstance(value, dict):
+        named = {str(k): v for k, v in value.items()}
+        if not named:
+            return "{}"
+        inner = ind + " "
+        return "{" + inner + ("," + inner).join(
+            [_encode_str(k) + ": " + _encode(named[k], inner)
+             for k in sorted(named)]) + ind + "}"
+    if not isinstance(value, (list, tuple)):
+        return _scalar(value)
+    if not value:
+        return "[]"
+    inner = ind + " "
+    sep = "," + inner
+    kinds = set(map(type, value))
+    if kinds == {int}:
+        body = sep.join(map(int.__repr__, value))
+    elif kinds == {float} and math.isfinite(sum(value)):
+        # A finite sum means every item is finite: one non-finite item
+        # makes the sum inf or NaN.
+        texts = list(map(float.__repr__, map(round, value, repeat(_PLACES))))
+        if "-0.0" in texts:
+            texts = ["0.0" if t == "-0.0" else t for t in texts]
+        body = sep.join(texts)
+    elif (kinds == {list} and len(set(map(len, value))) == 1
+          and set(map(type, chain.from_iterable(value))) == {int}):
+        cell = inner + " "
+        template = ("[" + cell + ("," + cell).join(["%d"] * len(value[0]))
+                    + inner + "]")
+        body = sep.join(map(template.__mod__, map(tuple, value)))
+    else:
+        body = sep.join([_encode(v, inner) for v in value])
+    return "[" + inner + body + ind + "]"
 
 
 def write_report(report, fmt: str = "structured") -> str:
     """Deterministic serialization of an analysis result tree.
 
     ``structured``: canonical JSON, keys in sorted order, reals quantized
-    to 6 decimals (round-trips exactly for pre-quantized values).
+    to 6 decimals (round-trips exactly for pre-quantized values).  The
+    text is byte-identical to ``json.dumps(q, sort_keys=True, indent=1)
+    + "\\n"``, where ``q`` is ``report`` with every dict key made
+    ``str(key)``, every tuple a list and every float ``_quantize``-d; a
+    value that expression rejects raises ``IoError``.  It is written in
+    one pass that quantizes as it emits, with no quantized copy and no
+    per-token chunks; lists of exact ints, of finite exact floats and of
+    equal-length int rows are each formatted by one join.
     ``delimited``: flat ``path,value`` CSV (export only).
     """
     if fmt == "structured":
         try:
-            return json.dumps(_quantize(report), sort_keys=True, indent=1) + "\n"
+            return _encode(report, "\n") + "\n"
         except (TypeError, ValueError) as exc:
             raise IoError(f"report not serializable: {exc}") from None
     if fmt == "delimited":

@@ -82,6 +82,28 @@ class TestDiscreteDataset:
         assert again.variables == data.variables
         assert np.array_equal(again.codes, data.codes)
 
+    def test_document_with_no_rows(self):
+        doc = dataset_xy([]).to_document()
+        assert doc["rows"] == []
+        assert len(DiscreteDataset.from_document(doc)) == 0
+
+    @pytest.mark.parametrize("rows, continuous", [
+        ([[0, 1], [1]], {}),
+        ([[0, "1"]], {}),
+        ([[0, 0.7]], {}),
+        ([[True, False]], {}),
+        ([[0, 2 ** 70]], {}),
+        ([[0, 1]], {"Y": ["0.5"]}),
+        ([[0, 1]], {"Y": [None]}),
+        ([[0, 1]], {"Y": [[0.5], [1.5, 2.5]]}),
+    ])
+    def test_document_with_mistyped_values_is_schema_error(self, rows,
+                                                           continuous):
+        doc = dataset_xy([("0", "1")]).to_document()
+        doc.update(rows=rows, continuous=continuous)
+        with pytest.raises(SchemaError):
+            DiscreteDataset.from_document(doc)
+
 
 class TestFitCpts:
     def test_hand_counts_with_smoothing(self):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import random
@@ -116,6 +117,25 @@ class TestSynth:
             json.loads(out.read_text()))
         assert len(data) == 50
 
+    def test_synth_and_report_bytes_pinned(self, tmp_path):
+        data, truths, report = (tmp_path / name for name in
+                                ("data.json", "truths.json", "report.json"))
+        assert run_cli("synth", "--spec", "paper-shaped", "--n", "2000",
+                       "--seed", "1", "--truths", str(truths),
+                       "--out", str(data)) == 0
+        assert run_cli("report", "--in", f"fixture={data}",
+                       "--out", str(report)) == 0
+        digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                   for p in (data, truths, report)}
+        assert digests == {
+            "data.json": "5b96014cdb5ddfa5ceaad5aa7dff10faa50138d8"
+                         "65d025931540c0458155724b",
+            "truths.json": "d99080f20f3eef49495f66d56890d291a63bd4ea"
+                           "d9b5f73c6788469480479485",
+            "report.json": "560eb7eeb98cd4692705f8048eff24469bff21ca"
+                           "aed6013546b687eee225b766",
+        }
+
     def test_spec_with_short_probability_vector_exits_1(self, tmp_path,
                                                          capsys):
         from asrcausal import synthetic
@@ -127,6 +147,24 @@ class TestSynth:
                        "--out", str(tmp_path / "d.json")) == 1
         diagnostic = json.loads(capsys.readouterr().err.strip())
         assert diagnostic["error"] == "E_INVALID_SPEC"
+
+
+class TestMalformedDataset:
+    @pytest.mark.parametrize("bad_row", [[0, 1], ["a", "b", "c"], [0.7, 0, 1]],
+                             ids=["ragged", "string-codes", "float-code"])
+    def test_malformed_rows_exit_1_without_traceback(self, tmp_path, bad_row):
+        doc = {"variables": [{"name": v, "categories": ["lo", "hi"]}
+                             for v in "ABC"],
+               "rows": [[0, 1, 0], bad_row], "continuous": {}}
+        (tmp_path / "bad.json").write_text(json.dumps(doc))
+        proc = subprocess.run(
+            [sys.executable, "-m", "asrcausal.cli", "cmi", "--in", "bad.json",
+             "--x", "A", "--y", "B"],
+            cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(SRC)},
+            capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert json.loads(proc.stderr)["error"] == "E_SCHEMA"
 
 
 class TestAlign:

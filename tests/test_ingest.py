@@ -1,12 +1,18 @@
 import json
+import math
+from collections import OrderedDict
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from asrcausal import ingest
 from asrcausal.errors import (
     CycleError,
     DuplicateIdError,
     EmptyInputError,
+    IoError,
     SchemaError,
     SelfLoopError,
     UnknownNodeError,
@@ -194,6 +200,90 @@ class TestWriteReport:
         assert lines[0] == "path,value"
         assert "a.b,1.5" in lines
         assert "c.0,2" in lines
+
+
+def ref_quantize(obj, places: int = 6):
+    """The tree quantizer ``write_report`` used before its single-pass
+    encoder; with ``json.dumps`` it is the reference for the bytes."""
+    if isinstance(obj, float):
+        if math.isnan(obj):
+            return None
+        if math.isinf(obj):
+            return obj
+        q = round(obj, places)
+        return 0.0 if q == 0 else q
+    if isinstance(obj, dict):
+        return {str(k): ref_quantize(v, places) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [ref_quantize(v, places) for v in obj]
+    return obj
+
+
+def reference_report(report) -> str:
+    return json.dumps(ref_quantize(report), sort_keys=True, indent=1) + "\n"
+
+
+_REALS = st.one_of(
+    st.floats(),
+    st.floats(min_value=-2e-6, max_value=2e-6),
+    st.sampled_from([0.0, -0.0, -1e-9, 5e-7, -5e-7, 4.9999995e-7, 0.1 + 0.2,
+                     1e16, -1e300, 1.7976931348623157e308, math.inf,
+                     -math.inf, math.nan]),
+)
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.text(), _REALS,
+    _REALS.map(np.float64),
+    st.lists(st.integers()), st.lists(_FINITE), st.lists(_REALS),
+    st.integers(0, 3).flatmap(lambda k: st.lists(
+        st.lists(st.integers(), min_size=k, max_size=k))),
+)
+_KEYS = st.one_of(st.text(max_size=4), st.integers(-3, 3), st.booleans(),
+                  st.none(), st.sampled_from([1.5, -0.0, "1", "None"]))
+_TREES = st.recursive(_LEAVES, lambda children: st.one_of(
+    st.lists(children, max_size=4),
+    st.lists(children, max_size=4).map(tuple),
+    st.dictionaries(_KEYS, children, max_size=4),
+), max_leaves=20)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+class TestReportEncoder:
+    """``write_report`` against ``json.dumps(ref_quantize(x), ...)``.
+
+    ``np.float64.__round__`` overflows to inf near the float maximum and
+    warns; both sides do the same.
+    """
+
+    @settings(max_examples=400, deadline=None)
+    @given(_TREES)
+    def test_bytes_match_reference(self, report):
+        assert ingest.write_report(report) == reference_report(report)
+
+    @pytest.mark.parametrize("report", [
+        {1: "int key", "1": "later str key wins"},
+        {"1": "str key", 1: "later int key wins"},
+        OrderedDict([("b", [1, 2]), ("a", (3.25, -0.0))]),
+        type("Rows", (list,), {})([[1, 2], [3, 4]]),
+        [[1, 2], [3, True]],
+        [[1, 2], [3]],
+        [[], []],
+        [1e308, 1e308],
+        [np.float64(1.0000005), 2.0],
+        [float(x) for x in np.linspace(-1e-6, 1e-6, 41)],
+        {"s": "caf\u00e9 \"q\" \\ \n \U0001f600"},
+    ])
+    def test_edge_cases_match_reference(self, report):
+        assert ingest.write_report(report) == reference_report(report)
+
+    @pytest.mark.parametrize("bad", [np.int64(3), {1, 2}, object(),
+                                     10 ** 5000],
+                             ids=["np.int64", "set", "object", "5001-digit"])
+    def test_rejected_types_raise_io_error(self, bad):
+        with pytest.raises((TypeError, ValueError)):
+            reference_report({"a": [1, bad]})
+        with pytest.raises(IoError, match="report not serializable"):
+            ingest.write_report({"a": [1, bad]})
 
 
 class TestEmitPlotData:
