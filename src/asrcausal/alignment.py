@@ -1,6 +1,15 @@
 """Word-level alignment, WER decomposition, oracle hypothesis selection,
 and inter-model correlation.
 
+Every score-based output is derived from one ``ScoreTable``: for each
+record and model, the S/D/I/N counts of exactly one ``align`` call, with
+the record's reference normalized once for all its models.  The public
+``score_dataset``, ``oracle_select``, ``oracle_aggregate`` and
+``model_correlation`` each build a table and read it.  A CLI stage builds
+one table (or, for ``report --scores``, loads the one ``align`` wrote)
+and reads all of its outputs from it.  The table holds plain Python ints,
+so scoring never loads NumPy.
+
 The edit-distance inner loop is the hot path when scoring large
 transcript sets, so it lives in a compiled kernel
 (``asrcausal._editops``, built from Cython) with a pure-Python fallback
@@ -10,6 +19,7 @@ selected at import time.  Both kernels implement the identical contract;
 
 from __future__ import annotations
 
+import json
 import math
 import re
 from dataclasses import dataclass
@@ -18,6 +28,7 @@ from typing import Callable, Iterable, Sequence
 from .errors import (
     EmptyReferenceError,
     MissingModelError,
+    SchemaError,
     TooFewValuesError,
 )
 
@@ -145,29 +156,200 @@ class ErrorAggregate:
         }
 
 
-def score_record(record, model: str) -> AlignmentResult:
-    """Align one record's hypothesis for `model` against its reference."""
-    if model not in record.hypotheses:
-        raise MissingModelError(f"no hypothesis for model {model!r}",
-                                record_id=record.id)
-    try:
-        return align_text(record.reference, record.hypotheses[model])
-    except EmptyReferenceError:
-        raise EmptyReferenceError("empty reference: WER undefined",
-                                  record_id=record.id) from None
+def score_row(record, models: Sequence[str]) -> dict[str, AlignmentResult]:
+    """One score-table row: `record` aligned against each of `models`.
+
+    The reference is normalized once for the whole row; each hypothesis
+    is normalized and aligned once.  Models are visited in the given
+    order, and the first one the record lacks raises MissingModelError;
+    an empty reference raises EmptyReferenceError.  Both name the record.
+    """
+    reference = None
+    row = {}
+    for model in models:
+        if model not in record.hypotheses:
+            raise MissingModelError(f"no hypothesis for model {model!r}",
+                                    record_id=record.id)
+        if reference is None:
+            reference = normalize_text(record.reference)
+            if not reference:
+                raise EmptyReferenceError("empty reference: WER undefined",
+                                          record_id=record.id)
+        row[model] = align(reference,
+                           normalize_text(record.hypotheses[model]))
+    return row
+
+
+_COUNT_KEYS = ("substitutions", "deletions", "insertions", "ref_len")
+
+
+@dataclass(frozen=True)
+class ScoreTable:
+    """Per record (in input order), the AlignmentResult of each scored
+    model: the S/D/I/N counts of exactly one alignment per pair.
+
+    Every score-based output is read from here.  A derivation that needs
+    a model missing from a row raises MissingModelError naming the record.
+    """
+
+    records: list
+    rows: list[dict[str, AlignmentResult]]
+
+    @classmethod
+    def from_scores(cls, records: Sequence, scores: dict) -> "ScoreTable":
+        """The table persisted by ``align``: `scores` maps record id to
+        ``{model: {substitutions, deletions, insertions, ref_len, ...}}``.
+
+        Every record needs a score for every model it carries, and each
+        ``ref_len`` must equal the length of the record's normalized
+        reference (a mismatch means the scores are stale); otherwise
+        SchemaError naming the record.
+        """
+        rows = []
+        for record in records:
+            entry = scores.get(record.id)
+            if not isinstance(entry, dict):
+                raise SchemaError("scores file has no scores object for "
+                                  "this record", record_id=record.id)
+            ref_len = len(normalize_text(record.reference))
+            if not ref_len:
+                raise EmptyReferenceError("empty reference: WER undefined",
+                                          record_id=record.id)
+            row = {}
+            for model in sorted(record.hypotheses):
+                counts = entry.get(model)
+                if not isinstance(counts, dict):
+                    raise SchemaError(f"scores file has no {model!r} score "
+                                      "object", record_id=record.id)
+                values = [counts.get(key) for key in _COUNT_KEYS]
+                if any(type(v) is not int or v < 0 for v in values):
+                    raise SchemaError(
+                        f"{model!r} score needs non-negative integer "
+                        f"{', '.join(_COUNT_KEYS)}", record_id=record.id)
+                if values[3] != ref_len:
+                    raise SchemaError(
+                        f"stale {model!r} score: ref_len {values[3]}, but "
+                        f"the reference has {ref_len} words",
+                        record_id=record.id)
+                row[model] = AlignmentResult(*values)
+            rows.append(row)
+        return cls(list(records), rows)
+
+    def to_jsonl(self) -> str:
+        """One ``{"id", "scores"}`` JSON line per record, keys sorted."""
+        return "".join(
+            json.dumps({"id": record.id,
+                        "scores": {m: r.to_dict() for m, r in row.items()}},
+                       sort_keys=True) + "\n"
+            for record, row in zip(self.records, self.rows))
+
+    def where(self, keep: Callable) -> "ScoreTable":
+        """The rows of the records for which ``keep(record)`` is true."""
+        kept = [i for i, record in enumerate(self.records) if keep(record)]
+        return ScoreTable([self.records[i] for i in kept],
+                          [self.rows[i] for i in kept])
+
+    def _column(self, model: str):
+        """(record, result) of `model` for every row, in record order."""
+        for record, row in zip(self.records, self.rows):
+            result = row.get(model)
+            if result is None:
+                raise MissingModelError(f"no hypothesis for model {model!r}",
+                                        record_id=record.id)
+            yield record, result
+
+    def aggregate(self, model: str,
+                  key: Callable = lambda r: "all") -> list[ErrorAggregate]:
+        """Micro-averaged aggregates of `model` per group, in sorted key
+        order."""
+        sums: dict = {}
+        for record, result in self._column(model):
+            k = key(record)
+            s, d, i, n = sums.get(k, (0, 0, 0, 0))
+            sums[k] = (s + result.substitutions, d + result.deletions,
+                       i + result.insertions, n + result.ref_len)
+        return [ErrorAggregate(k, *sums[k]) for k in sorted(sums, key=str)]
+
+    def _oracle(self):
+        """Per row, the (model, result) with the least (WER,
+        substitutions, model name)."""
+        return [min(row.items(), key=lambda mr: (mr[1].wer,
+                                                 mr[1].substitutions, mr[0]))
+                for row in self.rows]
+
+    def oracle_select(self) -> dict[str, str]:
+        return {record.id: model for record, (model, _) in
+                zip(self.records, self._oracle())}
+
+    def oracle_aggregate(self) -> ErrorAggregate:
+        s = d = i = n = 0
+        for _, result in self._oracle():
+            s += result.substitutions
+            d += result.deletions
+            i += result.insertions
+            n += result.ref_len
+        return ErrorAggregate("oracle", s, d, i, n)
+
+    def correlation(self, models: Sequence[str] | None = None):
+        """Pearson correlation of utterance-level WER vectors per model
+        pair, as (models, matrix); `models` defaults to the first
+        record's models, sorted."""
+        if len(self.records) < 2:
+            raise TooFewValuesError(
+                "need at least 2 utterances for correlation")
+        if models is None:
+            models = sorted(self.records[0].hypotheses)
+        vectors = {m: [r.wer for _, r in self._column(m)] for m in models}
+        matrix = [[1.0] * len(models) for _ in models]
+        for a in range(len(models)):
+            for b in range(a + 1, len(models)):
+                r = _pearson(vectors[models[a]], vectors[models[b]])
+                matrix[a][b] = matrix[b][a] = r
+        return list(models), matrix
+
+
+def _pearson(xs, ys) -> float:
+    n = len(xs)
+    mx = sum(xs) / n
+    my = sum(ys) / n
+    sx = math.sqrt(sum((x - mx) ** 2 for x in xs) / n)
+    sy = math.sqrt(sum((y - my) ** 2 for y in ys) / n)
+    if sx == 0.0 or sy == 0.0:
+        return float("nan")
+    cov = sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / n
+    return cov / (sx * sy)
+
+
+def score_table(records: Iterable,
+                models: Sequence[str] | None = None) -> ScoreTable:
+    """Align every record against `models` (default: each record's own
+    models, sorted), one row per record."""
+    records = list(records)
+    return ScoreTable(records, [
+        score_row(r, sorted(r.hypotheses) if models is None else models)
+        for r in records])
+
+
+def oracle_table(records: Iterable) -> ScoreTable:
+    """Score table of records that must all carry the same model set."""
+    records = list(records)
+    if not records:
+        return ScoreTable([], [])
+    model_set = set(records[0].hypotheses)
+    models = sorted(model_set)
+    rows = []
+    for record in records:
+        if set(record.hypotheses) != model_set:
+            raise MissingModelError(
+                "records do not share a common model set", record_id=record.id)
+        rows.append(score_row(record, models))
+    return ScoreTable(records, rows)
 
 
 def score_dataset(records: Iterable, model: str,
                   key: Callable = lambda r: "all") -> list[ErrorAggregate]:
     """Micro-averaged aggregates per group, emitted in sorted key order."""
-    sums: dict = {}
-    for record in records:
-        result = score_record(record, model)
-        k = key(record)
-        s, d, i, n = sums.get(k, (0, 0, 0, 0))
-        sums[k] = (s + result.substitutions, d + result.deletions,
-                   i + result.insertions, n + result.ref_len)
-    return [ErrorAggregate(k, *sums[k]) for k in sorted(sums, key=str)]
+    return score_table(records, (model,)).aggregate(model, key)
 
 
 def oracle_select(records: Iterable) -> dict[str, str]:
@@ -176,37 +358,12 @@ def oracle_select(records: Iterable) -> dict[str, str]:
     Ties are broken by fewer substitutions, then by lexicographically
     smallest model name.  All records must share the same model set.
     """
-    records = list(records)
-    if not records:
-        return {}
-    model_set = set(records[0].hypotheses)
-    choice: dict[str, str] = {}
-    for record in records:
-        if set(record.hypotheses) != model_set:
-            raise MissingModelError(
-                "records do not share a common model set", record_id=record.id)
-        best = None
-        for model in sorted(record.hypotheses):
-            result = score_record(record, model)
-            cand = (result.wer, result.substitutions, model)
-            if best is None or cand < best:
-                best = cand
-        choice[record.id] = best[2]
-    return choice
+    return oracle_table(records).oracle_select()
 
 
 def oracle_aggregate(records: Iterable) -> ErrorAggregate:
     """Micro-averaged aggregate of the per-utterance oracle choices."""
-    records = list(records)
-    chosen = oracle_select(records)
-    s = d = i = n = 0
-    for record in records:
-        result = score_record(record, chosen[record.id])
-        s += result.substitutions
-        d += result.deletions
-        i += result.insertions
-        n += result.ref_len
-    return ErrorAggregate("oracle", s, d, i, n)
+    return oracle_table(records).oracle_aggregate()
 
 
 def model_correlation(records: Iterable,
@@ -225,22 +382,4 @@ def model_correlation(records: Iterable,
         raise TooFewValuesError("need at least 2 utterances for correlation")
     if models is None:
         models = sorted(records[0].hypotheses)
-    vectors = {m: [score_record(r, m).wer for r in records] for m in models}
-
-    def pearson(xs, ys):
-        n = len(xs)
-        mx = sum(xs) / n
-        my = sum(ys) / n
-        sx = math.sqrt(sum((x - mx) ** 2 for x in xs) / n)
-        sy = math.sqrt(sum((y - my) ** 2 for y in ys) / n)
-        if sx == 0.0 or sy == 0.0:
-            return float("nan")
-        cov = sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / n
-        return cov / (sx * sy)
-
-    matrix = [[1.0] * len(models) for _ in models]
-    for a in range(len(models)):
-        for b in range(a + 1, len(models)):
-            r = pearson(vectors[models[a]], vectors[models[b]])
-            matrix[a][b] = matrix[b][a] = r
-    return list(models), matrix
+    return score_table(records, models).correlation(models)

@@ -2,9 +2,12 @@
 artifacts, with deterministic outputs.
 
 Exit codes: 0 success, 1 data error (a structured error record goes to
-stderr), 2 usage error.  Stages with an ``--out`` skip recomputation
-when the output is newer than every input (override with ``--force``);
-outputs are written through a temporary file and renamed into place.
+stderr), 2 usage error.  Stages with an ``--out`` leave a stamp next to
+it (``.<name>.stamp``) holding their options and the files they wrote,
+and skip recomputation when the stamp holds the current options, every
+file it lists exists and no input is newer than those files (override
+with ``--force``); outputs are written through a temporary file and
+renamed into place.
 Per-record stages fan out over a bounded thread pool; merges preserve
 input order, so the parallelism degree never changes output bytes.
 
@@ -24,7 +27,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import ingest
-from .errors import IoError, SchemaError, ToolkitError
+from .errors import DuplicateIdError, IoError, SchemaError, ToolkitError
 
 if TYPE_CHECKING:
     from . import causal as causal_mod
@@ -188,13 +191,34 @@ def parse_args(argv) -> argparse.Namespace:
     return config
 
 
-def _is_fresh(out: str, inputs, force: bool) -> bool:
-    if force or not os.path.exists(out):
+def _stamp_path(out: str) -> Path:
+    target = Path(out)
+    return target.with_name(f".{target.name}.stamp")
+
+
+def _config_key(config) -> dict:
+    """The options that can change a stage's output bytes, in canonical
+    JSON form: all of them except ``--force`` and ``--parallel``."""
+    return json.loads(json.dumps(
+        {k: v for k, v in vars(config).items()
+         if k not in ("force", "parallel") and not k.startswith("_")},
+        sort_keys=True))
+
+
+def _is_fresh(config, inputs) -> bool:
+    """True when the stamp next to ``--out`` holds the current options,
+    every output it lists exists, and no input is newer than the oldest
+    of them.  Input contents are not hashed."""
+    if config.force:
         return False
+    stamp = _stamp_path(config.out)
     try:
-        out_mtime = os.path.getmtime(out)
-        return all(os.path.getmtime(p) <= out_mtime for p in inputs if p)
-    except OSError:
+        doc = json.loads(stamp.read_text())
+        if doc["config"] != _config_key(config):
+            return False
+        oldest = min(os.path.getmtime(p) for p in [stamp, *doc["outputs"]])
+        return all(os.path.getmtime(p) <= oldest for p in inputs if p)
+    except (OSError, ValueError, KeyError, TypeError):
         return False
 
 
@@ -214,10 +238,10 @@ def _read_text(path: str) -> str:
         raise IoError(f"cannot read {path}: {exc}") from None
 
 
-def _write_text(path: str, text: str):
+def _write_text(path: str, text: str) -> str:
     """Write ``text`` to a temporary file next to ``path`` and rename it
     over ``path``: an interrupted write leaves the previous output (or
-    none), never a truncated one that looks fresh."""
+    none), never a truncated one that looks fresh.  Returns ``path``."""
     target = Path(path)
     tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
     try:
@@ -230,6 +254,7 @@ def _write_text(path: str, text: str):
             raise
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from None
+    return path
 
 
 def _read_records(path: str):
@@ -272,16 +297,13 @@ def _load_scm(value: str, n, seed) -> synthetic.ScmSpec:
 
 # --- subcommands ---------------------------------------------------------------
 
-def _cmd_synth(config) -> int:
-    inputs = [] if config.spec in _BUILTIN_SCMS else [config.spec]
-    if _is_fresh(config.out, inputs, config.force):
-        print(f"synth: {config.out} is fresh, skipping", file=sys.stderr)
-        return 0
+def _cmd_synth(config) -> list[str]:
     from . import synthetic
 
     spec = _load_scm(config.spec, config.n, config.seed)
     data = synthetic.generate(spec)
-    _write_text(config.out, ingest.write_report(data.to_document()))
+    written = [_write_text(config.out,
+                           ingest.write_report(data.to_document()))]
     if config.truths:
         edges = []
         for cause, effect in spec.graph.edges:
@@ -296,14 +318,12 @@ def _cmd_synth(config) -> int:
                 "cmi": synthetic.true_cmi(spec, cause, effect, others),
                 "conditioning": others,
             })
-        _write_text(config.truths, ingest.write_report({"edges": edges}))
-    return 0
+        written.append(_write_text(config.truths,
+                                   ingest.write_report({"edges": edges})))
+    return written
 
 
-def _cmd_align(config) -> int:
-    if _is_fresh(config.out, [config.inp], config.force):
-        print(f"align: {config.out} is fresh, skipping", file=sys.stderr)
-        return 0
+def _cmd_align(config) -> list[str]:
     from . import alignment
 
     records = _read_records(config.inp)
@@ -312,15 +332,10 @@ def _cmd_align(config) -> int:
     else:
         models = sorted({m for r in records for m in r.hypotheses})
 
-    def score(record):
-        return {"id": record.id,
-                "scores": {m: alignment.score_record(record, m).to_dict()
-                           for m in models}}
-
-    lines = _parallel_map(score, records, config.parallel)
-    text = "".join(json.dumps(entry, sort_keys=True) + "\n" for entry in lines)
-    _write_text(config.out, text)
-    return 0
+    rows = _parallel_map(lambda record: alignment.score_row(record, models),
+                         records, config.parallel)
+    return [_write_text(config.out,
+                        alignment.ScoreTable(records, rows).to_jsonl())]
 
 
 def _read_scores(path: str) -> dict[str, dict]:
@@ -335,19 +350,18 @@ def _read_scores(path: str) -> dict[str, dict]:
             except json.JSONDecodeError as exc:
                 raise SchemaError(f"invalid JSON: {exc.msg}", line=line_no) \
                     from None
-            if "id" not in entry or "scores" not in entry:
-                raise SchemaError("score lines need 'id' and 'scores'",
-                                  line=line_no)
+            if not (isinstance(entry, dict) and "scores" in entry
+                    and isinstance(entry.get("id"), str)):
+                raise SchemaError("score lines need a string 'id' and "
+                                  "'scores'", line=line_no)
+            if entry["id"] in scores:
+                raise DuplicateIdError(
+                    f"line {line_no}: duplicate id {entry['id']!r}")
             scores[entry["id"]] = entry["scores"]
     return scores
 
 
-def _cmd_covariates(config) -> int:
-    inputs = [config.inp, *config.freq_table, config.posteriors,
-              config.segments, config.inventory]
-    if _is_fresh(config.out, inputs, config.force):
-        print(f"covariates: {config.out} is fresh, skipping", file=sys.stderr)
-        return 0
+def _cmd_covariates(config) -> list[str]:
     from . import alignment, covariates
 
     records = _read_records(config.inp)
@@ -394,8 +408,7 @@ def _cmd_covariates(config) -> int:
         return record
 
     enriched = _parallel_map(enrich, records, config.parallel)
-    _write_text(config.out, ingest.write_utterances(enriched))
-    return 0
+    return [_write_text(config.out, ingest.write_utterances(enriched))]
 
 
 def _parse_bin_overrides(pairs) -> dict[str, str]:
@@ -422,11 +435,7 @@ def _fit_or_reuse(variable, values, method, persisted):
     return discretize.fit_quantile_bins(values, 3, variable)
 
 
-def _cmd_discretize(config) -> int:
-    inputs = [config.records, config.scores, config.schemes_in]
-    if _is_fresh(config.out, inputs, config.force):
-        print(f"discretize: {config.out} is fresh, skipping", file=sys.stderr)
-        return 0
+def _cmd_discretize(config) -> list[str]:
     from . import causal as causal_mod
     from . import discretize
 
@@ -487,30 +496,25 @@ def _cmd_discretize(config) -> int:
     rows = [{var: columns[var][i] for var in categories}
             for i in range(len(records))]
     data = causal_mod.DiscreteDataset.from_rows(categories, rows, continuous)
-    _write_text(config.out, ingest.write_report(data.to_document()))
+    written = [_write_text(config.out,
+                           ingest.write_report(data.to_document()))]
     if config.schemes_out:
-        _write_text(config.schemes_out, discretize.write_schemes(schemes))
-    return 0
+        written.append(_write_text(config.schemes_out,
+                                   discretize.write_schemes(schemes)))
+    return written
 
 
-def _cmd_oracle(config) -> int:
-    if _is_fresh(config.out, [config.inp], config.force):
-        print(f"oracle: {config.out} is fresh, skipping", file=sys.stderr)
-        return 0
+def _cmd_oracle(config) -> list[str]:
     from . import alignment
 
     records = _read_records(config.inp)
-    choice = alignment.oracle_select(records)
+    table = alignment.oracle_table(records)
     models = sorted(records[0].hypotheses) if records else []
-    aggregates = {}
-    for model in models:
-        agg = alignment.score_dataset(records, model)[0]
-        aggregates[model] = agg.to_dict()
+    aggregates = {m: table.aggregate(m)[0].to_dict() for m in models}
     if records:
-        aggregates["oracle"] = alignment.oracle_aggregate(records).to_dict()
-    report = {"choice": choice, "aggregates": aggregates}
-    _write_text(config.out, ingest.write_report(report))
-    return 0
+        aggregates["oracle"] = table.oracle_aggregate().to_dict()
+    report = {"choice": table.oracle_select(), "aggregates": aggregates}
+    return [_write_text(config.out, ingest.write_report(report))]
 
 
 def _correlation_csv(models, matrix) -> str:
@@ -518,33 +522,29 @@ def _correlation_csv(models, matrix) -> str:
         {"correlation": {"models": models, "matrix": matrix}})["correlation.csv"]
 
 
-def _cmd_correlate(config) -> int:
-    if _is_fresh(config.out, [config.inp], config.force):
-        print(f"correlate: {config.out} is fresh, skipping", file=sys.stderr)
-        return 0
+def _cmd_correlate(config) -> list[str]:
     from . import alignment
 
     records = _read_records(config.inp)
     if config.by_grade:
         out = Path(config.out)
-        grades = sorted({r.grade for r in records if r.grade is not None},
+        written = []
+        graded = alignment.score_table(r for r in records
+                                       if r.grade is not None)
+        grades = sorted({r.grade for r in graded.records},
                         key=ingest.GRADES.index)
         for grade in grades:
-            subset = [r for r in records if r.grade == grade]
-            models, matrix = alignment.model_correlation(subset)
+            models, matrix = graded.where(
+                lambda r, g=grade: r.grade == g).correlation()
             path = out.with_name(f"{out.stem}_{grade}{out.suffix}")
-            _write_text(str(path), _correlation_csv(models, matrix))
-        return 0
+            written.append(_write_text(str(path),
+                                       _correlation_csv(models, matrix)))
+        return written
     models, matrix = alignment.model_correlation(records)
-    _write_text(config.out, _correlation_csv(models, matrix))
-    return 0
+    return [_write_text(config.out, _correlation_csv(models, matrix))]
 
 
-def _cmd_fit(config) -> int:
-    inputs = [config.inp, *_graph_inputs(config.graph)]
-    if _is_fresh(config.out, inputs, config.force):
-        print(f"fit: {config.out} is fresh, skipping", file=sys.stderr)
-        return 0
+def _cmd_fit(config) -> list[str]:
     from . import causal as causal_mod
 
     graph = _load_graph(config.graph)
@@ -561,8 +561,7 @@ def _cmd_fit(config) -> int:
                        for cfg, row in zip(table.parent_configs(), rows)
                        if row.any() or not table.parents},
         }
-    _write_text(config.out, ingest.write_report(doc))
-    return 0
+    return [_write_text(config.out, ingest.write_report(doc))]
 
 
 def _emit(config, payload: dict) -> int:
@@ -609,7 +608,8 @@ def _cmd_cmi(config) -> int:
                           "alpha": config.alpha, "cmi": value})
 
 
-def _cmd_report(config) -> int:
+def _named_datasets(config) -> list[tuple[str, str]]:
+    """``report --in [NAME=]DATASET`` values as (name, path) pairs."""
     named = []
     for entry in config.inp:
         if "=" in entry:
@@ -617,16 +617,17 @@ def _cmd_report(config) -> int:
         else:
             name, path = Path(entry).stem, entry
         named.append((name, path))
-    inputs = [p for _, p in named] + [config.records, config.scores,
-                                      *_graph_inputs(config.graph)]
-    if _is_fresh(config.out, inputs, config.force):
-        print(f"report: {config.out} is fresh, skipping", file=sys.stderr)
-        return 0
+    return named
+
+
+def _cmd_report(config) -> list[str]:
+    if config.scores and not config.records:
+        raise SchemaError("--scores requires --records")
     from . import causal as causal_mod
 
     graph = _load_graph(config.graph)
     report: dict = {"graph": config.graph, "models": {}}
-    for name, path in named:
+    for name, path in _named_datasets(config):
         data = _load_dataset(path)
         edges = causal_mod.edge_report(graph, data, config.alpha,
                                        on_empty=config.on_empty)
@@ -638,42 +639,71 @@ def _cmd_report(config) -> int:
         from . import alignment
 
         records = _read_records(config.records)
+        if config.scores:
+            table = alignment.ScoreTable.from_scores(
+                records, _read_scores(config.scores))
+        else:
+            table = alignment.score_table(records)
+        graded = table.where(lambda r: r.grade is not None)
         models = sorted({m for r in records for m in r.hypotheses})
-        grade_errors = {}
-        for model in models:
-            aggs = alignment.score_dataset(
-                [r for r in records if r.grade is not None], model,
-                key=lambda r: r.grade)
-            grade_errors[model] = [a.to_dict() for a in aggs]
-        report["grade_errors"] = grade_errors
+        report["grade_errors"] = {
+            model: [a.to_dict()
+                    for a in graded.aggregate(model, key=lambda r: r.grade)]
+            for model in models}
         if len(records) >= 2:
-            corr_models, matrix = alignment.model_correlation(records)
+            corr_models, matrix = table.correlation()
             report["correlation"] = {"models": corr_models, "matrix": matrix}
-    _write_text(config.out, ingest.write_report(report))
+    written = [_write_text(config.out, ingest.write_report(report))]
     if config.plot_dir:
         for name, text in ingest.emit_plot_data(report).items():
-            _write_text(os.path.join(config.plot_dir, name), text)
-    return 0
+            written.append(_write_text(os.path.join(config.plot_dir, name),
+                                       text))
+    return written
 
 
+# command -> (function, freshness inputs of a configuration).  A command
+# with inputs is a stage: it returns the files it wrote, for its stamp.
+# The others (no inputs here) return an exit code and always run.
 _COMMANDS = {
-    "synth": _cmd_synth,
-    "align": _cmd_align,
-    "covariates": _cmd_covariates,
-    "discretize": _cmd_discretize,
-    "oracle": _cmd_oracle,
-    "correlate": _cmd_correlate,
-    "fit": _cmd_fit,
-    "ace": _cmd_ace,
-    "cmi": _cmd_cmi,
-    "report": _cmd_report,
+    "synth": (_cmd_synth,
+              lambda c: [] if c.spec in _BUILTIN_SCMS else [c.spec]),
+    "align": (_cmd_align, lambda c: [c.inp]),
+    "covariates": (_cmd_covariates,
+                   lambda c: [c.inp, *c.freq_table, c.posteriors,
+                              c.segments, c.inventory]),
+    "discretize": (_cmd_discretize,
+                   lambda c: [c.records, c.scores, c.schemes_in]),
+    "oracle": (_cmd_oracle, lambda c: [c.inp]),
+    "correlate": (_cmd_correlate, lambda c: [c.inp]),
+    "fit": (_cmd_fit, lambda c: [c.inp, *_graph_inputs(c.graph)]),
+    "ace": (_cmd_ace, None),
+    "cmi": (_cmd_cmi, None),
+    "report": (_cmd_report,
+               lambda c: [p for _, p in _named_datasets(c)]
+               + [c.records, c.scores, *_graph_inputs(c.graph)]),
 }
+
+
+def _run_stage(config, command, inputs) -> int:
+    """Skip a fresh stage; otherwise run it and stamp what it wrote."""
+    if _is_fresh(config, inputs):
+        print(f"{config.command}: {config.out} is fresh, skipping",
+              file=sys.stderr)
+        return 0
+    stamp = _stamp_path(config.out)
+    stamp.unlink(missing_ok=True)
+    doc = {"config": _config_key(config), "outputs": command(config)}
+    _write_text(str(stamp), json.dumps(doc, sort_keys=True) + "\n")
+    return 0
 
 
 def run(config: argparse.Namespace) -> int:
     """Execute a parsed configuration; maps data errors to exit 1."""
+    command, inputs = _COMMANDS[config.command]
     try:
-        return _COMMANDS[config.command](config)
+        if inputs is None:
+            return command(config)
+        return _run_stage(config, command, inputs(config))
     except ToolkitError as exc:
         diagnostic = {"error": exc.code, "message": str(exc)}
         if exc.record_id is not None:

@@ -439,6 +439,93 @@ class TestCaching:
         assert "skipping" not in capsys.readouterr().err
 
 
+
+class TestStamps:
+    """A stage skips only when its stamp holds the current options, every
+    output it lists exists, and no input is newer than those outputs."""
+
+    def skipped(self, capsys):
+        return "is fresh, skipping" in capsys.readouterr().err
+
+    def test_fit_alpha_change_recomputes(self, tmp_path, capsys):
+        data, out = tmp_path / "d.json", tmp_path / "c.json"
+        assert run_cli("synth", "--spec", "paper-shaped", "--n", "300",
+                       "--out", str(data)) == 0
+        argv = ["fit", "--in", str(data), "--out", str(out)]
+        assert run_cli(*argv, "--alpha", "1") == 0
+        assert run_cli(*argv, "--alpha", "1") == 0
+        assert self.skipped(capsys)
+        assert run_cli(*argv, "--alpha", "5") == 0
+        assert not self.skipped(capsys)
+        assert json.loads(out.read_text())["Age"]["alpha"] == 5.0
+        assert run_cli(*argv, "--alpha", "5") == 0
+        assert self.skipped(capsys)
+
+    def test_report_on_empty_change_recomputes(self, tmp_path, capsys):
+        data, out = tmp_path / "d.json", tmp_path / "r.json"
+        assert run_cli("synth", "--spec", "paper-shaped", "--n", "3000",
+                       "--seed", "99", "--out", str(data)) == 0
+        argv = ["report", "--in", f"fixture={data}", "--out", str(out)]
+        assert run_cli(*argv, "--on-empty", "skip") == 0
+        assert run_cli(*argv, "--on-empty", "skip") == 0
+        assert self.skipped(capsys)
+        assert run_cli(*argv) == 0
+        assert not self.skipped(capsys)
+        assert run_cli(*argv) == 0
+        assert self.skipped(capsys)
+
+    def test_discretize_bin_change_recomputes(self, workdir, capsys):
+        run_cli("covariates", "--in", str(workdir / "records.jsonl"),
+                "--out", str(workdir / "cov.jsonl"),
+                "--freq-table", str(workdir / "freq.csv"))
+        schemes = workdir / "schemes.json"
+        argv = ["discretize", "--records", str(workdir / "cov.jsonl"),
+                "--out", str(workdir / "d.json"),
+                "--schemes-out", str(schemes)]
+        assert run_cli(*argv, "--bin", "GoP=sigma") == 0
+        assert json.loads(schemes.read_text())["GoP"]["method"] == "sigma"
+        assert run_cli(*argv, "--bin", "GoP=sigma") == 0
+        assert self.skipped(capsys)
+        assert run_cli(*argv, "--bin", "GoP=quantile") == 0
+        assert not self.skipped(capsys)
+        assert json.loads(schemes.read_text())["GoP"]["method"] == "quantile"
+
+    def test_missing_stamp_recomputes(self, workdir, capsys):
+        out = workdir / "scores.jsonl"
+        argv = ["align", "--in", str(workdir / "records.jsonl"),
+                "--out", str(out)]
+        assert run_cli(*argv) == 0
+        stamp = workdir / ".scores.jsonl.stamp"
+        assert json.loads(stamp.read_text())["outputs"] == [str(out)]
+        assert run_cli(*argv) == 0
+        assert self.skipped(capsys)
+        stamp.unlink()
+        assert run_cli(*argv) == 0
+        assert not self.skipped(capsys)
+        assert stamp.exists()
+
+    def test_missing_listed_output_recomputes(self, workdir, capsys):
+        argv = ["correlate", "--in", str(workdir / "records.jsonl"),
+                "--out", str(workdir / "corr.csv"), "--by-grade"]
+        assert run_cli(*argv) == 0
+        written = sorted(workdir.glob("corr_*.csv"))
+        assert written and not (workdir / "corr.csv").exists()
+        assert run_cli(*argv) == 0
+        assert self.skipped(capsys)
+        written[0].unlink()
+        assert run_cli(*argv) == 0
+        assert not self.skipped(capsys)
+        assert written[0].exists()
+
+    def test_failed_stage_leaves_no_stamp(self, tmp_path, capsys):
+        bad = {"id": "u-bad", "speaker_id": "s", "reference": "?!",
+               "hypotheses": {"m": "a"}}
+        src = tmp_path / "r.jsonl"
+        src.write_text(json.dumps(bad) + "\n")
+        assert run_cli("align", "--in", str(src),
+                       "--out", str(tmp_path / "o.jsonl")) == 1
+        assert not (tmp_path / ".o.jsonl.stamp").exists()
+
 class TestAtomicWrite:
     def test_failed_encoding_keeps_previous_output(self, tmp_path):
         out = tmp_path / "out.json"
