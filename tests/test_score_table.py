@@ -132,8 +132,7 @@ class TestPinnedBytes:
 @pytest.fixture
 def counted(monkeypatch):
     """Record calls to the alignment kernel entry and to normalization,
-    with the argument of each normalization call.  ``list.append`` is
-    atomic, so calls from the ``--parallel`` thread pool are not lost."""
+    with the argument of each normalization call."""
     calls = {"align": [], "normalize": []}
     align, normalize = alignment.align, alignment.normalize_text
 
@@ -161,7 +160,7 @@ class TestAlignOncePerPair:
     @pytest.mark.parametrize("argv, graded_only", [
         (["align", "--in", "records.jsonl", "--out", "s.jsonl"], False),
         (["align", "--in", "records.jsonl", "--out", "s.jsonl",
-          "--parallel", "4"], False),
+          "--models", "gamma,alpha,beta"], False),
         (["oracle", "--in", "records.jsonl", "--out", "o.json"], False),
         (["correlate", "--in", "records.jsonl", "--out", "c.csv"], False),
         (["correlate", "--in", "records.jsonl", "--out", "c.csv",
