@@ -9,6 +9,14 @@ graph's category counts, then the node's own K categories.  The full
 joint (``joint_tensor``) is the broadcast product of these arrays with
 one axis per node in declaration order.
 
+Estimates from data read two sufficient statistics in the same layout,
+each built by one ``bincount`` over the rows (``count_tensors``): the
+joint count tensor N, and per outcome the moment tensor S holding the
+sum of that outcome over each cell's rows.  ``fit_cpts`` reads family
+marginals of N, backdoor ACE the (parents(T), T) marginals of N and S,
+and CMI the (x, y, z) marginal of N.  Past 10^7 cells a tensor is
+refused with StateExplosionError, as the joint is.
+
 The network is fitted with additive (Laplace) smoothing; a parent
 configuration never observed is uniform 1/K for every alpha, alpha=0
 included, so the joint factorization always normalizes.  ACE adjusts on
@@ -22,6 +30,7 @@ quantities are in nats.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -258,39 +267,79 @@ class ConditionalTable:
         return self
 
 
-def _config_index(data: DiscreteDataset, variables: Sequence[str]
-                  ) -> tuple[np.ndarray, int]:
-    """Mixed-radix row index over the given variables' codes, and the
-    number of configurations (all rows 0 of 1 for no variables)."""
-    idx = np.zeros(len(data), dtype=np.int64)
-    total = 1
-    for v in variables:
-        k = len(data.categories[v])
-        idx = idx * k + data.column(v)
-        total *= k
-    return idx, total
+def count_tensors(data: DiscreteDataset, variables: Sequence[str],
+                  outcomes: Sequence[str] = (),
+                  categories: Mapping[str, Sequence[str]] | None = None
+                  ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """Sufficient statistics of ``data`` over ``variables``.
+
+    Returns the joint count tensor N, one axis per variable in the given
+    order and sized by its category count (the dataset's, or those in
+    ``categories``), and for each outcome in ``outcomes`` (a continuous
+    column, else a variable's ordinal codes) the moment tensor S of the
+    same shape: the sum of that outcome over each cell's rows, added in
+    row order.  Raises StateExplosionError past 10^7 cells.  Codes must
+    lie within ``categories``; callers check that first.
+    """
+    if categories is None:
+        categories = data.categories
+    shape = tuple(len(categories[v]) for v in variables)
+    size = math.prod(shape)
+    if size > _STATE_LIMIT:
+        raise StateExplosionError(
+            f"{size} joint states over {list(variables)} exceed {_STATE_LIMIT}")
+    flat = np.zeros(len(data), dtype=np.int64)
+    for v, k in zip(variables, shape):
+        flat *= k
+        flat += data.column(v)
+    counts = np.bincount(flat, minlength=size).reshape(shape)
+    moments = {y: np.bincount(flat, weights=_outcome_vector(data, y),
+                              minlength=size).reshape(shape)
+               for y in outcomes}
+    return counts, moments
+
+
+def _check_codes(graph: CausalGraph, data: DiscreteDataset,
+                 nodes: Sequence[str]):
+    """MissingVariableError when the dataset lacks one of ``nodes``;
+    SchemaError naming the first whose codes reach past the graph's
+    categories.  Codes lie within the dataset's own categories, so only
+    a node with more of those than the graph has is scanned."""
+    missing = [n for n in nodes if n not in data.variables]
+    if missing:
+        raise MissingVariableError(f"dataset lacks variables {missing}")
+    for node in nodes:
+        k = len(graph.categories[node])
+        if len(data.categories[node]) > k:
+            col = data.column(node)
+            if col.size and col.max() >= k:
+                raise SchemaError(
+                    f"variable {node!r}: dataset code {int(col.max())} "
+                    f"beyond the graph's {k} categories")
+
+
+def _axes_as(graph: CausalGraph, summed: np.ndarray,
+             keep: Sequence[str]) -> np.ndarray:
+    """A ``marginal`` over the nodes in ``keep`` (axes in declaration
+    order), its axes put in the order of ``keep``."""
+    kept = [node for node in graph.nodes if node in keep]
+    return np.transpose(summed, [kept.index(v) for v in keep])
 
 
 def fit_cpts(graph: CausalGraph, data: DiscreteDataset, alpha: float = 1.0
              ) -> dict[str, ConditionalTable]:
-    """Maximum-likelihood counts with additive-alpha smoothing per node."""
-    missing = [n for n in graph.nodes if n not in data.variables]
-    if missing:
-        raise MissingVariableError(f"dataset lacks variables {missing}")
-    for node in graph.nodes:
-        col = data.column(node)
-        if col.size and col.max() >= len(graph.categories[node]):
-            raise SchemaError(
-                f"variable {node!r}: dataset code {int(col.max())} beyond "
-                f"the graph's {len(graph.categories[node])} categories")
+    """Maximum-likelihood counts with additive-alpha smoothing per node,
+    each node's read from the family marginal of one count tensor."""
+    _check_codes(graph, data, graph.nodes)
+    joint_counts, _ = count_tensors(data, graph.nodes,
+                                    categories=graph.categories)
     tables = {}
     for node in graph.nodes:
         parents = tuple(graph.parents(node))
-        shape = tuple(len(graph.categories[v]) for v in (*parents, node))
-        flat = np.ravel_multi_index(
-            [data.column(v) for v in (*parents, node)], shape)
-        counts = np.bincount(flat, minlength=np.prod(shape)).reshape(shape)
-        k = shape[-1]
+        family = (*parents, node)
+        counts = np.ascontiguousarray(
+            _axes_as(graph, marginal(graph, joint_counts, family), family))
+        k = counts.shape[-1]
         total = counts.sum(axis=-1, keepdims=True)
         with np.errstate(divide="ignore", invalid="ignore"):
             probs = np.where(total > 0, (counts + alpha) / (total + alpha * k),
@@ -402,12 +451,10 @@ def mutual_information(joint: Sequence[Sequence[float]]) -> float:
 def smoothed_joint(data: DiscreteDataset, x: str, y: str, alpha: float = 1.0
                    ) -> np.ndarray:
     """Alpha-smoothed empirical joint table over (x, y)."""
-    kx = len(data.categories[x])
-    ky = len(data.categories[y])
-    flat = np.bincount(data.column(x) * ky + data.column(y),
-                       minlength=kx * ky).astype(np.float64)
+    counts, _ = count_tensors(data, [x, y])
+    flat = counts.ravel().astype(np.float64)
     flat += alpha
-    return (flat / flat.sum()).reshape(kx, ky)
+    return (flat / flat.sum()).reshape(counts.shape)
 
 
 def conditional_mutual_information(data: DiscreteDataset, x: str, y: str,
@@ -425,14 +472,18 @@ def conditional_mutual_information(data: DiscreteDataset, x: str, y: str,
     for v in (x, y, *z):
         if v not in data.variables:
             raise MissingVariableError(f"variable {v!r} not in dataset")
-    kx = len(data.categories[x])
-    ky = len(data.categories[y])
-    z_idx, kz = _config_index(data, z)
-    flat = np.bincount((data.column(x) * ky + data.column(y)) * kz + z_idx,
-                       minlength=kx * ky * kz).astype(np.float64)
-    p = (flat + alpha)
+    counts, _ = count_tensors(data, [x, y, *z])
+    return _cmi_from_counts(counts, alpha)
+
+
+def _cmi_from_counts(counts: np.ndarray, alpha: float) -> float:
+    """CMI of the table ``counts`` with axes (x, y, z_1, ..., z_m)."""
+    kx, ky = counts.shape[:2]
+    # reshape copies a transposed marginal into (x, y, z) order, so the
+    # normalizing sum adds the cells in the same order for every caller
+    p = counts.reshape(-1).astype(np.float64) + alpha
     p /= p.sum()
-    p = p.reshape(kx, ky, kz)
+    p = p.reshape(kx, ky, -1)
     p_z = p.sum(axis=(0, 1))
     p_xz = p.sum(axis=1)
     p_yz = p.sum(axis=0)
@@ -503,34 +554,47 @@ def _level_steps(graph: CausalGraph, treatment: str) -> int:
     return steps
 
 
+def _arms(data: DiscreteDataset, treatment: str, lo: str, hi: str
+          ) -> tuple[tuple[str, int], tuple[str, int]]:
+    """(level, dataset code) of the high arm, then of the low arm."""
+    cats = data.categories[treatment]
+    try:
+        return (hi, cats.index(hi)), (lo, cats.index(lo))
+    except ValueError:
+        raise UnknownLevelError(
+            f"dataset categories for {treatment!r} lack {lo!r}/{hi!r}") from None
+
+
 def _ace_from_data(graph: CausalGraph, data: DiscreteDataset, treatment: str,
                    effect: str, lo: str, hi: str, on_empty: str) -> float:
     if treatment not in data.variables:
         raise MissingVariableError(f"treatment {treatment!r} not in dataset")
-    y = _outcome_vector(data, effect)
-    t_codes = data.column(treatment)
-    cats = data.categories[treatment]
-    try:
-        code_lo, code_hi = cats.index(lo), cats.index(hi)
-    except ValueError:
-        raise UnknownLevelError(
-            f"dataset categories for {treatment!r} lack {lo!r}/{hi!r}") from None
+    arms = _arms(data, treatment, lo, hi)
     adjust = graph.parents(treatment)
-    z_idx, n_cfg = _config_index(data, adjust)
+    _check_codes(graph, data, (*adjust, treatment))
+    counts, moments = count_tensors(data, (*adjust, treatment), [effect])
+    return _ace_from_counts(counts, moments[effect], treatment, adjust, arms,
+                            on_empty)
 
-    z_counts = np.bincount(z_idx, minlength=n_cfg).astype(np.float64)
+
+def _ace_from_counts(counts: np.ndarray, moment: np.ndarray, treatment: str,
+                     adjust: Sequence[str], arms, on_empty: str) -> float:
+    """Backdoor ACE from the count and outcome-moment tables with axes
+    (adjust..., treatment); ``arms`` as ``_arms`` gives them."""
+    n_cfg = counts.size // counts.shape[-1]
+    counts = counts.reshape(n_cfg, -1)
+    moment = moment.reshape(n_cfg, -1)
+    z_counts = counts.sum(axis=1).astype(np.float64)
     diffs = np.zeros(n_cfg)
     usable = z_counts > 0
-    for code, sign in ((code_hi, 1.0), (code_lo, -1.0)):
-        mask = t_codes == code
-        cell_n = np.bincount(z_idx[mask], minlength=n_cfg)
-        cell_sum = np.bincount(z_idx[mask], weights=y[mask], minlength=n_cfg)
+    for (level, code), sign in zip(arms, (1.0, -1.0)):
+        cell_n = counts[:, code]
+        cell_sum = moment[:, code]
         empty = usable & (cell_n == 0)
         if np.any(empty):
             if on_empty == "skip":
                 usable &= cell_n > 0
             else:
-                level = hi if sign > 0 else lo
                 raise EmptyStratumError(
                     f"no rows with {treatment}={level} in "
                     f"{int(empty.sum())} stratum/strata of {adjust}")
@@ -582,14 +646,39 @@ def edge_report(graph: CausalGraph, data: DiscreteDataset,
     Edges are reported in declaration order; effect nodes with a
     continuous column of the same name use it as the ACE outcome
     (per-utterance error rates), everything else uses ordinal codes.
+    The rows are read once: into the count tensor N over the graph's
+    nodes (declaration order, sized by the dataset's categories) and one
+    moment tensor S per effect.  Each ACE reads the (parents(cause),
+    cause) marginals of N and S, each CMI the (cause, effect, others)
+    marginal of N.  A dataset code past the graph's categories raises
+    SchemaError naming the node.
     """
+    _check_codes(graph, data, graph.nodes)
+    effects = list(dict.fromkeys(effect for _, effect in graph.edges))
+    counts, moments = count_tensors(data, graph.nodes, effects)
+    summed: dict[frozenset, np.ndarray] = {}
+
+    def counts_over(keep):
+        # every edge of a cause, and every edge into an effect, reads
+        # the same marginal of N
+        key = frozenset(keep)
+        if key not in summed:
+            summed[key] = marginal(graph, counts, key)
+        return _axes_as(graph, summed[key], keep)
+
     records = []
     for cause, effect in graph.edges:
-        raw = ace(graph, data, cause, effect, on_empty=on_empty)
+        adjust = graph.parents(cause)
+        family = (*adjust, cause)
+        raw = _ace_from_counts(
+            counts_over(family),
+            _axes_as(graph, marginal(graph, moments[effect], family), family),
+            cause, adjust,
+            _arms(data, cause, *_default_levels(graph, cause, None, None)),
+            on_empty)
         levels = len(graph.categories[cause]) - 1
         others = [p for p in graph.parents(effect) if p != cause]
-        cmi = conditional_mutual_information(data, cause, effect, others,
-                                             alpha=alpha)
+        cmi = _cmi_from_counts(counts_over((cause, effect, *others)), alpha)
         records.append({
             "cause": cause,
             "effect": effect,

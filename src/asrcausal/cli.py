@@ -3,11 +3,12 @@ artifacts, with deterministic outputs.
 
 Exit codes: 0 success, 1 data error (a structured error record goes to
 stderr), 2 usage error.  Stages with an ``--out`` leave a stamp next to
-it (``.<name>.stamp``) holding their options and the files they wrote,
-and skip recomputation when the stamp holds the current options, every
-file it lists exists and no input is newer than those files (override
-with ``--force``); outputs are written through a temporary file and
-renamed into place.  Every stage runs serially, in input order.
+it (``.<name>.stamp``) holding the package version, their options and
+the files they wrote, and skip recomputation when the stamp holds the
+current version and options, every file it lists exists and no input is
+newer than those files (override with ``--force``); outputs are written
+through a temporary file and renamed into place.  Every stage runs
+serially, in input order.
 
 Each subcommand imports the stage modules it runs, after its freshness
 check, so ``--help`` and up-to-date skips load no NumPy.  Stage functions
@@ -24,7 +25,7 @@ import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from . import ingest
+from . import __version__, ingest
 from .errors import DuplicateIdError, IoError, SchemaError, ToolkitError
 
 if TYPE_CHECKING:
@@ -183,15 +184,16 @@ def _config_key(config) -> dict:
 
 
 def _is_fresh(config, inputs) -> bool:
-    """True when the stamp next to ``--out`` holds the current options,
-    every output it lists exists, and no input is newer than the oldest
-    of them.  Input contents are not hashed."""
+    """True when the stamp next to ``--out`` holds the current package
+    version and options, every output it lists exists, and no input is
+    newer than the oldest of them.  Input contents are not hashed."""
     if config.force:
         return False
     stamp = _stamp_path(config.out)
     try:
         doc = json.loads(stamp.read_text())
-        if doc["config"] != _config_key(config):
+        if (doc["version"] != __version__
+                or doc["config"] != _config_key(config)):
             return False
         oldest = min(os.path.getmtime(p) for p in [stamp, *doc["outputs"]])
         return all(os.path.getmtime(p) <= oldest for p in inputs if p)
@@ -656,7 +658,8 @@ def _run_stage(config, command, inputs) -> int:
         return 0
     stamp = _stamp_path(config.out)
     stamp.unlink(missing_ok=True)
-    doc = {"config": _config_key(config), "outputs": command(config)}
+    doc = {"version": __version__, "config": _config_key(config),
+           "outputs": command(config)}
     _write_text(str(stamp), json.dumps(doc, sort_keys=True) + "\n")
     return 0
 

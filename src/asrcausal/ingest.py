@@ -383,6 +383,63 @@ def _quantize(value):
     return value
 
 
+# A finite float whose magnitude is in [_FIXED_LO, _FIXED_HI) is written
+# from its _FIXED digits; any other goes through _quantize and repr.  The
+# bounds keep those digits at most 15 (9 + _PLACES) and in the range
+# repr writes in fixed notation.
+_FIXED = f"%.{_PLACES}f"
+_FIXED_LO = 1e-4
+_FIXED_HI = 1e9
+_CHUNK = 4096  # list items formatted per %-operation
+
+
+def _chunked(items):
+    """Consecutive slices of ``_CHUNK`` items: formatting a slice at a
+    time keeps the temporaries small next to the text."""
+    return (items[i:i + _CHUNK] for i in range(0, len(items), _CHUNK))
+
+
+def _float_list_body(values, sep: str) -> str:
+    """``sep``-joined ``float.__repr__`` of each ``_quantize``-d item of
+    ``values``, all of them finite exact floats.
+
+    ``"%.6f" % x`` and ``round(x, 6)`` take the same correctly rounded
+    digits from dtoa mode 3, and ``round`` returns the double nearest
+    them.  For ``1e-4 <= |x| < 1e9`` those digits, less trailing zeros
+    (keeping ``.0``), are exactly ``repr(round(x, 6))``: a decimal with at
+    most 15 significant digits is the shortest text that reads back as
+    its nearest double, and ``repr`` writes that range in fixed notation.
+    Every other item (scientific notation, ``-0.0``, more than 15 digits)
+    is written one at a time.
+    """
+    chunks = []
+    for chunk in _chunked(values):
+        texts = list(map(str.rstrip,
+                         ("\0".join([_FIXED] * len(chunk)) % tuple(chunk))
+                         .split("\0"),
+                         repeat("0")))
+        for i, x in enumerate(chunk):
+            if not _FIXED_LO <= abs(x) < _FIXED_HI:
+                texts[i] = float.__repr__(_quantize(x))
+        # rstrip left "12." where repr writes "12.0"
+        if texts[-1].endswith("."):
+            texts[-1] += "0"
+        chunks.append(sep.join(texts).replace("." + sep, ".0" + sep))
+    return sep.join(chunks)
+
+
+def _int_rows_body(rows, ind: str) -> str:
+    """The items of a list of equal-length rows of exact ints, one row
+    per line indented by ``ind``, as ``_encode`` lays out nested lists;
+    one %-format per chunk of rows."""
+    sep = "," + ind
+    cell = ind + " "
+    row = "[" + cell + ("," + cell).join(["%d"] * len(rows[0])) + ind + "]"
+    return sep.join([sep.join([row] * len(chunk))
+                     % tuple(chain.from_iterable(chunk))
+                     for chunk in _chunked(rows)])
+
+
 def _scalar(value) -> str:
     """JSON text of a non-container value, by ``json.dumps``' rules."""
     if isinstance(value, str):
@@ -432,16 +489,10 @@ def _encode(value, ind: str) -> str:
     elif kinds == {float} and math.isfinite(sum(value)):
         # A finite sum means every item is finite: one non-finite item
         # makes the sum inf or NaN.
-        texts = list(map(float.__repr__, map(round, value, repeat(_PLACES))))
-        if "-0.0" in texts:
-            texts = ["0.0" if t == "-0.0" else t for t in texts]
-        body = sep.join(texts)
+        body = _float_list_body(value, sep)
     elif (kinds == {list} and len(set(map(len, value))) == 1
           and set(map(type, chain.from_iterable(value))) == {int}):
-        cell = inner + " "
-        template = ("[" + cell + ("," + cell).join(["%d"] * len(value[0]))
-                    + inner + "]")
-        body = sep.join(map(template.__mod__, map(tuple, value)))
+        body = _int_rows_body(value, inner)
     else:
         body = sep.join([_encode(v, inner) for v in value])
     return "[" + inner + body + ind + "]"
@@ -457,8 +508,15 @@ def write_report(report, fmt: str = "structured") -> str:
     ``str(key)``, every tuple a list and every float ``_quantize``-d; a
     value that expression rejects raises ``IoError``.  It is written in
     one pass that quantizes as it emits, with no quantized copy and no
-    per-token chunks; lists of exact ints, of finite exact floats and of
-    equal-length int rows are each formatted by one join.
+    per-token chunks.  Lists of exact ints are formatted by one join.
+    Lists of finite exact floats are formatted by one ``"%.6f"`` per
+    chunk of items, less trailing zeros: that is exact because ``"%.6f"``
+    and ``round(x, 6)`` share dtoa's correctly rounded digits, and for
+    ``1e-4 <= |x| < 1e9`` those (at most 15 significant) digits in fixed
+    notation are what ``repr`` prints for the rounded value.  Items
+    outside that band (scientific notation, ``-0.0``) take
+    ``repr(_quantize(x))`` one at a time.  Equal-length rows of exact
+    ints are formatted by one ``%d`` template per chunk of rows.
     ``delimited``: flat ``path,value`` CSV (export only).
     """
     if fmt == "structured":

@@ -31,6 +31,7 @@ from .causal import (
     DiscreteDataset,
     _default_levels,
     _level_steps,
+    entropy,
     joint_tensor,
     marginal,
 )
@@ -219,12 +220,6 @@ def generate(spec: ScmSpec, n: int | None = None, seed: int | None = None
 
 # --- exact enumeration oracles -----------------------------------------------
 
-def _entropy_of(p: np.ndarray) -> float:
-    flat = p.ravel()
-    nz = flat[flat > 0]
-    return float(-np.sum(nz * np.log(nz)))
-
-
 def _outcome_values(spec: ScmSpec, effect: str) -> np.ndarray:
     """Expected outcome per effect category: emitter means when declared
     (noise is zero-mean), else the ordinal category index."""
@@ -260,10 +255,10 @@ def true_cmi(spec: ScmSpec, x: str, y: str, z: Sequence[str] = ()) -> float:
     z = list(z)
     graph = spec.graph
     joint = joint_tensor(graph, spec.tables)
-    h_xz = _entropy_of(marginal(graph, joint, [x] + z))
-    h_yz = _entropy_of(marginal(graph, joint, [y] + z))
-    h_z = _entropy_of(marginal(graph, joint, z)) if z else 0.0
-    h_xyz = _entropy_of(marginal(graph, joint, [x, y] + z))
+    h_xz = entropy(marginal(graph, joint, [x] + z))
+    h_yz = entropy(marginal(graph, joint, [y] + z))
+    h_z = entropy(marginal(graph, joint, z)) if z else 0.0
+    h_xyz = entropy(marginal(graph, joint, [x, y] + z))
     value = h_xz + h_yz - h_z - h_xyz
     if abs(value) < 1e-12:
         return 0.0

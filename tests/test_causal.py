@@ -1,9 +1,10 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
-from asrcausal import causal, synthetic
+from asrcausal import causal, cli, synthetic
 from asrcausal.causal import (
     CausalGraph,
     DiscreteDataset,
@@ -24,6 +25,7 @@ from asrcausal.errors import (
     MissingVariableError,
     NotNormalizedError,
     SchemaError,
+    StateExplosionError,
     UnknownLevelError,
 )
 from asrcausal.ingest import GraphSpec, NodeSpec
@@ -468,3 +470,191 @@ class TestEdgeReport:
                                          rows, {"Y": outcome})
         (record,) = edge_report(graph, data)
         assert record["ace"] == pytest.approx(10.0)
+
+
+# --- row-scan references -------------------------------------------------------
+# The estimators as they were before they read count tensors: every call
+# scans the rows.  Counts and CMI must match them bit for bit; ACE sums
+# the outcome per cell and then per stratum, so it may differ in the
+# last bits.
+
+def ref_config_index(data, variables):
+    idx = np.zeros(len(data), dtype=np.int64)
+    total = 1
+    for v in variables:
+        k = len(data.categories[v])
+        idx = idx * k + data.column(v)
+        total *= k
+    return idx, total
+
+
+def ref_cmi(data, x, y, z=(), alpha=1.0):
+    z = list(z)
+    kx = len(data.categories[x])
+    ky = len(data.categories[y])
+    z_idx, kz = ref_config_index(data, z)
+    flat = np.bincount((data.column(x) * ky + data.column(y)) * kz + z_idx,
+                       minlength=kx * ky * kz).astype(np.float64)
+    p = (flat + alpha)
+    p /= p.sum()
+    p = p.reshape(kx, ky, kz)
+    p_z = p.sum(axis=(0, 1))
+    p_xz = p.sum(axis=1)
+    p_yz = p.sum(axis=0)
+    i, j, k = np.nonzero(p > 0)
+    cell = p[i, j, k]
+    out = np.sum(cell * np.log(cell * p_z[k] / (p_xz[i, k] * p_yz[j, k])))
+    return float(max(0.0, out))
+
+
+def ref_ace(graph, data, treatment, effect, on_empty="error"):
+    lo, hi = graph.categories[treatment][0], graph.categories[treatment][-1]
+    y = (data.continuous[effect] if effect in data.continuous
+         else data.column(effect).astype(np.float64))
+    t_codes = data.column(treatment)
+    cats = data.categories[treatment]
+    code_lo, code_hi = cats.index(lo), cats.index(hi)
+    z_idx, n_cfg = ref_config_index(data, graph.parents(treatment))
+    z_counts = np.bincount(z_idx, minlength=n_cfg).astype(np.float64)
+    diffs = np.zeros(n_cfg)
+    usable = z_counts > 0
+    for code, sign in ((code_hi, 1.0), (code_lo, -1.0)):
+        mask = t_codes == code
+        cell_n = np.bincount(z_idx[mask], minlength=n_cfg)
+        cell_sum = np.bincount(z_idx[mask], weights=y[mask], minlength=n_cfg)
+        empty = usable & (cell_n == 0)
+        if np.any(empty):
+            if on_empty != "skip":
+                raise EmptyStratumError("reference: empty stratum")
+            usable &= cell_n > 0
+        with np.errstate(invalid="ignore"):
+            means = np.where(cell_n > 0, cell_sum / np.maximum(cell_n, 1), 0.0)
+        diffs += sign * means
+    weight = z_counts * usable
+    return float(np.sum(diffs * weight) / weight.sum())
+
+
+def ref_family_counts(graph, data, node):
+    family = (*graph.parents(node), node)
+    shape = tuple(len(graph.categories[v]) for v in family)
+    flat = np.ravel_multi_index([data.column(v) for v in family], shape)
+    return np.bincount(flat, minlength=np.prod(shape)).reshape(shape)
+
+
+def late_parent_graph():
+    """C is declared before its parent B, so C's family axes are not in
+    declaration order; Y has three parents and a continuous column."""
+    return graph_of([("A", "exogenous", ["a0", "a1", "a2"]),
+                     ("C", "endogenous", ["c0", "c1"]),
+                     ("B", "exogenous", ["b0", "b1", "b2", "b3"]),
+                     ("Y", "endogenous", ["y0", "y1", "y2"])],
+                    [("B", "C"), ("A", "C"), ("A", "Y"), ("C", "Y"),
+                     ("B", "Y")])
+
+
+def random_dataset(graph, n, seed, continuous=("Y",)):
+    rng = np.random.default_rng(seed)
+    codes = np.stack([rng.integers(0, len(graph.categories[v]), n)
+                      for v in graph.nodes], axis=1)
+    cont = {name: rng.normal(size=n) * 0.1 + codes[:, -1]
+            for name in continuous}
+    return DiscreteDataset(graph.nodes, graph.categories, codes, cont)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+class TestCountTensorsAgainstRowScan:
+    def datasets(self, seed):
+        spec = synthetic.paper_shaped_spec(n=20_000, seed=300 + seed)
+        yield spec.graph, synthetic.generate(spec)
+        graph = late_parent_graph()
+        yield graph, random_dataset(graph, 3_000, seed)
+
+    def test_edge_report_matches_reference(self, seed):
+        for graph, data in self.datasets(seed):
+            for record in edge_report(graph, data, alpha=0.5):
+                cause, effect = record["cause"], record["effect"]
+                others = record["conditioning"]
+                assert record["cmi"] == ref_cmi(data, cause, effect, others,
+                                                alpha=0.5)
+                assert abs(record["ace"] - ref_ace(graph, data, cause,
+                                                   effect)) <= 1e-12
+
+    def test_public_estimators_match_reference(self, seed):
+        for graph, data in self.datasets(seed):
+            for cause, effect in graph.edges:
+                assert abs(ace(graph, data, cause, effect)
+                           - ref_ace(graph, data, cause, effect)) <= 1e-12
+            nodes = graph.nodes
+            # conditioning sets out of declaration order
+            for z in ([], nodes[2:0:-1], [nodes[-1], nodes[1]]):
+                x, y = [v for v in nodes if v not in z][:2]
+                assert conditional_mutual_information(data, x, y, z) \
+                    == ref_cmi(data, x, y, z)
+
+    def test_cpt_counts_match_reference(self, seed):
+        for graph, data in self.datasets(seed):
+            tables = fit_cpts(graph, data)
+            for node in graph.nodes:
+                expected = ref_family_counts(graph, data, node)
+                assert tables[node].counts.dtype == expected.dtype
+                assert np.array_equal(tables[node].counts, expected)
+
+
+def empty_stratum_data():
+    """Z -> X -> Y with the Z=1 stratum lacking X=1."""
+    graph = graph_of([("Z", "exogenous", ["0", "1"]),
+                      ("X", "endogenous", ["0", "1"]),
+                      ("Y", "endogenous", ["0", "1"])],
+                     [("Z", "X"), ("X", "Y")])
+    cats = {"Z": ["0", "1"], "X": ["0", "1"], "Y": ["0", "1"]}
+    rows = [{"Z": "0", "X": "0", "Y": "0"}, {"Z": "0", "X": "1", "Y": "1"},
+            {"Z": "1", "X": "0", "Y": "0"}, {"Z": "0", "X": "1", "Y": "0"}]
+    return graph, DiscreteDataset.from_rows(cats, rows, {"Y": [0.5, 2.0,
+                                                               0.25, 1.0]})
+
+
+class TestEstimatorEdgeCases:
+    def test_on_empty_error_and_skip_in_edge_report(self):
+        graph, data = empty_stratum_data()
+        with pytest.raises(EmptyStratumError):
+            edge_report(graph, data)
+        with pytest.raises(EmptyStratumError):
+            ref_ace(graph, data, "X", "Y")
+        records = {(r["cause"], r["effect"]): r
+                   for r in edge_report(graph, data, on_empty="skip")}
+        assert records[("X", "Y")]["ace"] == ref_ace(graph, data, "X", "Y",
+                                                     on_empty="skip")
+        assert records[("Z", "X")]["ace"] == ref_ace(graph, data, "Z", "X")
+
+    def test_state_cap_raises_state_explosion(self):
+        names = [f"V{i}" for i in range(8)]  # 8^8 = 16.8M joint states
+        graph = graph_of([(n, "exogenous", [str(c) for c in range(8)])
+                          for n in names], [("V0", "V1")])
+        data = random_dataset(graph, 50, 0, continuous=())
+        with pytest.raises(StateExplosionError):
+            edge_report(graph, data)
+        with pytest.raises(StateExplosionError):
+            fit_cpts(graph, data)
+        # a single edge needs only its own variables
+        assert ace(graph, data, "V0", "V1") == ref_ace(graph, data, "V0", "V1")
+
+    @pytest.mark.parametrize("command", [
+        ["report", "--in", "d.json", "--out", "r.json"],
+        ["fit", "--in", "d.json", "--out", "c.json"],
+        ["ace", "--in", "d.json", "--treatment", "SNR",
+         "--effect", "SubsErr"],
+    ], ids=["report", "fit", "ace"])
+    def test_code_beyond_graph_categories_is_e_schema(self, command, tmp_path,
+                                                      monkeypatch, capsys):
+        spec = synthetic.paper_shaped_spec(n=400, seed=3)
+        doc = synthetic.generate(spec).to_document()
+        snr = [v for v in doc["variables"] if v["name"] == "SNR"][0]
+        snr["categories"].append("Extreme")
+        j = [v["name"] for v in doc["variables"]].index("SNR")
+        doc["rows"][7][j] = 3
+        (tmp_path / "d.json").write_text(json.dumps(doc))
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(command) == 1
+        error = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert error["error"] == "E_SCHEMA"
+        assert "'SNR'" in error["message"]

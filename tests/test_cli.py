@@ -541,6 +541,23 @@ class TestStamps:
         assert not self.skipped(capsys)
         assert written[0].exists()
 
+    def test_stamp_from_another_version_recomputes(self, workdir, capsys,
+                                                   monkeypatch):
+        argv = ["align", "--in", str(workdir / "records.jsonl"),
+                "--out", str(workdir / "scores.jsonl")]
+        stamp = workdir / ".scores.jsonl.stamp"
+        assert run_cli(*argv) == 0
+        assert json.loads(stamp.read_text())["version"] == cli.__version__
+        assert run_cli(*argv) == 0
+        assert self.skipped(capsys)
+        monkeypatch.setattr(cli, "__version__", cli.__version__ + ".post1")
+        assert run_cli(*argv) == 0
+        assert not self.skipped(capsys)
+        assert json.loads(stamp.read_text())["version"] \
+            == cli.__version__
+        assert run_cli(*argv) == 0
+        assert self.skipped(capsys)
+
     def test_failed_stage_leaves_no_stamp(self, tmp_path, capsys):
         bad = {"id": "u-bad", "speaker_id": "s", "reference": "?!",
                "hypotheses": {"m": "a"}}

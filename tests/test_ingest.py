@@ -286,6 +286,61 @@ class TestReportEncoder:
             ingest.write_report({"a": [1, bad]})
 
 
+def _signed(magnitudes):
+    return st.tuples(magnitudes, st.booleans()).map(
+        lambda t: -t[0] if t[1] else t[0])
+
+
+def _near_ties(k):
+    """A 6th-decimal tie (k + 1/2) / 10^6 and its two float neighbours."""
+    tie = (k + 0.5) / 1e6
+    return st.sampled_from([tie, math.nextafter(tie, -math.inf),
+                            math.nextafter(tie, math.inf)])
+
+
+_BAND_EDGE_FLOATS = st.one_of(
+    _signed(st.floats(min_value=0.9e-4, max_value=1.1e-4)),
+    _signed(st.floats(min_value=0.9e9, max_value=1.1e9)),
+    st.integers(-10 ** 15, 10 ** 15).flatmap(_near_ties),
+    st.floats(min_value=-5e-7, max_value=-0.0),
+    _signed(st.floats(min_value=0.0, max_value=2.2250738585072014e-308)),
+    _signed(st.floats(min_value=1e307, allow_infinity=False)),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+class TestBulkListEncoding:
+    """Lists of finite floats are written from one "%.6f" format per
+    chunk and int rows from one "%d" format per chunk; both must match
+    ``json.dumps(ref_quantize(x), ...)`` byte for byte."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(_BAND_EDGE_FLOATS, min_size=1, max_size=30))
+    def test_float_lists_match_reference(self, values):
+        for report in (values, {"c": {"x": values}}):
+            assert ingest.write_report(report) == reference_report(report)
+
+    def test_long_float_lists_across_chunks(self):
+        rng = np.random.default_rng(12)
+        n = 3 * ingest._CHUNK + 5
+        spread = (10.0 ** rng.uniform(-12, 10, n)
+                  * rng.choice([-1.0, 1.0], n)).tolist()
+        whole = [float(i) for i in range(n)]  # every item ends in ".0"
+        for values in (spread, whole):
+            assert ingest.write_report(values) == reference_report(values)
+
+    @pytest.mark.parametrize("rows", [
+        [[-1, 23, 0], [456, -7890, 12]],
+        [[10 ** 20, -(10 ** 19)], [0, -1]],
+        [[7]],
+        [[i, -i, i * 10 ** 6] for i in range(-5000, 5000)],
+        tuple([i % 11, -(i % 3)] for i in range(2 * 4096 + 1)),
+    ], ids=["negative", "multi-digit", "one-cell", "chunks", "tuple"])
+    def test_int_rows_match_reference(self, rows):
+        for report in (rows, {"rows": rows}):
+            assert ingest.write_report(report) == reference_report(report)
+
+
 class TestEmitPlotData:
     def test_correlation_matrix_file(self):
         report = {"correlation": {
