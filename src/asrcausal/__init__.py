@@ -12,7 +12,7 @@ import importlib
 
 from .errors import ToolkitError
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 _SUBMODULES = ("alignment", "causal", "covariates", "discretize", "ingest",
                "synthetic")

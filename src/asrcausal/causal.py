@@ -14,8 +14,15 @@ each built by one ``bincount`` over the rows (``count_tensors``): the
 joint count tensor N, and per outcome the moment tensor S holding the
 sum of that outcome over each cell's rows.  ``fit_cpts`` reads family
 marginals of N, backdoor ACE the (parents(T), T) marginals of N and S,
-and CMI the (x, y, z) marginal of N.  Past 10^7 cells a tensor is
-refused with StateExplosionError, as the joint is.
+and CMI the (x, y, z) marginal of N.  CPT-based ACE runs the same
+backdoor formula on the (parents(T), T) marginals of the joint and of
+the joint times the outcome.  Past 10^7 cells a tensor is refused with
+StateExplosionError, as the joint is.
+
+The graph owns each node's categories.  ``fit_cpts``, ``ace`` and
+``edge_report`` raise SchemaError naming the first node they read whose
+dataset categories are not the graph's, in name and order, so every
+tensor is sized by the graph.
 
 The network is fitted with additive (Laplace) smoothing; a parent
 configuration never observed is uniform 1/K for every alpha, alpha=0
@@ -79,10 +86,6 @@ class CausalGraph:
         self.topo_order: list[str] = topological_order(self.nodes, self.edges)
 
     @classmethod
-    def from_spec(cls, spec: GraphSpec) -> "CausalGraph":
-        return cls(spec)
-
-    @classmethod
     def builtin(cls, name: str) -> "CausalGraph":
         return cls(builtin_graph_spec(name))
 
@@ -137,10 +140,6 @@ class DiscreteDataset:
             raise MissingVariableError(
                 f"variable {variable!r} not in dataset") from None
         return self.codes[:, j]
-
-    def labels(self, variable: str) -> list[str]:
-        cats = self.categories[variable]
-        return [cats[c] for c in self.column(variable)]
 
     @classmethod
     def from_rows(cls, categories: Mapping[str, Sequence[str]],
@@ -268,22 +267,18 @@ class ConditionalTable:
 
 
 def count_tensors(data: DiscreteDataset, variables: Sequence[str],
-                  outcomes: Sequence[str] = (),
-                  categories: Mapping[str, Sequence[str]] | None = None
+                  outcomes: Sequence[str] = ()
                   ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     """Sufficient statistics of ``data`` over ``variables``.
 
     Returns the joint count tensor N, one axis per variable in the given
-    order and sized by its category count (the dataset's, or those in
-    ``categories``), and for each outcome in ``outcomes`` (a continuous
-    column, else a variable's ordinal codes) the moment tensor S of the
-    same shape: the sum of that outcome over each cell's rows, added in
-    row order.  Raises StateExplosionError past 10^7 cells.  Codes must
-    lie within ``categories``; callers check that first.
+    order and sized by its category count, and for each outcome in
+    ``outcomes`` (a continuous column, else a variable's ordinal codes)
+    the moment tensor S of the same shape: the sum of that outcome over
+    each cell's rows, added in row order.  Raises StateExplosionError
+    past 10^7 cells.
     """
-    if categories is None:
-        categories = data.categories
-    shape = tuple(len(categories[v]) for v in variables)
+    shape = tuple(len(data.categories[v]) for v in variables)
     size = math.prod(shape)
     if size > _STATE_LIMIT:
         raise StateExplosionError(
@@ -299,23 +294,21 @@ def count_tensors(data: DiscreteDataset, variables: Sequence[str],
     return counts, moments
 
 
-def _check_codes(graph: CausalGraph, data: DiscreteDataset,
+def _check_categories(graph: CausalGraph, data: DiscreteDataset,
                  nodes: Sequence[str]):
     """MissingVariableError when the dataset lacks one of ``nodes``;
-    SchemaError naming the first whose codes reach past the graph's
-    categories.  Codes lie within the dataset's own categories, so only
-    a node with more of those than the graph has is scanned."""
+    SchemaError naming the first whose dataset categories are not the
+    graph's, in name and order.  Codes lie within the dataset's
+    categories, so they then index the graph's."""
     missing = [n for n in nodes if n not in data.variables]
     if missing:
         raise MissingVariableError(f"dataset lacks variables {missing}")
     for node in nodes:
-        k = len(graph.categories[node])
-        if len(data.categories[node]) > k:
-            col = data.column(node)
-            if col.size and col.max() >= k:
-                raise SchemaError(
-                    f"variable {node!r}: dataset code {int(col.max())} "
-                    f"beyond the graph's {k} categories")
+        if data.categories[node] != graph.categories[node]:
+            raise SchemaError(
+                f"variable {node!r}: dataset categories "
+                f"{list(data.categories[node])} are not the graph's "
+                f"{list(graph.categories[node])}")
 
 
 def _axes_as(graph: CausalGraph, summed: np.ndarray,
@@ -330,9 +323,8 @@ def fit_cpts(graph: CausalGraph, data: DiscreteDataset, alpha: float = 1.0
              ) -> dict[str, ConditionalTable]:
     """Maximum-likelihood counts with additive-alpha smoothing per node,
     each node's read from the family marginal of one count tensor."""
-    _check_codes(graph, data, graph.nodes)
-    joint_counts, _ = count_tensors(data, graph.nodes,
-                                    categories=graph.categories)
+    _check_categories(graph, data, graph.nodes)
+    joint_counts, _ = count_tensors(data, graph.nodes)
     tables = {}
     for node in graph.nodes:
         parents = tuple(graph.parents(node))
@@ -526,11 +518,14 @@ def ace(graph: CausalGraph, data_or_cpts, treatment: str, effect: str,
     E[Y | do(x)] = sum_z E[Y | x, z] P(z).  Levels default to the first
     and last treatment category; ``normalized`` divides by (#levels - 1).
 
-    From a dataset, strata statistics are empirical; a stratum missing
-    one of the two treatment arms raises EmptyStratumError unless
-    ``on_empty='skip'``, which drops it and renormalizes the stratum
-    weights.  From fitted or exact CPTs, the adjustment formula is
-    evaluated by exact enumeration (effect must then be a graph node).
+    One formula serves both inputs: it reads the (Z, treatment) cell
+    masses and outcome sums, counted over a dataset's rows or, from
+    fitted or exact CPTs, summed over the enumerated joint (effect must
+    then be a graph node, its outcome the category index).  A stratum
+    missing one of the two treatment arms raises EmptyStratumError
+    unless ``on_empty='skip'``, which drops it and renormalizes the
+    stratum weights.  A dataset's categories for every node read must
+    be the graph's, else SchemaError.
     """
     if treatment not in graph.nodes:
         raise MissingVariableError(f"treatment {treatment!r} not in graph")
@@ -539,7 +534,8 @@ def ace(graph: CausalGraph, data_or_cpts, treatment: str, effect: str,
         value = _ace_from_data(graph, data_or_cpts, treatment, effect,
                                lo, hi, on_empty)
     else:
-        value = _ace_from_cpts(graph, data_or_cpts, treatment, effect, lo, hi)
+        value = _ace_from_cpts(graph, data_or_cpts, treatment, effect,
+                               lo, hi, on_empty)
     if normalized:
         value /= _level_steps(graph, treatment)
     return value
@@ -554,33 +550,30 @@ def _level_steps(graph: CausalGraph, treatment: str) -> int:
     return steps
 
 
-def _arms(data: DiscreteDataset, treatment: str, lo: str, hi: str
+def _arms(graph: CausalGraph, treatment: str, lo: str, hi: str
           ) -> tuple[tuple[str, int], tuple[str, int]]:
-    """(level, dataset code) of the high arm, then of the low arm."""
-    cats = data.categories[treatment]
-    try:
-        return (hi, cats.index(hi)), (lo, cats.index(lo))
-    except ValueError:
-        raise UnknownLevelError(
-            f"dataset categories for {treatment!r} lack {lo!r}/{hi!r}") from None
+    """(level, category index) of the high arm, then of the low arm."""
+    cats = graph.categories[treatment]
+    return (hi, cats.index(hi)), (lo, cats.index(lo))
 
 
 def _ace_from_data(graph: CausalGraph, data: DiscreteDataset, treatment: str,
                    effect: str, lo: str, hi: str, on_empty: str) -> float:
-    if treatment not in data.variables:
-        raise MissingVariableError(f"treatment {treatment!r} not in dataset")
-    arms = _arms(data, treatment, lo, hi)
     adjust = graph.parents(treatment)
-    _check_codes(graph, data, (*adjust, treatment))
-    counts, moments = count_tensors(data, (*adjust, treatment), [effect])
-    return _ace_from_counts(counts, moments[effect], treatment, adjust, arms,
-                            on_empty)
+    family = (*adjust, treatment)
+    # an effect node without a continuous column is read as its codes
+    _check_categories(graph, data, family if effect in data.continuous
+                      or effect not in graph.nodes else (*family, effect))
+    counts, moments = count_tensors(data, family, [effect])
+    return _ace_from_counts(counts, moments[effect], treatment, adjust,
+                            _arms(graph, treatment, lo, hi), on_empty)
 
 
 def _ace_from_counts(counts: np.ndarray, moment: np.ndarray, treatment: str,
                      adjust: Sequence[str], arms, on_empty: str) -> float:
-    """Backdoor ACE from the count and outcome-moment tables with axes
-    (adjust..., treatment); ``arms`` as ``_arms`` gives them."""
+    """Backdoor ACE from the count (or probability mass) and outcome-moment
+    tables with axes (adjust..., treatment); ``arms`` as ``_arms`` gives
+    them."""
     n_cfg = counts.size // counts.shape[-1]
     counts = counts.reshape(n_cfg, -1)
     moment = moment.reshape(n_cfg, -1)
@@ -596,10 +589,11 @@ def _ace_from_counts(counts: np.ndarray, moment: np.ndarray, treatment: str,
                 usable &= cell_n > 0
             else:
                 raise EmptyStratumError(
-                    f"no rows with {treatment}={level} in "
+                    f"{treatment}={level} is empty in "
                     f"{int(empty.sum())} stratum/strata of {adjust}")
         with np.errstate(invalid="ignore"):
-            means = np.where(cell_n > 0, cell_sum / np.maximum(cell_n, 1), 0.0)
+            means = np.where(cell_n > 0,
+                             cell_sum / np.where(cell_n > 0, cell_n, 1), 0.0)
         diffs += sign * means
     weight = z_counts * usable
     total = weight.sum()
@@ -609,33 +603,23 @@ def _ace_from_counts(counts: np.ndarray, moment: np.ndarray, treatment: str,
 
 
 def _ace_from_cpts(graph: CausalGraph, cpts: Mapping[str, ConditionalTable],
-                   treatment: str, effect: str, lo: str, hi: str) -> float:
-    """Backdoor adjustment on marginals of the observational joint."""
+                   treatment: str, effect: str, lo: str, hi: str,
+                   on_empty: str) -> float:
+    """``_ace_from_counts`` on the (parents(T), T) marginals of the
+    observational joint P and of P times the effect's category index."""
     if effect not in graph.nodes:
         raise MissingVariableError(
             f"effect {effect!r} must be a graph node for CPT-based ACE")
     joint = joint_tensor(graph, cpts)
-    adjust = graph.parents(treatment)
-    keep = set(adjust) | {treatment}
     outcome = np.arange(len(graph.categories[effect]), dtype=np.float64)
-    e_axis = graph.nodes.index(effect)
-    outcome = outcome.reshape([-1 if a == e_axis else 1
-                               for a in range(joint.ndim)])
-    # P(z, x) and E[Y 1{z, x}]; kept axes stay in declaration order
-    mass = marginal(graph, joint, keep)
-    moment = marginal(graph, joint * outcome, keep)
-    t_axis = [n for n in graph.nodes if n in keep].index(treatment)
-    z_mass = mass.sum(axis=t_axis)
-    arms = []
-    for level in (hi, lo):
-        i = graph.categories[treatment].index(level)
-        arm_mass = np.take(mass, i, axis=t_axis)
-        if np.any((z_mass > 0) & (arm_mass == 0)):
-            raise EmptyStratumError(
-                f"P({treatment}={level}, Z) = 0 in some stratum of {adjust}")
-        arms.append(np.take(moment, i, axis=t_axis)
-                    / np.where(z_mass > 0, arm_mass, 1.0))
-    return float(np.sum(z_mass * (arms[0] - arms[1])))
+    outcome = outcome.reshape([-1 if node == effect else 1
+                               for node in graph.nodes])
+    adjust = graph.parents(treatment)
+    family = (*adjust, treatment)
+    mass, moment = (_axes_as(graph, marginal(graph, table, family), family)
+                    for table in (joint, joint * outcome))
+    return _ace_from_counts(mass, moment, treatment, adjust,
+                            _arms(graph, treatment, lo, hi), on_empty)
 
 
 def edge_report(graph: CausalGraph, data: DiscreteDataset,
@@ -647,13 +631,12 @@ def edge_report(graph: CausalGraph, data: DiscreteDataset,
     continuous column of the same name use it as the ACE outcome
     (per-utterance error rates), everything else uses ordinal codes.
     The rows are read once: into the count tensor N over the graph's
-    nodes (declaration order, sized by the dataset's categories) and one
-    moment tensor S per effect.  Each ACE reads the (parents(cause),
-    cause) marginals of N and S, each CMI the (cause, effect, others)
-    marginal of N.  A dataset code past the graph's categories raises
-    SchemaError naming the node.
+    nodes (declaration order) and one moment tensor S per effect.  Each
+    ACE reads the (parents(cause), cause) marginals of N and S, each CMI
+    the (cause, effect, others) marginal of N.  A node whose dataset
+    categories are not the graph's raises SchemaError naming it.
     """
-    _check_codes(graph, data, graph.nodes)
+    _check_categories(graph, data, graph.nodes)
     effects = list(dict.fromkeys(effect for _, effect in graph.edges))
     counts, moments = count_tensors(data, graph.nodes, effects)
     summed: dict[frozenset, np.ndarray] = {}
@@ -674,7 +657,7 @@ def edge_report(graph: CausalGraph, data: DiscreteDataset,
             counts_over(family),
             _axes_as(graph, marginal(graph, moments[effect], family), family),
             cause, adjust,
-            _arms(data, cause, *_default_levels(graph, cause, None, None)),
+            _arms(graph, cause, *_default_levels(graph, cause, None, None)),
             on_empty)
         levels = len(graph.categories[cause]) - 1
         others = [p for p in graph.parents(effect) if p != cause]

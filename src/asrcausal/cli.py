@@ -41,7 +41,6 @@ _BINNED_SOURCES = {"SNR": "snr_db", "VocabDiff": "vocab_difficulty",
                    "NoWords": "word_count", "GoP": "gop"}
 _DEFAULT_METHODS = {"SNR": "quantile", "VocabDiff": "kde",
                     "NoWords": "quantile", "GoP": "sigma"}
-_ERROR_NODES = ("SubsErr", "DelErr", "InsErr")
 
 
 class _Once(argparse.Action):
@@ -310,17 +309,8 @@ def _cmd_align(config) -> list[str]:
 def _read_scores(path: str) -> dict[str, dict]:
     scores = {}
     with open(path) as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                entry = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise SchemaError(f"invalid JSON: {exc.msg}", line=line_no) \
-                    from None
-            if not (isinstance(entry, dict) and "scores" in entry
-                    and isinstance(entry.get("id"), str)):
+        for line_no, entry in ingest.read_jsonl(fh):
+            if not ("scores" in entry and isinstance(entry.get("id"), str)):
                 raise SchemaError("score lines need a string 'id' and "
                                   "'scores'", line=line_no)
             if entry["id"] in scores:
@@ -433,18 +423,28 @@ def _cmd_discretize(config) -> list[str]:
             records, _read_scores(config.scores), (config.model,))
         results = [row[config.model] for row in table.rows]
 
-    categories: dict[str, list[str]] = {
-        "Age": list(ingest.GRADES), "Gender": list(ingest.GENDERS)}
+    graph_categories = {node.name: node.categories for node
+                        in ingest.builtin_graph_spec("paper-default").nodes}
     columns: dict[str, list[str]] = {
         "Age": [r.grade for r in records],
         "Gender": [r.gender for r in records]}
     schemes = []
-    for node, field in _BINNED_SOURCES.items():
-        values = [float(getattr(r, field)) for r in records]
-        scheme = _fit_or_reuse(node, values, methods[node], persisted)
+
+    def bin_column(node, values, method):
+        scheme = _fit_or_reuse(node, values, method, persisted)
+        cats = graph_categories[node]
+        # the scheme's codes index the graph's categories, so its labels
+        # must be among them and in their order
+        if [c for c in cats if c in scheme.labels] != list(scheme.labels):
+            raise SchemaError(f"{node}: scheme labels {list(scheme.labels)} "
+                              f"are not, in order, among the graph's "
+                              f"categories {list(cats)}")
         schemes.append(scheme)
-        categories[node] = list(scheme.labels)
         columns[node] = discretize.apply_bins_array(scheme, values)
+
+    for node, field in _BINNED_SOURCES.items():
+        bin_column(node, [float(getattr(r, field)) for r in records],
+                   methods[node])
 
     continuous = {}
     if results is not None:
@@ -452,13 +452,10 @@ def _cmd_discretize(config) -> list[str]:
                    "InsErr": "insertions"}
         for node, key in rate_of.items():
             values = [100.0 * getattr(r, key) / r.ref_len for r in results]
-            scheme = _fit_or_reuse(node, values, methods.get(node, "quantile"),
-                                   persisted)
-            schemes.append(scheme)
-            categories[node] = list(scheme.labels)
-            columns[node] = discretize.apply_bins_array(scheme, values)
+            bin_column(node, values, methods.get(node, "quantile"))
             continuous[node] = values
 
+    categories = {node: graph_categories[node] for node in columns}
     rows = [{var: columns[var][i] for var in categories}
             for i in range(len(records))]
     data = causal_mod.DiscreteDataset.from_rows(categories, rows, continuous)

@@ -10,7 +10,6 @@ exactly when the target phone is maximal.  Natural log throughout.
 
 from __future__ import annotations
 
-import json
 import math
 import wave
 from dataclasses import dataclass
@@ -26,7 +25,7 @@ from .errors import (
     TooShortError,
     ZeroPosteriorError,
 )
-from .ingest import FrequencyTable
+from .ingest import FrequencyTable, read_jsonl
 
 POSTERIOR_FLOOR = 1e-10
 _SUM_TOL = 1e-6
@@ -214,14 +213,7 @@ def parse_posterior_frames(stream: Iterable[str]
                            ) -> dict[str, list[PosteriorFrame]]:
     """Parse line-delimited ``{utterance_id, t, probs}`` records."""
     frames: dict[str, list[PosteriorFrame]] = {}
-    for line_no, line in enumerate(stream, start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            raw = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"invalid JSON: {exc.msg}", line=line_no) from None
+    for line_no, raw in read_jsonl(stream):
         for field in ("utterance_id", "t", "probs"):
             if field not in raw:
                 raise SchemaError(f"missing field {field!r}", line=line_no)
@@ -236,14 +228,7 @@ def parse_segments(stream: Iterable[str], inventory: Mapping[str, Sequence[str]]
                    ) -> dict[str, list[PhoneSegment]]:
     """Parse line-delimited ``{utterance_id, phone, t_s, t_e}`` records."""
     segments: dict[str, list[PhoneSegment]] = {}
-    for line_no, line in enumerate(stream, start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            raw = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"invalid JSON: {exc.msg}", line=line_no) from None
+    for line_no, raw in read_jsonl(stream):
         for field in ("utterance_id", "phone", "t_s", "t_e"):
             if field not in raw:
                 raise SchemaError(f"missing field {field!r}", line=line_no)

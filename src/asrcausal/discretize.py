@@ -24,8 +24,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import SchemaError, TooFewValuesError
+from .ingest import THREE_LEVELS
 
-THREE_LEVELS = ("Low", "Average", "High")
 _KDE_GRID = 512
 
 
@@ -76,7 +76,7 @@ class BinningScheme:
                        tuple(doc["labels"]),
                        mean=stats.get("mean"), std=stats.get("std"),
                        bandwidth=stats.get("bandwidth"))
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, AttributeError) as exc:
             raise SchemaError(f"bad binning scheme document: {exc}") from None
 
 
@@ -104,7 +104,9 @@ def fit_quantile_bins(values: Sequence[float], bins: int = 3,
     """Equal-mass bins: boundaries are order statistics at i*n/bins.
 
     On distinct-valued data each bin holds n/bins +/- 1 points.  Tied
-    boundary values are deduplicated, shrinking the label set.
+    boundary values are deduplicated, and the scheme keeps the first
+    #boundaries + 1 of the ``bins`` labels: a shrunk three-bin scheme is
+    Low / Average, so its codes index the graph's Low / Average / High.
     """
     x = np.sort(np.asarray(values, dtype=np.float64))
     if x.size < bins:
@@ -116,7 +118,7 @@ def fit_quantile_bins(values: Sequence[float], bins: int = 3,
         if not boundaries or b > boundaries[-1]:
             boundaries.append(b)
     return BinningScheme(variable, "quantile", tuple(boundaries),
-                         _labels(len(boundaries) + 1))
+                         _labels(bins)[:len(boundaries) + 1])
 
 
 def _silverman_bandwidth(x: np.ndarray) -> float:
@@ -204,4 +206,6 @@ def parse_schemes(text: str) -> dict[str, BinningScheme]:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"invalid JSON: {exc.msg}") from None
+    if not isinstance(doc, dict):
+        raise SchemaError("a schemes document must be a JSON object")
     return {name: BinningScheme.from_dict(entry) for name, entry in doc.items()}

@@ -18,7 +18,10 @@ files and digests do not depend on which encoder wrote them, and it
 raises ``IoError`` for exactly the values ``json.dumps`` rejects.
 
 Every malformed input raises a typed error naming the offending line or
-field; no partially constructed value ever escapes.
+field; no partially constructed value ever escapes.  Line-delimited
+inputs (utterance records, score tables, frame posteriors, segments) are
+all read by ``read_jsonl``, so a line that is not a JSON object is
+SchemaError naming the line.
 """
 
 from __future__ import annotations
@@ -139,18 +142,28 @@ def _maybe_float(value):
     return float(value) if isinstance(value, (int, float)) else value
 
 
-def parse_utterances(stream: Iterable[str]) -> list[UtteranceRecord]:
-    """Parse line-delimited records, preserving order; ids must be unique."""
-    records = []
-    seen: set[str] = set()
+def read_jsonl(stream: Iterable[str]) -> Iterator[tuple[int, dict]]:
+    """``(line number, object)`` for each non-blank line of a
+    line-delimited JSON stream, numbered from 1.  Invalid JSON, or a line
+    that is not a JSON object, raises SchemaError naming the line."""
     for line_no, line in enumerate(stream, start=1):
         line = line.strip()
         if not line:
             continue
         try:
-            raw = json.loads(line)
+            obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise SchemaError(f"invalid JSON: {exc.msg}", line=line_no) from None
+        if not isinstance(obj, dict):
+            raise SchemaError("line must be a JSON object", line=line_no)
+        yield line_no, obj
+
+
+def parse_utterances(stream: Iterable[str]) -> list[UtteranceRecord]:
+    """Parse line-delimited records, preserving order; ids must be unique."""
+    records = []
+    seen: set[str] = set()
+    for line_no, raw in read_jsonl(stream):
         record = UtteranceRecord.from_dict(raw, line=line_no)
         if record.id in seen:
             raise DuplicateIdError(f"line {line_no}: duplicate id {record.id!r}")
@@ -498,50 +511,30 @@ def _encode(value, ind: str) -> str:
     return "[" + inner + body + ind + "]"
 
 
-def write_report(report, fmt: str = "structured") -> str:
+def write_report(report) -> str:
     """Deterministic serialization of an analysis result tree.
 
-    ``structured``: canonical JSON, keys in sorted order, reals quantized
-    to 6 decimals (round-trips exactly for pre-quantized values).  The
-    text is byte-identical to ``json.dumps(q, sort_keys=True, indent=1)
-    + "\\n"``, where ``q`` is ``report`` with every dict key made
-    ``str(key)``, every tuple a list and every float ``_quantize``-d; a
-    value that expression rejects raises ``IoError``.  It is written in
-    one pass that quantizes as it emits, with no quantized copy and no
-    per-token chunks.  Lists of exact ints are formatted by one join.
-    Lists of finite exact floats are formatted by one ``"%.6f"`` per
-    chunk of items, less trailing zeros: that is exact because ``"%.6f"``
-    and ``round(x, 6)`` share dtoa's correctly rounded digits, and for
+    Canonical JSON, keys in sorted order, reals quantized to 6 decimals
+    (round-trips exactly for pre-quantized values).  The text is
+    byte-identical to ``json.dumps(q, sort_keys=True, indent=1) + "\\n"``,
+    where ``q`` is ``report`` with every dict key made ``str(key)``,
+    every tuple a list and every float ``_quantize``-d; a value that
+    expression rejects raises ``IoError``.  It is written in one pass
+    that quantizes as it emits, with no quantized copy and no per-token
+    chunks.  Lists of exact ints are formatted by one join.  Lists of
+    finite exact floats are formatted by one ``"%.6f"`` per chunk of
+    items, less trailing zeros: that is exact because ``"%.6f"`` and
+    ``round(x, 6)`` share dtoa's correctly rounded digits, and for
     ``1e-4 <= |x| < 1e9`` those (at most 15 significant) digits in fixed
     notation are what ``repr`` prints for the rounded value.  Items
     outside that band (scientific notation, ``-0.0``) take
     ``repr(_quantize(x))`` one at a time.  Equal-length rows of exact
     ints are formatted by one ``%d`` template per chunk of rows.
-    ``delimited``: flat ``path,value`` CSV (export only).
     """
-    if fmt == "structured":
-        try:
-            return _encode(report, "\n") + "\n"
-        except (TypeError, ValueError) as exc:
-            raise IoError(f"report not serializable: {exc}") from None
-    if fmt == "delimited":
-        rows = ["path,value"]
-        for path, value in _flatten(report):
-            rows.append(f"{path},{value}")
-        return "\n".join(rows) + "\n"
-    raise IoError(f"unknown report format {fmt!r}")
-
-
-def _flatten(obj, prefix: str = "") -> Iterator[tuple[str, object]]:
-    if isinstance(obj, dict):
-        for key in sorted(obj, key=str):
-            yield from _flatten(obj[key], f"{prefix}{key}.")
-    elif isinstance(obj, (list, tuple)):
-        for idx, value in enumerate(obj):
-            yield from _flatten(value, f"{prefix}{idx}.")
-    else:
-        value = _quantize(obj)
-        yield prefix.rstrip("."), "" if value is None else value
+    try:
+        return _encode(report, "\n") + "\n"
+    except (TypeError, ValueError) as exc:
+        raise IoError(f"report not serializable: {exc}") from None
 
 
 def parse_report(text: str):

@@ -411,6 +411,8 @@ def parse_scm_spec(text: str) -> ScmSpec:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"invalid JSON: {exc.msg}") from None
+    if not isinstance(doc, dict):
+        raise InvalidSpecError("an SCM spec must be a JSON object")
     for key in ("graph", "seed", "n", "tables"):
         if key not in doc:
             raise InvalidSpecError(f"SCM spec missing {key!r}")

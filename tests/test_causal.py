@@ -426,6 +426,17 @@ class TestAce:
             truth = synthetic.true_ace(spec, cause, "GoP")
             assert abs(adjusted - truth) < 1e-9
 
+    def test_cpt_ace_matches_truth_on_every_paper_shaped_edge(self):
+        # without emitters the truth's outcome is the category index, as
+        # it is for CPT-based ACE
+        spec = synthetic.paper_shaped_spec(n=10)
+        spec.emitters = {}
+        assert len(spec.graph.edges) == 20
+        for cause, effect in spec.graph.edges:
+            adjusted = ace(spec.graph, spec.tables, cause, effect)
+            truth = synthetic.true_ace(spec, cause, effect)
+            assert abs(adjusted - truth) < 1e-9, (cause, effect)
+
     def test_normalized_needs_two_levels(self):
         graph = graph_of([("X", "exogenous", ["only"]),
                           ("Y", "endogenous", ["0", "1"])], [("X", "Y")])

@@ -425,6 +425,130 @@ class TestPipeline:
         assert any(name.startswith("grade_errors_") for name in plots)
 
 
+def relabelled_dataset(path, node, categories):
+    """A paper-shaped dataset whose ``node`` carries ``categories``, its
+    codes clamped to them."""
+    from asrcausal import synthetic
+    doc = synthetic.generate(
+        synthetic.paper_shaped_spec(n=200, seed=4)).to_document()
+    j = [v["name"] for v in doc["variables"]].index(node)
+    doc["variables"][j]["categories"] = categories
+    for row in doc["rows"]:
+        row[j] = min(row[j], len(categories) - 1)
+    path.write_text(json.dumps(doc))
+
+
+class TestCategoryContract:
+    """A dataset carries the graph's categories for every graph node, and
+    ``discretize`` writes them."""
+
+    @pytest.mark.parametrize("node,categories,command", [
+        ("InsErr", ["L1", "L2"], ["fit", "--out", "c.json"]),
+        ("InsErr", ["L1", "L2"], ["report", "--out", "r.json"]),
+        ("SNR", ["L1", "L2", "L3"],
+         ["ace", "--treatment", "SNR", "--effect", "SubsErr"]),
+    ], ids=["fit", "report", "ace"])
+    def test_other_categories_are_e_schema(self, tmp_path, monkeypatch,
+                                           capsys, node, categories, command):
+        relabelled_dataset(tmp_path / "d.json", node, categories)
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(*command, "--in", "d.json") == 1
+        error = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert error["error"] == "E_SCHEMA"
+        assert repr(node) in error["message"]
+
+    def test_reordered_categories_are_e_schema(self, tmp_path, capsys):
+        relabelled_dataset(tmp_path / "d.json", "GoP",
+                           ["High", "Average", "Low"])
+        assert run_cli("fit", "--in", str(tmp_path / "d.json"),
+                       "--out", str(tmp_path / "c.json")) == 1
+        assert "'GoP'" in json.loads(capsys.readouterr().err)["message"]
+
+    def test_tied_error_rates_keep_codes_under_graph_labels(self, workdir):
+        # whisper only substitutes, so its deletion and insertion rates
+        # are all zero and their tertile boundaries tie
+        assert TestPipeline().assemble(workdir) == 0
+        doc = json.loads((workdir / "dataset.json").read_text())
+        names = [v["name"] for v in doc["variables"]]
+        for v in doc["variables"]:
+            graph_cats = ["boy", "girl"] if v["name"] == "Gender" else (
+                list(ingest.GRADES) if v["name"] == "Age"
+                else ["Low", "Average", "High"])
+            assert v["categories"] == graph_cats
+        ins = [row[names.index("InsErr")] for row in doc["rows"]]
+        assert set(ins) == {1}  # the shrunk scheme's upper bin, as before
+        schemes = json.loads((workdir / "schemes.json").read_text())
+        assert schemes["InsErr"]["labels"] == ["Low", "Average"]
+
+    def test_zero_spread_sigma_column_is_average(self, tmp_path):
+        recs = [json.loads(line) for line
+                in make_records(with_gop=False).splitlines()]
+        for i, rec in enumerate(recs):
+            rec.update(gop=-1.5, word_count=3 + i % 4,
+                       vocab_difficulty=1.0 + (i % 7) / 3)
+        (tmp_path / "r.jsonl").write_text(
+            "".join(json.dumps(r) + "\n" for r in recs))
+        assert run_cli("discretize", "--records", str(tmp_path / "r.jsonl"),
+                       "--bin", "VocabDiff=quantile",
+                       "--out", str(tmp_path / "d.json")) == 0
+        data = causal.DiscreteDataset.from_document(
+            json.loads((tmp_path / "d.json").read_text()))
+        assert data.categories["GoP"] == ("Low", "Average", "High")
+        assert set(data.column("GoP").tolist()) == {1}
+
+    @pytest.mark.parametrize("labels", [["L1", "L2"], ["Average", "Low"]],
+                             ids=["nominal", "reversed"])
+    def test_schemes_in_with_other_labels_is_e_schema(self, workdir, capsys,
+                                                      labels):
+        assert TestPipeline().assemble(workdir) == 0
+        schemes = json.loads((workdir / "schemes.json").read_text())
+        schemes["InsErr"]["labels"] = labels
+        (workdir / "edited.json").write_text(json.dumps(schemes))
+        capsys.readouterr()
+        assert run_cli("discretize", "--records", str(workdir / "cov.jsonl"),
+                       "--scores", str(workdir / "scores.jsonl"),
+                       "--model", "whisper",
+                       "--schemes-in", str(workdir / "edited.json"),
+                       "--out", str(workdir / "again.json")) == 1
+        error = json.loads(capsys.readouterr().err)
+        assert error["error"] == "E_SCHEMA"
+        assert "InsErr" in error["message"]
+
+
+class TestNonObjectDocuments:
+    @pytest.mark.parametrize("case,code", [
+        ("posteriors-line", "E_SCHEMA"),
+        ("scm-spec", "E_INVALID_SPEC"),
+        ("schemes-in", "E_SCHEMA"),
+    ])
+    def test_exits_1_without_traceback(self, tmp_path, case, code):
+        rec = {"id": "u1", "speaker_id": "s", "reference": "hi",
+               "hypotheses": {"m": "hi"}}
+        (tmp_path / "r.jsonl").write_text(json.dumps(rec) + "\n")
+        if case == "posteriors-line":
+            (tmp_path / "inv.json").write_text('{"p": ["p_s"]}')
+            (tmp_path / "post.jsonl").write_text("5\n")
+            (tmp_path / "seg.jsonl").write_text(json.dumps(
+                {"utterance_id": "u1", "phone": "p", "t_s": 0, "t_e": 1}))
+            argv = ["covariates", "--in", "r.jsonl", "--out", "c.jsonl",
+                    "--posteriors", "post.jsonl", "--segments", "seg.jsonl",
+                    "--inventory", "inv.json"]
+        elif case == "scm-spec":
+            (tmp_path / "spec.json").write_text("7\n")
+            argv = ["synth", "--spec", "spec.json", "--out", "d.json"]
+        else:
+            (tmp_path / "schemes.json").write_text("[1]\n")
+            argv = ["discretize", "--records", "r.jsonl",
+                    "--schemes-in", "schemes.json", "--out", "d.json"]
+        proc = subprocess.run(
+            [sys.executable, "-m", "asrcausal.cli", *argv],
+            cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(SRC)},
+            capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert json.loads(proc.stderr)["error"] == code
+
+
 class TestCaching:
     def test_fresh_output_skips_then_force_recomputes(self, workdir, capsys):
         out = workdir / "scores.jsonl"

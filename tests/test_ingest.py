@@ -193,14 +193,6 @@ class TestWriteReport:
         parsed = ingest.parse_report(ingest.write_report({"r": float("nan")}))
         assert parsed == {"r": None}
 
-    def test_delimited_export(self):
-        text = ingest.write_report({"a": {"b": 1.5}, "c": [2, 3]},
-                                   fmt="delimited")
-        lines = text.splitlines()
-        assert lines[0] == "path,value"
-        assert "a.b,1.5" in lines
-        assert "c.0,2" in lines
-
 
 def ref_quantize(obj, places: int = 6):
     """The tree quantizer ``write_report`` used before its single-pass
