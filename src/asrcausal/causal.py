@@ -168,12 +168,15 @@ class DiscreteDataset:
         return cls(variables, categories, codes, cont)
 
     def to_document(self) -> dict:
+        """The dataset document, holding the dataset's own arrays: the
+        ``codes`` as ``rows`` and each continuous column, not list
+        copies.  ``ingest.write_report`` writes an array as its
+        ``tolist()``, a slice at a time."""
         return {
             "variables": [{"name": v, "categories": list(self.categories[v])}
                           for v in self.variables],
-            "rows": self.codes.tolist(),
-            "continuous": {k: v.tolist()
-                           for k, v in sorted(self.continuous.items())},
+            "rows": self.codes,
+            "continuous": dict(sorted(self.continuous.items())),
         }
 
     @classmethod

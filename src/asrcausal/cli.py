@@ -23,7 +23,7 @@ import json
 import os
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable
 
 from . import __version__, ingest
 from .errors import DuplicateIdError, IoError, SchemaError, ToolkitError
@@ -207,16 +207,19 @@ def _read_text(path: str) -> str:
         raise IoError(f"cannot read {path}: {exc}") from None
 
 
-def _write_text(path: str, text: str) -> str:
-    """Write ``text`` to a temporary file next to ``path`` and rename it
-    over ``path``: an interrupted write leaves the previous output (or
-    none), never a truncated one that looks fresh.  Returns ``path``."""
+def _write_text(path: str, pieces: Iterable[str]) -> str:
+    """Write the str ``pieces``, one after another, to a temporary file
+    next to ``path`` and rename it over ``path``: the text is never held
+    whole, and an interrupted or failed write leaves the previous output
+    (or none), never a truncated one that looks fresh.  Returns
+    ``path``."""
     target = Path(path)
     tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
     try:
         target.parent.mkdir(parents=True, exist_ok=True)
         try:
-            tmp.write_text(text)
+            with open(tmp, "w") as fh:
+                fh.writelines(pieces)
             os.replace(tmp, target)
         except BaseException:
             tmp.unlink(missing_ok=True)
@@ -272,7 +275,7 @@ def _cmd_synth(config) -> list[str]:
     spec = _load_scm(config.spec, config.n, config.seed)
     data = synthetic.generate(spec)
     written = [_write_text(config.out,
-                           ingest.write_report(data.to_document()))]
+                           ingest.report_pieces(data.to_document()))]
     if config.truths:
         edges = []
         for cause, effect in spec.graph.edges:
@@ -288,7 +291,7 @@ def _cmd_synth(config) -> list[str]:
                 "conditioning": others,
             })
         written.append(_write_text(config.truths,
-                                   ingest.write_report({"edges": edges})))
+                                   ingest.report_pieces({"edges": edges})))
     return written
 
 
@@ -303,7 +306,7 @@ def _cmd_align(config) -> list[str]:
 
     rows = [alignment.score_row(record, models) for record in records]
     return [_write_text(config.out,
-                        alignment.ScoreTable(records, rows).to_jsonl())]
+                        [alignment.ScoreTable(records, rows).to_jsonl()])]
 
 
 def _read_scores(path: str) -> dict[str, dict]:
@@ -367,7 +370,7 @@ def _cmd_covariates(config) -> list[str]:
         return record
 
     enriched = [enrich(record) for record in records]
-    return [_write_text(config.out, ingest.write_utterances(enriched))]
+    return [_write_text(config.out, [ingest.write_utterances(enriched)])]
 
 
 def _parse_bin_overrides(pairs) -> dict[str, str]:
@@ -460,10 +463,10 @@ def _cmd_discretize(config) -> list[str]:
             for i in range(len(records))]
     data = causal_mod.DiscreteDataset.from_rows(categories, rows, continuous)
     written = [_write_text(config.out,
-                           ingest.write_report(data.to_document()))]
+                           ingest.report_pieces(data.to_document()))]
     if config.schemes_out:
         written.append(_write_text(config.schemes_out,
-                                   discretize.write_schemes(schemes)))
+                                   [discretize.write_schemes(schemes)]))
     return written
 
 
@@ -477,7 +480,7 @@ def _cmd_oracle(config) -> list[str]:
     if records:
         aggregates["oracle"] = table.oracle_aggregate().to_dict()
     report = {"choice": table.oracle_select(), "aggregates": aggregates}
-    return [_write_text(config.out, ingest.write_report(report))]
+    return [_write_text(config.out, ingest.report_pieces(report))]
 
 
 def _correlation_csv(models, matrix) -> str:
@@ -501,10 +504,10 @@ def _cmd_correlate(config) -> list[str]:
                 lambda r, g=grade: r.grade == g).correlation()
             path = out.with_name(f"{out.stem}_{grade}{out.suffix}")
             written.append(_write_text(str(path),
-                                       _correlation_csv(models, matrix)))
+                                       [_correlation_csv(models, matrix)]))
         return written
     models, matrix = alignment.model_correlation(records)
-    return [_write_text(config.out, _correlation_csv(models, matrix))]
+    return [_write_text(config.out, [_correlation_csv(models, matrix)])]
 
 
 def _cmd_fit(config) -> list[str]:
@@ -524,13 +527,13 @@ def _cmd_fit(config) -> list[str]:
                        for cfg, row in zip(table.parent_configs(), rows)
                        if row.any() or not table.parents},
         }
-    return [_write_text(config.out, ingest.write_report(doc))]
+    return [_write_text(config.out, ingest.report_pieces(doc))]
 
 
 def _emit(config, payload: dict) -> int:
     text = ingest.write_report(payload)
     if config.out:
-        _write_text(config.out, text)
+        _write_text(config.out, [text])
     else:
         sys.stdout.write(text)
     return 0
@@ -616,11 +619,11 @@ def _cmd_report(config) -> list[str]:
         if len(records) >= 2:
             corr_models, matrix = table.correlation()
             report["correlation"] = {"models": corr_models, "matrix": matrix}
-    written = [_write_text(config.out, ingest.write_report(report))]
+    written = [_write_text(config.out, ingest.report_pieces(report))]
     if config.plot_dir:
         for name, text in ingest.emit_plot_data(report).items():
             written.append(_write_text(os.path.join(config.plot_dir, name),
-                                       text))
+                                       [text]))
     return written
 
 
@@ -657,7 +660,7 @@ def _run_stage(config, command, inputs) -> int:
     stamp.unlink(missing_ok=True)
     doc = {"version": __version__, "config": _config_key(config),
            "outputs": command(config)}
-    _write_text(str(stamp), json.dumps(doc, sort_keys=True) + "\n")
+    _write_text(str(stamp), [json.dumps(doc, sort_keys=True) + "\n"])
     return 0
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import wave
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from .errors import (
     TooShortError,
     ZeroPosteriorError,
 )
-from .ingest import FrequencyTable, read_jsonl
+from .ingest import FrequencyTable, is_number, read_jsonl
 
 POSTERIOR_FLOOR = 1e-10
 _SUM_TOL = 1e-6
@@ -38,17 +38,29 @@ class PosteriorFrame:
     t: int
     probs: Mapping[str, float]
 
-    def validate(self) -> "PosteriorFrame":
+    def validate(self, line: int | None = None) -> "PosteriorFrame":
+        def bad(msg):
+            raise SchemaError(msg, line=line)
+
+        if isinstance(self.t, bool) or not isinstance(self.t, int):
+            bad(f"frame index {self.t!r} is not an integer")
         if self.t < 0:
-            raise SchemaError(f"frame index {self.t} is negative")
+            bad(f"frame index {self.t} is negative")
+        if not isinstance(self.probs, Mapping):
+            bad(f"frame {self.t}: 'probs' must be an object")
+        # one C-level type scan; items are looked at only when it fails
+        if not set(map(type, self.probs.values())) <= {int, float}:
+            for state, p in self.probs.items():
+                if not is_number(p):
+                    bad(f"frame {self.t}: P({state!r}) = {p!r} is not a "
+                        f"number")
         total = 0.0
         for state, p in self.probs.items():
             if not 0.0 <= p <= 1.0:
-                raise SchemaError(
-                    f"frame {self.t}: P({state!r}) = {p} outside [0, 1]")
+                bad(f"frame {self.t}: P({state!r}) = {p} outside [0, 1]")
             total += p
         if abs(total - 1.0) > _SUM_TOL:
-            raise SchemaError(f"frame {self.t}: posteriors sum to {total}")
+            bad(f"frame {self.t}: posteriors sum to {total}")
         return self
 
 
@@ -217,7 +229,7 @@ def parse_posterior_frames(stream: Iterable[str]
         for field in ("utterance_id", "t", "probs"):
             if field not in raw:
                 raise SchemaError(f"missing field {field!r}", line=line_no)
-        frame = PosteriorFrame(raw["t"], raw["probs"]).validate()
+        frame = PosteriorFrame(raw["t"], raw["probs"]).validate(line_no)
         frames.setdefault(raw["utterance_id"], []).append(frame)
     for fs in frames.values():
         fs.sort(key=lambda f: f.t)

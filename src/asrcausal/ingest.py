@@ -11,11 +11,14 @@ Formats (all diff-able, hand-editable text):
   and ``edges`` (list of [from, to]);
 * reports: canonical JSON, keys sorted, reals quantized to 6 decimals.
 
-``write_report`` writes a report in one pass with a private encoder that
-quantizes as it emits.  Its bytes are those of ``json.dumps(...,
-sort_keys=True, indent=1)`` on the quantized tree, so readers, golden
-files and digests do not depend on which encoder wrote them, and it
-raises ``IoError`` for exactly the values ``json.dumps`` rejects.
+``report_pieces`` yields a report's text in pieces from one private
+encoder that quantizes as it emits; ``write_report`` joins them.  A
+NumPy array in a report (found by its ``dtype``; this module imports no
+NumPy) is written as its ``tolist()`` would be, one slice at a time.  The
+bytes are those of ``json.dumps(..., sort_keys=True, indent=1)`` on the
+quantized tree, so readers, golden files and digests do not depend on
+which encoder wrote them, and ``IoError`` is raised for exactly the
+values ``json.dumps`` rejects.
 
 Every malformed input raises a typed error naming the offending line or
 field; no partially constructed value ever escapes.  Line-delimited
@@ -28,6 +31,7 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 from dataclasses import dataclass, field
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii as _encode_str
@@ -88,8 +92,7 @@ class UtteranceRecord:
             bad(f"field 'gender' must be one of {GENDERS}")
         for name in ("snr_db", "gop", "vocab_difficulty"):
             value = getattr(self, name)
-            if value is not None and (isinstance(value, bool)
-                                      or not isinstance(value, (int, float))):
+            if value is not None and not is_number(value):
                 bad(f"field {name!r} must be a number")
         if self.gop is not None and self.gop > 0:
             bad("field 'gop' must be <= 0")
@@ -136,10 +139,13 @@ class UtteranceRecord:
         ).validate(line)
 
 
+def is_number(value) -> bool:
+    """True for a JSON number: an int or a float, but not a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _maybe_float(value):
-    if value is None or isinstance(value, bool):
-        return value
-    return float(value) if isinstance(value, (int, float)) else value
+    return float(value) if is_number(value) else value
 
 
 def read_jsonl(stream: Iterable[str]) -> Iterator[tuple[int, dict]]:
@@ -376,6 +382,8 @@ def write_graph_spec(spec: GraphSpec) -> str:
 # --- deterministic report serialization -------------------------------------
 
 _PLACES = 6  # decimals kept for every real in a report
+# Below this magnitude x * 10**_PLACES is finite, so no round overflows.
+_ROUND_SAFE = 1e300
 
 
 def _quantize(value):
@@ -383,15 +391,24 @@ def _quantize(value):
 
     A value that rounds to zero becomes 0.0 (never -0.0).  ``round`` is
     called on the value itself, so a float subclass such as
-    ``np.float64`` rounds with its own ``__round__``.  Anything that is
-    not a float is returned unchanged.
+    ``np.float64`` rounds with its own ``__round__``.  That one scales by
+    10**6 first and overflows to ±inf near the float maximum; there the
+    value itself is kept, as Python's ``round`` keeps it.  Anything that
+    is not a float is returned unchanged.
     """
     if isinstance(value, float):
         if math.isnan(value):
             return None
         if math.isinf(value):
             return value
-        q = round(value, _PLACES)
+        if abs(value) < _ROUND_SAFE:
+            q = round(value, _PLACES)
+        else:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                q = round(value, _PLACES)
+            if math.isinf(q):
+                return value
         return 0.0 if q == 0 else q
     return value
 
@@ -403,18 +420,12 @@ def _quantize(value):
 _FIXED = f"%.{_PLACES}f"
 _FIXED_LO = 1e-4
 _FIXED_HI = 1e9
-_CHUNK = 4096  # list items formatted per %-operation
-
-
-def _chunked(items):
-    """Consecutive slices of ``_CHUNK`` items: formatting a slice at a
-    time keeps the temporaries small next to the text."""
-    return (items[i:i + _CHUNK] for i in range(0, len(items), _CHUNK))
+_CHUNK = 4096  # list items written per piece
 
 
 def _float_list_body(values, sep: str) -> str:
     """``sep``-joined ``float.__repr__`` of each ``_quantize``-d item of
-    ``values``, all of them finite exact floats.
+    ``values``, all of them finite exact floats, by one ``"%.6f"`` format.
 
     ``"%.6f" % x`` and ``round(x, 6)`` take the same correctly rounded
     digits from dtoa mode 3, and ``round`` returns the double nearest
@@ -425,32 +436,27 @@ def _float_list_body(values, sep: str) -> str:
     Every other item (scientific notation, ``-0.0``, more than 15 digits)
     is written one at a time.
     """
-    chunks = []
-    for chunk in _chunked(values):
-        texts = list(map(str.rstrip,
-                         ("\0".join([_FIXED] * len(chunk)) % tuple(chunk))
-                         .split("\0"),
-                         repeat("0")))
-        for i, x in enumerate(chunk):
-            if not _FIXED_LO <= abs(x) < _FIXED_HI:
-                texts[i] = float.__repr__(_quantize(x))
-        # rstrip left "12." where repr writes "12.0"
-        if texts[-1].endswith("."):
-            texts[-1] += "0"
-        chunks.append(sep.join(texts).replace("." + sep, ".0" + sep))
-    return sep.join(chunks)
+    texts = list(map(str.rstrip,
+                     ("\0".join([_FIXED] * len(values)) % tuple(values))
+                     .split("\0"),
+                     repeat("0")))
+    for i, x in enumerate(values):
+        if not _FIXED_LO <= abs(x) < _FIXED_HI:
+            texts[i] = float.__repr__(_quantize(x))
+    # rstrip left "12." where repr writes "12.0"
+    if texts[-1].endswith("."):
+        texts[-1] += "0"
+    return sep.join(texts).replace("." + sep, ".0" + sep)
 
 
 def _int_rows_body(rows, ind: str) -> str:
     """The items of a list of equal-length rows of exact ints, one row
     per line indented by ``ind``, as ``_encode`` lays out nested lists;
-    one %-format per chunk of rows."""
+    one %-format for all of them."""
     sep = "," + ind
     cell = ind + " "
     row = "[" + cell + ("," + cell).join(["%d"] * len(rows[0])) + ind + "]"
-    return sep.join([sep.join([row] * len(chunk))
-                     % tuple(chain.from_iterable(chunk))
-                     for chunk in _chunked(rows)])
+    return sep.join([row] * len(rows)) % tuple(chain.from_iterable(rows))
 
 
 def _scalar(value) -> str:
@@ -473,42 +479,103 @@ def _scalar(value) -> str:
                     f"is not JSON serializable")
 
 
-def _encode(value, ind: str) -> str:
-    """Canonical JSON text of ``value``, whose line is indented by ``ind``.
+# Values written by _scalar, joined to the piece before them rather than
+# given a generator of their own.
+_LEAVES = (str, int, float, type(None))
 
-    ``ind`` is a newline plus one space per nesting level.  Lists of
-    exact ints, of finite exact floats and of equal-length rows of exact
-    ints are each formatted by one join; any other value recurses.
+
+def _encode(value, ind: str) -> Iterator[str]:
+    """Canonical JSON text of ``value``, in pieces, whose line is
+    indented by ``ind``.
+
+    ``ind`` is a newline plus one space per nesting level.  A list, tuple
+    or NumPy array (told by its ``dtype``; a NumPy scalar has ``ndim`` 0
+    and is a scalar here) is written one ``_CHUNK`` slice at a time by
+    ``_items``.
     """
-    if isinstance(value, float):
-        return _scalar(_quantize(value))
     if isinstance(value, dict):
         named = {str(k): v for k, v in value.items()}
         if not named:
-            return "{}"
+            yield "{}"
+            return
         inner = ind + " "
-        return "{" + inner + ("," + inner).join(
-            [_encode_str(k) + ": " + _encode(named[k], inner)
-             for k in sorted(named)]) + ind + "}"
-    if not isinstance(value, (list, tuple)):
-        return _scalar(value)
-    if not value:
-        return "[]"
-    inner = ind + " "
-    sep = "," + inner
-    kinds = set(map(type, value))
+        lead = "{" + inner
+        for key in sorted(named):
+            item = named[key]
+            head = lead + _encode_str(key) + ": "
+            if isinstance(item, _LEAVES):
+                yield head + _scalar(_quantize(item))
+            else:
+                yield head
+                yield from _encode(item, inner)
+            lead = "," + inner
+        yield ind + "}"
+    elif (isinstance(value, (list, tuple))
+          or hasattr(value, "dtype") and value.ndim):
+        if not len(value):
+            yield "[]"
+            return
+        inner = ind + " "
+        lead = "[" + inner
+        for i in range(0, len(value), _CHUNK):
+            yield lead
+            yield from _items(value[i:i + _CHUNK], inner)
+            lead = "," + inner
+        yield ind + "]"
+    else:
+        yield _scalar(_quantize(value))
+
+
+def _items(chunk, ind: str) -> Iterator[str]:
+    """The items of one list slice, ``","``-separated, each on a line
+    indented by ``ind``.
+
+    An array slice is written as its ``tolist()``; an integer 2-D one
+    goes to ``_int_rows_body`` with no scan of its item types.  Slices of
+    exact ints, of finite exact floats and of equal-length rows of exact
+    ints are each formatted by one join; any other item recurses.
+    """
+    if hasattr(chunk, "dtype"):
+        if chunk.ndim == 2 and chunk.dtype.kind in "iu" and chunk.shape[1]:
+            yield _int_rows_body(chunk.tolist(), ind)
+            return
+        chunk = chunk.tolist()
+    sep = "," + ind
+    kinds = set(map(type, chunk))
     if kinds == {int}:
-        body = sep.join(map(int.__repr__, value))
-    elif kinds == {float} and math.isfinite(sum(value)):
+        yield sep.join(map(int.__repr__, chunk))
+    elif kinds == {float} and math.isfinite(sum(chunk)):
         # A finite sum means every item is finite: one non-finite item
         # makes the sum inf or NaN.
-        body = _float_list_body(value, sep)
-    elif (kinds == {list} and len(set(map(len, value))) == 1
-          and set(map(type, chain.from_iterable(value))) == {int}):
-        body = _int_rows_body(value, inner)
+        yield _float_list_body(chunk, sep)
+    elif (kinds == {list} and len(set(map(len, chunk))) == 1
+          and set(map(type, chain.from_iterable(chunk))) == {int}):
+        yield _int_rows_body(chunk, ind)
     else:
-        body = sep.join([_encode(v, inner) for v in value])
-    return "[" + inner + body + ind + "]"
+        lead = ""
+        for item in chunk:
+            if isinstance(item, _LEAVES):
+                yield lead + _scalar(_quantize(item))
+            else:
+                yield lead
+                yield from _encode(item, ind)
+            lead = sep
+
+
+def report_pieces(report) -> Iterator[str]:
+    """The text of ``write_report(report)`` as consecutive pieces.
+
+    No piece holds more than one ``_CHUNK`` slice of a list, and an
+    array's items are formatted from one slice's ``tolist()`` at a time,
+    so writing the pieces out one by one holds neither the whole text
+    nor a list copy of an array.  A value that ``write_report`` rejects
+    raises ``IoError`` when it is reached, after the pieces before it.
+    """
+    try:
+        yield from _encode(report, "\n")
+    except (TypeError, ValueError) as exc:
+        raise IoError(f"report not serializable: {exc}") from None
+    yield "\n"
 
 
 def write_report(report) -> str:
@@ -517,24 +584,22 @@ def write_report(report) -> str:
     Canonical JSON, keys in sorted order, reals quantized to 6 decimals
     (round-trips exactly for pre-quantized values).  The text is
     byte-identical to ``json.dumps(q, sort_keys=True, indent=1) + "\\n"``,
-    where ``q`` is ``report`` with every dict key made ``str(key)``,
-    every tuple a list and every float ``_quantize``-d; a value that
-    expression rejects raises ``IoError``.  It is written in one pass
-    that quantizes as it emits, with no quantized copy and no per-token
-    chunks.  Lists of exact ints are formatted by one join.  Lists of
-    finite exact floats are formatted by one ``"%.6f"`` per chunk of
-    items, less trailing zeros: that is exact because ``"%.6f"`` and
+    where ``q`` is ``report`` with every NumPy array (``ndim >= 1``) made
+    its ``tolist()``, every dict key ``str(key)``, every tuple a list and
+    every float ``_quantize``-d; a value that expression rejects raises
+    ``IoError``.  It is the join of ``report_pieces``, which quantizes as
+    it emits, with no quantized copy.  Lists are formatted one
+    ``_CHUNK`` slice at a time.  A slice of exact ints is formatted by
+    one join.  A slice of finite exact floats is formatted by one
+    ``"%.6f"``, less trailing zeros: that is exact because ``"%.6f"`` and
     ``round(x, 6)`` share dtoa's correctly rounded digits, and for
     ``1e-4 <= |x| < 1e9`` those (at most 15 significant) digits in fixed
     notation are what ``repr`` prints for the rounded value.  Items
     outside that band (scientific notation, ``-0.0``) take
-    ``repr(_quantize(x))`` one at a time.  Equal-length rows of exact
-    ints are formatted by one ``%d`` template per chunk of rows.
+    ``repr(_quantize(x))`` one at a time.  A slice of equal-length rows
+    of exact ints is formatted by one ``%d`` template.
     """
-    try:
-        return _encode(report, "\n") + "\n"
-    except (TypeError, ValueError) as exc:
-        raise IoError(f"report not serializable: {exc}") from None
+    return "".join(report_pieces(report))
 
 
 def parse_report(text: str):

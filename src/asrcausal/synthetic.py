@@ -36,7 +36,7 @@ from .causal import (
     marginal,
 )
 from .errors import InvalidSpecError, NotNormalizedError, SchemaError
-from .ingest import GraphSpec, parse_graph_spec, write_graph_spec
+from .ingest import GraphSpec, is_number, parse_graph_spec, write_graph_spec
 
 
 @dataclass(frozen=True)
@@ -416,20 +416,40 @@ def parse_scm_spec(text: str) -> ScmSpec:
     for key in ("graph", "seed", "n", "tables"):
         if key not in doc:
             raise InvalidSpecError(f"SCM spec missing {key!r}")
+    for key in ("seed", "n"):
+        if isinstance(doc[key], bool) or not isinstance(doc[key], int):
+            raise InvalidSpecError(f"SCM spec {key!r} must be an integer")
+    for key in ("tables", "emitters"):
+        if not isinstance(doc.get(key, {}), dict):
+            raise InvalidSpecError(f"SCM spec {key!r} must be an object")
     graph = CausalGraph(parse_graph_spec(json.dumps(doc["graph"])))
     tables = {}
     for node in graph.nodes:
         if node not in doc["tables"]:
             raise InvalidSpecError(f"no table for node {node!r}")
         entries = doc["tables"][node]
+        if not isinstance(entries, dict):
+            raise InvalidSpecError(f"table for {node!r} must be an object")
         probs = {}
         for key, vec in entries.items():
+            if not _numbers(vec):
+                raise InvalidSpecError(f"table for {node!r}, config "
+                                       f"{key!r}: probabilities must be a "
+                                       f"list of numbers")
             config = tuple(key.split(_CFG_SEP)) if key else ()
             probs[config] = vec
         tables[node] = exact_table(graph, node, probs)
     emitters = {}
     for node, entry in doc.get("emitters", {}).items():
+        if not (isinstance(entry, dict) and _numbers(entry.get("means"))
+                and is_number(entry.get("spread"))):
+            raise InvalidSpecError(f"emitter for {node!r} needs a list of "
+                                   f"numbers 'means' and a number 'spread'")
         emitters[node] = EffectEmitter(tuple(entry["means"]),
                                        float(entry["spread"]))
-    return ScmSpec(graph, tables, seed=int(doc["seed"]), n=int(doc["n"]),
+    return ScmSpec(graph, tables, seed=doc["seed"], n=doc["n"],
                    emitters=emitters).validate()
+
+
+def _numbers(value) -> bool:
+    return isinstance(value, list) and all(map(is_number, value))

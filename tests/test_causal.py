@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from asrcausal import causal, cli, synthetic
+from asrcausal import causal, cli, ingest, synthetic
 from asrcausal.causal import (
     CausalGraph,
     DiscreteDataset,
@@ -86,8 +86,10 @@ class TestDiscreteDataset:
 
     def test_document_with_no_rows(self):
         doc = dataset_xy([]).to_document()
-        assert doc["rows"] == []
-        assert len(DiscreteDataset.from_document(doc)) == 0
+        assert doc["rows"].shape == (0, 2)
+        written = ingest.parse_report(ingest.write_report(doc))
+        assert written["rows"] == []
+        assert len(DiscreteDataset.from_document(written)) == 0
 
     @pytest.mark.parametrize("rows, continuous", [
         ([[0, 1], [1]], {}),
@@ -663,7 +665,7 @@ class TestEstimatorEdgeCases:
         snr["categories"].append("Extreme")
         j = [v["name"] for v in doc["variables"]].index("SNR")
         doc["rows"][7][j] = 3
-        (tmp_path / "d.json").write_text(json.dumps(doc))
+        (tmp_path / "d.json").write_text(ingest.write_report(doc))
         monkeypatch.chdir(tmp_path)
         assert cli.main(command) == 1
         error = json.loads(capsys.readouterr().err.splitlines()[-1])

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 import wave
 from pathlib import Path
 
@@ -150,6 +151,37 @@ class TestSynth:
         assert diagnostic["error"] == "E_INVALID_SPEC"
 
 
+    @pytest.mark.parametrize("edit", [
+        {"tables": [1]},
+        {"tables": {"X": [1]}},
+        {"table": ("X", ["a", "b", "c"])},
+        {"table": ("Y", [True, False, False])},
+        {"emitters": {"Y": {"spread": 1.0}}},
+        {"emitters": {"Y": {"means": [1.0, 2.0, 3.0], "spread": "x"}}},
+        {"emitters": [1]},
+        {"seed": "7"},
+        {"seed": 1.5},
+        {"n": "a"},
+        {"n": True},
+    ], ids=["tables-list", "table-list", "string-probs", "bool-probs",
+            "emitter-no-means", "emitter-string-spread", "emitters-list",
+            "string-seed", "float-seed", "string-n", "bool-n"])
+    def test_mistyped_spec_is_e_invalid_spec(self, tmp_path, capsys, edit):
+        from asrcausal import synthetic
+        doc = json.loads(synthetic.write_scm_spec(synthetic.copy_chain_spec()))
+        if "table" in edit:
+            node, vec = edit.pop("table")
+            key = next(iter(doc["tables"][node]))
+            doc["tables"][node][key] = vec
+        doc.update(edit)
+        spec_path = tmp_path / "scm.json"
+        spec_path.write_text(json.dumps(doc))
+        assert run_cli("synth", "--spec", str(spec_path), "--n", "20",
+                       "--out", str(tmp_path / "d.json")) == 1
+        diagnostic = json.loads(capsys.readouterr().err.strip())
+        assert diagnostic["error"] == "E_INVALID_SPEC"
+
+
 class TestMalformedDataset:
     @pytest.mark.parametrize("bad_row", [[0, 1], ["a", "b", "c"], [0.7, 0, 1]],
                              ids=["ragged", "string-codes", "float-code"])
@@ -235,6 +267,37 @@ class TestCovariates:
         with open(out) as fh:
             (record,) = ingest.parse_utterances(fh)
         assert record.gop == pytest.approx(np.log(0.25), abs=1e-9)
+
+    @pytest.mark.parametrize("frame", [
+        {"t": "a", "probs": {"p_s": 1.0}},
+        {"t": 0.5, "probs": {"p_s": 1.0}},
+        {"t": True, "probs": {"p_s": 1.0}},
+        {"t": 1, "probs": [1.0]},
+        {"t": 1, "probs": {"p_s": "1"}},
+        {"t": 1, "probs": {"p_s": True}},
+        {"t": 1, "probs": {"p_s": None}},
+    ], ids=["string-t", "float-t", "bool-t", "list-probs", "string-prob",
+            "bool-prob", "null-prob"])
+    def test_mistyped_posterior_frame_is_e_schema(self, tmp_path, capsys,
+                                                  frame):
+        rec = {"id": "u1", "speaker_id": "s", "reference": "hi",
+               "hypotheses": {"m": "hi"}}
+        (tmp_path / "r.jsonl").write_text(json.dumps(rec) + "\n")
+        (tmp_path / "inv.json").write_text('{"p": ["p_s"]}')
+        (tmp_path / "seg.jsonl").write_text(json.dumps(
+            {"utterance_id": "u1", "phone": "p", "t_s": 0, "t_e": 2}))
+        lines = [{"utterance_id": "u1", "t": 0, "probs": {"p_s": 1.0}},
+                 {"utterance_id": "u1", **frame}]
+        (tmp_path / "post.jsonl").write_text(
+            "".join(json.dumps(line) + "\n" for line in lines))
+        assert run_cli("covariates", "--in", str(tmp_path / "r.jsonl"),
+                       "--out", str(tmp_path / "c.jsonl"),
+                       "--posteriors", str(tmp_path / "post.jsonl"),
+                       "--segments", str(tmp_path / "seg.jsonl"),
+                       "--inventory", str(tmp_path / "inv.json")) == 1
+        diagnostic = json.loads(capsys.readouterr().err.strip())
+        assert diagnostic["error"] == "E_SCHEMA"
+        assert diagnostic["message"].startswith("line 2: ")
 
     def test_snr_from_wav(self, tmp_path):
         rec = {"id": "clip", "speaker_id": "s", "reference": "hi",
@@ -365,7 +428,7 @@ class TestPipeline:
         gop = [v["name"] for v in doc["variables"]].index("GoP")
         doc["variables"][gop]["categories"].append("Extra")
         doc["rows"][0][gop] = 3
-        (tmp_path / "d.json").write_text(json.dumps(doc))
+        (tmp_path / "d.json").write_text(ingest.write_report(doc))
         assert run_cli("fit", "--in", str(tmp_path / "d.json"),
                        "--out", str(tmp_path / "cpts.json")) == 1
         diagnostic = json.loads(capsys.readouterr().err.strip())
@@ -435,7 +498,7 @@ def relabelled_dataset(path, node, categories):
     doc["variables"][j]["categories"] = categories
     for row in doc["rows"]:
         row[j] = min(row[j], len(categories) - 1)
-    path.write_text(json.dumps(doc))
+    path.write_text(ingest.write_report(doc))
 
 
 class TestCategoryContract:
@@ -697,7 +760,7 @@ class TestAtomicWrite:
         out.write_text("previous\n")
         # a lone surrogate fails to encode after the file is opened
         with pytest.raises(UnicodeEncodeError):
-            cli._write_text(str(out), "x" * 100_000 + "\ud800")
+            cli._write_text(str(out), ["x" * 100_000, "\ud800"])
         assert out.read_text() == "previous\n"
         assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
 
@@ -710,9 +773,54 @@ class TestAtomicWrite:
         out.write_text("previous\n")
         monkeypatch.setattr(cli.os, "replace", no_space)
         with pytest.raises(IoError):
-            cli._write_text(str(out), "new\n")
+            cli._write_text(str(out), ["new\n"])
         assert out.read_text() == "previous\n"
         assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
+
+    def test_unserializable_value_mid_stream_is_e_io(self, tmp_path,
+                                                     monkeypatch, capsys):
+        from asrcausal import synthetic
+        argv = ["synth", "--spec", "paper-shaped", "--n", "300", "--seed",
+                "2", "--out", str(tmp_path / "d.json"),
+                "--truths", str(tmp_path / "t.json")]
+        assert run_cli(*argv) == 0
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        last_edge = synthetic.paper_shaped_spec().graph.edges[-1]
+        true_cmi = synthetic.true_cmi
+
+        def cmi_with_a_set_last(spec, cause, effect, others):
+            if (cause, effect) == last_edge:
+                return {1, 2}
+            return true_cmi(spec, cause, effect, others)
+
+        monkeypatch.setattr(synthetic, "true_cmi", cmi_with_a_set_last)
+        assert run_cli(*argv, "--force") == 1
+        diagnostic = json.loads(capsys.readouterr().err.strip())
+        assert diagnostic["error"] == "E_IO"
+        assert "not serializable" in diagnostic["message"]
+        after = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        assert not [name for name in after if name.endswith(".tmp")]
+        assert after["t.json"] == before["t.json"]
+        assert after["d.json"] == before["d.json"]
+
+    def test_streamed_dataset_peaks_below_half_its_size(self, tmp_path):
+        from asrcausal import synthetic
+        data = synthetic.generate(
+            synthetic.paper_shaped_spec(n=50_000, seed=3))
+        doc = data.to_document()
+        out = tmp_path / "data.json"
+        tracemalloc.start()
+        try:
+            cli._write_text(str(out), ingest.report_pieces(doc))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = out.stat().st_size
+        assert peak < size / 2, (peak, size)
+        as_lists = {**doc, "rows": data.codes.tolist(),
+                    "continuous": {k: v.tolist()
+                                   for k, v in doc["continuous"].items()}}
+        assert out.read_text() == ingest.write_report(as_lists)
 
 
 PROBE = """

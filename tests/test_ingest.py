@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from collections import OrderedDict
 
 import numpy as np
@@ -196,13 +197,21 @@ class TestWriteReport:
 
 def ref_quantize(obj, places: int = 6):
     """The tree quantizer ``write_report`` used before its single-pass
-    encoder; with ``json.dumps`` it is the reference for the bytes."""
+    encoder; with ``json.dumps`` it is the reference for the bytes.
+
+    ``np.float64.__round__`` overflows to inf (and warns) near the float
+    maximum; the value itself is kept there, as Python's ``round`` keeps
+    it."""
     if isinstance(obj, float):
         if math.isnan(obj):
             return None
         if math.isinf(obj):
             return obj
-        q = round(obj, places)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            q = round(obj, places)
+        if math.isinf(q):
+            return obj
         return 0.0 if q == 0 else q
     if isinstance(obj, dict):
         return {str(k): ref_quantize(v, places) for k, v in obj.items()}
@@ -239,13 +248,8 @@ _TREES = st.recursive(_LEAVES, lambda children: st.one_of(
 ), max_leaves=20)
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 class TestReportEncoder:
-    """``write_report`` against ``json.dumps(ref_quantize(x), ...)``.
-
-    ``np.float64.__round__`` overflows to inf near the float maximum and
-    warns; both sides do the same.
-    """
+    """``write_report`` against ``json.dumps(ref_quantize(x), ...)``."""
 
     @settings(max_examples=400, deadline=None)
     @given(_TREES)
@@ -267,6 +271,14 @@ class TestReportEncoder:
     ])
     def test_edge_cases_match_reference(self, report):
         assert ingest.write_report(report) == reference_report(report)
+
+    @pytest.mark.parametrize("value", [1.7976931348623157e308, -1.7e308])
+    def test_float64_near_the_maximum_stays_finite(self, value):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            text = ingest.write_report([np.float64(value)])
+        assert text == ingest.write_report([value])
+        assert "Infinity" not in text
 
     @pytest.mark.parametrize("bad", [np.int64(3), {1, 2}, object(),
                                      10 ** 5000],
@@ -331,6 +343,75 @@ class TestBulkListEncoding:
     def test_int_rows_match_reference(self, rows):
         for report in (rows, {"rows": rows}):
             assert ingest.write_report(report) == reference_report(report)
+
+
+def streamed(report) -> str:
+    return "".join(ingest.report_pieces(report))
+
+
+_LENGTHS = [0, 1, 4095, 4096, 4097, 2 * 4096 + 1]
+
+
+class TestArrayEncoding:
+    """A NumPy array in a report is written as its ``tolist()`` would be,
+    by ``report_pieces`` and by ``write_report`` alike."""
+
+    @staticmethod
+    def check(report, as_lists):
+        expected = reference_report(as_lists)
+        assert streamed(report) == expected
+        assert ingest.write_report(report) == expected
+
+    @pytest.mark.parametrize("n", _LENGTHS)
+    def test_dataset_arrays_by_length(self, n):
+        rng = np.random.default_rng(n)
+        codes = rng.integers(-3, 11, size=(n, 9))
+        values = rng.normal(0.0, 30.0, size=n)
+        self.check({"rows": codes, "continuous": {"x": values}},
+                   {"rows": codes.tolist(),
+                    "continuous": {"x": values.tolist()}})
+        self.check(codes, codes.tolist())
+        self.check(values, values.tolist())
+
+    def test_float_array_with_special_values(self):
+        ties = [(k + 0.5) / 1e6 for k in (0, 1, 12345, -7, 10 ** 9)]
+        special = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-7, -5e-7,
+                   1e-5, 9.99e-5, 1e9, -2.5e12, 1.7976931348623157e308,
+                   5e-324, 0.1 + 0.2]
+        for values in (special, ties, [math.nextafter(t, math.inf)
+                                       for t in ties]):
+            array = np.array(values * 1500)  # spans three slices
+            self.check(array, array.tolist())
+            self.check({"c": array}, {"c": array.tolist()})
+
+    def test_bool_array_is_written_as_booleans(self):
+        flags = np.array([True, False, True])
+        self.check({"flags": flags}, {"flags": [True, False, True]})
+        assert "true" in streamed(flags)
+        grid = np.array([[True, False], [False, True]])
+        self.check(grid, grid.tolist())
+
+    @pytest.mark.parametrize("shape", [(0, 9), (0, 0), (3, 0)])
+    def test_empty_code_arrays(self, shape):
+        codes = np.zeros(shape, dtype=np.int64)
+        self.check({"rows": codes}, {"rows": codes.tolist()})
+
+    def test_other_dtypes(self):
+        for array in (np.arange(5, dtype=np.uint64).reshape(5, 1) + 2 ** 63,
+                      np.arange(6, dtype=np.int8).reshape(2, 3),
+                      np.linspace(0, 1, 7, dtype=np.float32),
+                      np.arange(8).reshape(2, 2, 2)):
+            self.check(array, array.tolist())
+
+    def test_unserializable_array_raises_io_error(self):
+        with pytest.raises(IoError, match="report not serializable"):
+            ingest.write_report({"z": np.array([1j, 2j])})
+
+    def test_pieces_stay_small(self):
+        codes = np.zeros((10 * ingest._CHUNK, 9), dtype=np.int64)
+        text = ingest.write_report({"rows": codes})
+        longest = max(map(len, ingest.report_pieces({"rows": codes})))
+        assert longest * 9 < len(text)
 
 
 class TestEmitPlotData:

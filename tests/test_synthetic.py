@@ -5,7 +5,7 @@ from statistics import NormalDist
 import numpy as np
 import pytest
 
-from asrcausal import causal, synthetic
+from asrcausal import causal, ingest, synthetic
 from asrcausal.causal import CausalGraph
 from asrcausal.errors import (
     InvalidSpecError,
@@ -60,7 +60,8 @@ class TestGenerate:
         assert np.array_equal(a.codes, b.codes)
         for name in a.continuous:
             assert np.array_equal(a.continuous[name], b.continuous[name])
-        assert a.to_document() == b.to_document()
+        assert (ingest.write_report(a.to_document())
+                == ingest.write_report(b.to_document()))
 
     def test_different_seed_differs(self):
         spec = chain_spec(n=500)
