@@ -37,12 +37,15 @@ quantities are in nats.
 from __future__ import annotations
 
 import itertools
+import json
 import math
+import warnings
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
+from . import ingest
 from .errors import (
     EmptyStratumError,
     IncompleteAssignmentError,
@@ -182,11 +185,10 @@ class DiscreteDataset:
     @classmethod
     def from_document(cls, doc: dict) -> "DiscreteDataset":
         """Read a dataset document.  ``rows`` must be equal-length lists
-        of JSON integers and each continuous column a list of numbers."""
+        of JSON integers and each continuous column a list of numbers;
+        a bool in either is SchemaError."""
         try:
-            variables = [v["name"] for v in doc["variables"]]
-            categories = {v["name"]: list(v["categories"])
-                          for v in doc["variables"]}
+            variables, categories = _variables_of(doc["variables"])
             rows = doc["rows"]
             continuous = doc.get("continuous", {}).items()
         except (KeyError, TypeError, AttributeError) as exc:
@@ -201,17 +203,275 @@ class DiscreteDataset:
                                f"continuous column {name!r} must hold numbers")
             for name, values in continuous})
 
+    @classmethod
+    def from_bytes(cls, data: bytes) -> "DiscreteDataset":
+        """Read a dataset file's bytes.
+
+        A file in the layout ``ingest.write_report`` gives ``to_document()``
+        is read straight into arrays (``_canonical_dataset``).  Any other
+        text is read by ``ingest.parse_report`` and ``from_document``,
+        with their errors; bytes that are not UTF-8 are SchemaError.
+        Both give equal datasets for the same document.
+        """
+        dataset = _canonical_dataset(data)
+        if dataset is not None:
+            return dataset
+        try:
+            text = data.decode()
+        except UnicodeDecodeError as exc:
+            raise SchemaError(f"invalid JSON: {exc.reason}") from None
+        return cls.from_document(ingest.parse_report(text))
+
+
+def _variables_of(entries) -> tuple[list[str], dict[str, list[str]]]:
+    """Names, in order, and categories of a document's ``variables``."""
+    return ([v["name"] for v in entries],
+            {v["name"]: list(v["categories"]) for v in entries})
+
 
 def _typed_array(values, kinds: str, message: str) -> np.ndarray:
     """``np.array(values)``, raising SchemaError(message) when it is
-    ragged or, unless empty, has a dtype kind outside ``kinds``."""
+    ragged, has (unless empty) a dtype kind outside ``kinds``, or holds a
+    bool, which NumPy would read as an integer."""
     try:
         array = np.array(values)
     except ValueError:
         raise SchemaError(message) from None
     if array.size and array.dtype.kind not in kinds:
         raise SchemaError(message)
+    items = values
+    for _ in range(array.ndim - 1):
+        items = itertools.chain.from_iterable(items)
+    if array.ndim and bool in set(map(type, items)):
+        raise SchemaError(message)
     return array
+
+
+# --- canonical dataset files ---------------------------------------------------
+#
+# ``ingest.write_report`` writes ``DiscreteDataset.to_document()`` as
+#
+#   {\n "continuous": {\n  "<name>": [\n   <float>,\n   ...\n  ],\n  ...\n },
+#   \n "rows": [\n  [\n   <code>,\n   ...\n  ],\n  ...\n ],
+#   \n "variables": [...]\n}\n
+#
+# (an empty list or object as "[]" or "{}").  ``_canonical_dataset``
+# reads that layout with one ``np.fromstring`` per number section and
+# hands everything else to the general reader.
+
+_HEAD = b'{\n "continuous": '
+_ROWS_KEY = b',\n "rows": '
+_VARIABLES_KEY = b',\n "variables": '
+_TAIL = b"\n}\n"
+_DIGITS = b"0123456789"
+_NUMBER_CHARS = _DIGITS + b".eE+-"
+_NUMBER_SEP = b",\n   "  # between two numbers of a continuous column
+_BLOCK_BYTES = 1 << 18  # skeleton bytes compared at a time
+# Byte classes of a continuous column: 0, 1-9, ".", exponent, "+", "-"
+# and separator (",", newline, space).  A pair of adjacent classes (a, b)
+# is the byte a << 3 | b: _NUMBER_PAIRS holds the pairs JSON numbers
+# allow, and _LEADING_ZEROS the runs of pairs of an integer part that
+# starts with 0 and goes on with a digit.
+_ZERO, _DIGIT, _DOT, _EXP, _PLUS, _MINUS, _SEP = range(7)
+_CLASSES = bytes.maketrans(_NUMBER_CHARS + b",\n ",
+                           bytes([_ZERO] + [_DIGIT] * 9
+                                 + [_DOT, _EXP, _EXP, _PLUS, _MINUS]
+                                 + [_SEP] * 3))
+
+
+def _pairs(*classes: int) -> bytes:
+    """One byte per adjacent pair in a run of classes."""
+    return bytes(a << 3 | b for a, b in zip(classes, classes[1:]))
+
+
+_NUMBER_PAIRS = b"".join(
+    _pairs(a, b) for a, b in itertools.chain(
+        itertools.product((_ZERO, _DIGIT),
+                          (_ZERO, _DIGIT, _DOT, _EXP, _SEP)),
+        itertools.product((_DOT, _PLUS, _MINUS), (_ZERO, _DIGIT)),
+        itertools.product((_EXP,), (_ZERO, _DIGIT, _PLUS, _MINUS)),
+        itertools.product((_SEP,), (_ZERO, _DIGIT, _MINUS, _SEP))))
+_LEADING_ZEROS = tuple(_pairs(*start, _ZERO, digit)
+                       for start in ((_SEP,), (_SEP, _MINUS))
+                       for digit in (_ZERO, _DIGIT))
+
+
+def _canonical_dataset(data: bytes) -> DiscreteDataset | None:
+    """The dataset ``data`` holds when it is in the layout above, else
+    None.
+
+    A dataset is returned only when ``from_document(json.loads(data))``
+    returns an equal one: every number section must be proven canonical
+    (``_canonical_codes``, ``_canonical_column``), the ``variables`` go
+    through ``json`` and ``_variables_of``, and a dataset the constructor
+    rejects is None too, so the general reader raises its error.
+    """
+    if not (data.startswith(_HEAD) and data.endswith(_TAIL)):
+        return None
+    variables_at = data.rfind(_VARIABLES_KEY)
+    try:
+        variables, categories = _variables_of(json.loads(
+            data[variables_at + len(_VARIABLES_KEY):-len(_TAIL)].decode()))
+    except (ValueError, KeyError, TypeError, AttributeError):
+        return None
+    found = _canonical_continuous(data, len(_HEAD))
+    if found is None:
+        return None
+    continuous, rows_at = found
+    if not (data.startswith(_ROWS_KEY, rows_at) and rows_at < variables_at):
+        return None
+    codes = _canonical_codes(data, rows_at + len(_ROWS_KEY), variables_at,
+                             len(variables))
+    if codes is None:
+        return None
+    try:
+        return DiscreteDataset(variables, categories, codes, continuous)
+    except SchemaError:
+        return None
+
+
+def _numbers(text: bytes, dtype) -> np.ndarray | None:
+    """``np.fromstring(text, dtype, sep=",")``, or None when an item is
+    not read to its end (a ValueError, or a DeprecationWarning before
+    NumPy 2)."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DeprecationWarning)
+        try:
+            return np.fromstring(text, dtype=dtype, sep=",")
+        except (ValueError, DeprecationWarning):
+            return None
+
+
+def _canonical_codes(data: bytes, start: int, end: int, k: int
+                     ) -> np.ndarray | None:
+    """The (n, k) codes of the canonical ``rows`` list at
+    ``data[start:end]``, else None.
+
+    Without its digits the list must be the skeleton of n rows of k
+    items, so each code is a run of digits.  The runs must number n * k,
+    and their digits must be exactly those of the codes' decimal forms,
+    so no code has a leading zero.  A code past int64 saturates, has
+    fewer digits than its text and is refused too.
+    """
+    section = data[start:end]
+    if section == b"[]":
+        return np.zeros((0, k), dtype=np.int64)
+    if not k:
+        return None
+    row = b"  [\n" + b"   ,\n" * (k - 1) + b"   \n  ]"
+    skeleton = section.translate(None, _DIGITS)
+    n, rest = divmod(len(skeleton) - 3, len(row) + 2)
+    # "[\n", n - 1 times row + ",\n", compared a block of rows at a time,
+    # then the last row and "\n ]"
+    period = row + b",\n"
+    block = period * max(1, _BLOCK_BYTES // len(period))
+    last = len(skeleton) - len(row) - 3
+    if (rest or n < 1 or not skeleton.startswith(b"[\n")
+            or not skeleton.endswith(row + b"\n ]")
+            or not all(skeleton.startswith(block[:last - at], at)
+                       for at in range(2, last, len(block)))):
+        return None
+    digits = len(section) - len(skeleton)
+    del skeleton
+    # the codes, one comma between each two
+    text = section.translate(None, b"[] \n")
+    del section
+    codes = _numbers(text, np.int64)
+    if (codes is None or codes.size != n * k
+            or digits != _decimal_digits(codes)):
+        return None
+    return codes.reshape(n, k)
+
+
+def _decimal_digits(values: np.ndarray) -> int:
+    """The number of digits in the decimal forms of non-negative
+    ``values``."""
+    digits = values.size
+    if digits:
+        top, power = int(values.max()), 10
+        while power <= top:
+            digits += int(np.count_nonzero(values >= power))
+            power *= 10
+    return digits
+
+
+def _canonical_continuous(data: bytes, at: int
+                          ) -> tuple[dict[str, np.ndarray], int] | None:
+    """The columns of the canonical ``continuous`` object at ``data[at:]``,
+    in file order, and the index just past it; else None.  Names must be
+    sorted and distinct."""
+    if data.startswith(b"{}", at):
+        return {}, at + 2
+    if not data.startswith(b"{\n", at):
+        return None
+    columns: dict[str, np.ndarray] = {}
+    at += 2
+    while True:
+        # a name line, '  "<name>": [' or '  "<name>": []', then the items
+        line_end = data.find(b"\n", at)
+        line = data[at:line_end]
+        if line.endswith(b": [") and data.startswith(b"\n   ", line_end):
+            close = data.find(b"\n  ]", line_end)
+            values = (None if close < 0 else
+                      _canonical_column(data[line_end + 4:close]))
+            after = close + 4
+        elif line.endswith((b": []", b": [],")):
+            values = np.zeros(0)
+            after = line_end - line.endswith(b",")
+        else:
+            return None
+        if values is None or not line.startswith(b'  "'):
+            return None
+        try:
+            name = json.loads(line[2:line.rindex(b": [")].decode())
+        except ValueError:
+            return None
+        if not isinstance(name, str) or (
+                columns and name <= next(reversed(columns))):
+            return None
+        columns[name] = values
+        if data.startswith(b"\n }", after):
+            return columns, after + 3
+        if not data.startswith(b",\n", after):
+            return None
+        at = after + 2
+
+
+def _canonical_column(items: bytes) -> np.ndarray | None:
+    """The floats of a canonical continuous column's items (the text
+    between ``[\\n   `` and ``\\n  ]``), else None.
+
+    The items must be tokens joined by ``",\\n   "``, each a JSON number
+    with a fraction or an exponent, which ``json`` reads as
+    ``float(token)``, as ``np.fromstring`` does.  The checks:
+
+    * without its number characters the text is the separators;
+    * without digits, no token is "" or "-" (an integer);
+    * every adjacent pair of bytes, each read as its class in
+      ``_CLASSES`` and every token between separators, is one that JSON
+      numbers allow (``_NUMBER_PAIRS``), and no integer part has a
+      leading zero (``_LEADING_ZEROS``);
+    * ``np.fromstring`` reads each token to its end, so no token holds
+      a second fraction or exponent.
+    """
+    separators = items.translate(None, _NUMBER_CHARS)
+    n = len(separators) // len(_NUMBER_SEP) + 1
+    if separators != _NUMBER_SEP * (n - 1):
+        return None
+    shapes = b"," + items.translate(None, _DIGITS + b"\n ") + b","
+    if b",," in shapes or b",-," in shapes:
+        return None
+    # byte classes, every token between separators, then one byte per
+    # adjacent pair of classes
+    x = np.frombuffer((b"   " + items + b",").translate(_CLASSES), np.uint8)
+    pairs = ((x[:-1] << 3) | x[1:]).tobytes()
+    if (pairs.translate(None, _NUMBER_PAIRS)
+            or any(zero in pairs for zero in _LEADING_ZEROS)):
+        return None
+    values = _numbers(items, np.float64)
+    if values is None or values.size != n:
+        return None
+    return values
 
 
 @dataclass
@@ -568,32 +828,37 @@ def _ace_from_data(graph: CausalGraph, data: DiscreteDataset, treatment: str,
     _check_categories(graph, data, family if effect in data.continuous
                       or effect not in graph.nodes else (*family, effect))
     counts, moments = count_tensors(data, family, [effect])
-    return _ace_from_counts(counts, moments[effect], treatment, adjust,
-                            _arms(graph, treatment, lo, hi), on_empty)
+    return _ace_from_counts(counts, moments[effect], treatment, effect,
+                            adjust, _arms(graph, treatment, lo, hi), on_empty)
 
 
 def _ace_from_counts(counts: np.ndarray, moment: np.ndarray, treatment: str,
-                     adjust: Sequence[str], arms, on_empty: str) -> float:
-    """Backdoor ACE from the count (or probability mass) and outcome-moment
-    tables with axes (adjust..., treatment); ``arms`` as ``_arms`` gives
-    them."""
+                     effect: str, adjust: Sequence[str], arms,
+                     on_empty: str) -> float:
+    """Backdoor ACE of ``treatment`` on ``effect`` from the count (or
+    probability mass) and outcome-moment tables with axes (adjust...,
+    treatment); ``arms`` as ``_arms`` gives them.  EmptyStratumError
+    names the edge, the empty arm and level, and the strata counted."""
     n_cfg = counts.size // counts.shape[-1]
     counts = counts.reshape(n_cfg, -1)
     moment = moment.reshape(n_cfg, -1)
     z_counts = counts.sum(axis=1).astype(np.float64)
     diffs = np.zeros(n_cfg)
     usable = z_counts > 0
+    held = int(usable.sum())
+    edge = f"{treatment}->{effect}"
+    skipped = []
     for (level, code), sign in zip(arms, (1.0, -1.0)):
         cell_n = counts[:, code]
         cell_sum = moment[:, code]
         empty = usable & (cell_n == 0)
         if np.any(empty):
-            if on_empty == "skip":
-                usable &= cell_n > 0
-            else:
-                raise EmptyStratumError(
-                    f"{treatment}={level} is empty in "
-                    f"{int(empty.sum())} stratum/strata of {adjust}")
+            where = (f"{treatment}={level} is empty in {int(empty.sum())} "
+                     f"of {held} populated strata of {adjust}")
+            if on_empty != "skip":
+                raise EmptyStratumError(f"{edge}: {where}")
+            skipped.append(where)
+            usable &= cell_n > 0
         with np.errstate(invalid="ignore"):
             means = np.where(cell_n > 0,
                              cell_sum / np.where(cell_n > 0, cell_n, 1), 0.0)
@@ -601,7 +866,9 @@ def _ace_from_counts(counts: np.ndarray, moment: np.ndarray, treatment: str,
     weight = z_counts * usable
     total = weight.sum()
     if total == 0:
-        raise EmptyStratumError("no usable strata")
+        reason = "; ".join(skipped) or (
+            f"none of the {n_cfg} strata of {adjust} holds a row")
+        raise EmptyStratumError(f"{edge}: no usable strata: {reason}")
     return float(np.sum(diffs * weight) / total)
 
 
@@ -621,7 +888,7 @@ def _ace_from_cpts(graph: CausalGraph, cpts: Mapping[str, ConditionalTable],
     family = (*adjust, treatment)
     mass, moment = (_axes_as(graph, marginal(graph, table, family), family)
                     for table in (joint, joint * outcome))
-    return _ace_from_counts(mass, moment, treatment, adjust,
+    return _ace_from_counts(mass, moment, treatment, effect, adjust,
                             _arms(graph, treatment, lo, hi), on_empty)
 
 
@@ -659,7 +926,7 @@ def edge_report(graph: CausalGraph, data: DiscreteDataset,
         raw = _ace_from_counts(
             counts_over(family),
             _axes_as(graph, marginal(graph, moments[effect], family), family),
-            cause, adjust,
+            cause, effect, adjust,
             _arms(graph, cause, *_default_levels(graph, cause, None, None)),
             on_empty)
         levels = len(graph.categories[cause]) - 1

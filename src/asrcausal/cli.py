@@ -207,6 +207,13 @@ def _read_text(path: str) -> str:
         raise IoError(f"cannot read {path}: {exc}") from None
 
 
+def _read_bytes(path: str) -> bytes:
+    try:
+        return Path(path).read_bytes()
+    except OSError as exc:
+        raise IoError(f"cannot read {path}: {exc}") from None
+
+
 def _write_text(path: str, pieces: Iterable[str]) -> str:
     """Write the str ``pieces``, one after another, to a temporary file
     next to ``path`` and rename it over ``path``: the text is never held
@@ -250,8 +257,7 @@ def _load_graph(value: str) -> causal_mod.CausalGraph:
 def _load_dataset(path: str) -> causal_mod.DiscreteDataset:
     from . import causal as causal_mod
 
-    return causal_mod.DiscreteDataset.from_document(
-        ingest.parse_report(_read_text(path)))
+    return causal_mod.DiscreteDataset.from_bytes(_read_bytes(path))
 
 
 def _load_scm(value: str, n, seed) -> synthetic.ScmSpec:

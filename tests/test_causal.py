@@ -100,12 +100,28 @@ class TestDiscreteDataset:
         ([[0, 1]], {"Y": ["0.5"]}),
         ([[0, 1]], {"Y": [None]}),
         ([[0, 1]], {"Y": [[0.5], [1.5, 2.5]]}),
+        ([[0, True]], {}),
+        ([[0, 1]], {"Y": [0.5, True]}),
     ])
     def test_document_with_mistyped_values_is_schema_error(self, rows,
                                                            continuous):
         doc = dataset_xy([("0", "1")]).to_document()
         doc.update(rows=rows, continuous=continuous)
         with pytest.raises(SchemaError):
+            DiscreteDataset.from_document(doc)
+
+    @pytest.mark.parametrize("rows, continuous, named", [
+        ([[0, True], [1, 0]], {}, "integer category codes"),
+        ([[False, 1], [1, 0]], {}, "integer category codes"),
+        ([[0, 1], [1, 0]], {"Y": [0.5, True]}, "'Y' must hold numbers"),
+        ([[0, 1], [1, 0]], {"Y": [False, 1]}, "'Y' must hold numbers"),
+    ])
+    def test_bool_is_not_a_code_or_number(self, rows, continuous, named):
+        # NumPy reads [0, True] as int64 [0, 1]; lengths here are right,
+        # so only the item types are wrong
+        doc = dataset_xy([]).to_document()
+        doc.update(rows=rows, continuous=continuous)
+        with pytest.raises(SchemaError, match=named):
             DiscreteDataset.from_document(doc)
 
 
@@ -638,6 +654,35 @@ class TestEstimatorEdgeCases:
         assert records[("X", "Y")]["ace"] == ref_ace(graph, data, "X", "Y",
                                                      on_empty="skip")
         assert records[("Z", "X")]["ace"] == ref_ace(graph, data, "Z", "X")
+
+    def test_empty_stratum_names_edge_arm_and_strata(self):
+        spec = synthetic.paper_shaped_spec(n=2000, seed=3)
+        data = synthetic.generate(spec)
+        keep = data.column("Age") != 10  # no row of grade 10
+        data = DiscreteDataset(data.variables, data.categories,
+                               data.codes[keep],
+                               {name: column[keep] for name, column
+                                in data.continuous.items()})
+        arm = "Age=10 is empty in 1 of 1 populated strata of []"
+        for run, message in [
+                (lambda: edge_report(spec.graph, data),
+                 f"Age->SubsErr: {arm}"),
+                (lambda: edge_report(spec.graph, data, on_empty="skip"),
+                 f"Age->SubsErr: no usable strata: {arm}"),
+                (lambda: ace(spec.graph, data, "Age", "GoP"),
+                 f"Age->GoP: {arm}")]:
+            with pytest.raises(EmptyStratumError) as info:
+                run()
+            assert str(info.value) == message
+
+    def test_no_rows_is_no_usable_strata(self):
+        graph, data = empty_stratum_data()
+        empty = DiscreteDataset(data.variables, data.categories,
+                                data.codes[:0])
+        with pytest.raises(EmptyStratumError) as info:
+            ace(graph, empty, "X", "Y", on_empty="skip")
+        assert str(info.value) == ("X->Y: no usable strata: none of the 2 "
+                                   "strata of ['Z'] holds a row")
 
     def test_state_cap_raises_state_explosion(self):
         names = [f"V{i}" for i in range(8)]  # 8^8 = 16.8M joint states

@@ -1,0 +1,310 @@
+"""Reading dataset files: ``DiscreteDataset.from_bytes``.
+
+A file in the layout ``ingest.write_report`` gives a dataset document is
+read straight into arrays by ``causal._canonical_dataset`` (the array
+reader); any other text by ``json`` and ``from_document`` (the general
+reader).  Both must give equal datasets, and the array reader must
+refuse (return None for) every text it cannot prove canonical.
+"""
+
+import json
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from asrcausal import causal, cli, ingest, synthetic
+from asrcausal.causal import DiscreteDataset
+from asrcausal.errors import SchemaError, ToolkitError
+
+
+def written(data: DiscreteDataset) -> bytes:
+    return ingest.write_report(data.to_document()).encode()
+
+
+def general(raw: bytes) -> DiscreteDataset:
+    """The general reader alone."""
+    return DiscreteDataset.from_document(ingest.parse_report(raw.decode()))
+
+
+def assert_same(a: DiscreteDataset, b: DiscreteDataset):
+    assert a.variables == b.variables
+    assert a.categories == b.categories
+    assert a.codes.dtype == b.codes.dtype == np.int64
+    assert a.codes.shape == b.codes.shape
+    assert np.array_equal(a.codes, b.codes)
+    assert list(a.continuous) == list(b.continuous)
+    for name, column in a.continuous.items():
+        other = b.continuous[name]
+        assert column.dtype == other.dtype == np.float64
+        # bit for bit, so -0.0 and 0.0 differ
+        assert np.array_equal(column.view(np.int64), other.view(np.int64))
+
+
+def dataset(n, k=3, levels=4, columns=("A", "B"), values=None, seed=0):
+    """n random rows of k variables with ``levels`` categories each, and
+    one float column per name (``values(rng, n)``, default normal)."""
+    rng = np.random.default_rng(seed)
+    names = [f"V{j}" for j in range(k)]
+    categories = {v: [f"c{i}" for i in range(levels)] for v in names}
+    codes = rng.integers(0, levels, size=(n, k))
+    make = values or (lambda rng, n: rng.normal(size=n))
+    return DiscreteDataset(names, categories, codes,
+                           {c: make(rng, n) for c in columns})
+
+
+def small_floats(rng, n):
+    # -9.9e-05 .. 9.9e-05 in steps of 1e-06: repr writes 1e-05, -4.2e-05
+    return rng.integers(-99, 100, n) * 1e-6
+
+
+def large_floats(rng, n):
+    return rng.choice([1e9, -1e9, 1.5e9, 123456789012.25, 1e15, 1e16, 1e22,
+                       -3e300, 2.5e+20], n)
+
+
+def with_infinity(rng, n):
+    values = rng.normal(size=n)
+    values[n // 2] = np.inf
+    return values
+
+
+EQUIVALENT = {
+    "0 rows": (dataset(0), True),
+    "1 row": (dataset(1), True),
+    "4095 rows": (dataset(4095), True),
+    "4096 rows": (dataset(4096), True),
+    "4097 rows": (dataset(4097), True),
+    "1 variable": (dataset(30, k=1), True),
+    "no continuous columns": (dataset(30, columns=()), True),
+    "two-digit codes": (dataset(300, levels=12), True),
+    "negative floats": (dataset(
+        300, values=lambda rng, n: -np.abs(rng.normal(size=n)) * 100), True),
+    "1e-05-style floats": (dataset(300, values=small_floats), True),
+    "floats of 1e9 and above": (dataset(300, values=large_floats), True),
+    "paper-shaped": (synthetic.generate(
+        synthetic.paper_shaped_spec(n=3000, seed=5)), True),
+    # Infinity is no JSON number: only the general reader takes it
+    "a column holding Infinity": (dataset(30, values=with_infinity), False),
+}
+
+
+@pytest.mark.parametrize("data, canonical", EQUIVALENT.values(),
+                         ids=EQUIVALENT)
+def test_both_readers_give_the_same_dataset(data, canonical):
+    raw = written(data)
+    expected = general(raw)
+    fast = causal._canonical_dataset(raw)
+    assert (fast is not None) == canonical
+    if canonical:
+        assert_same(fast, expected)
+    assert_same(DiscreteDataset.from_bytes(raw), expected)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 12), st.integers(1, 4),
+       st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                min_size=0, max_size=40),
+       st.integers(0, 2 ** 32 - 1))
+def test_array_reader_matches_json_on_any_finite_floats(levels, k, floats,
+                                                        seed):
+    data = dataset(len(floats), k=k, levels=levels, columns=("Y",),
+                   values=lambda rng, n: np.array(floats, dtype=np.float64),
+                   seed=seed)
+    raw = written(data)
+    fast = causal._canonical_dataset(raw)
+    assert fast is not None
+    assert_same(fast, general(raw))
+
+
+# rows [[1, 0], [11, 2], [3, 10]] and Y [0.5, -1.25, 3e-05]
+BASE = written(DiscreteDataset(
+    ["V0", "V1"], {"V0": [f"c{i}" for i in range(12)],
+                   "V1": [f"c{i}" for i in range(12)]},
+    np.array([[1, 0], [11, 2], [3, 10]]), {"Y": [0.5, -1.25, 3e-05]})).decode()
+
+
+def dumped(edit, **options):
+    """BASE's document, changed in place by ``edit``, as ``json.dumps``
+    writes it (``sort_keys`` and ``indent=1`` unless given)."""
+    doc = json.loads(BASE)
+    edit(doc)
+    options = {"sort_keys": True, "indent": 1, **options}
+    return json.dumps(doc, **options) + "\n"
+
+
+def setter(*path_and_value):
+    *path, key, value = path_and_value
+
+    def edit(doc):
+        for step in path:
+            doc = doc[step]
+        doc[key] = value
+    return edit
+
+
+def replaced(old, new):
+    assert BASE.count(old) == 1
+    return BASE.replace(old, new)
+
+
+MUTATIONS = {
+    "compact json.dumps": json.dumps(json.loads(BASE)),
+    "sorted compact": dumped(lambda doc: None, indent=None),
+    "indent 2": dumped(lambda doc: None, indent=2),
+    "reordered keys": json.dumps(
+        dict(reversed(list(json.loads(BASE).items()))), indent=1) + "\n",
+    "extra top-level key": dumped(setter("extra", 1)),
+    "no continuous key": dumped(lambda doc: doc.pop("continuous")),
+    "ragged row": dumped(setter("rows", 1, [11])),
+    "row with an extra code": dumped(setter("rows", 0, [1, 0, 0])),
+    "ragged rows of the right size": dumped(setter("rows", [[1, 0, 11], [2],
+                                                            [3, 10]])),
+    "shifted indent": replaced("\n   1,\n   0\n", "\n  1,\n    0\n"),
+    "leading-zero code": replaced("\n   11,", "\n   011,"),
+    "leading-zero last code": replaced("\n   10\n", "\n   010\n"),
+    "double zero code": replaced("\n   0\n", "\n   00\n"),
+    "-1 as a code": replaced("\n   0\n", "\n   -1\n"),
+    "code past int64": replaced("\n   3,", "\n   99999999999999999999,"),
+    "empty code": replaced("\n   3,", "\n   ,"),
+    "+1 as a float": replaced("   0.5,", "   +0.5,"),
+    ".5 as a float": replaced("   0.5,", "   .5,"),
+    "1. as a float": replaced("   0.5,", "   1.,"),
+    "-.5 as a float": replaced("   0.5,", "   -.5,"),
+    "leading-zero float": replaced("   0.5,", "   00.5,"),
+    "negative leading-zero float": replaced("   -1.25,", "   -01.25,"),
+    "integer as a float": replaced("   0.5,", "   5,"),
+    "-0 as a float": replaced("   0.5,", "   -0,"),
+    "two fractions": replaced("   -1.25,", "   -1.2.5,"),
+    "two exponents": replaced("   3e-05\n", "   3e-05e1\n"),
+    "fraction after exponent": replaced("   3e-05\n", "   3e-05.5\n"),
+    "bare exponent": replaced("   3e-05\n", "   3e\n"),
+    "signed bare exponent": replaced("   3e-05\n", "   3e-\n"),
+    "exponent without digits before": replaced("   3e-05\n", "   e-05\n"),
+    "sign inside a float": replaced("   -1.25,", "   1-1.25,"),
+    "NaN among floats": replaced("   0.5,", "   NaN,"),
+    "Infinity among floats": replaced("   0.5,", "   Infinity,"),
+    "null among codes": dumped(setter("rows", 0, 0, None)),
+    "true among codes": dumped(setter("rows", 0, 0, True)),
+    "false among codes": dumped(setter("rows", 2, 1, False)),
+    "string among codes": dumped(setter("rows", 0, 0, "1")),
+    "float among codes": dumped(setter("rows", 0, 0, 1.0)),
+    "null among floats": dumped(setter("continuous", "Y", 1, None)),
+    "true among floats": dumped(setter("continuous", "Y", 1, True)),
+    "string among floats": dumped(setter("continuous", "Y", 1, "0.5")),
+    "short column": dumped(setter("continuous", "Y", [0.5, 1.5])),
+    "empty column": dumped(setter("continuous", "Y", [])),
+    "unsorted columns": dumped(
+        setter("continuous", {"Y": [0.5, 1.0, 2.0], "X": [1.5, 2.5, 3.5]}),
+        sort_keys=False),
+    "duplicate columns": replaced('"Y": [', '"Y": [\n   9.5,\n   8.5,\n'
+                                  '   7.5\n  ],\n  "Y": ['),
+    "column not an array": dumped(setter("continuous", "Y", 0.5)),
+    "unquoted column name": replaced('"Y": [', 'Y: ['),
+    "two-space item indent": replaced("   0.5,", "  0.5,"),
+    "tab before an item": replaced("   0.5,", "  \t0.5,"),
+    "space before a comma": replaced("   0.5,", "   0.5 ,"),
+    "CRLF lines": BASE.replace("\n", "\r\n"),
+    "UTF-8 BOM": "\ufeff" + BASE,
+    "trailing garbage": BASE + "x",
+    "trailing object": BASE + "{}",
+    "no final newline": BASE[:-1],
+    "two final newlines": BASE + "\n",
+    "truncated": BASE[:-3],
+    "truncated mid-rows": BASE[:BASE.index('"rows"') + 40],
+    "truncated mid-column": BASE[:BASE.index("-1.25") + 2],
+    "variables not a list": dumped(setter("variables", {"name": "V0"})),
+    "variable without categories": dumped(
+        lambda doc: doc["variables"][0].pop("categories")),
+    "empty file": "",
+    "array file": "[]\n",
+}
+
+
+def outcome(read, raw: bytes):
+    try:
+        return read(raw)
+    except ToolkitError as exc:
+        return type(exc), exc.code, str(exc)
+
+
+def test_base_takes_the_array_reader():
+    assert_same(causal._canonical_dataset(BASE.encode()),
+                general(BASE.encode()))
+
+
+@pytest.mark.parametrize("text", MUTATIONS.values(), ids=MUTATIONS)
+def test_no_mutation_gets_past_the_array_reader(text):
+    raw = text.encode()
+    assert causal._canonical_dataset(raw) is None
+    got, expected = (outcome(DiscreteDataset.from_bytes, raw),
+                     outcome(general, raw))
+    if isinstance(expected, DiscreteDataset):
+        assert_same(got, expected)
+    else:
+        assert got == expected
+
+
+LONG = written(dataset(30_000, columns=("Y",))).decode()
+
+
+@pytest.mark.parametrize("row", [0, 4095, 11_915, 20_000, 29_998])
+def test_ragged_rows_of_the_right_size_are_refused_anywhere(row):
+    # one code moves to the row before it: the file keeps its length and
+    # its number of codes; the skeleton is compared a block at a time
+    doc = json.loads(LONG)
+    doc["rows"][row].append(doc["rows"][row + 1].pop(0))
+    raw = (json.dumps(doc, sort_keys=True, indent=1) + "\n").encode()
+    assert len(raw) == len(LONG)
+    assert causal._canonical_dataset(LONG.encode()) is not None
+    assert causal._canonical_dataset(raw) is None
+    with pytest.raises(SchemaError, match="equal-length lists"):
+        DiscreteDataset.from_bytes(raw)
+
+
+@pytest.mark.parametrize("old, new", [
+    ("   0.5,", "   5e-1,"),
+    ("   0.5,", "   5E-1,"),
+    ("   0.5,", "   0.5e+0,"),
+    ("   0.5,", "   -0.0,"),
+    ("   0.5,", "   1e400,"),
+    ("   -1.25,", "   -1.250000000000000000001,"),
+])
+def test_other_json_floats_read_alike(old, new):
+    # valid JSON floats that write_report does not write; either reader
+    # may take them, and they must read the same
+    raw = replaced(old, new).encode()
+    assert_same(DiscreteDataset.from_bytes(raw), general(raw))
+
+
+@pytest.mark.parametrize("token, named", [
+    ("true", "integer category codes"), ("false", "integer category codes")])
+def test_bool_code_is_e_schema(token, named):
+    raw = replaced("\n   3,", f"\n   {token},").encode()
+    with pytest.raises(SchemaError, match=named):
+        DiscreteDataset.from_bytes(raw)
+
+
+def test_invalid_utf8_is_e_schema():
+    raw = BASE.encode().replace(b'"c11"', b'"c\xff"')
+    with pytest.raises(SchemaError, match="invalid JSON"):
+        DiscreteDataset.from_bytes(raw)
+
+
+def test_fit_and_report_read_compact_json_alike(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["synth", "--spec", "paper-shaped", "--n", "2000",
+                     "--seed", "7", "--out", "data.json"]) == 0
+    raw = (tmp_path / "data.json").read_bytes()
+    assert causal._canonical_dataset(raw) is not None
+    (tmp_path / "compact.json").write_text(json.dumps(json.loads(raw)))
+    for name in ("data", "compact"):
+        assert cli.main(["fit", "--in", f"{name}.json",
+                         "--out", f"cpts_{name}.json"]) == 0
+        assert cli.main(["report", "--in", f"fixture={name}.json",
+                         "--out", f"report_{name}.json"]) == 0
+    assert ((tmp_path / "cpts_data.json").read_bytes()
+            == (tmp_path / "cpts_compact.json").read_bytes())
+    assert ((tmp_path / "report_data.json").read_bytes()
+            == (tmp_path / "report_compact.json").read_bytes())
