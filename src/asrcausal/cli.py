@@ -22,8 +22,9 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, Iterator, TextIO
 
 from . import __version__, ingest
 from .errors import DuplicateIdError, IoError, SchemaError, ToolkitError
@@ -200,9 +201,21 @@ def _is_fresh(config, inputs) -> bool:
         return False
 
 
+@contextmanager
+def _reading(path: str) -> Iterator[TextIO]:
+    """``path`` opened as text.  Bytes that do not decode, read in the
+    body, raise SchemaError naming the file, as a dataset's do."""
+    try:
+        with open(path) as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"cannot decode {path}: {exc.reason}") from None
+
+
 def _read_text(path: str) -> str:
     try:
-        return Path(path).read_text()
+        with _reading(path) as fh:
+            return fh.read()
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from None
 
@@ -237,7 +250,7 @@ def _write_text(path: str, pieces: Iterable[str]) -> str:
 
 
 def _read_records(path: str):
-    with open(path) as fh:
+    with _reading(path) as fh:
         return ingest.parse_utterances(fh)
 
 
@@ -317,7 +330,7 @@ def _cmd_align(config) -> list[str]:
 
 def _read_scores(path: str) -> dict[str, dict]:
     scores = {}
-    with open(path) as fh:
+    with _reading(path) as fh:
         for line_no, entry in ingest.read_jsonl(fh):
             if not ("scores" in entry and isinstance(entry.get("id"), str)):
                 raise SchemaError("score lines need a string 'id' and "
@@ -346,9 +359,9 @@ def _cmd_covariates(config) -> list[str]:
             raise SchemaError("gop needs --posteriors, --segments and "
                               "--inventory together")
         inventory = ingest.parse_report(_read_text(config.inventory))
-        with open(config.posteriors) as fh:
+        with _reading(config.posteriors) as fh:
             frames = covariates.parse_posterior_frames(fh)
-        with open(config.segments) as fh:
+        with _reading(config.segments) as fh:
             segments = covariates.parse_segments(fh, inventory)
         for utt_id, segs in segments.items():
             gop_scores[utt_id] = covariates.gop_utterance(

@@ -13,12 +13,15 @@ Formats (all diff-able, hand-editable text):
 
 ``report_pieces`` yields a report's text in pieces from one private
 encoder that quantizes as it emits; ``write_report`` joins them.  A
-NumPy array in a report (found by its ``dtype``; this module imports no
-NumPy) is written as its ``tolist()`` would be, one slice at a time.  The
-bytes are those of ``json.dumps(..., sort_keys=True, indent=1)`` on the
-quantized tree, so readers, golden files and digests do not depend on
-which encoder wrote them, and ``IoError`` is raised for exactly the
-values ``json.dumps`` rejects.
+NumPy array in a report (found by its ``dtype``) is written as its
+``tolist()`` would be, one slice at a time.  A 1-D float slice and a 2-D
+integer one (a dataset's columns and code rows) are formatted by NumPy
+into a byte matrix; this module imports NumPy only once an array has
+reached the encoder, so reading and skipping load none.  The bytes are
+those of ``json.dumps(..., sort_keys=True, indent=1)`` on the quantized
+tree, so readers, golden files and digests do not depend on which
+encoder wrote them, and ``IoError`` is raised for exactly the values
+``json.dumps`` rejects.
 
 Every malformed input raises a typed error naming the offending line or
 field; no partially constructed value ever escapes.  Line-delimited
@@ -29,6 +32,7 @@ SchemaError naming the line.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import warnings
@@ -459,6 +463,132 @@ def _int_rows_body(rows, ind: str) -> str:
     return sep.join([row] * len(rows)) % tuple(chain.from_iterable(rows))
 
 
+# --- array slices ---------------------------------------------------------------
+#
+# An array slice is written from a (width, n) uint8 matrix: one column
+# per item holding its bytes, with a zero byte wherever the text has no
+# character, so one ``bytes.translate(None, b"\0")`` of the transposed
+# matrix gives the text.  The (width, n) layout keeps each row, filled by
+# one NumPy operation, contiguous.  NumPy is imported here only once an
+# array has reached the encoder, so it is loaded already.
+
+@functools.cache
+def _digit_groups():
+    """(3, 1000) uint8 table: column ``v`` holds the ASCII digits of
+    ``"%03d" % v``."""
+    import numpy as np
+
+    v = np.arange(1000)
+    return (np.stack([v // 100, v // 10 % 10, v % 10]) + 48).astype(np.uint8)
+
+
+@functools.cache
+def _code_groups():
+    """``_digit_groups`` with the leading zeros of each ``v`` as zero
+    bytes: the text of ``"%d" % v``, right-aligned in three bytes."""
+    table = _digit_groups().copy()
+    table[0, :100] = 0
+    table[1, :10] = 0
+    return table
+
+
+# Rows of a float item: sign, the 18 digits of k = round(|x| * 10**6) (12
+# of the integer part, 6 of the fraction) with the point between, then
+# the separator.  The groups of three digits start at these rows, least
+# significant first.
+_SIGN, _POINT, _FLOAT_ROWS = 0, 13, 20
+_GROUP_ROWS = (17, 14, 10, 7, 4, 1)
+_SPLICE = "\1"  # stands for an item written one at a time
+
+
+def _float_array_body(values, sep: str) -> str:
+    """The items of a 1-D float array slice, ``sep``-joined, as
+    ``_items`` writes its ``tolist()``, whatever the items.
+
+    With ``y = |x| * 1e6`` (one rounding, of at most half an ulp) and
+    ``k = rint(y)``, ``k`` is the correctly rounded value of the exact
+    product when ``| |y - k| - 0.5 | > spacing(y)``: no ``.5`` boundary
+    lies between the exact and the computed product.  For such items
+    with ``1e-4 <= |x| < 1e9``, the digits of ``k`` with the point six
+    places from the right, less leading integer and trailing fraction
+    zeros (keeping ``.0``), are those ``"%.6f"`` gives, so the text is
+    what ``_float_list_body`` writes.  Every other item (a near-tie, out
+    of the band, NaN, ±inf) is written by ``_scalar(_quantize(x))`` and
+    spliced in by index.
+    """
+    import numpy as np
+
+    x = values.astype(np.float64)  # exact, as tolist() widens
+    a = np.abs(x)
+    band = (a >= _FIXED_LO) & (a < _FIXED_HI)
+    a[~band] = 1.0  # keeps NaN and inf out of the arithmetic below
+    y = a * 1e6
+    k = np.rint(y)
+    fast = band & (np.abs(np.abs(y - k) - 0.5) > np.spacing(y))
+    k = k.astype(np.int64)
+
+    sep_bytes = sep.encode()
+    m = np.empty((_FLOAT_ROWS + len(sep_bytes), len(x)), np.uint8)
+    np.multiply(np.signbit(x), ord("-"), out=m[_SIGN], casting="unsafe")
+    table = _digit_groups()
+    rest = k
+    for row in _GROUP_ROWS:
+        rest, group = np.divmod(rest, 1000)
+        table.take(group, axis=1, out=m[row:row + 3], mode="clip")
+    m[_POINT] = ord(".")
+    # leading integer zeros, then trailing fraction zeros; the units
+    # digit and the first fraction digit stay
+    _zero_runs(m, range(_SIGN + 1, _POINT - 1))
+    _zero_runs(m, range(_FLOAT_ROWS - 1, _POINT + 1, -1))
+    m[_FLOAT_ROWS:] = np.frombuffer(sep_bytes, np.uint8)[:, None]
+    m[_FLOAT_ROWS:, -1] = 0
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        m[:_FLOAT_ROWS, slow] = 0
+        m[_SIGN, slow] = ord(_SPLICE)
+    text = m.T.tobytes().translate(None, b"\0").decode("ascii")
+    if not slow.size:
+        return text
+    parts = text.split(_SPLICE)
+    slow_texts = [_scalar(_quantize(v)) for v in x[slow].tolist()]
+    return "".join(chain.from_iterable(zip(parts, slow_texts))) + parts[-1]
+
+
+def _zero_runs(m, rows) -> None:
+    """Zero, in each column of ``m``, the run of ``"0"`` bytes that
+    starts at the first of ``rows`` and goes on through them in order."""
+    run = m[rows[0]] == ord("0")
+    for row in rows:
+        run &= m[row] == ord("0")
+        m[row][run] = 0
+
+
+def _int_array_rows_body(rows, ind: str) -> str:
+    """``_int_rows_body(rows.tolist(), ind)`` for a 2-D integer array
+    with at least one column.  Codes in ``[0, 1000)`` are written from
+    ``_code_groups``; any other slice takes ``_int_rows_body``."""
+    import numpy as np
+
+    if not (rows.min() >= 0 and rows.max() < 1000):
+        return _int_rows_body(rows.tolist(), ind)
+    cols = rows.shape[1]
+    cell = (ind + " ").encode()
+    # one row: "[", per code its cell, three digit bytes and "," (none
+    # after the last), then ind + "]" and, but after the last row, "," + ind
+    code = cell + b"\0\0\0,"
+    template = (b"[" + code * (cols - 1) + code[:-1] + b"\0"
+                + ind.encode() + b"]," + ind.encode())
+    m = np.empty((len(template), len(rows)), np.uint8)
+    m[:] = np.frombuffer(template, np.uint8)[:, None]
+    m[-len(ind) - 1:, -1] = 0
+    # (byte of a code's text, column, row)
+    codes = (m[1:1 + cols * len(code)].reshape(cols, len(code), len(rows))
+             .swapaxes(0, 1))
+    at = len(cell)
+    codes[at:at + 3] = _code_groups().take(rows.T, axis=1)
+    return m.T.tobytes().translate(None, b"\0").decode("ascii")
+
+
 def _scalar(value) -> str:
     """JSON text of a non-container value, by ``json.dumps``' rules."""
     if isinstance(value, str):
@@ -530,17 +660,22 @@ def _items(chunk, ind: str) -> Iterator[str]:
     """The items of one list slice, ``","``-separated, each on a line
     indented by ``ind``.
 
-    An array slice is written as its ``tolist()``; an integer 2-D one
-    goes to ``_int_rows_body`` with no scan of its item types.  Slices of
-    exact ints, of finite exact floats and of equal-length rows of exact
-    ints are each formatted by one join; any other item recurses.
+    An array slice is written as its ``tolist()`` would be: a 1-D float
+    one by ``_float_array_body`` and a 2-D integer one by
+    ``_int_array_rows_body``, any other through its ``tolist()``.
+    Slices of exact ints and of finite exact floats are each formatted by
+    one join; any other item recurses.
     """
+    sep = "," + ind
     if hasattr(chunk, "dtype"):
-        if chunk.ndim == 2 and chunk.dtype.kind in "iu" and chunk.shape[1]:
-            yield _int_rows_body(chunk.tolist(), ind)
+        kind = chunk.dtype.kind
+        if chunk.ndim == 1 and kind == "f" and chunk.dtype.itemsize <= 8:
+            yield _float_array_body(chunk, sep)
+            return
+        if chunk.ndim == 2 and kind in "iu" and chunk.shape[1]:
+            yield _int_array_rows_body(chunk, ind)
             return
         chunk = chunk.tolist()
-    sep = "," + ind
     kinds = set(map(type, chunk))
     if kinds == {int}:
         yield sep.join(map(int.__repr__, chunk))
@@ -548,9 +683,6 @@ def _items(chunk, ind: str) -> Iterator[str]:
         # A finite sum means every item is finite: one non-finite item
         # makes the sum inf or NaN.
         yield _float_list_body(chunk, sep)
-    elif (kinds == {list} and len(set(map(len, chunk))) == 1
-          and set(map(type, chain.from_iterable(chunk))) == {int}):
-        yield _int_rows_body(chunk, ind)
     else:
         lead = ""
         for item in chunk:
@@ -566,9 +698,9 @@ def report_pieces(report) -> Iterator[str]:
     """The text of ``write_report(report)`` as consecutive pieces.
 
     No piece holds more than one ``_CHUNK`` slice of a list, and an
-    array's items are formatted from one slice's ``tolist()`` at a time,
-    so writing the pieces out one by one holds neither the whole text
-    nor a list copy of an array.  A value that ``write_report`` rejects
+    array's items are formatted one slice at a time, so writing the
+    pieces out one by one holds neither the whole text nor a list copy
+    of an array.  A value that ``write_report`` rejects
     raises ``IoError`` when it is reached, after the pieces before it.
     """
     try:
@@ -588,16 +720,20 @@ def write_report(report) -> str:
     its ``tolist()``, every dict key ``str(key)``, every tuple a list and
     every float ``_quantize``-d; a value that expression rejects raises
     ``IoError``.  It is the join of ``report_pieces``, which quantizes as
-    it emits, with no quantized copy.  Lists are formatted one
-    ``_CHUNK`` slice at a time.  A slice of exact ints is formatted by
-    one join.  A slice of finite exact floats is formatted by one
+    it emits, with no quantized copy.  Lists and arrays are formatted one
+    ``_CHUNK`` slice at a time.  A list slice of exact ints is formatted
+    by one join.  A list slice of finite exact floats is formatted by one
     ``"%.6f"``, less trailing zeros: that is exact because ``"%.6f"`` and
     ``round(x, 6)`` share dtoa's correctly rounded digits, and for
     ``1e-4 <= |x| < 1e9`` those (at most 15 significant) digits in fixed
-    notation are what ``repr`` prints for the rounded value.  Items
-    outside that band (scientific notation, ``-0.0``) take
-    ``repr(_quantize(x))`` one at a time.  A slice of equal-length rows
-    of exact ints is formatted by one ``%d`` template.
+    notation are what ``repr`` prints for the rounded value.  A 1-D float
+    array slice gets the same digits from ``k = rint(|x| * 1e6)``, which
+    is the correctly rounded value of ``|x| * 10**6`` wherever no ``.5``
+    boundary lies within ``spacing`` of the computed product.  Items
+    outside the band (scientific notation, ``-0.0``, NaN, ±inf) or near
+    such a boundary take ``repr(_quantize(x))`` one at a time.  A 2-D
+    integer array slice with codes in ``[0, 1000)`` is written from a
+    table of digit groups, any other by one ``%d`` template.
     """
     return "".join(report_pieces(report))
 

@@ -200,11 +200,18 @@ def generate(spec: ScmSpec, n: int | None = None, seed: int | None = None
     code_of: dict[str, np.ndarray] = {}
     for j, node in enumerate(graph.topo_order):
         table = spec.tables[node]
-        cum = np.cumsum(table.probs, axis=-1)
-        # one CDF row per sample, picked by its parents' codes
-        rows = cum[tuple(code_of[p] for p in table.parents)]
-        codes = (u[:, j][:, None] >= rows).sum(axis=1)
-        code_of[node] = np.minimum(codes, cum.shape[-1] - 1).astype(np.int64)
+        k = table.probs.shape[-1]
+        cum = np.cumsum(table.probs, axis=-1).reshape(-1, k)
+        # each sample's parent configuration, as a row of cum
+        config = (np.ravel_multi_index(
+            tuple(code_of[p] for p in table.parents), table.probs.shape[:-1])
+            if table.parents else 0)
+        uj = u[:, j].copy()  # contiguous, for its k comparisons
+        # a code counts the entries of its CDF row at or below its uniform
+        codes = np.zeros(n, dtype=np.int64)
+        for i in range(k):
+            codes += uj >= cum[:, i][config]
+        code_of[node] = np.minimum(codes, k - 1)
 
     continuous = {}
     for m, node in enumerate(emitter_nodes):

@@ -612,6 +612,32 @@ class TestNonObjectDocuments:
         assert json.loads(proc.stderr)["error"] == code
 
 
+class TestUndecodableInputs:
+    """A text input holding bytes that do not decode is E_SCHEMA naming
+    the file, not a traceback."""
+
+    @pytest.mark.parametrize("case", ["graph-spec", "records"])
+    def test_exits_1_naming_the_file(self, tmp_path, monkeypatch, capsys,
+                                     case):
+        monkeypatch.chdir(tmp_path)
+        if case == "graph-spec":
+            Path("bad.json").write_bytes(b'{"nodes": ["\xff"], "edges": []}')
+            argv = ["fit", "--in", "d.json", "--graph", "bad.json",
+                    "--out", "c.json"]
+        else:
+            Path("bad.json").write_bytes(
+                MINIMAL_RECORD.replace(b'"hi"', b'"h\xffi"', 1) + b"\n")
+            argv = ["align", "--in", "bad.json", "--out", "s.jsonl"]
+        assert run_cli(*argv) == 1
+        error = json.loads(capsys.readouterr().err)
+        assert error["error"] == "E_SCHEMA"
+        assert "bad.json" in error["message"]
+
+
+MINIMAL_RECORD = (b'{"id": "u1", "speaker_id": "s", "reference": "hi", '
+                  b'"hypotheses": {"m": "hi"}}')
+
+
 class TestCaching:
     def test_fresh_output_skips_then_force_recomputes(self, workdir, capsys):
         out = workdir / "scores.jsonl"

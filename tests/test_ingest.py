@@ -315,7 +315,7 @@ _BAND_EDGE_FLOATS = st.one_of(
 
 class TestBulkListEncoding:
     """Lists of finite floats are written from one "%.6f" format per
-    chunk and int rows from one "%d" format per chunk; both must match
+    chunk and lists of int rows one row at a time; both must match
     ``json.dumps(ref_quantize(x), ...)`` byte for byte."""
 
     @settings(max_examples=400, deadline=None)
@@ -412,6 +412,112 @@ class TestArrayEncoding:
         text = ingest.write_report({"rows": codes})
         longest = max(map(len, ingest.report_pieces({"rows": codes})))
         assert longest * 9 < len(text)
+
+
+def _tie_neighbours(ms):
+    """Each 6th-decimal tie (m + 1/2) / 10^6 and its two float
+    neighbours."""
+    ties = [(m + 0.5) / 1e6 for m in ms]
+    return ties + [math.nextafter(t, d) for t in ties
+                   for d in (-math.inf, math.inf)]
+
+
+_HARD_FLOATS = {
+    "exact-ties": [j / 128 for j in range(-300, 301)]
+                  + [12345 + j / 128 for j in range(128)],
+    "tie-neighbours": _tie_neighbours(
+        [0, 99, 100, 12345, 999999, 10 ** 6, 123456789, 10 ** 12,
+         10 ** 14, 10 ** 15 - 1]),
+    "band-edges": [1e-4, -1e-4, math.nextafter(1e-4, 0), 999999999.9999996,
+                   math.nextafter(1e9, 0), -math.nextafter(1e9, 0), 1e9,
+                   -1e9, math.nextafter(1e9, math.inf)],
+    "below-band": [float(v) for v in np.linspace(5e-7, 1e-4, 200,
+                                                 endpoint=False)]
+                  + [-5e-7, 4.9999995e-7, 1e-5, -9.99e-5],
+    "specials": [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                 1e-310, math.nan, math.inf, -math.inf, 1e16, -2.5e12,
+                 1.7976931348623157e308],
+}
+
+
+class TestArrayFormatter:
+    """1-D float and 2-D integer array slices are formatted with NumPy;
+    the text must be ``json.dumps`` of their ``tolist()``, whichever
+    items take the per-item path."""
+
+    @staticmethod
+    def check(array):
+        for report, as_lists in ((array, array.tolist()),
+                                 ({"c": {"x": array}},
+                                  {"c": {"x": array.tolist()}})):
+            assert ingest.write_report(report) == reference_report(as_lists)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("case", sorted(_HARD_FLOATS))
+    def test_hard_floats(self, case, dtype):
+        values = _HARD_FLOATS[case]
+        with np.errstate(over="ignore"):  # float32 takes 1e308 as inf
+            arrays = (np.array(values, dtype=dtype),
+                      np.array(values + [2.5, -1.0], dtype=dtype)[::-1])
+        for array in arrays:
+            self.check(array)
+
+    @pytest.mark.parametrize("n", [4095, 4096, 4097])
+    def test_chunk_boundaries(self, n):
+        rng = np.random.default_rng(n)
+        values = rng.normal(0.0, 30.0, n)
+        self.check(values)
+        # items for the per-item path at the ends of the first chunk
+        for at in (0, n - 1, min(n - 1, 4095), min(n - 1, 4096)):
+            values[at] = math.nan
+        values[n // 2] = 5e-7
+        self.check(values)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                    min_size=1, max_size=60),
+           st.lists(st.floats(width=32, allow_nan=False,
+                              allow_infinity=False),
+                    min_size=1, max_size=60))
+    def test_finite_floats(self, doubles, singles):
+        self.check(np.array(doubles))
+        self.check(np.array(singles, dtype=np.float32))
+
+    def test_near_ties_and_out_of_band_items_take_the_per_item_path(
+            self, monkeypatch):
+        tie = 123.4567895  # within an ulp of a 6th-decimal tie
+        slow = [tie, 5e-5, math.nan, 1e9, -0.0]
+        array = np.array([0.25, *slow, 3.5, -12.125])
+        quantized = []
+
+        def spy(value):
+            quantized.append(value)
+            return ref_quantize(value)
+
+        monkeypatch.setattr(ingest, "_quantize", spy)
+        text = ingest.write_report(array)
+        assert text == reference_report(array.tolist())
+        assert len(quantized) == len(slow)
+        assert quantized[0] == tie and quantized[-1] == 0.0
+
+    @pytest.mark.parametrize("rows", [
+        np.array([[0, 9, 10], [99, 100, 999]]),
+        np.array([[1000, 0], [3, 4]]),
+        np.array([[-1, 0], [3, 4]]),
+        np.array([[7, 255], [0, 12]], dtype=np.uint8),
+        np.array([[7, -3], [0, 123456]], dtype=np.int32),
+        np.array([[5], [0], [999]]),
+        np.zeros((0, 4), dtype=np.int64),
+        np.array([[1, 2, 3]]),
+    ], ids=["in-range", "code-1000", "negative", "uint8", "int32",
+            "one-column", "no-rows", "one-row"])
+    def test_int_rows(self, rows):
+        self.check(rows)
+
+    def test_int_rows_out_of_range_in_one_chunk_only(self):
+        rows = np.arange(2 * 4096 + 3).reshape(-1, 1) % 1000
+        rows[5000] = 1000
+        self.check(rows)
 
 
 class TestEmitPlotData:

@@ -48,10 +48,36 @@ def chain_spec(p_x=0.5, p_y_given=((0.7, 0.3), (0.2, 0.8)), n=1000, seed=3):
     return ScmSpec(graph, tables, seed=seed, n=n)
 
 
+def gathered_codes(spec, n, seed):
+    """Each node's codes by the full-CDF gather ``generate`` used before:
+    one CDF row per sample, ``(u >= cum[parents]).sum(axis=1)``."""
+    graph = spec.graph
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    u = rng.random((n, len(graph.topo_order) + len(spec.emitters)))
+    code_of = {}
+    for j, node in enumerate(graph.topo_order):
+        table = spec.tables[node]
+        cum = np.cumsum(table.probs, axis=-1)
+        rows = cum[tuple(code_of[p] for p in table.parents)]
+        codes = (u[:, j][:, None] >= rows).sum(axis=1)
+        code_of[node] = np.minimum(codes, cum.shape[-1] - 1)
+    return code_of
+
+
 class TestGenerate:
     def test_empty_dataset(self):
         data = generate(chain_spec(n=0))
         assert len(data) == 0
+
+    @pytest.mark.parametrize("n", [0, 1, 5000])
+    @pytest.mark.parametrize("seed", [1, 7, 2024])
+    @pytest.mark.parametrize("name", ["paper-shaped", "copy-chain"])
+    def test_codes_match_the_full_cdf_gather(self, name, seed, n):
+        spec = builtin_scm_spec(name)
+        data = generate(spec, n=n, seed=seed)
+        expected = gathered_codes(spec, n, seed)
+        for node in spec.graph.nodes:
+            assert np.array_equal(data.column(node), expected[node]), node
 
     def test_same_seed_identical(self):
         spec = paper_shaped_spec(n=2000, seed=11)
