@@ -42,6 +42,10 @@ _BINNED_SOURCES = {"SNR": "snr_db", "VocabDiff": "vocab_difficulty",
                    "NoWords": "word_count", "GoP": "gop"}
 _DEFAULT_METHODS = {"SNR": "quantile", "VocabDiff": "kde",
                     "NoWords": "quantile", "GoP": "sigma"}
+# Error node -> score count; its rate is binned by quantile unless --bin
+# names another method
+_ERROR_RATES = {"SubsErr": "substitutions", "DelErr": "deletions",
+                "InsErr": "insertions"}
 
 
 class _Once(argparse.Action):
@@ -398,6 +402,9 @@ def _parse_bin_overrides(pairs) -> dict[str, str]:
         if "=" not in pair:
             raise SchemaError(f"--bin expects VAR=METHOD, got {pair!r}")
         var, method = pair.split("=", 1)
+        if var not in _BINNED_SOURCES and var not in _ERROR_RATES:
+            raise SchemaError(f"--bin: {var!r} is not a binned node, one of "
+                              f"{[*_BINNED_SOURCES, *_ERROR_RATES]}")
         if method not in ("sigma", "kde", "quantile"):
             raise SchemaError(f"unknown binning method {method!r}")
         methods[var] = method
@@ -470,9 +477,7 @@ def _cmd_discretize(config) -> list[str]:
 
     continuous = {}
     if results is not None:
-        rate_of = {"SubsErr": "substitutions", "DelErr": "deletions",
-                   "InsErr": "insertions"}
-        for node, key in rate_of.items():
+        for node, key in _ERROR_RATES.items():
             values = [100.0 * getattr(r, key) / r.ref_len for r in results]
             bin_column(node, values, methods.get(node, "quantile"))
             continuous[node] = values
@@ -594,15 +599,19 @@ def _cmd_cmi(config) -> int:
 
 
 def _named_datasets(config) -> list[tuple[str, str]]:
-    """``report --in [NAME=]DATASET`` values as (name, path) pairs."""
-    named = []
+    """``report --in [NAME=]DATASET`` values as (name, path) pairs; a name
+    given twice, even by two file stems, is SchemaError."""
+    named = {}
     for entry in config.inp:
         if "=" in entry:
             name, path = entry.split("=", 1)
         else:
             name, path = Path(entry).stem, entry
-        named.append((name, path))
-    return named
+        if name in named:
+            raise SchemaError(f"report --in: dataset name {name!r} given "
+                              f"twice")
+        named[name] = path
+    return list(named.items())
 
 
 def _cmd_report(config) -> list[str]:

@@ -73,16 +73,37 @@ class PhoneSegment:
     t_e: int
     states_of: Mapping[str, Sequence[str]]
 
-    def validate(self) -> "PhoneSegment":
+    def validate(self, line: int | None = None) -> "PhoneSegment":
+        """Check the segment's own fields; the inventory is checked once
+        per file, by ``check_inventory``."""
+        def bad(msg):
+            raise SchemaError(msg, line=line)
+
+        if not isinstance(self.phone, str):
+            bad(f"phone {self.phone!r} is not a string")
+        for name in ("t_s", "t_e"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                bad(f"segment {self.phone!r}: {name} {value!r} is not an "
+                    f"integer")
         if self.t_e <= self.t_s:
-            raise SchemaError(
-                f"segment {self.phone!r}: t_e {self.t_e} <= t_s {self.t_s}")
+            bad(f"segment {self.phone!r}: t_e {self.t_e} <= t_s {self.t_s}")
         if self.phone not in self.states_of:
-            raise SchemaError(f"phone {self.phone!r} not in inventory")
-        for phone, states in self.states_of.items():
-            if not states:
-                raise SchemaError(f"phone {phone!r} has an empty state set")
+            bad(f"phone {self.phone!r} not in inventory")
         return self
+
+
+def check_inventory(inventory) -> None:
+    """SchemaError, naming the phone, unless ``inventory`` maps each phone
+    to a non-empty list of state labels."""
+    if not isinstance(inventory, Mapping):
+        raise SchemaError("the phone inventory must be an object mapping "
+                          "each phone to its state labels")
+    for phone, states in inventory.items():
+        if not (isinstance(states, (list, tuple)) and states
+                and all(isinstance(state, str) for state in states)):
+            raise SchemaError(f"phone {phone!r}: states must be a non-empty "
+                              f"list of labels")
 
 
 @dataclass(frozen=True)
@@ -229,6 +250,8 @@ def parse_posterior_frames(stream: Iterable[str]
         for field in ("utterance_id", "t", "probs"):
             if field not in raw:
                 raise SchemaError(f"missing field {field!r}", line=line_no)
+        if not isinstance(raw["utterance_id"], str):
+            raise SchemaError("'utterance_id' must be a string", line=line_no)
         frame = PosteriorFrame(raw["t"], raw["probs"]).validate(line_no)
         frames.setdefault(raw["utterance_id"], []).append(frame)
     for fs in frames.values():
@@ -238,14 +261,18 @@ def parse_posterior_frames(stream: Iterable[str]
 
 def parse_segments(stream: Iterable[str], inventory: Mapping[str, Sequence[str]]
                    ) -> dict[str, list[PhoneSegment]]:
-    """Parse line-delimited ``{utterance_id, phone, t_s, t_e}`` records."""
+    """Parse line-delimited ``{utterance_id, phone, t_s, t_e}`` records
+    against a phone inventory, which ``check_inventory`` checks first."""
+    check_inventory(inventory)
     segments: dict[str, list[PhoneSegment]] = {}
     for line_no, raw in read_jsonl(stream):
         for field in ("utterance_id", "phone", "t_s", "t_e"):
             if field not in raw:
                 raise SchemaError(f"missing field {field!r}", line=line_no)
+        if not isinstance(raw["utterance_id"], str):
+            raise SchemaError("'utterance_id' must be a string", line=line_no)
         segment = PhoneSegment(raw["phone"], raw["t_s"], raw["t_e"],
-                               inventory).validate()
+                               inventory).validate(line_no)
         segments.setdefault(raw["utterance_id"], []).append(segment)
     for ss in segments.values():
         ss.sort(key=lambda s: s.t_s)

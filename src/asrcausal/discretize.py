@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import SchemaError, TooFewValuesError
-from .ingest import THREE_LEVELS
+from .ingest import THREE_LEVELS, is_number
 
 _KDE_GRID = 512
 
@@ -71,7 +71,14 @@ class BinningScheme:
     def from_dict(cls, doc: dict) -> "BinningScheme":
         try:
             stats = doc.get("stats", {})
-            return cls(doc["variable"], doc["method"],
+            variable = doc["variable"]
+            if not isinstance(variable, str):
+                raise TypeError(f"variable {variable!r} is not a string")
+            for b in doc["boundaries"]:
+                if not is_number(b):
+                    raise SchemaError(f"{variable}: boundary {b!r} is not a "
+                                      f"number")
+            return cls(variable, doc["method"],
                        tuple(float(b) for b in doc["boundaries"]),
                        tuple(doc["labels"]),
                        mean=stats.get("mean"), std=stats.get("std"),

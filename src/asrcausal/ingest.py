@@ -15,13 +15,14 @@ Formats (all diff-able, hand-editable text):
 encoder that quantizes as it emits; ``write_report`` joins them.  A
 NumPy array in a report (found by its ``dtype``) is written as its
 ``tolist()`` would be, one slice at a time.  A 1-D float slice and a 2-D
-integer one (a dataset's columns and code rows) are formatted by NumPy
-into a byte matrix; this module imports NumPy only once an array has
-reached the encoder, so reading and skipping load none.  The bytes are
-those of ``json.dumps(..., sort_keys=True, indent=1)`` on the quantized
-tree, so readers, golden files and digests do not depend on which
-encoder wrote them, and ``IoError`` is raised for exactly the values
-``json.dumps`` rejects.
+one of integer codes in ``[0, 1000)`` (a dataset's columns and code rows)
+are formatted by NumPy into a byte matrix; every list item, and every item
+of any other array slice, is written one at a time.  NumPy is imported
+only once an array has reached the encoder, so reading and skipping
+load none.  The bytes are those of ``json.dumps(..., sort_keys=True,
+indent=1)`` on the quantized tree, so readers, golden files and digests
+do not depend on which encoder wrote them, and ``IoError`` is raised
+for exactly the values ``json.dumps`` rejects.
 
 Every malformed input raises a typed error naming the offending line or
 field; no partially constructed value ever escapes.  Line-delimited
@@ -37,7 +38,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, field
-from itertools import chain, repeat
+from itertools import chain
 from json.encoder import encode_basestring_ascii as _encode_str
 from typing import Iterable, Iterator, Sequence
 
@@ -358,18 +359,23 @@ def parse_graph_spec(text: str) -> GraphSpec:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"invalid JSON: {exc.msg}") from None
-    if not isinstance(raw, dict) or "nodes" not in raw or "edges" not in raw:
-        raise SchemaError("graph spec needs 'nodes' and 'edges'")
+    if not (isinstance(raw, dict) and isinstance(raw.get("nodes"), list)
+            and isinstance(raw.get("edges"), list)):
+        raise SchemaError("graph spec needs 'nodes' and 'edges' lists")
     nodes = []
-    for entry in raw["nodes"]:
+    for i, entry in enumerate(raw["nodes"]):
         if not isinstance(entry, dict) or not {"name", "kind", "categories"} <= set(entry):
-            raise SchemaError("each node needs name, kind, categories")
+            raise SchemaError(f"node {i}: needs name, kind, categories")
+        if not (isinstance(entry["name"], str)
+                and isinstance(entry["categories"], list)):
+            raise SchemaError(f"node {i} ({entry['name']!r}): needs a "
+                              f"string name and a list of categories")
         nodes.append(NodeSpec(entry["name"], entry["kind"],
                               tuple(str(c) for c in entry["categories"])))
     edges = []
     for entry in raw["edges"]:
-        if not isinstance(entry, (list, tuple)) or len(entry) != 2:
-            raise SchemaError("each edge must be a [from, to] pair")
+        if not isinstance(entry, list) or list(map(type, entry)) != [str, str]:
+            raise SchemaError(f"edge {entry!r} must be a pair of node names")
         edges.append((entry[0], entry[1]))
     return GraphSpec(tuple(nodes), tuple(edges)).validate()
 
@@ -417,50 +423,13 @@ def _quantize(value):
     return value
 
 
-# A finite float whose magnitude is in [_FIXED_LO, _FIXED_HI) is written
-# from its _FIXED digits; any other goes through _quantize and repr.  The
-# bounds keep those digits at most 15 (9 + _PLACES) and in the range
-# repr writes in fixed notation.
-_FIXED = f"%.{_PLACES}f"
+# _float_array_body writes a finite float whose magnitude is in
+# [_FIXED_LO, _FIXED_HI) from the digits of |x| * 10**_PLACES rounded to
+# an integer: at most 15 (9 + _PLACES) of them, in the range repr writes
+# in fixed notation.
 _FIXED_LO = 1e-4
 _FIXED_HI = 1e9
 _CHUNK = 4096  # list items written per piece
-
-
-def _float_list_body(values, sep: str) -> str:
-    """``sep``-joined ``float.__repr__`` of each ``_quantize``-d item of
-    ``values``, all of them finite exact floats, by one ``"%.6f"`` format.
-
-    ``"%.6f" % x`` and ``round(x, 6)`` take the same correctly rounded
-    digits from dtoa mode 3, and ``round`` returns the double nearest
-    them.  For ``1e-4 <= |x| < 1e9`` those digits, less trailing zeros
-    (keeping ``.0``), are exactly ``repr(round(x, 6))``: a decimal with at
-    most 15 significant digits is the shortest text that reads back as
-    its nearest double, and ``repr`` writes that range in fixed notation.
-    Every other item (scientific notation, ``-0.0``, more than 15 digits)
-    is written one at a time.
-    """
-    texts = list(map(str.rstrip,
-                     ("\0".join([_FIXED] * len(values)) % tuple(values))
-                     .split("\0"),
-                     repeat("0")))
-    for i, x in enumerate(values):
-        if not _FIXED_LO <= abs(x) < _FIXED_HI:
-            texts[i] = float.__repr__(_quantize(x))
-    # rstrip left "12." where repr writes "12.0"
-    if texts[-1].endswith("."):
-        texts[-1] += "0"
-    return sep.join(texts).replace("." + sep, ".0" + sep)
-
-
-def _int_rows_body(rows, ind: str) -> str:
-    """The items of a list of equal-length rows of exact ints, one row
-    per line indented by ``ind``, as ``_encode`` lays out nested lists;
-    one %-format for all of them."""
-    sep = "," + ind
-    cell = ind + " "
-    row = "[" + cell + ("," + cell).join(["%d"] * len(rows[0])) + ind + "]"
-    return sep.join([row] * len(rows)) % tuple(chain.from_iterable(rows))
 
 
 # --- array slices ---------------------------------------------------------------
@@ -505,14 +474,16 @@ def _float_array_body(values, sep: str) -> str:
     """The items of a 1-D float array slice, ``sep``-joined, as
     ``_items`` writes its ``tolist()``, whatever the items.
 
-    With ``y = |x| * 1e6`` (one rounding, of at most half an ulp) and
-    ``k = rint(y)``, ``k`` is the correctly rounded value of the exact
-    product when ``| |y - k| - 0.5 | > spacing(y)``: no ``.5`` boundary
-    lies between the exact and the computed product.  For such items
-    with ``1e-4 <= |x| < 1e9``, the digits of ``k`` with the point six
-    places from the right, less leading integer and trailing fraction
-    zeros (keeping ``.0``), are those ``"%.6f"`` gives, so the text is
-    what ``_float_list_body`` writes.  Every other item (a near-tie, out
+    For finite ``1e-4 <= |x| < 1e9``, ``round(x, 6)`` is the double
+    nearest ``d = ±k / 10**6``, ``k`` being the exact ``|x| * 10**6``
+    rounded half to even.  ``d`` has at most 15 significant digits
+    (``k <= 10**15``), and no two such decimals read back as one double,
+    so ``repr`` writes ``d``, in fixed notation in this band: the digits
+    of ``k``, the point six from the right, less leading integer and
+    trailing fraction zeros (keeping ``0.`` and ``.0``).  ``y = |x| *
+    1e6`` is off the exact product by at most half of ``spacing(y)``, so
+    where ``| |y - k| - 0.5 | > spacing(y)`` no ``.5`` boundary lies
+    between them and ``k = rint(y)``.  Every other item (a near-tie, out
     of the band, NaN, ±inf) is written by ``_scalar(_quantize(x))`` and
     spliced in by index.
     """
@@ -564,13 +535,12 @@ def _zero_runs(m, rows) -> None:
 
 
 def _int_array_rows_body(rows, ind: str) -> str:
-    """``_int_rows_body(rows.tolist(), ind)`` for a 2-D integer array
-    with at least one column.  Codes in ``[0, 1000)`` are written from
-    ``_code_groups``; any other slice takes ``_int_rows_body``."""
+    """The rows of a 2-D integer array slice with at least one column and
+    every code in ``[0, 1000)``, ``","``-separated, each on a line
+    indented by ``ind``, as ``_items`` writes its ``tolist()``; each
+    code's text is taken from ``_code_groups``."""
     import numpy as np
 
-    if not (rows.min() >= 0 and rows.max() < 1000):
-        return _int_rows_body(rows.tolist(), ind)
     cols = rows.shape[1]
     cell = (ind + " ").encode()
     # one row: "[", per code its cell, three digit bytes and "," (none
@@ -660,11 +630,11 @@ def _items(chunk, ind: str) -> Iterator[str]:
     """The items of one list slice, ``","``-separated, each on a line
     indented by ``ind``.
 
-    An array slice is written as its ``tolist()`` would be: a 1-D float
-    one by ``_float_array_body`` and a 2-D integer one by
-    ``_int_array_rows_body``, any other through its ``tolist()``.
-    Slices of exact ints and of finite exact floats are each formatted by
-    one join; any other item recurses.
+    A 1-D float array slice is formatted by ``_float_array_body`` and a
+    2-D integer one with codes in ``[0, 1000)`` by
+    ``_int_array_rows_body``.  Any other array slice is made its
+    ``tolist()``, and every list item is written one at a time: a scalar
+    by ``_scalar(_quantize(item))``, a container by ``_encode``.
     """
     sep = "," + ind
     if hasattr(chunk, "dtype"):
@@ -672,26 +642,19 @@ def _items(chunk, ind: str) -> Iterator[str]:
         if chunk.ndim == 1 and kind == "f" and chunk.dtype.itemsize <= 8:
             yield _float_array_body(chunk, sep)
             return
-        if chunk.ndim == 2 and kind in "iu" and chunk.shape[1]:
+        if (chunk.ndim == 2 and kind in "iu" and chunk.shape[1]
+                and chunk.min() >= 0 and chunk.max() < 1000):
             yield _int_array_rows_body(chunk, ind)
             return
         chunk = chunk.tolist()
-    kinds = set(map(type, chunk))
-    if kinds == {int}:
-        yield sep.join(map(int.__repr__, chunk))
-    elif kinds == {float} and math.isfinite(sum(chunk)):
-        # A finite sum means every item is finite: one non-finite item
-        # makes the sum inf or NaN.
-        yield _float_list_body(chunk, sep)
-    else:
-        lead = ""
-        for item in chunk:
-            if isinstance(item, _LEAVES):
-                yield lead + _scalar(_quantize(item))
-            else:
-                yield lead
-                yield from _encode(item, ind)
-            lead = sep
+    lead = ""
+    for item in chunk:
+        if isinstance(item, _LEAVES):
+            yield lead + _scalar(_quantize(item))
+        else:
+            yield lead
+            yield from _encode(item, ind)
+        lead = sep
 
 
 def report_pieces(report) -> Iterator[str]:
@@ -713,27 +676,16 @@ def report_pieces(report) -> Iterator[str]:
 def write_report(report) -> str:
     """Deterministic serialization of an analysis result tree.
 
-    Canonical JSON, keys in sorted order, reals quantized to 6 decimals
-    (round-trips exactly for pre-quantized values).  The text is
-    byte-identical to ``json.dumps(q, sort_keys=True, indent=1) + "\\n"``,
+    Canonical JSON, keys in sorted order, reals quantized to 6 decimals:
+    the text of ``json.dumps(q, sort_keys=True, indent=1) + "\\n"``,
     where ``q`` is ``report`` with every NumPy array (``ndim >= 1``) made
     its ``tolist()``, every dict key ``str(key)``, every tuple a list and
     every float ``_quantize``-d; a value that expression rejects raises
     ``IoError``.  It is the join of ``report_pieces``, which quantizes as
-    it emits, with no quantized copy.  Lists and arrays are formatted one
-    ``_CHUNK`` slice at a time.  A list slice of exact ints is formatted
-    by one join.  A list slice of finite exact floats is formatted by one
-    ``"%.6f"``, less trailing zeros: that is exact because ``"%.6f"`` and
-    ``round(x, 6)`` share dtoa's correctly rounded digits, and for
-    ``1e-4 <= |x| < 1e9`` those (at most 15 significant) digits in fixed
-    notation are what ``repr`` prints for the rounded value.  A 1-D float
-    array slice gets the same digits from ``k = rint(|x| * 1e6)``, which
-    is the correctly rounded value of ``|x| * 10**6`` wherever no ``.5``
-    boundary lies within ``spacing`` of the computed product.  Items
-    outside the band (scientific notation, ``-0.0``, NaN, ±inf) or near
-    such a boundary take ``repr(_quantize(x))`` one at a time.  A 2-D
-    integer array slice with codes in ``[0, 1000)`` is written from a
-    table of digit groups, any other by one ``%d`` template.
+    it emits, with no quantized copy.  Only a 1-D float array slice and
+    a 2-D one of integer codes in ``[0, 1000)`` are formatted in bulk, by
+    NumPy (``_float_array_body``, ``_int_array_rows_body``); every other
+    item is written by itself.
     """
     return "".join(report_pieces(report))
 

@@ -276,8 +276,11 @@ class TestCovariates:
         {"t": 1, "probs": {"p_s": "1"}},
         {"t": 1, "probs": {"p_s": True}},
         {"t": 1, "probs": {"p_s": None}},
+        {"utterance_id": ["u1"], "t": 1, "probs": {"p_s": 1.0}},
+        {"utterance_id": 1, "t": 1, "probs": {"p_s": 1.0}},
     ], ids=["string-t", "float-t", "bool-t", "list-probs", "string-prob",
-            "bool-prob", "null-prob"])
+            "bool-prob", "null-prob", "list-utterance-id",
+            "number-utterance-id"])
     def test_mistyped_posterior_frame_is_e_schema(self, tmp_path, capsys,
                                                   frame):
         rec = {"id": "u1", "speaker_id": "s", "reference": "hi",
@@ -345,6 +348,13 @@ class TestPipeline:
         assert set(data.continuous) == {"SubsErr", "DelErr", "InsErr"}
         schemes = json.loads((workdir / "schemes.json").read_text())
         assert schemes["GoP"]["method"] == "sigma"
+
+    def test_discretize_output_takes_the_array_reader(self, workdir):
+        # a writer change that sent fit and report back to json.loads
+        # would keep every output byte and pass the other tests
+        assert self.assemble(workdir) == 0
+        raw = (workdir / "dataset.json").read_bytes()
+        assert causal._canonical_dataset(raw) is not None
 
     def test_discretize_rejects_stale_scores(self, workdir, capsys):
         # a reference edited after `align` no longer matches its ref_len
@@ -636,6 +646,122 @@ class TestUndecodableInputs:
 
 MINIMAL_RECORD = (b'{"id": "u1", "speaker_id": "s", "reference": "hi", '
                   b'"hypotheses": {"m": "hi"}}')
+
+
+def e_schema_message(capsys) -> str:
+    diagnostic = json.loads(capsys.readouterr().err)
+    assert diagnostic["error"] == "E_SCHEMA"
+    return diagnostic["message"]
+
+
+class TestSilentlyDroppedInputs:
+    """An input the command would ignore is E_SCHEMA naming it."""
+
+    def test_report_dataset_name_given_twice(self, tmp_path, monkeypatch,
+                                             capsys):
+        monkeypatch.chdir(tmp_path)
+        assert run_cli("synth", "--spec", "paper-shaped", "--n", "300",
+                       "--out", "a.json") == 0
+        Path("sub").mkdir()
+        Path("sub/a.json").write_bytes(Path("a.json").read_bytes())
+        assert run_cli("report", "--in", "a.json", "--in", "sub/a.json",
+                       "--out", "r.json") == 1
+        assert "'a'" in e_schema_message(capsys)
+        assert not Path("r.json").exists()
+
+    def test_discretize_bin_of_an_unbinned_node(self, workdir, capsys):
+        run_cli("covariates", "--in", str(workdir / "records.jsonl"),
+                "--out", str(workdir / "cov.jsonl"),
+                "--freq-table", str(workdir / "freq.csv"))
+        assert run_cli("discretize", "--records", str(workdir / "cov.jsonl"),
+                       "--out", str(workdir / "d.json"),
+                       "--bin", "SRN=kde") == 1
+        assert "'SRN'" in e_schema_message(capsys)
+
+
+GRAPH_NODE = {"name": "A", "kind": "exogenous", "categories": ["x", "y"]}
+
+
+class TestMistypedHandWrittenInputs:
+    """A hand-written input of the wrong JSON type is E_SCHEMA naming the
+    line or the node, never a traceback or a silent reading."""
+
+    @pytest.mark.parametrize("doc, named", [
+        ({"nodes": 5, "edges": []}, "'nodes'"),
+        ({"nodes": [{**GRAPH_NODE, "categories": 3}], "edges": []}, "'A'"),
+        ({"nodes": [{**GRAPH_NODE, "categories": "abc"}], "edges": []},
+         "'A'"),
+        ({"nodes": [{**GRAPH_NODE, "name": ["A"]}], "edges": []}, "node 0"),
+        ({"nodes": [GRAPH_NODE, {**GRAPH_NODE, "name": "B"}],
+          "edges": [[["A"], "B"]]}, "['A']"),
+    ], ids=["nodes-int", "categories-int", "categories-string",
+            "list-name", "list-endpoint"])
+    def test_graph_spec(self, tmp_path, monkeypatch, capsys, doc, named):
+        monkeypatch.chdir(tmp_path)
+        Path("g.json").write_text(json.dumps(doc))
+        assert run_cli("fit", "--in", "d.json", "--graph", "g.json",
+                       "--out", "c.json") == 1
+        assert named in e_schema_message(capsys)
+
+    @pytest.mark.parametrize("edit", [
+        {"boundaries": [-2.0, "low"]}, {"boundaries": [-2.0, None]},
+        {"boundaries": [-2.0, True]}, {"boundaries": [-2.0, [1.0]]},
+        {"variable": ["GoP"]},
+    ], ids=["string-boundary", "null-boundary", "bool-boundary",
+            "list-boundary", "list-variable"])
+    def test_schemes(self, workdir, capsys, edit):
+        run_cli("covariates", "--in", str(workdir / "records.jsonl"),
+                "--out", str(workdir / "cov.jsonl"),
+                "--freq-table", str(workdir / "freq.csv"))
+        schemes = {"GoP": {"variable": "GoP", "method": "sigma",
+                           "boundaries": [-2.0, -1.0],
+                           "labels": list(ingest.THREE_LEVELS), **edit}}
+        (workdir / "s.json").write_text(json.dumps(schemes))
+        assert run_cli("discretize", "--records", str(workdir / "cov.jsonl"),
+                       "--schemes-in", str(workdir / "s.json"),
+                       "--schemes-out", str(workdir / "s_out.json"),
+                       "--out", str(workdir / "d.json")) == 1
+        assert "GoP" in e_schema_message(capsys)
+
+    @staticmethod
+    def gop_inputs(tmp_path, inventory=None, segment=None):
+        """covariates --posteriors/--segments/--inventory argv over one
+        utterance, with the second segment edited."""
+        (tmp_path / "r.jsonl").write_bytes(MINIMAL_RECORD + b"\n")
+        (tmp_path / "inv.json").write_text(json.dumps(
+            {"p": ["p_s"]} if inventory is None else inventory))
+        segments = [{"utterance_id": "u1", "phone": "p", "t_s": 0, "t_e": 1},
+                    {"utterance_id": "u1", "phone": "p", "t_s": 1, "t_e": 2,
+                     **(segment or {})}]
+        frames = [{"utterance_id": "u1", "t": 0, "probs": {"p_s": 1.0}},
+                  {"utterance_id": "u1", "t": 1, "probs": {"p_s": 1.0}}]
+        for name, lines in (("seg.jsonl", segments), ("post.jsonl", frames)):
+            (tmp_path / name).write_text(
+                "".join(json.dumps(line) + "\n" for line in lines))
+        return ["covariates", "--in", str(tmp_path / "r.jsonl"),
+                "--out", str(tmp_path / "c.jsonl"),
+                "--posteriors", str(tmp_path / "post.jsonl"),
+                "--segments", str(tmp_path / "seg.jsonl"),
+                "--inventory", str(tmp_path / "inv.json")]
+
+    @pytest.mark.parametrize("segment", [
+        {"t_s": "1"}, {"t_s": 0.5}, {"t_s": True}, {"t_e": "2"},
+        {"phone": ["p"]}, {"utterance_id": ["u1"]},
+    ], ids=["string-t_s", "float-t_s", "bool-t_s", "string-t_e",
+            "list-phone", "list-utterance-id"])
+    def test_segments(self, tmp_path, capsys, segment):
+        assert run_cli(*self.gop_inputs(tmp_path, segment=segment)) == 1
+        assert e_schema_message(capsys).startswith("line 2: ")
+
+    @pytest.mark.parametrize("inventory, named", [
+        (["p", "p_s"], "inventory"),
+        ({"p": "p_s"}, "'p'"),
+        ({"p": ["p_s"], "q": []}, "'q'"),
+        ({"p": [["p_s"]]}, "'p'"),
+    ], ids=["list", "string-states", "empty-states", "list-state"])
+    def test_inventory(self, tmp_path, capsys, inventory, named):
+        assert run_cli(*self.gop_inputs(tmp_path, inventory=inventory)) == 1
+        assert named in e_schema_message(capsys)
 
 
 class TestCaching:

@@ -314,9 +314,10 @@ _BAND_EDGE_FLOATS = st.one_of(
 
 
 class TestBulkListEncoding:
-    """Lists of finite floats are written from one "%.6f" format per
-    chunk and lists of int rows one row at a time; both must match
-    ``json.dumps(ref_quantize(x), ...)`` byte for byte."""
+    """Every list item, floats and int rows alike, is written one at a
+    time by the encoder's per-item loop, a chunk of 4096 items per
+    piece; long lists must match ``json.dumps(ref_quantize(x), ...)``
+    byte for byte."""
 
     @settings(max_examples=400, deadline=None)
     @given(st.lists(_BAND_EDGE_FLOATS, min_size=1, max_size=30))
