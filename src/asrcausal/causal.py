@@ -750,8 +750,10 @@ def _cmi_from_counts(counts: np.ndarray, alpha: float) -> float:
 
 # --- average causal effect ----------------------------------------------------
 
-def _default_levels(graph: CausalGraph, treatment: str,
-                    lo: str | None, hi: str | None) -> tuple[str, str]:
+def _arms(graph: CausalGraph, treatment: str, lo: str | None = None,
+          hi: str | None = None) -> tuple[tuple[str, int], tuple[str, int]]:
+    """(level, category index) of the high arm, then of the low arm; the
+    levels default to the last and the first category."""
     cats = graph.categories[treatment]
     lo = cats[0] if lo is None else lo
     hi = cats[-1] if hi is None else hi
@@ -759,7 +761,7 @@ def _default_levels(graph: CausalGraph, treatment: str,
         if level not in cats:
             raise UnknownLevelError(
                 f"{level!r} is not a category of {treatment!r}")
-    return lo, hi
+    return (hi, cats.index(hi)), (lo, cats.index(lo))
 
 
 def _outcome_vector(data: DiscreteDataset, effect: str) -> np.ndarray:
@@ -774,12 +776,13 @@ def _outcome_vector(data: DiscreteDataset, effect: str) -> np.ndarray:
 
 def ace(graph: CausalGraph, data_or_cpts, treatment: str, effect: str,
         level_lo: str | None = None, level_hi: str | None = None, *,
-        normalized: bool = False, on_empty: str = "error") -> float:
+        on_empty: str = "error") -> float:
     """Average causal effect E[Y | do(X=hi)] - E[Y | do(X=lo)].
 
     Backdoor adjustment over Z = parents(treatment):
     E[Y | do(x)] = sum_z E[Y | x, z] P(z).  Levels default to the first
-    and last treatment category; ``normalized`` divides by (#levels - 1).
+    and last treatment category; ``ace_per_level`` gives the per-level
+    value that edge records carry.
 
     One formula serves both inputs: it reads the (Z, treatment) cell
     masses and outcome sums, counted over a dataset's rows or, from
@@ -792,44 +795,36 @@ def ace(graph: CausalGraph, data_or_cpts, treatment: str, effect: str,
     """
     if treatment not in graph.nodes:
         raise MissingVariableError(f"treatment {treatment!r} not in graph")
-    lo, hi = _default_levels(graph, treatment, level_lo, level_hi)
-    if isinstance(data_or_cpts, DiscreteDataset):
-        value = _ace_from_data(graph, data_or_cpts, treatment, effect,
-                               lo, hi, on_empty)
-    else:
-        value = _ace_from_cpts(graph, data_or_cpts, treatment, effect,
-                               lo, hi, on_empty)
-    if normalized:
-        value /= _level_steps(graph, treatment)
-    return value
-
-
-def _level_steps(graph: CausalGraph, treatment: str) -> int:
-    """Divisor of the per-level-normalized ACE: #levels - 1."""
-    steps = len(graph.categories[treatment]) - 1
-    if steps == 0:
-        raise UnknownLevelError(
-            f"{treatment!r} has one category; a normalized ACE needs two")
-    return steps
-
-
-def _arms(graph: CausalGraph, treatment: str, lo: str, hi: str
-          ) -> tuple[tuple[str, int], tuple[str, int]]:
-    """(level, category index) of the high arm, then of the low arm."""
-    cats = graph.categories[treatment]
-    return (hi, cats.index(hi)), (lo, cats.index(lo))
-
-
-def _ace_from_data(graph: CausalGraph, data: DiscreteDataset, treatment: str,
-                   effect: str, lo: str, hi: str, on_empty: str) -> float:
+    arms = _arms(graph, treatment, level_lo, level_hi)
     adjust = graph.parents(treatment)
     family = (*adjust, treatment)
-    # an effect node without a continuous column is read as its codes
-    _check_categories(graph, data, family if effect in data.continuous
-                      or effect not in graph.nodes else (*family, effect))
-    counts, moments = count_tensors(data, family, [effect])
-    return _ace_from_counts(counts, moments[effect], treatment, effect,
-                            adjust, _arms(graph, treatment, lo, hi), on_empty)
+    if isinstance(data_or_cpts, DiscreteDataset):
+        data = data_or_cpts
+        # an effect node without a continuous column is read as its codes
+        _check_categories(graph, data, family if effect in data.continuous
+                          or effect not in graph.nodes else (*family, effect))
+        mass, moments = count_tensors(data, family, [effect])
+        moment = moments[effect]
+    else:
+        if effect not in graph.nodes:
+            raise MissingVariableError(
+                f"effect {effect!r} must be a graph node for CPT-based ACE")
+        # the (Z, T) marginals of the joint P and of P times the outcome
+        joint = joint_tensor(graph, data_or_cpts)
+        outcome = np.arange(len(graph.categories[effect]), dtype=np.float64)
+        outcome = outcome.reshape([-1 if node == effect else 1
+                                   for node in graph.nodes])
+        mass, moment = (_axes_as(graph, marginal(graph, table, family),
+                                 family) for table in (joint, joint * outcome))
+    return _ace_from_counts(mass, moment, treatment, effect, adjust, arms,
+                            on_empty)
+
+
+def ace_per_level(graph: CausalGraph, treatment: str, value: float) -> float:
+    """An ACE divided by the treatment's #levels - 1; 0.0 for a
+    one-category treatment, whose only ACE is 0."""
+    steps = len(graph.categories[treatment]) - 1
+    return value / steps if steps else 0.0
 
 
 def _ace_from_counts(counts: np.ndarray, moment: np.ndarray, treatment: str,
@@ -872,39 +867,34 @@ def _ace_from_counts(counts: np.ndarray, moment: np.ndarray, treatment: str,
     return float(np.sum(diffs * weight) / total)
 
 
-def _ace_from_cpts(graph: CausalGraph, cpts: Mapping[str, ConditionalTable],
-                   treatment: str, effect: str, lo: str, hi: str,
-                   on_empty: str) -> float:
-    """``_ace_from_counts`` on the (parents(T), T) marginals of the
-    observational joint P and of P times the effect's category index."""
-    if effect not in graph.nodes:
-        raise MissingVariableError(
-            f"effect {effect!r} must be a graph node for CPT-based ACE")
-    joint = joint_tensor(graph, cpts)
-    outcome = np.arange(len(graph.categories[effect]), dtype=np.float64)
-    outcome = outcome.reshape([-1 if node == effect else 1
-                               for node in graph.nodes])
-    adjust = graph.parents(treatment)
-    family = (*adjust, treatment)
-    mass, moment = (_axes_as(graph, marginal(graph, table, family), family)
-                    for table in (joint, joint * outcome))
-    return _ace_from_counts(mass, moment, treatment, effect, adjust,
-                            _arms(graph, treatment, lo, hi), on_empty)
+def edge_records(graph: CausalGraph, ace_of, cmi_of) -> list[dict]:
+    """One record per edge, in declaration order, of ``ace_of(cause,
+    effect)``, its ``ace_per_level`` and ``cmi_of(cause, effect,
+    conditioning)``, conditioning on the effect's other parents."""
+    records = []
+    for cause, effect in graph.edges:
+        others = [p for p in graph.parents(effect) if p != cause]
+        value = ace_of(cause, effect)
+        records.append({
+            "cause": cause,
+            "effect": effect,
+            "ace": value,
+            "ace_normalized": ace_per_level(graph, cause, value),
+            "cmi": cmi_of(cause, effect, others),
+            "conditioning": others,
+        })
+    return records
 
 
 def edge_report(graph: CausalGraph, data: DiscreteDataset,
                 alpha: float = 1.0, *, on_empty: str = "error") -> list[dict]:
-    """Per-edge causal strength: ACE (raw and per-level-normalized) and
-    CMI conditioned on the effect's other parents.
+    """``edge_records`` of backdoor ACE and CMI from data.
 
-    Edges are reported in declaration order; effect nodes with a
-    continuous column of the same name use it as the ACE outcome
-    (per-utterance error rates), everything else uses ordinal codes.
-    The rows are read once: into the count tensor N over the graph's
-    nodes (declaration order) and one moment tensor S per effect.  Each
-    ACE reads the (parents(cause), cause) marginals of N and S, each CMI
-    the (cause, effect, others) marginal of N.  A node whose dataset
-    categories are not the graph's raises SchemaError naming it.
+    An effect's continuous column of the same name, when present, is its
+    ACE outcome (per-utterance error rates), else its ordinal codes.
+    The rows are read once, into N over the graph's nodes and S per
+    effect; each ACE reads the (parents(cause), cause) marginals of N
+    and S, each CMI the (cause, effect, others) marginal of N.
     """
     _check_categories(graph, data, graph.nodes)
     effects = list(dict.fromkeys(effect for _, effect in graph.edges))
@@ -919,28 +909,17 @@ def edge_report(graph: CausalGraph, data: DiscreteDataset,
             summed[key] = marginal(graph, counts, key)
         return _axes_as(graph, summed[key], keep)
 
-    records = []
-    for cause, effect in graph.edges:
+    def ace_of(cause, effect):
         adjust = graph.parents(cause)
         family = (*adjust, cause)
-        raw = _ace_from_counts(
+        return _ace_from_counts(
             counts_over(family),
             _axes_as(graph, marginal(graph, moments[effect], family), family),
-            cause, effect, adjust,
-            _arms(graph, cause, *_default_levels(graph, cause, None, None)),
-            on_empty)
-        levels = len(graph.categories[cause]) - 1
-        others = [p for p in graph.parents(effect) if p != cause]
-        cmi = _cmi_from_counts(counts_over((cause, effect, *others)), alpha)
-        records.append({
-            "cause": cause,
-            "effect": effect,
-            "ace": raw,
-            "ace_normalized": raw / levels if levels else 0.0,
-            "cmi": cmi,
-            "conditioning": others,
-        })
-    return records
+            cause, effect, adjust, _arms(graph, cause), on_empty)
+
+    return edge_records(graph, ace_of, lambda cause, effect, others:
+                        _cmi_from_counts(counts_over((cause, effect, *others)),
+                                         alpha))
 
 
 def group_by_effect(records: Iterable[dict]) -> dict[str, list[dict]]:

@@ -263,6 +263,15 @@ def _graph_inputs(value: str) -> list[str]:
     return [] if value in _BUILTIN_GRAPHS else [value]
 
 
+def _dir_inputs(path: str | None) -> list[str]:
+    """Freshness inputs of a directory: itself, so adding or removing a
+    file counts, and each file in it.  A missing directory adds none."""
+    if not (path and os.path.isdir(path)):
+        return []
+    with os.scandir(path) as entries:
+        return [path, *(e.path for e in entries if e.is_file())]
+
+
 def _load_graph(value: str) -> causal_mod.CausalGraph:
     from . import causal as causal_mod
 
@@ -280,9 +289,8 @@ def _load_dataset(path: str) -> causal_mod.DiscreteDataset:
 def _load_scm(value: str, n, seed) -> synthetic.ScmSpec:
     from . import synthetic
 
-    if value in _BUILTIN_SCMS:
-        return synthetic.builtin_scm_spec(value, n=n, seed=seed)
-    spec = synthetic.parse_scm_spec(_read_text(value))
+    spec = (synthetic.builtin_scm_spec(value) if value in _BUILTIN_SCMS
+            else synthetic.parse_scm_spec(_read_text(value)))
     if n is not None:
         spec.n = n
     if seed is not None:
@@ -300,21 +308,8 @@ def _cmd_synth(config) -> list[str]:
     written = [_write_text(config.out,
                            ingest.report_pieces(data.to_document()))]
     if config.truths:
-        edges = []
-        for cause, effect in spec.graph.edges:
-            others = [p for p in spec.graph.parents(effect) if p != cause]
-            raw = synthetic.true_ace(spec, cause, effect)
-            levels = len(spec.graph.categories[cause]) - 1
-            edges.append({
-                "cause": cause,
-                "effect": effect,
-                "ace": raw,
-                "ace_normalized": raw / levels if levels else 0.0,
-                "cmi": synthetic.true_cmi(spec, cause, effect, others),
-                "conditioning": others,
-            })
-        written.append(_write_text(config.truths,
-                                   ingest.report_pieces({"edges": edges})))
+        written.append(_write_text(config.truths, ingest.report_pieces(
+            {"edges": synthetic.true_edges(spec)})))
     return written
 
 
@@ -438,11 +433,8 @@ def _cmd_discretize(config) -> list[str]:
         raise SchemaError("--scores requires --model")
 
     for record in records:
-        for node, field in _CATEGORICAL_SOURCES.items():
-            if getattr(record, field) is None:
-                raise SchemaError(f"record lacks {field!r} needed for {node}",
-                                  record_id=record.id)
-        for node, field in _BINNED_SOURCES.items():
+        for node, field in {**_CATEGORICAL_SOURCES,
+                            **_BINNED_SOURCES}.items():
             if getattr(record, field) is None:
                 raise SchemaError(f"record lacks {field!r} needed for {node}",
                                   record_id=record.id)
@@ -570,14 +562,14 @@ def _cmd_ace(config) -> int:
     data = _load_dataset(config.inp)
     value = causal_mod.ace(graph, data, config.treatment, config.effect,
                            config.lo, config.hi, on_empty=config.on_empty)
-    levels = len(graph.categories[config.treatment]) - 1
     return _emit(config, {
         "treatment": config.treatment,
         "effect": config.effect,
         "lo": config.lo or graph.categories[config.treatment][0],
         "hi": config.hi or graph.categories[config.treatment][-1],
         "ace": value,
-        "ace_normalized": value / levels if levels else 0.0,
+        "ace_normalized": causal_mod.ace_per_level(graph, config.treatment,
+                                                   value),
     })
 
 
@@ -664,7 +656,8 @@ _COMMANDS = {
     "align": (_cmd_align, lambda c: [c.inp]),
     "covariates": (_cmd_covariates,
                    lambda c: [c.inp, *c.freq_table, c.posteriors,
-                              c.segments, c.inventory]),
+                              c.segments, c.inventory,
+                              *_dir_inputs(c.audio_dir)]),
     "discretize": (_cmd_discretize,
                    lambda c: [c.records, c.scores, c.schemes_in]),
     "oracle": (_cmd_oracle, lambda c: [c.inp]),

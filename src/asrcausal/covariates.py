@@ -113,10 +113,10 @@ class GopScore:
 
 
 def _avg_log_posteriors(segment: PhoneSegment,
-                        frames: Sequence[PosteriorFrame],
+                        by_t: Mapping[int, PosteriorFrame],
                         floor: bool) -> dict[str, float]:
-    """Duration-averaged log posterior per phone over the segment span."""
-    by_t = {f.t: f for f in frames}
+    """Duration-averaged log posterior per phone over the segment span,
+    from the utterance's frames keyed by ``t``."""
     span = range(segment.t_s, segment.t_e)
     for t in span:
         if t not in by_t:
@@ -137,6 +137,13 @@ def _avg_log_posteriors(segment: PhoneSegment,
     return {p: s / dur for p, s in sums.items()}
 
 
+def _gop(segment: PhoneSegment, by_t: Mapping[int, PosteriorFrame],
+         floor: bool) -> float:
+    segment.validate()
+    avg = _avg_log_posteriors(segment, by_t, floor)
+    return avg[segment.phone] - max(avg.values())
+
+
 def gop_phone(segment: PhoneSegment, frames: Sequence[PosteriorFrame],
               *, floor: bool = False) -> float:
     """Pronunciation score of one phone: <= 0, 0 iff the target is maximal.
@@ -144,21 +151,21 @@ def gop_phone(segment: PhoneSegment, frames: Sequence[PosteriorFrame],
     ``floor`` opts into clamping zero posteriors at 1e-10 instead of
     raising, so numerical rescue stays visible at the call site.
     """
-    segment.validate()
-    avg = _avg_log_posteriors(segment, frames, floor)
-    return avg[segment.phone] - max(avg.values())
+    return _gop(segment, {f.t: f for f in frames}, floor)
 
 
 def gop_utterance(segments: Sequence[PhoneSegment],
                   frames: Sequence[PosteriorFrame],
                   *, floor: bool = False) -> GopScore:
-    """Per-phone scores plus their arithmetic mean."""
+    """Per-phone scores plus their arithmetic mean.  The frames are keyed
+    by ``t`` once for all segments."""
     if not segments:
         raise EmptyInputError("no phone segments")
+    by_t = {f.t: f for f in frames}
     scores = []
     for index, segment in enumerate(segments):
         try:
-            scores.append((segment.phone, gop_phone(segment, frames, floor=floor)))
+            scores.append((segment.phone, _gop(segment, by_t, floor)))
         except ZeroPosteriorError as exc:
             raise ZeroPosteriorError(f"segment {index}: {exc}") from None
     mean = sum(s for _, s in scores) / len(scores)
@@ -242,21 +249,34 @@ def read_audio(path: str, sample_rate: int | None = None
     return samples / 32768.0, rate
 
 
-def parse_posterior_frames(stream: Iterable[str]
-                           ) -> dict[str, list[PosteriorFrame]]:
-    """Parse line-delimited ``{utterance_id, t, probs}`` records."""
-    frames: dict[str, list[PosteriorFrame]] = {}
+def _utterance_lines(stream: Iterable[str], fields: Sequence[str]):
+    """(line number, object, its ``utterance_id``) per line of a
+    line-delimited file whose objects need a string ``utterance_id`` and
+    ``fields``; else SchemaError naming the line."""
     for line_no, raw in read_jsonl(stream):
-        for field in ("utterance_id", "t", "probs"):
+        for field in ("utterance_id", *fields):
             if field not in raw:
                 raise SchemaError(f"missing field {field!r}", line=line_no)
         if not isinstance(raw["utterance_id"], str):
             raise SchemaError("'utterance_id' must be a string", line=line_no)
+        yield line_no, raw, raw["utterance_id"]
+
+
+def parse_posterior_frames(stream: Iterable[str]
+                           ) -> dict[str, list[PosteriorFrame]]:
+    """Parse line-delimited ``{utterance_id, t, probs}`` records: each
+    utterance's frames in ``t`` order.  A second frame for the same
+    utterance and ``t`` is SchemaError naming the line."""
+    frames: dict[str, dict[int, PosteriorFrame]] = {}
+    for line_no, raw, utt_id in _utterance_lines(stream, ("t", "probs")):
         frame = PosteriorFrame(raw["t"], raw["probs"]).validate(line_no)
-        frames.setdefault(raw["utterance_id"], []).append(frame)
-    for fs in frames.values():
-        fs.sort(key=lambda f: f.t)
-    return frames
+        by_t = frames.setdefault(utt_id, {})
+        if frame.t in by_t:
+            raise SchemaError(f"utterance {utt_id!r}: a second frame for "
+                              f"t={frame.t}", line=line_no)
+        by_t[frame.t] = frame
+    return {utt_id: [by_t[t] for t in sorted(by_t)]
+            for utt_id, by_t in frames.items()}
 
 
 def parse_segments(stream: Iterable[str], inventory: Mapping[str, Sequence[str]]
@@ -265,15 +285,11 @@ def parse_segments(stream: Iterable[str], inventory: Mapping[str, Sequence[str]]
     against a phone inventory, which ``check_inventory`` checks first."""
     check_inventory(inventory)
     segments: dict[str, list[PhoneSegment]] = {}
-    for line_no, raw in read_jsonl(stream):
-        for field in ("utterance_id", "phone", "t_s", "t_e"):
-            if field not in raw:
-                raise SchemaError(f"missing field {field!r}", line=line_no)
-        if not isinstance(raw["utterance_id"], str):
-            raise SchemaError("'utterance_id' must be a string", line=line_no)
+    for line_no, raw, utt_id in _utterance_lines(
+            stream, ("phone", "t_s", "t_e")):
         segment = PhoneSegment(raw["phone"], raw["t_s"], raw["t_e"],
                                inventory).validate(line_no)
-        segments.setdefault(raw["utterance_id"], []).append(segment)
+        segments.setdefault(utt_id, []).append(segment)
     for ss in segments.values():
         ss.sort(key=lambda s: s.t_s)
     return segments

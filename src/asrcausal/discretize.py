@@ -17,6 +17,7 @@ across datasets.
 from __future__ import annotations
 
 import json
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Sequence
@@ -74,13 +75,20 @@ class BinningScheme:
             variable = doc["variable"]
             if not isinstance(variable, str):
                 raise TypeError(f"variable {variable!r} is not a string")
+            method, labels = doc["method"], doc["labels"]
+            if method not in ("sigma", "kde", "quantile"):
+                raise SchemaError(f"{variable}: unknown method {method!r}")
+            if not (isinstance(labels, list)
+                    and all(isinstance(label, str) for label in labels)):
+                raise SchemaError(f"{variable}: labels must be a list of "
+                                  f"strings, not {labels!r}")
             for b in doc["boundaries"]:
-                if not is_number(b):
+                if not (is_number(b) and math.isfinite(b)):
                     raise SchemaError(f"{variable}: boundary {b!r} is not a "
-                                      f"number")
-            return cls(variable, doc["method"],
+                                      f"finite number")
+            return cls(variable, method,
                        tuple(float(b) for b in doc["boundaries"]),
-                       tuple(doc["labels"]),
+                       tuple(labels),
                        mean=stats.get("mean"), std=stats.get("std"),
                        bandwidth=stats.get("bandwidth"))
         except (KeyError, TypeError, AttributeError) as exc:

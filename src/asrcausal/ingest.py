@@ -97,8 +97,9 @@ class UtteranceRecord:
             bad(f"field 'gender' must be one of {GENDERS}")
         for name in ("snr_db", "gop", "vocab_difficulty"):
             value = getattr(self, name)
-            if value is not None and not is_number(value):
-                bad(f"field {name!r} must be a number")
+            if value is not None and not (is_number(value)
+                                          and math.isfinite(value)):
+                bad(f"field {name!r} must be a finite number, not {value!r}")
         if self.gop is not None and self.gop > 0:
             bad("field 'gop' must be <= 0")
         if self.vocab_difficulty is not None and self.vocab_difficulty < 0:
@@ -366,12 +367,17 @@ def parse_graph_spec(text: str) -> GraphSpec:
     for i, entry in enumerate(raw["nodes"]):
         if not isinstance(entry, dict) or not {"name", "kind", "categories"} <= set(entry):
             raise SchemaError(f"node {i}: needs name, kind, categories")
+        # a category is a string or an integer (not a bool), read as its
+        # decimal text
         if not (isinstance(entry["name"], str)
-                and isinstance(entry["categories"], list)):
+                and isinstance(entry["categories"], list)
+                and all(isinstance(c, str) or type(c) is int
+                        for c in entry["categories"])):
             raise SchemaError(f"node {i} ({entry['name']!r}): needs a "
-                              f"string name and a list of categories")
+                              f"string name and a list of string or "
+                              f"integer categories")
         nodes.append(NodeSpec(entry["name"], entry["kind"],
-                              tuple(str(c) for c in entry["categories"])))
+                              tuple(map(str, entry["categories"]))))
     edges = []
     for entry in raw["edges"]:
         if not isinstance(entry, list) or list(map(type, entry)) != [str, str]:
@@ -674,19 +680,12 @@ def report_pieces(report) -> Iterator[str]:
 
 
 def write_report(report) -> str:
-    """Deterministic serialization of an analysis result tree.
-
-    Canonical JSON, keys in sorted order, reals quantized to 6 decimals:
-    the text of ``json.dumps(q, sort_keys=True, indent=1) + "\\n"``,
-    where ``q`` is ``report`` with every NumPy array (``ndim >= 1``) made
-    its ``tolist()``, every dict key ``str(key)``, every tuple a list and
+    """Deterministic serialization of an analysis result tree: the text
+    of ``json.dumps(q, sort_keys=True, indent=1) + "\\n"``, where ``q`` is
+    ``report`` with every NumPy array (``ndim >= 1``) made its
+    ``tolist()``, every dict key ``str(key)``, every tuple a list and
     every float ``_quantize``-d; a value that expression rejects raises
-    ``IoError``.  It is the join of ``report_pieces``, which quantizes as
-    it emits, with no quantized copy.  Only a 1-D float array slice and
-    a 2-D one of integer codes in ``[0, 1000)`` are formatted in bulk, by
-    NumPy (``_float_array_body``, ``_int_array_rows_body``); every other
-    item is written by itself.
-    """
+    ``IoError``.  It is the join of ``report_pieces``."""
     return "".join(report_pieces(report))
 
 
@@ -737,24 +736,16 @@ def emit_plot_data(report: dict) -> dict[str, str]:
         for model in sorted(models):
             edges = models[model].get("edges", [])
             ace = {(e["cause"], e["effect"]): e.get("ace") for e in edges}
-            causes = []
-            for e in edges:
-                if e["cause"] not in causes:
-                    causes.append(e["cause"])
-            for cause in causes:
-                cells = []
-                for err in _ERROR_NODES:
-                    v = ace.get((cause, err))
-                    cells.append("" if v is None else f"{v:.6f}")
-                lines.append(f"{model},{cause}," + ",".join(cells))
+            for cause in dict.fromkeys(e["cause"] for e in edges):
+                values = (ace.get((cause, err)) for err in _ERROR_NODES)
+                lines.append(f"{model},{cause}," + ",".join(
+                    "" if v is None else f"{v:.6f}" for v in values))
         out["ace_table.csv"] = "\n".join(lines) + "\n"
         for model in sorted(models):
             lines = ["cause,effect,ace,ace_normalized,cmi"]
             for e in models[model].get("edges", []):
-                cells = [e["cause"], e["effect"]]
-                for k in ("ace", "ace_normalized", "cmi"):
-                    v = e.get(k)
-                    cells.append("" if v is None else f"{v:.6f}")
-                lines.append(",".join(cells))
+                values = (e.get(k) for k in ("ace", "ace_normalized", "cmi"))
+                lines.append(",".join([e["cause"], e["effect"], *(
+                    "" if v is None else f"{v:.6f}" for v in values)]))
             out[f"edge_annotations_{model}.csv"] = "\n".join(lines) + "\n"
     return out

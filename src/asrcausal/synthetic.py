@@ -29,8 +29,8 @@ from .causal import (
     CausalGraph,
     ConditionalTable,
     DiscreteDataset,
-    _default_levels,
-    _level_steps,
+    _arms,
+    edge_records,
     entropy,
     joint_tensor,
     marginal,
@@ -112,7 +112,7 @@ def exact_table(graph: CausalGraph, node: str,
                                          given.ravel()) if not ok)
         raise InvalidSpecError(
             f"table for {node!r}: no probabilities for config {config}")
-    return ConditionalTable(node, parents, cats, parent_cats, dense)
+    return _dense_table(graph, node, dense)
 
 
 # --- inverse normal CDF ------------------------------------------------------
@@ -235,33 +235,31 @@ def _outcome_values(spec: ScmSpec, effect: str) -> np.ndarray:
     return np.arange(len(spec.graph.categories[effect]), dtype=np.float64)
 
 
-def true_ace(spec: ScmSpec, treatment: str, effect: str,
-             level_lo: str | None = None, level_hi: str | None = None, *,
-             normalized: bool = False) -> float:
-    """Exact ACE by enumerating the two mutilated models do(X=hi), do(X=lo)."""
+def _true_aces(spec: ScmSpec, treatment: str, effects: Sequence[str],
+               level_lo: str | None = None, level_hi: str | None = None
+               ) -> list[float]:
+    """Exact ACE of ``treatment`` on each of ``effects``, enumerating the
+    two mutilated models do(X=hi), do(X=lo) once for all of them."""
     graph = spec.graph
-    lo, hi = _default_levels(graph, treatment, level_lo, level_hi)
-    outcome = _outcome_values(spec, effect)
     arms = []
-    for level in (hi, lo):
+    for level, _ in _arms(graph, treatment, level_lo, level_hi):
         joint = joint_tensor(graph, spec.tables, do={treatment: level})
-        arms.append(float(np.dot(marginal(graph, joint, [effect]), outcome)))
-    value = arms[0] - arms[1]
-    if normalized:
-        value /= _level_steps(graph, treatment)
-    return value
+        arms.append([float(np.dot(marginal(graph, joint, [effect]),
+                                  _outcome_values(spec, effect)))
+                     for effect in effects])
+    return [high - low for high, low in zip(*arms)]
 
 
-def true_cmi(spec: ScmSpec, x: str, y: str, z: Sequence[str] = ()) -> float:
-    """Exact I(X; Y | Z) from the enumerated joint distribution.
+def true_ace(spec: ScmSpec, treatment: str, effect: str,
+             level_lo: str | None = None, level_hi: str | None = None
+             ) -> float:
+    """Exact ACE by enumerating the two mutilated models do(X=hi), do(X=lo)."""
+    return _true_aces(spec, treatment, [effect], level_lo, level_hi)[0]
 
-    Computed through the entropy identity
-    I = H(X,Z) + H(Y,Z) - H(Z) - H(X,Y,Z); exactly zero (after clearing
-    enumeration round-off below 1e-12) for d-separated triples.
-    """
+
+def _cmi_of_joint(graph: CausalGraph, joint: np.ndarray, x: str, y: str,
+                  z: Sequence[str]) -> float:
     z = list(z)
-    graph = spec.graph
-    joint = joint_tensor(graph, spec.tables)
     h_xz = entropy(marginal(graph, joint, [x] + z))
     h_yz = entropy(marginal(graph, joint, [y] + z))
     h_z = entropy(marginal(graph, joint, z)) if z else 0.0
@@ -272,16 +270,52 @@ def true_cmi(spec: ScmSpec, x: str, y: str, z: Sequence[str] = ()) -> float:
     return max(0.0, value)
 
 
+def true_cmi(spec: ScmSpec, x: str, y: str, z: Sequence[str] = ()) -> float:
+    """Exact I(X; Y | Z) from the enumerated joint distribution.
+
+    Computed through the entropy identity
+    I = H(X,Z) + H(Y,Z) - H(Z) - H(X,Y,Z); exactly zero (after clearing
+    enumeration round-off below 1e-12) for d-separated triples.
+    """
+    return _cmi_of_joint(spec.graph, joint_tensor(spec.graph, spec.tables),
+                         x, y, z)
+
+
+def true_edges(spec: ScmSpec) -> list[dict]:
+    """Every edge's exact record (``causal.edge_records``), equal to
+    ``true_ace`` and ``true_cmi`` bit for bit.  Each joint is enumerated
+    once: the observational one for every CMI, and each cause's two
+    mutilated ones for the ACEs of all its edges."""
+    graph = spec.graph
+    aces = {}
+    for cause in dict.fromkeys(cause for cause, _ in graph.edges):
+        effects = graph.children(cause)
+        aces.update(zip([(cause, e) for e in effects],
+                        _true_aces(spec, cause, effects)))
+    joint = joint_tensor(graph, spec.tables)
+    return edge_records(graph, lambda cause, effect: aces[cause, effect],
+                        lambda cause, effect, others:
+                        _cmi_of_joint(graph, joint, cause, effect, others))
+
+
 # --- built-in fixtures ---------------------------------------------------------
 
-def _softmax_levels(eta: float, k: int, floor: float) -> list[float]:
-    """P(level j) proportional to exp(j * eta), floored and renormalized
-    so every level keeps sampleable mass."""
-    raw = [math.exp(j * eta) for j in range(k)]
-    total = sum(raw)
-    probs = [max(p / total, floor) for p in raw]
-    total = sum(probs)
-    return [p / total for p in probs]
+def _softmax_levels(eta: np.ndarray, k: int, floor: float) -> np.ndarray:
+    """P(level j) proportional to exp(j * eta), on a new last axis of k
+    levels, floored and renormalized so every level keeps sampleable
+    mass.  ``math.exp`` (which ``np.exp`` can miss by an ulp) and sums
+    over the levels in order keep the bits of a per-entry Python loop."""
+    raw = eta[..., None] * np.arange(k)
+    raw = np.array([math.exp(x) for x in raw.ravel()]).reshape(raw.shape)
+    probs = np.maximum(raw / sum(np.moveaxis(raw, -1, 0))[..., None], floor)
+    return probs / sum(np.moveaxis(probs, -1, 0))[..., None]
+
+
+def _dense_table(graph: CausalGraph, node: str, probs) -> ConditionalTable:
+    parents = tuple(graph.parents(node))
+    return ConditionalTable(node, parents, graph.categories[node],
+                            tuple(graph.categories[p] for p in parents),
+                            np.asarray(probs, dtype=np.float64))
 
 
 # Declared effect coefficients of the nine-node fixture, one row per
@@ -304,45 +338,36 @@ def paper_shaped_spec(n: int = 200_000, seed: int = 1732) -> ScmSpec:
 
     Eleven age levels, three-category covariates, the full twenty-edge
     rule set, and continuous error emitters in rate units.  Small enough
-    (48,114 joint states) for exact enumeration.
+    (48,114 joint states) for exact enumeration.  Each table's logits
+    are one array over its parents' axes.
     """
     graph = CausalGraph.builtin("paper-default")
-    tables: dict[str, ConditionalTable] = {}
-    tables["Age"] = exact_table(graph, "Age", {(): [1 / 11] * 11})
-    tables["Gender"] = exact_table(graph, "Gender", {(): [0.52, 0.48]})
-    tables["SNR"] = exact_table(graph, "SNR", {(): [0.25, 0.50, 0.25]})
-    tables["VocabDiff"] = exact_table(graph, "VocabDiff",
-                                      {(): [0.30, 0.45, 0.25]})
-    tables["NoWords"] = exact_table(graph, "NoWords", {(): [0.35, 0.40, 0.25]})
+    tables = {node: _dense_table(graph, node, probs) for node, probs in (
+        ("Age", [1 / 11] * 11), ("Gender", [0.52, 0.48]),
+        ("SNR", [0.25, 0.50, 0.25]), ("VocabDiff", [0.30, 0.45, 0.25]),
+        ("NoWords", [0.35, 0.40, 0.25]))}
 
-    def index_of(node, label):
-        return graph.categories[node].index(label)
-
-    def configs(node):
+    def axes(node):
+        # each parent's category index along its own axis of the node's
+        # table; every logit below reads all of them, so it fills the table
         parents = graph.parents(node)
-        for combo in itertools.product(*(graph.categories[p] for p in parents)):
-            yield combo, dict(zip(parents, combo))
+        return {p: np.arange(len(graph.categories[p])).reshape(
+            [-1 if q == p else 1 for q in parents]) for p in parents}
 
-    gop_probs = {}
-    for config, value in configs("GoP"):
-        eta = (0.35 * (index_of("Age", value["Age"]) - 5) / 3
-               - 0.55 * (index_of("VocabDiff", value["VocabDiff"]) - 1))
-        gop_probs[config] = _softmax_levels(eta, 3, floor=0.06)
-    tables["GoP"] = exact_table(graph, "GoP", gop_probs)
-
+    at = axes("GoP")
+    eta = 0.35 * (at["Age"] - 5) / 3 - 0.55 * (at["VocabDiff"] - 1)
+    tables["GoP"] = _dense_table(graph, "GoP", _softmax_levels(eta, 3, 0.06))
     for err, (c0, c_age, c_girl, c_vocab, c_gop, c_snr, c_words) in \
             _ERROR_COEFFS.items():
-        probs = {}
-        for config, value in configs(err):
-            eta = (c0
-                   + c_age * (index_of("Age", value["Age"]) - 5) / 3
-                   + c_girl * index_of("Gender", value["Gender"])
-                   + c_vocab * (index_of("VocabDiff", value["VocabDiff"]) - 1)
-                   + c_gop * (index_of("GoP", value["GoP"]) - 1)
-                   + c_snr * (index_of("SNR", value["SNR"]) - 1)
-                   + c_words * (index_of("NoWords", value["NoWords"]) - 1))
-            probs[config] = _softmax_levels(eta, 3, floor=0.02)
-        tables[err] = exact_table(graph, err, probs)
+        at = axes(err)
+        eta = (c0
+               + c_age * (at["Age"] - 5) / 3
+               + c_girl * at["Gender"]
+               + c_vocab * (at["VocabDiff"] - 1)
+               + c_gop * (at["GoP"] - 1)
+               + c_snr * (at["SNR"] - 1)
+               + c_words * (at["NoWords"] - 1))
+        tables[err] = _dense_table(graph, err, _softmax_levels(eta, 3, 0.02))
     return ScmSpec(graph, tables, seed=seed, n=n,
                    emitters=dict(_EMITTERS)).validate()
 

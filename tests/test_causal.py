@@ -456,14 +456,17 @@ class TestAce:
             assert abs(adjusted - truth) < 1e-9, (cause, effect)
 
     def test_normalized_needs_two_levels(self):
+        # a one-category cause has ACE 0, and its record's per-level
+        # value is 0.0 rather than a division by zero
         graph = graph_of([("X", "exogenous", ["only"]),
                           ("Y", "endogenous", ["0", "1"])], [("X", "Y")])
         data = DiscreteDataset.from_rows(
             {"X": ["only"], "Y": ["0", "1"]},
             [{"X": "only", "Y": "0"}, {"X": "only", "Y": "1"}])
         assert ace(graph, data, "X", "Y") == 0.0
-        with pytest.raises(UnknownLevelError):
-            ace(graph, data, "X", "Y", normalized=True)
+        (record,) = edge_report(graph, data)
+        assert (record["ace"], record["ace_normalized"]) == (0.0, 0.0)
+        assert causal.ace_per_level(graph, "X", 0.0) == 0.0
 
     def test_estimate_recovers_confounded_truth(self):
         spec = confounded_spec()
@@ -480,6 +483,14 @@ class TestEdgeReport:
         assert len(records) == 20
         assert {(r["cause"], r["effect"]) for r in records} \
             == set(spec.graph.edges)
+
+    def test_normalized_divides_by_levels(self):
+        spec = synthetic.paper_shaped_spec(n=3000, seed=8)
+        records = edge_report(spec.graph, synthetic.generate(spec))
+        (age,) = [r for r in records
+                  if (r["cause"], r["effect"]) == ("Age", "SubsErr")]
+        assert age["ace"] != 0.0
+        assert age["ace_normalized"] == age["ace"] / 10
 
     def test_single_edge_cmi_is_plain_mi(self):
         rng = np.random.default_rng(4)

@@ -107,6 +107,45 @@ class TestSynth:
         assert len(doc["edges"]) == 1
         assert doc["edges"][0]["cause"] == "X"
 
+    def test_truths_enumerate_each_joint_once(self, tmp_path, monkeypatch):
+        # paper-shaped: the observational joint, then do(hi) and do(lo)
+        # for each of the six causes
+        from asrcausal import synthetic
+        calls = []
+        joint_tensor = synthetic.joint_tensor
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs.get("do"))
+            return joint_tensor(*args, **kwargs)
+
+        monkeypatch.setattr(synthetic, "joint_tensor", counted)
+        assert run_cli("synth", "--spec", "paper-shaped", "--n", "300",
+                       "--out", str(tmp_path / "d.json"),
+                       "--truths", str(tmp_path / "t.json")) == 0
+        assert len(calls) == 13
+        assert len({json.dumps(do, sort_keys=True) for do in calls}) == 13
+
+    def test_ace_and_cmi_commands_match_the_report(self, tmp_path, capsys):
+        data, report = tmp_path / "data.json", tmp_path / "report.json"
+        assert run_cli("synth", "--spec", "paper-shaped", "--n", "2000",
+                       "--seed", "7", "--out", str(data)) == 0
+        assert run_cli("report", "--in", f"fixture={data}",
+                       "--out", str(report)) == 0
+        (record,) = [r for r in json.loads(report.read_text())["models"]
+                     ["fixture"]["edges"]
+                     if (r["cause"], r["effect"]) == ("Age", "SubsErr")]
+        capsys.readouterr()
+        assert run_cli("ace", "--in", str(data), "--treatment", "Age",
+                       "--effect", "SubsErr") == 0
+        ace_doc = json.loads(capsys.readouterr().out)
+        assert run_cli("cmi", "--in", str(data), "--graph", "paper-default",
+                       "--x", "Age", "--y", "SubsErr") == 0
+        cmi_doc = json.loads(capsys.readouterr().out)
+        assert cmi_doc["z"] == record["conditioning"]
+        for doc, key in ((ace_doc, "ace"), (ace_doc, "ace_normalized"),
+                         (cmi_doc, "cmi")):
+            assert doc[key] == pytest.approx(record[key], abs=1e-6), key
+
     def test_spec_file_round_trip(self, tmp_path):
         from asrcausal import synthetic
         spec_path = tmp_path / "scm.json"
@@ -321,6 +360,82 @@ class TestCovariates:
         with open(out_path) as fh:
             (record,) = ingest.parse_utterances(fh)
         assert record.snr_db == pytest.approx(0.0, abs=1e-9)
+
+
+    @staticmethod
+    def write_wav(path, amplitude):
+        pcm = (np.full(16000, amplitude) * 32767).astype("<i2")
+        pcm[::100] = 0  # a quiet floor, so the estimate depends on amplitude
+        with wave.open(str(path), "wb") as out:
+            out.setnchannels(1)
+            out.setsampwidth(2)
+            out.setframerate(16000)
+            out.writeframes(pcm.tobytes())
+
+    def test_rewritten_or_added_audio_invalidates_output(self, tmp_path,
+                                                        capsys):
+        recs = [{"id": name, "speaker_id": "s", "reference": "hi",
+                 "hypotheses": {"m": "hi"}} for name in ("a", "b")]
+        (tmp_path / "r.jsonl").write_text(
+            "".join(json.dumps(rec) + "\n" for rec in recs))
+        audio_dir = tmp_path / "audio"
+        audio_dir.mkdir()
+        self.write_wav(audio_dir / "a.wav", 0.25)
+        out = tmp_path / "cov.jsonl"
+        argv = ("covariates", "--in", str(tmp_path / "r.jsonl"),
+                "--out", str(out), "--audio-dir", str(audio_dir))
+        assert run_cli(*argv) == 0
+        assert run_cli(*argv) == 0
+        assert "is fresh, skipping" in capsys.readouterr().err
+        first = out.read_bytes()
+
+        def later(path):
+            stamp = out.stat().st_mtime_ns + 10**9
+            os.utime(path, ns=(stamp, stamp))
+
+        self.write_wav(audio_dir / "a.wav", 0.5)
+        later(audio_dir / "a.wav")
+        assert run_cli(*argv) == 0
+        assert "skipping" not in capsys.readouterr().err
+        assert out.read_bytes() != first
+        second = out.read_bytes()
+        self.write_wav(audio_dir / "b.wav", 0.25)
+        later(audio_dir / "b.wav")
+        later(audio_dir)
+        assert run_cli(*argv) == 0
+        assert "skipping" not in capsys.readouterr().err
+        assert out.read_bytes() != second
+
+    def test_missing_audio_dir_adds_no_input(self, tmp_path, capsys):
+        rec = {"id": "a", "speaker_id": "s", "reference": "hi",
+               "hypotheses": {"m": "hi"}}
+        (tmp_path / "r.jsonl").write_text(json.dumps(rec) + "\n")
+        argv = ("covariates", "--in", str(tmp_path / "r.jsonl"),
+                "--out", str(tmp_path / "cov.jsonl"),
+                "--audio-dir", str(tmp_path / "none"))
+        assert run_cli(*argv) == 0
+        assert run_cli(*argv) == 0
+        assert "is fresh, skipping" in capsys.readouterr().err
+
+    def test_repeated_posterior_frame_is_e_schema(self, tmp_path, capsys):
+        rec = {"id": "u1", "speaker_id": "s", "reference": "hi",
+               "hypotheses": {"m": "hi"}}
+        (tmp_path / "r.jsonl").write_text(json.dumps(rec) + "\n")
+        (tmp_path / "inv.json").write_text('{"p": ["p_s"]}')
+        (tmp_path / "seg.jsonl").write_text(json.dumps(
+            {"utterance_id": "u1", "phone": "p", "t_s": 0, "t_e": 2}))
+        lines = [{"utterance_id": "u1", "t": t, "probs": {"p_s": 1.0}}
+                 for t in (0, 1, 0)]
+        (tmp_path / "post.jsonl").write_text(
+            "".join(json.dumps(line) + "\n" for line in lines))
+        assert run_cli("covariates", "--in", str(tmp_path / "r.jsonl"),
+                       "--out", str(tmp_path / "c.jsonl"),
+                       "--posteriors", str(tmp_path / "post.jsonl"),
+                       "--segments", str(tmp_path / "seg.jsonl"),
+                       "--inventory", str(tmp_path / "inv.json")) == 1
+        message = e_schema_message(capsys)
+        assert message.startswith("line 3: ")
+        assert "'u1'" in message and "t=0" in message
 
 
 class TestPipeline:
@@ -694,8 +809,17 @@ class TestMistypedHandWrittenInputs:
         ({"nodes": [{**GRAPH_NODE, "name": ["A"]}], "edges": []}, "node 0"),
         ({"nodes": [GRAPH_NODE, {**GRAPH_NODE, "name": "B"}],
           "edges": [[["A"], "B"]]}, "['A']"),
+        ({"nodes": [{**GRAPH_NODE, "categories": [["x"], "y"]}],
+          "edges": []}, "'A'"),
+        ({"nodes": [{**GRAPH_NODE, "categories": [{"y": 1}, "y"]}],
+          "edges": []}, "'A'"),
+        ({"nodes": [{**GRAPH_NODE, "categories": [None, "y"]}],
+          "edges": []}, "'A'"),
+        ({"nodes": [{**GRAPH_NODE, "categories": [True, "y"]}],
+          "edges": []}, "'A'"),
     ], ids=["nodes-int", "categories-int", "categories-string",
-            "list-name", "list-endpoint"])
+            "list-name", "list-endpoint", "list-category", "object-category",
+            "null-category", "bool-category"])
     def test_graph_spec(self, tmp_path, monkeypatch, capsys, doc, named):
         monkeypatch.chdir(tmp_path)
         Path("g.json").write_text(json.dumps(doc))
@@ -706,9 +830,12 @@ class TestMistypedHandWrittenInputs:
     @pytest.mark.parametrize("edit", [
         {"boundaries": [-2.0, "low"]}, {"boundaries": [-2.0, None]},
         {"boundaries": [-2.0, True]}, {"boundaries": [-2.0, [1.0]]},
-        {"variable": ["GoP"]},
+        {"variable": ["GoP"]}, {"boundaries": [-2.0, float("nan")]},
+        {"boundaries": [float("-inf"), -1.0]}, {"method": 5},
+        {"labels": "LAH"},
     ], ids=["string-boundary", "null-boundary", "bool-boundary",
-            "list-boundary", "list-variable"])
+            "list-boundary", "list-variable", "nan-boundary",
+            "-inf-boundary", "int-method", "string-labels"])
     def test_schemes(self, workdir, capsys, edit):
         run_cli("covariates", "--in", str(workdir / "records.jsonl"),
                 "--out", str(workdir / "cov.jsonl"),
@@ -722,6 +849,24 @@ class TestMistypedHandWrittenInputs:
                        "--schemes-out", str(workdir / "s_out.json"),
                        "--out", str(workdir / "d.json")) == 1
         assert "GoP" in e_schema_message(capsys)
+
+    @pytest.mark.parametrize("field", ["snr_db", "gop", "vocab_difficulty"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                       float("-inf")],
+                             ids=["nan", "inf", "-inf"])
+    def test_non_finite_covariate(self, workdir, capsys, field, value):
+        # json writes these as NaN, Infinity and -Infinity, which it reads
+        lines = (workdir / "records.jsonl").read_text().splitlines()
+        record = json.loads(lines[1])
+        record[field] = value
+        lines[1] = json.dumps(record)
+        (workdir / "r.jsonl").write_text("\n".join(lines) + "\n")
+        assert run_cli("discretize", "--records", str(workdir / "r.jsonl"),
+                       "--schemes-out", str(workdir / "s.json"),
+                       "--out", str(workdir / "d.json")) == 1
+        message = e_schema_message(capsys)
+        assert message.startswith("line 2: ") and repr(field) in message
+        assert not (workdir / "s.json").exists()
 
     @staticmethod
     def gop_inputs(tmp_path, inventory=None, segment=None):
@@ -937,15 +1082,14 @@ class TestAtomicWrite:
                 "--truths", str(tmp_path / "t.json")]
         assert run_cli(*argv) == 0
         before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
-        last_edge = synthetic.paper_shaped_spec().graph.edges[-1]
-        true_cmi = synthetic.true_cmi
+        true_edges = synthetic.true_edges
 
-        def cmi_with_a_set_last(spec, cause, effect, others):
-            if (cause, effect) == last_edge:
-                return {1, 2}
-            return true_cmi(spec, cause, effect, others)
+        def edges_with_a_set_last(spec):
+            records = true_edges(spec)
+            records[-1]["cmi"] = {1, 2}
+            return records
 
-        monkeypatch.setattr(synthetic, "true_cmi", cmi_with_a_set_last)
+        monkeypatch.setattr(synthetic, "true_edges", edges_with_a_set_last)
         assert run_cli(*argv, "--force") == 1
         diagnostic = json.loads(capsys.readouterr().err.strip())
         assert diagnostic["error"] == "E_IO"

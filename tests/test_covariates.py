@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from asrcausal.covariates import (
     estimate_snr,
     gop_phone,
     gop_utterance,
+    parse_posterior_frames,
     sentence_difficulty,
     word_count,
     word_rarity,
@@ -129,6 +131,42 @@ class TestGopUtterance:
     def test_empty_segments(self):
         with pytest.raises(EmptyInputError):
             gop_utterance([], [])
+
+    def test_frames_keyed_once_for_all_segments(self):
+        class CountedFrames(list):
+            iterations = 0
+
+            def __iter__(self):
+                CountedFrames.iterations += 1
+                return super().__iter__()
+
+        frames = CountedFrames(two_phone_frames([0.8, 0.2, 0.6]))
+        segs = [PhoneSegment("p", t, t + 1, INVENTORY) for t in range(3)]
+        score = gop_utterance(segs, frames)
+        assert CountedFrames.iterations == 1
+        assert score == gop_utterance(segs, list(frames))
+
+
+class TestParsePosteriorFrames:
+    @staticmethod
+    def line(utt_id, t, p=1.0):
+        return json.dumps({"utterance_id": utt_id, "t": t,
+                           "probs": {"p_s1": p}}) + "\n"
+
+    def test_frames_sorted_by_t_per_utterance(self):
+        frames = parse_posterior_frames([
+            self.line("u1", 1), self.line("u2", 0), self.line("u1", 0)])
+        assert list(frames) == ["u1", "u2"]
+        assert [f.t for f in frames["u1"]] == [0, 1]
+
+    def test_repeated_frame_rejected_naming_line_utterance_and_t(self):
+        lines = [self.line("u1", 0), self.line("u2", 0), self.line("u1", 1),
+                 self.line("u1", 0, p=1.0)]
+        with pytest.raises(SchemaError) as err:
+            parse_posterior_frames(lines)
+        message = str(err.value)
+        assert "line 4" in message
+        assert "'u1'" in message and "t=0" in message
 
 
 TABLE = FrequencyTable.from_counts({"the": 50, "cat": 10})

@@ -156,6 +156,24 @@ class TestSchemeValidation:
         with pytest.raises(SchemaError):
             BinningScheme("v", "quantile", (1.0,), ("A", "B", "C"))
 
+    @pytest.mark.parametrize("edit", [
+        {"boundaries": [-2.0, float("nan")]},
+        {"boundaries": [float("-inf"), -1.0]},
+        {"boundaries": [-2.0, float("inf")]},
+        {"method": 5}, {"method": "median"}, {"method": None},
+        {"labels": "LAH"}, {"labels": ["Low", 1, "High"]},
+        {"labels": {"Low": 0}},
+    ], ids=["nan-boundary", "-inf-boundary", "inf-boundary", "int-method",
+            "unknown-method", "null-method", "string-labels",
+            "int-label", "object-labels"])
+    def test_from_dict_rejects_mistyped_fields(self, edit):
+        doc = {"variable": "GoP", "method": "sigma",
+               "boundaries": [-2.0, -1.0],
+               "labels": ["Low", "Average", "High"], **edit}
+        with pytest.raises(SchemaError) as err:
+            BinningScheme.from_dict(doc)
+        assert "GoP" in str(err.value)
+
     def test_round_trip(self):
         schemes = [
             fit_sigma_bins([0.0, 1.0, 2.0, 3.0], "gop"),

@@ -53,6 +53,18 @@ class TestParseUtterances:
         with pytest.raises(SchemaError):
             ingest.parse_utterances([json.dumps(bad)])
 
+    @pytest.mark.parametrize("field", ["snr_db", "gop", "vocab_difficulty"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf],
+                             ids=["nan", "inf", "-inf"])
+    def test_non_finite_covariate_rejected(self, field, value):
+        bad = json.loads(MINIMAL)
+        bad[field] = value
+        with pytest.raises(SchemaError) as err:
+            ingest.parse_utterances([MINIMAL.replace("u1", "u0"),
+                                     json.dumps(bad)])
+        assert "line 2" in str(err.value)
+        assert repr(field) in str(err.value)
+
     def test_unknown_field_rejected(self):
         bad = json.loads(MINIMAL)
         bad["mystery"] = 1
@@ -157,6 +169,21 @@ class TestGraphSpec:
                "edges": [["A", "B"], ["A", "B"]]}
         with pytest.raises(SchemaError):
             ingest.parse_graph_spec(json.dumps(doc))
+
+    def test_integer_categories_read_as_decimal_text(self):
+        doc = {"nodes": [{"name": "A", "kind": "exogenous",
+                          "categories": [0, 10, "x"]}], "edges": []}
+        (node,) = ingest.parse_graph_spec(json.dumps(doc)).nodes
+        assert node.categories == ("0", "10", "x")
+
+    @pytest.mark.parametrize("category", [["x"], {"y": 1}, None, True, 1.0],
+                             ids=["list", "object", "null", "bool", "float"])
+    def test_other_categories_rejected_naming_the_node(self, category):
+        doc = {"nodes": [{"name": "A", "kind": "exogenous",
+                          "categories": ["x", category]}], "edges": []}
+        with pytest.raises(SchemaError) as err:
+            ingest.parse_graph_spec(json.dumps(doc))
+        assert "'A'" in str(err.value)
 
     def test_round_trip(self):
         spec = ingest.builtin_graph_spec("paper-default")

@@ -10,7 +10,6 @@ from asrcausal.causal import CausalGraph
 from asrcausal.errors import (
     InvalidSpecError,
     StateExplosionError,
-    UnknownLevelError,
 )
 from asrcausal.ingest import GraphSpec, NodeSpec
 from asrcausal.synthetic import (
@@ -24,6 +23,7 @@ from asrcausal.synthetic import (
     parse_scm_spec,
     true_ace,
     true_cmi,
+    true_edges,
     write_scm_spec,
 )
 
@@ -170,11 +170,14 @@ class TestTrueAce:
 
     def test_normalized_divides_by_levels(self):
         spec = paper_shaped_spec(n=10)
-        raw = true_ace(spec, "Age", "SubsErr")
-        norm = true_ace(spec, "Age", "SubsErr", normalized=True)
-        assert norm == pytest.approx(raw / 10)
+        (record,) = [r for r in true_edges(spec)
+                     if (r["cause"], r["effect"]) == ("Age", "SubsErr")]
+        assert record["ace"] == true_ace(spec, "Age", "SubsErr") != 0.0
+        assert record["ace_normalized"] == record["ace"] / 10
 
     def test_normalized_needs_two_levels(self):
+        # a one-category cause has ACE 0, and its record's per-level
+        # value is 0.0 rather than a division by zero
         graph = small_graph([("X", "Y")],
                             [("X", "exogenous", ["only"]),
                              ("Y", "endogenous", ["0", "1"])])
@@ -182,8 +185,8 @@ class TestTrueAce:
                   "Y": exact_table(graph, "Y", {("only",): [0.5, 0.5]})}
         spec = ScmSpec(graph, tables, seed=0, n=1)
         assert true_ace(spec, "X", "Y") == 0.0
-        with pytest.raises(UnknownLevelError):
-            true_ace(spec, "X", "Y", normalized=True)
+        (record,) = true_edges(spec)
+        assert (record["ace"], record["ace_normalized"]) == (0.0, 0.0)
 
     def test_state_explosion_guard(self):
         nodes = [(f"N{i}", "exogenous", [str(j) for j in range(10)])
@@ -218,6 +221,35 @@ class TestTrueCmi:
             assert true_cmi(spec, x, y) >= 0.0
 
 
+class TestTrueEdges:
+    def test_records_equal_per_edge_oracles_bit_for_bit(self):
+        spec = paper_shaped_spec(n=10)
+        records = true_edges(spec)
+        assert [(r["cause"], r["effect"]) for r in records] \
+            == spec.graph.edges
+        for r in records:
+            others = [p for p in spec.graph.parents(r["effect"])
+                      if p != r["cause"]]
+            assert r["conditioning"] == others
+            assert r["ace"] == true_ace(spec, r["cause"], r["effect"])
+            assert r["cmi"] == true_cmi(spec, r["cause"], r["effect"], others)
+
+    def test_enumerates_each_joint_once(self, monkeypatch):
+        calls = []
+        joint_tensor = synthetic.joint_tensor
+
+        def counted(graph, tables, do=None):
+            calls.append(do)
+            return joint_tensor(graph, tables, do)
+
+        monkeypatch.setattr(synthetic, "joint_tensor", counted)
+        true_edges(confounded_triple(null_effect=False))
+        # the observational joint, then do(X=1) and do(X=0) for X's edge
+        # and do(Z=1) and do(Z=0) for Z's two edges
+        assert sorted(map(str, calls)) == sorted(map(str, [
+            None, {"X": "1"}, {"X": "0"}, {"Z": "1"}, {"Z": "0"}]))
+
+
 class TestFixtures:
     def test_paper_shaped_shape(self):
         spec = paper_shaped_spec(n=100)
@@ -226,6 +258,52 @@ class TestFixtures:
         assert len(spec.graph.categories["Age"]) == 11
         assert set(spec.emitters) == {"SubsErr", "DelErr", "InsErr"}
         spec.validate()
+
+    def test_paper_shaped_tables_match_config_by_config(self):
+        # the reference: the fixture built one parent configuration at a
+        # time, a Python softmax each, through exact_table
+        def softmax(eta, k, floor):
+            raw = [math.exp(j * eta) for j in range(k)]
+            total = sum(raw)
+            probs = [max(p / total, floor) for p in raw]
+            total = sum(probs)
+            return [p / total for p in probs]
+
+        def eta_of(node, at):
+            if node == "GoP":
+                return (0.35 * (at["Age"] - 5) / 3
+                        - 0.55 * (at["VocabDiff"] - 1))
+            c0, c_age, c_girl, c_vocab, c_gop, c_snr, c_words = \
+                synthetic._ERROR_COEFFS[node]
+            return (c0
+                    + c_age * (at["Age"] - 5) / 3
+                    + c_girl * at["Gender"]
+                    + c_vocab * (at["VocabDiff"] - 1)
+                    + c_gop * (at["GoP"] - 1)
+                    + c_snr * (at["SNR"] - 1)
+                    + c_words * (at["NoWords"] - 1))
+
+        spec = paper_shaped_spec(n=10)
+        graph = spec.graph
+        for node in ("GoP", "SubsErr", "DelErr", "InsErr"):
+            parents = graph.parents(node)
+            probs = {}
+            for config in itertools.product(
+                    *(graph.categories[p] for p in parents)):
+                at = {p: graph.categories[p].index(label)
+                      for p, label in zip(parents, config)}
+                probs[config] = softmax(eta_of(node, at), 3,
+                                        0.06 if node == "GoP" else 0.02)
+            expected = exact_table(graph, node, probs).probs
+            got = spec.tables[node].probs
+            assert got.shape == expected.shape, node
+            assert got.tobytes() == expected.tobytes(), node
+        for node, vec in (("Age", [1 / 11] * 11), ("Gender", [0.52, 0.48]),
+                          ("SNR", [0.25, 0.50, 0.25]),
+                          ("VocabDiff", [0.30, 0.45, 0.25]),
+                          ("NoWords", [0.35, 0.40, 0.25])):
+            expected = exact_table(graph, node, {(): vec}).probs
+            assert spec.tables[node].probs.tobytes() == expected.tobytes()
 
     def test_paper_shaped_is_enumerable(self):
         spec = paper_shaped_spec(n=10)
