@@ -3,12 +3,13 @@ and inter-model correlation.
 
 Every score-based output is derived from one ``ScoreTable``: for each
 record and model, the S/D/I/N counts of exactly one ``align`` call, with
-the record's reference normalized once for all its models.  The public
+the record's reference normalized once for all its models.
+``score_table`` is the one builder that aligns a record set; the public
 ``score_dataset``, ``oracle_select``, ``oracle_aggregate`` and
-``model_correlation`` each build a table and read it.  A CLI stage builds
-one table (or, for ``report --scores``, loads the one ``align`` wrote)
-and reads all of its outputs from it.  The table holds plain Python ints,
-so scoring never loads NumPy.
+``model_correlation`` each call it and read the table.  A CLI stage
+builds one table (or, for ``report --scores``, loads the one ``align``
+wrote) and reads all of its outputs from it.  The table holds plain
+Python ints, so scoring never loads NumPy.
 
 The edit-distance kernel is one pure-Python DP (``_align_counts``); it
 needs no NumPy and no compiler, and ``kernel_backend()`` names it.
@@ -214,6 +215,13 @@ def score_row(record, models: Sequence[str]) -> dict[str, AlignmentResult]:
 _COUNT_KEYS = ("substitutions", "deletions", "insertions", "ref_len")
 
 
+def _sum_counts(key, results: Sequence[AlignmentResult]) -> ErrorAggregate:
+    """The micro-averaged aggregate `key` of `results`: their summed
+    S/D/I/N counts."""
+    return ErrorAggregate(key, *(sum(getattr(r, count) for r in results)
+                                 for count in _COUNT_KEYS))
+
+
 @dataclass(frozen=True)
 class ScoreTable:
     """Per record (in input order), the AlignmentResult of each scored
@@ -295,17 +303,20 @@ class ScoreTable:
                   key: Callable = lambda r: "all") -> list[ErrorAggregate]:
         """Micro-averaged aggregates of `model` per group, in sorted key
         order."""
-        sums: dict = {}
+        groups: dict = {}
         for record, result in self._column(model):
-            k = key(record)
-            s, d, i, n = sums.get(k, (0, 0, 0, 0))
-            sums[k] = (s + result.substitutions, d + result.deletions,
-                       i + result.insertions, n + result.ref_len)
-        return [ErrorAggregate(k, *sums[k]) for k in sorted(sums, key=str)]
+            groups.setdefault(key(record), []).append(result)
+        return [_sum_counts(k, groups[k]) for k in sorted(groups, key=str)]
 
     def _oracle(self):
         """Per row, the (model, result) with the least (WER,
-        substitutions, model name)."""
+        substitutions, model name).  Every row must hold the first row's
+        models; otherwise MissingModelError names the record."""
+        for record, row in zip(self.records, self.rows):
+            if row.keys() != self.rows[0].keys():
+                raise MissingModelError(
+                    "records do not share a common model set",
+                    record_id=record.id)
         return [min(row.items(), key=lambda mr: (mr[1].wer,
                                                  mr[1].substitutions, mr[0]))
                 for row in self.rows]
@@ -315,13 +326,7 @@ class ScoreTable:
                 zip(self.records, self._oracle())}
 
     def oracle_aggregate(self) -> ErrorAggregate:
-        s = d = i = n = 0
-        for _, result in self._oracle():
-            s += result.substitutions
-            d += result.deletions
-            i += result.insertions
-            n += result.ref_len
-        return ErrorAggregate("oracle", s, d, i, n)
+        return _sum_counts("oracle", [result for _, result in self._oracle()])
 
     def correlation(self, models: Sequence[str] | None = None):
         """Pearson correlation of utterance-level WER vectors per model
@@ -363,22 +368,6 @@ def score_table(records: Iterable,
         for r in records])
 
 
-def oracle_table(records: Iterable) -> ScoreTable:
-    """Score table of records that must all carry the same model set."""
-    records = list(records)
-    if not records:
-        return ScoreTable([], [])
-    model_set = set(records[0].hypotheses)
-    models = sorted(model_set)
-    rows = []
-    for record in records:
-        if set(record.hypotheses) != model_set:
-            raise MissingModelError(
-                "records do not share a common model set", record_id=record.id)
-        rows.append(score_row(record, models))
-    return ScoreTable(records, rows)
-
-
 def score_dataset(records: Iterable, model: str,
                   key: Callable = lambda r: "all") -> list[ErrorAggregate]:
     """Micro-averaged aggregates per group, emitted in sorted key order."""
@@ -391,12 +380,12 @@ def oracle_select(records: Iterable) -> dict[str, str]:
     Ties are broken by fewer substitutions, then by lexicographically
     smallest model name.  All records must share the same model set.
     """
-    return oracle_table(records).oracle_select()
+    return score_table(records).oracle_select()
 
 
 def oracle_aggregate(records: Iterable) -> ErrorAggregate:
     """Micro-averaged aggregate of the per-utterance oracle choices."""
-    return oracle_table(records).oracle_aggregate()
+    return score_table(records).oracle_aggregate()
 
 
 def model_correlation(records: Iterable,
@@ -407,9 +396,4 @@ def model_correlation(records: Iterable,
     models i and j.  The diagonal is 1; a model with zero WER variance
     yields undefined (NaN) off-diagonal entries rather than 0.
     """
-    records = list(records)
-    if len(records) < 2:
-        raise TooFewValuesError("need at least 2 utterances for correlation")
-    if models is None:
-        models = sorted(records[0].hypotheses)
     return score_table(records, models).correlation(models)

@@ -520,12 +520,20 @@ class ConditionalTable:
         yield from itertools.product(*self.parent_categories)
 
     def validate_normalized(self, tol: float = _NORM_TOL) -> "ConditionalTable":
-        totals = self.probs.sum(axis=-1).ravel()
-        bad = np.flatnonzero(np.abs(totals - 1.0) > tol)
+        """Raise NotNormalizedError naming the first parent configuration
+        whose probabilities are not all finite and >= 0, or do not sum to
+        1 within `tol`."""
+        rows = self.probs.reshape(-1, self.probs.shape[-1])
+        totals = rows.sum(axis=-1)
+        # NaN fails both comparisons, and +inf the second
+        bad = np.flatnonzero(~((rows >= 0).all(axis=-1)
+                               & (np.abs(totals - 1.0) <= tol)))
         if bad.size:
             config = next(itertools.islice(self.parent_configs(), bad[0], None))
-            raise NotNormalizedError(f"{self.node!r} | {config}: "
-                                     f"probabilities sum to {totals[bad[0]]}")
+            raise NotNormalizedError(
+                f"{self.node!r} | {config}: probabilities "
+                f"{rows[bad[0]].tolist()} must be finite, non-negative and "
+                f"sum to 1 (they sum to {totals[bad[0]]})")
         return self
 
 
@@ -670,8 +678,8 @@ def marginal(graph: CausalGraph, joint: np.ndarray, keep: Sequence[str]
 # --- information measures ----------------------------------------------------
 
 def _check_normalized(p: np.ndarray):
-    if np.any(p < 0):
-        raise NotNormalizedError("negative probability")
+    if not np.all(p >= 0):
+        raise NotNormalizedError("negative or NaN probability")
     total = float(p.sum())
     if abs(total - 1.0) > _NORM_TOL:
         raise NotNormalizedError(f"probabilities sum to {total}")

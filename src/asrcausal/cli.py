@@ -27,7 +27,8 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator, TextIO
 
 from . import __version__, ingest
-from .errors import DuplicateIdError, IoError, SchemaError, ToolkitError
+from .errors import (DuplicateIdError, IoError, SchemaError,
+                     TooFewValuesError, ToolkitError)
 
 if TYPE_CHECKING:
     from . import causal as causal_mod
@@ -321,10 +322,8 @@ def _cmd_align(config) -> list[str]:
         models = [m for m in config.models.split(",") if m]
     else:
         models = sorted({m for r in records for m in r.hypotheses})
-
-    rows = [alignment.score_row(record, models) for record in records]
     return [_write_text(config.out,
-                        [alignment.ScoreTable(records, rows).to_jsonl()])]
+                        [alignment.score_table(records, models).to_jsonl()])]
 
 
 def _read_scores(path: str) -> dict[str, dict]:
@@ -489,13 +488,14 @@ def _cmd_discretize(config) -> list[str]:
 def _cmd_oracle(config) -> list[str]:
     from . import alignment
 
-    records = _read_records(config.inp)
-    table = alignment.oracle_table(records)
-    models = sorted(records[0].hypotheses) if records else []
+    table = alignment.score_table(_read_records(config.inp))
+    # first, so a mixed model set fails as such, not as a missing model
+    choice = table.oracle_select()
+    models = sorted(table.rows[0]) if table.rows else []
     aggregates = {m: table.aggregate(m)[0].to_dict() for m in models}
-    if records:
+    if table.rows:
         aggregates["oracle"] = table.oracle_aggregate().to_dict()
-    report = {"choice": table.oracle_select(), "aggregates": aggregates}
+    report = {"choice": choice, "aggregates": aggregates}
     return [_write_text(config.out, ingest.report_pieces(report))]
 
 
@@ -508,22 +508,22 @@ def _cmd_correlate(config) -> list[str]:
     from . import alignment
 
     records = _read_records(config.inp)
-    if config.by_grade:
-        out = Path(config.out)
-        written = []
-        graded = alignment.score_table(r for r in records
-                                       if r.grade is not None)
-        grades = sorted({r.grade for r in graded.records},
-                        key=ingest.GRADES.index)
-        for grade in grades:
-            models, matrix = graded.where(
-                lambda r, g=grade: r.grade == g).correlation()
-            path = out.with_name(f"{out.stem}_{grade}{out.suffix}")
-            written.append(_write_text(str(path),
-                                       [_correlation_csv(models, matrix)]))
-        return written
-    models, matrix = alignment.model_correlation(records)
-    return [_write_text(config.out, [_correlation_csv(models, matrix)])]
+    if not config.by_grade:
+        return [_write_text(config.out, [_correlation_csv(
+            *alignment.model_correlation(records))])]
+    graded = alignment.score_table(r for r in records if r.grade is not None)
+    # every grade's matrix before any file, so a failing grade writes none
+    csvs = {}
+    for grade in sorted({r.grade for r in graded.records},
+                        key=ingest.GRADES.index):
+        try:
+            csvs[grade] = _correlation_csv(*graded.where(
+                lambda r, g=grade: r.grade == g).correlation())
+        except TooFewValuesError as exc:
+            raise TooFewValuesError(f"grade {grade}: {exc}") from None
+    out = Path(config.out)
+    return [_write_text(str(out.with_name(f"{out.stem}_{g}{out.suffix}")),
+                        [text]) for g, text in csvs.items()]
 
 
 def _cmd_fit(config) -> list[str]:

@@ -17,7 +17,6 @@ across datasets.
 from __future__ import annotations
 
 import json
-import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Sequence
@@ -25,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import SchemaError, TooFewValuesError
-from .ingest import THREE_LEVELS, is_number
+from .ingest import THREE_LEVELS, is_finite_number
 
 _KDE_GRID = 512
 
@@ -83,7 +82,7 @@ class BinningScheme:
                 raise SchemaError(f"{variable}: labels must be a list of "
                                   f"strings, not {labels!r}")
             for b in doc["boundaries"]:
-                if not (is_number(b) and math.isfinite(b)):
+                if not is_finite_number(b):
                     raise SchemaError(f"{variable}: boundary {b!r} is not a "
                                       f"finite number")
             return cls(variable, method,

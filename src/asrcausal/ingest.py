@@ -36,6 +36,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import sys
 import warnings
 from dataclasses import dataclass, field
 from itertools import chain
@@ -97,8 +98,7 @@ class UtteranceRecord:
             bad(f"field 'gender' must be one of {GENDERS}")
         for name in ("snr_db", "gop", "vocab_difficulty"):
             value = getattr(self, name)
-            if value is not None and not (is_number(value)
-                                          and math.isfinite(value)):
+            if value is not None and not is_finite_number(value):
                 bad(f"field {name!r} must be a finite number, not {value!r}")
         if self.gop is not None and self.gop > 0:
             bad("field 'gop' must be <= 0")
@@ -107,8 +107,9 @@ class UtteranceRecord:
         if self.word_count is not None and (
                 isinstance(self.word_count, bool)
                 or not isinstance(self.word_count, int)
-                or self.word_count < 0):
-            bad("field 'word_count' must be a non-negative integer")
+                or not 0 <= self.word_count <= sys.float_info.max):
+            bad("field 'word_count' must be a non-negative integer within "
+                "the float range")
         return self
 
     def to_dict(self) -> dict:
@@ -150,8 +151,15 @@ def is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def is_finite_number(value) -> bool:
+    """True for a JSON number that converts to a finite float: not NaN,
+    not ±inf, and not an int beyond the float range.  Comparisons of ints
+    with floats are exact, so this never overflows."""
+    return is_number(value) and abs(value) <= sys.float_info.max
+
+
 def _maybe_float(value):
-    return float(value) if is_number(value) else value
+    return float(value) if is_finite_number(value) else value
 
 
 def read_jsonl(stream: Iterable[str]) -> Iterator[tuple[int, dict]]:

@@ -36,7 +36,8 @@ from .causal import (
     marginal,
 )
 from .errors import InvalidSpecError, NotNormalizedError, SchemaError
-from .ingest import GraphSpec, is_number, parse_graph_spec, write_graph_spec
+from .ingest import (GraphSpec, is_finite_number, parse_graph_spec,
+                     write_graph_spec)
 
 
 @dataclass(frozen=True)
@@ -78,6 +79,9 @@ class ScmSpec:
             if len(emitter.means) != len(self.graph.categories[node]):
                 raise InvalidSpecError(
                     f"emitter for {node!r}: need one mean per category")
+            if not all(map(math.isfinite, (*emitter.means, emitter.spread))):
+                raise InvalidSpecError(f"emitter for {node!r}: means and "
+                                       f"spread must be finite")
             if emitter.spread < 0:
                 raise InvalidSpecError(f"emitter for {node!r}: spread < 0")
         return self
@@ -467,16 +471,17 @@ def parse_scm_spec(text: str) -> ScmSpec:
             if not _numbers(vec):
                 raise InvalidSpecError(f"table for {node!r}, config "
                                        f"{key!r}: probabilities must be a "
-                                       f"list of numbers")
+                                       f"list of finite numbers")
             config = tuple(key.split(_CFG_SEP)) if key else ()
             probs[config] = vec
         tables[node] = exact_table(graph, node, probs)
     emitters = {}
     for node, entry in doc.get("emitters", {}).items():
         if not (isinstance(entry, dict) and _numbers(entry.get("means"))
-                and is_number(entry.get("spread"))):
+                and is_finite_number(entry.get("spread"))):
             raise InvalidSpecError(f"emitter for {node!r} needs a list of "
-                                   f"numbers 'means' and a number 'spread'")
+                                   f"finite numbers 'means' and a finite "
+                                   f"number 'spread'")
         emitters[node] = EffectEmitter(tuple(entry["means"]),
                                        float(entry["spread"]))
     return ScmSpec(graph, tables, seed=doc["seed"], n=doc["n"],
@@ -484,4 +489,4 @@ def parse_scm_spec(text: str) -> ScmSpec:
 
 
 def _numbers(value) -> bool:
-    return isinstance(value, list) and all(map(is_number, value))
+    return isinstance(value, list) and all(map(is_finite_number, value))

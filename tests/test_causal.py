@@ -259,6 +259,18 @@ class TestEntropy:
         with pytest.raises(NotNormalizedError):
             entropy([0.5, 0.6])
 
+    @pytest.mark.parametrize("measure, dist", [
+        (entropy, [math.nan, 1.0]), (entropy, [math.inf, 0.0]),
+        (entropy, [-math.inf, 1.0]),
+        (conditional_entropy, [[math.nan, 0.5], [0.25, 0.25]]),
+        (mutual_information, [[math.nan, 0.5], [0.25, 0.25]]),
+        (mutual_information, [[math.inf, 0.0], [0.0, 0.0]]),
+    ], ids=["entropy-nan", "entropy-inf", "entropy--inf", "conditional-nan",
+            "mi-nan", "mi-inf"])
+    def test_non_finite_probability(self, measure, dist):
+        with pytest.raises(NotNormalizedError):
+            measure(dist)
+
 
 class TestConditionalEntropy:
     def test_deterministic_coupling(self):

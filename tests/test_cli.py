@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import random
 import subprocess
@@ -832,10 +833,11 @@ class TestMistypedHandWrittenInputs:
         {"boundaries": [-2.0, True]}, {"boundaries": [-2.0, [1.0]]},
         {"variable": ["GoP"]}, {"boundaries": [-2.0, float("nan")]},
         {"boundaries": [float("-inf"), -1.0]}, {"method": 5},
-        {"labels": "LAH"},
+        {"labels": "LAH"}, {"boundaries": [-2.0, 10 ** 400]},
     ], ids=["string-boundary", "null-boundary", "bool-boundary",
             "list-boundary", "list-variable", "nan-boundary",
-            "-inf-boundary", "int-method", "string-labels"])
+            "-inf-boundary", "int-method", "string-labels",
+            "int-beyond-float-boundary"])
     def test_schemes(self, workdir, capsys, edit):
         run_cli("covariates", "--in", str(workdir / "records.jsonl"),
                 "--out", str(workdir / "cov.jsonl"),
@@ -852,8 +854,8 @@ class TestMistypedHandWrittenInputs:
 
     @pytest.mark.parametrize("field", ["snr_db", "gop", "vocab_difficulty"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"),
-                                       float("-inf")],
-                             ids=["nan", "inf", "-inf"])
+                                       float("-inf"), -10 ** 400],
+                             ids=["nan", "inf", "-inf", "int-beyond-float"])
     def test_non_finite_covariate(self, workdir, capsys, field, value):
         # json writes these as NaN, Infinity and -Infinity, which it reads
         lines = (workdir / "records.jsonl").read_text().splitlines()
@@ -907,6 +909,206 @@ class TestMistypedHandWrittenInputs:
     def test_inventory(self, tmp_path, capsys, inventory, named):
         assert run_cli(*self.gop_inputs(tmp_path, inventory=inventory)) == 1
         assert named in e_schema_message(capsys)
+
+
+def spec_error(capsys) -> str:
+    diagnostic = json.loads(capsys.readouterr().err)
+    assert diagnostic["error"] == "E_INVALID_SPEC"
+    return diagnostic["message"]
+
+
+class TestInvalidSpecValues:
+    """An SCM spec value that is not a finite, in-range number is
+    E_INVALID_SPEC naming the table and config or the emitter, with or
+    without --truths, and nothing is written."""
+
+    @staticmethod
+    def synth(tmp_path, doc, *extra):
+        (tmp_path / "scm.json").write_text(json.dumps(doc))
+        return run_cli("synth", "--spec", str(tmp_path / "scm.json"),
+                       "--n", "50", "--out", str(tmp_path / "d.json"),
+                       *extra)
+
+    @pytest.mark.parametrize("truths", [False, True], ids=["data", "truths"])
+    @pytest.mark.parametrize("node, config, vec, named", [
+        ("X", "", [float("nan"), 0.5, 0.5], "table for 'X', config ''"),
+        ("X", "", [-0.5, 1.0, 0.5], "'X' | ()"),
+        ("X", "", [10 ** 400, 0, 0], "table for 'X', config ''"),
+        ("Y", "b", [0.0, float("inf"), 0.0], "table for 'Y', config 'b'"),
+        ("Y", "b", [0.5, -0.5, 1.0], "'Y' | ('b',)"),
+    ], ids=["nan", "negative", "int-beyond-float", "inf-in-config",
+            "negative-in-config"])
+    def test_table_entry(self, tmp_path, capsys, node, config, vec, named,
+                         truths):
+        from asrcausal import synthetic
+        doc = json.loads(synthetic.write_scm_spec(synthetic.copy_chain_spec()))
+        doc["tables"][node][config] = vec
+        extra = ["--truths", str(tmp_path / "t.json")] if truths else []
+        assert self.synth(tmp_path, doc, *extra) == 1
+        assert named in spec_error(capsys)
+        assert not list(tmp_path.glob("[dt].json"))
+
+    @pytest.mark.parametrize("emitter", [
+        {"means": [0.0, 1.0, 2.0], "spread": float("nan")},
+        {"means": [0.0, 1.0, 2.0], "spread": 10 ** 400},
+        {"means": [0.0, float("inf"), 2.0], "spread": 0.1},
+        {"means": [0.0, 10 ** 400, 2.0], "spread": 0.1},
+    ], ids=["nan-spread", "int-beyond-float-spread", "inf-mean",
+            "int-beyond-float-mean"])
+    def test_emitter(self, tmp_path, capsys, emitter):
+        from asrcausal import synthetic
+        doc = json.loads(synthetic.write_scm_spec(synthetic.copy_chain_spec()))
+        doc["emitters"] = {"Y": emitter}
+        assert self.synth(tmp_path, doc) == 1
+        assert "'Y'" in spec_error(capsys)
+        assert not (tmp_path / "d.json").exists()
+
+
+class TestIntBeyondFloat:
+    """An integer beyond the float range is E_SCHEMA naming its line,
+    never an OverflowError traceback."""
+
+    def test_align_on_snr(self, tmp_path, capsys):
+        record = json.loads(MINIMAL_RECORD)
+        (tmp_path / "r.jsonl").write_text(
+            json.dumps({**record, "snr_db": 10 ** 400}) + "\n")
+        assert run_cli("align", "--in", str(tmp_path / "r.jsonl"),
+                       "--out", str(tmp_path / "s.jsonl")) == 1
+        message = e_schema_message(capsys)
+        assert message.startswith("line 1: ") and "'snr_db'" in message
+
+    def test_discretize_on_word_count(self, workdir, capsys):
+        run_cli("covariates", "--in", str(workdir / "records.jsonl"),
+                "--out", str(workdir / "cov.jsonl"),
+                "--freq-table", str(workdir / "freq.csv"))
+        lines = (workdir / "cov.jsonl").read_text().splitlines()
+        lines[1] = json.dumps({**json.loads(lines[1]),
+                               "word_count": 10 ** 400})
+        (workdir / "r.jsonl").write_text("\n".join(lines) + "\n")
+        assert run_cli("discretize", "--records", str(workdir / "r.jsonl"),
+                       "--out", str(workdir / "d.json")) == 1
+        message = e_schema_message(capsys)
+        assert message.startswith("line 2: ") and "'word_count'" in message
+
+
+def scored_records(path, specs):
+    """Write one record per (id, grade, {model: hypothesis}) in `specs`,
+    each with the reference "the cat sat on the mat"."""
+    path.write_text("".join(
+        json.dumps({"id": rid, "speaker_id": "s", "grade": grade,
+                    "reference": "the cat sat on the mat",
+                    "hypotheses": hyps}) + "\n"
+        for rid, grade, hyps in specs))
+
+
+class TestScoreStageErrors:
+    def test_correlate_by_grade_fails_before_writing(self, tmp_path, capsys):
+        hyps = [{"a": "the cat", "b": "the cat sat on"},
+                {"a": "the cat sat", "b": "the"},
+                {"a": "cat sat on the mat", "b": "the cat sat on the mat"},
+                {"a": "the", "b": "a dog"}]
+        scored_records(tmp_path / "r.jsonl",
+                       [(f"u{i}", "K" if i < 3 else "3", h)
+                        for i, h in enumerate(hyps)])
+        assert run_cli("correlate", "--in", str(tmp_path / "r.jsonl"),
+                       "--out", str(tmp_path / "c.csv"), "--by-grade") == 1
+        diagnostic = json.loads(capsys.readouterr().err)
+        assert diagnostic["error"] == "E_TOO_FEW"
+        assert diagnostic["message"].startswith("grade 3: ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["r.jsonl"]
+
+    def test_oracle_on_differing_model_sets(self, tmp_path, capsys):
+        scored_records(tmp_path / "r.jsonl", [
+            ("u1", "K", {"a": "the cat", "b": "the cat sat"}),
+            ("u2", "K", {"a": "the cat", "b": "the mat"}),
+            ("u3", "K", {"a": "the cat"})])
+        assert run_cli("oracle", "--in", str(tmp_path / "r.jsonl"),
+                       "--out", str(tmp_path / "o.json")) == 1
+        diagnostic = json.loads(capsys.readouterr().err)
+        assert diagnostic == {
+            "error": "E_MISSING_MODEL", "record": "u3",
+            "message": "records do not share a common model set "
+                       "(record 'u3')"}
+        assert not (tmp_path / "o.json").exists()
+
+
+class TestAceAndCmiOptions:
+    @pytest.fixture
+    def data(self, tmp_path):
+        path = tmp_path / "d.json"
+        assert run_cli("synth", "--spec", "paper-shaped", "--n", "3000",
+                       "--seed", "5", "--out", str(path)) == 0
+        return path
+
+    def test_ace_levels(self, data, capsys):
+        from asrcausal import causal as causal_mod
+        capsys.readouterr()
+        assert run_cli("ace", "--in", str(data), "--treatment", "Age",
+                       "--effect", "SubsErr", "--lo", "2", "--hi", "7",
+                       "--on-empty", "skip") == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert (doc["lo"], doc["hi"]) == ("2", "7")
+        graph = causal_mod.CausalGraph.builtin("paper-default")
+        want = causal_mod.ace(graph, causal_mod.DiscreteDataset.from_bytes(
+            data.read_bytes()), "Age", "SubsErr", "2", "7", on_empty="skip")
+        assert doc["ace"] == pytest.approx(want, abs=1e-6)
+
+    @pytest.mark.parametrize("flag", ["--lo", "--hi"])
+    def test_ace_unknown_level(self, data, capsys, flag):
+        capsys.readouterr()
+        assert run_cli("ace", "--in", str(data), "--treatment", "Age",
+                       "--effect", "SubsErr", flag, "13") == 1
+        assert json.loads(capsys.readouterr().err)["error"] \
+            == "E_UNKNOWN_LEVEL"
+
+    def test_cmi_conditioning_sources(self, data, capsys):
+        def cmi(*extra):
+            capsys.readouterr()
+            assert run_cli("cmi", "--in", str(data), "--x", "Age",
+                           "--y", "GoP", *extra) == 0
+            return json.loads(capsys.readouterr().out)
+
+        # GoP's parents are Age and VocabDiff
+        by_graph = cmi("--graph", "paper-default")
+        assert by_graph["z"] == ["VocabDiff"]
+        assert cmi("--z", "VocabDiff") == by_graph
+        # --z overrides --graph, and neither conditions on nothing
+        assert cmi("--graph", "paper-default", "--z", "SNR,")["z"] == ["SNR"]
+        plain = cmi()
+        assert plain["z"] == [] and plain["cmi"] != by_graph["cmi"]
+
+    def test_out_files_hold_the_stdout_bytes(self, data, tmp_path, capsys):
+        for argv in (["ace", "--treatment", "Gender", "--effect", "DelErr"],
+                     ["cmi", "--x", "Gender", "--y", "DelErr",
+                      "--graph", "paper-default"]):
+            capsys.readouterr()
+            assert run_cli(*argv, "--in", str(data)) == 0
+            printed = capsys.readouterr().out
+            out = tmp_path / "sub" / f"{argv[0]}.json"
+            assert run_cli(*argv, "--in", str(data), "--out", str(out)) == 0
+            assert capsys.readouterr().out == ""
+            assert out.read_text() == printed
+
+
+class TestFloorPosteriors:
+    def test_zero_posterior_fails_then_floors(self, tmp_path, capsys):
+        argv = TestMistypedHandWrittenInputs.gop_inputs(
+            tmp_path, inventory={"p": ["p_s"], "q": ["q_s"]},
+            segment={"phone": "q"})
+        frames = [{"utterance_id": "u1", "t": t, "probs": probs} for t, probs
+                  in ((0, {"p_s": 0.5, "q_s": 0.5}),
+                      (1, {"p_s": 1.0, "q_s": 0.0}))]
+        (tmp_path / "post.jsonl").write_text(
+            "".join(json.dumps(f) + "\n" for f in frames))
+        assert run_cli(*argv) == 1
+        assert json.loads(capsys.readouterr().err)["error"] \
+            == "E_ZERO_POSTERIOR"
+        assert run_cli(*argv, "--floor-posteriors") == 0
+        (record,) = ingest.parse_utterances(
+            (tmp_path / "c.jsonl").read_text().splitlines())
+        # segment 0 (p at t=0) scores 0; segment 1 (q at t=1) scores
+        # ln 1e-10 - ln 1
+        assert record.gop == pytest.approx(math.log(1e-10) / 2, abs=1e-9)
 
 
 class TestCaching:

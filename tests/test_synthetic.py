@@ -359,6 +359,38 @@ class TestFixtures:
         with pytest.raises(InvalidSpecError):
             spec.validate()
 
+    @pytest.mark.parametrize("vec", [[math.nan, 1.0], [math.inf, 0.0],
+                                     [-0.5, 1.5], [0.5, 0.6]],
+                             ids=["nan", "inf", "negative", "sum"])
+    def test_validation_names_node_and_config_of_a_bad_entry(self, vec):
+        # sum([nan, 1.0]) - 1 is NaN, which a bare tolerance test passes
+        spec = chain_spec()
+        spec.tables["Y"] = exact_table(spec.graph, "Y", {("0",): [0.5, 0.5],
+                                                         ("1",): vec})
+        with pytest.raises(InvalidSpecError, match=r"'Y' \| \('1',\)"):
+            spec.validate()
+
+    @pytest.mark.parametrize("emitter", [
+        EffectEmitter((0.0, 1.0), math.nan), EffectEmitter((0.0, 1.0), math.inf),
+        EffectEmitter((math.nan, 1.0), 0.1), EffectEmitter((0.0, -math.inf), 0.1),
+    ], ids=["nan-spread", "inf-spread", "nan-mean", "-inf-mean"])
+    def test_validation_rejects_non_finite_emitter(self, emitter):
+        spec = chain_spec()
+        spec.emitters["Y"] = emitter
+        with pytest.raises(InvalidSpecError, match="'Y'"):
+            spec.validate()
+
+    def test_document_round_trip_with_emitters(self):
+        spec = paper_shaped_spec(n=3000, seed=11)
+        again = parse_scm_spec(write_scm_spec(spec))
+        assert again.emitters == spec.emitters
+        data, data_again = generate(spec), generate(again)
+        assert np.array_equal(data_again.codes, data.codes)
+        assert data_again.continuous.keys() == data.continuous.keys()
+        for node, values in data.continuous.items():
+            assert np.array_equal(data_again.continuous[node], values)
+        assert true_edges(again) == true_edges(spec)
+
 
 class TestNdtri:
     """The NumPy inverse normal CDF that maps emitter uniforms to noise."""
