@@ -340,6 +340,27 @@ def _read_scores(path: str) -> dict[str, dict]:
     return scores
 
 
+def _gop_scores(config) -> dict[str, float]:
+    """Utterance id -> GoP from the posterior, segment and inventory
+    files; the posterior arrays are dropped on return."""
+    from . import covariates
+
+    if not (config.posteriors or config.segments or config.inventory):
+        return {}
+    if not (config.posteriors and config.segments and config.inventory):
+        raise SchemaError("gop needs --posteriors, --segments and "
+                          "--inventory together")
+    inventory = ingest.parse_report(_read_text(config.inventory))
+    with _reading(config.posteriors) as fh:
+        frames = covariates.parse_posterior_frames(fh, inventory)
+    with _reading(config.segments) as fh:
+        segments = covariates.parse_segments(fh, inventory)
+    return {utt_id: covariates.gop_utterance(
+                segs, frames.get(utt_id, covariates.NO_FRAMES),
+                floor=config.floor_posteriors).utterance
+            for utt_id, segs in segments.items()}
+
+
 def _cmd_covariates(config) -> list[str]:
     from . import alignment, covariates
 
@@ -351,20 +372,7 @@ def _cmd_covariates(config) -> list[str]:
                   for p in config.freq_table]
         freq = ingest.merge_frequency_tables(tables)
 
-    gop_scores: dict[str, float] = {}
-    if config.posteriors or config.segments or config.inventory:
-        if not (config.posteriors and config.segments and config.inventory):
-            raise SchemaError("gop needs --posteriors, --segments and "
-                              "--inventory together")
-        inventory = ingest.parse_report(_read_text(config.inventory))
-        with _reading(config.posteriors) as fh:
-            frames = covariates.parse_posterior_frames(fh)
-        with _reading(config.segments) as fh:
-            segments = covariates.parse_segments(fh, inventory)
-        for utt_id, segs in segments.items():
-            gop_scores[utt_id] = covariates.gop_utterance(
-                segs, frames.get(utt_id, []),
-                floor=config.floor_posteriors).utterance
+    gop_scores = _gop_scores(config)
 
     def enrich(record):
         if record.word_count is None:

@@ -6,14 +6,21 @@ Pronunciation scoring follows the posterior-ratio formulation: a phone's
 score is its duration-averaged log posterior minus the maximum averaged
 log posterior over the whole phone inventory, hence always <= 0 and 0
 exactly when the target phone is maximal.  Natural log throughout.
+Posteriors are held as one (frames x states) float array per utterance,
+``UtterancePosteriors``, and every segment of an utterance is scored
+from it in one pass.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import wave
-from dataclasses import dataclass
+from array import array
+from bisect import bisect_left
 from collections.abc import Iterable, Mapping, Sequence
+from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -32,36 +39,44 @@ _SUM_TOL = 1e-6
 
 
 @dataclass(frozen=True)
-class PosteriorFrame:
-    """Per-frame posteriors over phone states, P(s | o_t)."""
+class UtterancePosteriors:
+    """One utterance's frame posteriors P(s | o_t): row ``i`` of the
+    (frames x states) ``probs`` is frame ``ts[i]``, ``ts`` ascending, and
+    its columns follow ``states``; a state a frame omits reads 0.0."""
 
-    t: int
-    probs: Mapping[str, float]
+    states: tuple[str, ...]
+    ts: Sequence[int]
+    probs: np.ndarray
 
-    def validate(self, line: int | None = None) -> "PosteriorFrame":
-        def bad(msg):
-            raise SchemaError(msg, line=line)
 
-        if isinstance(self.t, bool) or not isinstance(self.t, int):
-            bad(f"frame index {self.t!r} is not an integer")
-        if self.t < 0:
-            bad(f"frame index {self.t} is negative")
-        if not isinstance(self.probs, Mapping):
-            bad(f"frame {self.t}: 'probs' must be an object")
-        # one C-level type scan; items are looked at only when it fails
-        if not set(map(type, self.probs.values())) <= {int, float}:
-            for state, p in self.probs.items():
-                if not is_number(p):
-                    bad(f"frame {self.t}: P({state!r}) = {p!r} is not a "
-                        f"number")
-        total = 0.0
-        for state, p in self.probs.items():
-            if not 0.0 <= p <= 1.0:
-                bad(f"frame {self.t}: P({state!r}) = {p} outside [0, 1]")
-            total += p
-        if abs(total - 1.0) > _SUM_TOL:
-            bad(f"frame {self.t}: posteriors sum to {total}")
-        return self
+NO_FRAMES = UtterancePosteriors((), (), np.zeros((0, 0)))
+
+
+def _check_frame(t, probs, line: int) -> None:
+    """SchemaError naming ``line`` unless ``t`` is a non-negative
+    integer and ``probs`` an object of numbers in [0, 1] summing to 1.
+    The sum adds the frame's own values in its own key order."""
+    def bad(msg):
+        raise SchemaError(msg, line=line)
+
+    if isinstance(t, bool) or not isinstance(t, int):
+        bad(f"frame index {t!r} is not an integer")
+    if t < 0:
+        bad(f"frame index {t} is negative")
+    if not isinstance(probs, Mapping):
+        bad(f"frame {t}: 'probs' must be an object")
+    # one C-level type scan; items are looked at only when it fails
+    if not set(map(type, probs.values())) <= {int, float}:
+        for state, p in probs.items():
+            if not is_number(p):
+                bad(f"frame {t}: P({state!r}) = {p!r} is not a number")
+    total = 0.0
+    for state, p in probs.items():
+        if not 0.0 <= p <= 1.0:
+            bad(f"frame {t}: P({state!r}) = {p} outside [0, 1]")
+        total += p
+    if abs(total - 1.0) > _SUM_TOL:
+        bad(f"frame {t}: posteriors sum to {total}")
 
 
 @dataclass(frozen=True)
@@ -112,64 +127,99 @@ class GopScore:
     utterance: float
 
 
-def _avg_log_posteriors(segment: PhoneSegment,
-                        by_t: Mapping[int, PosteriorFrame],
-                        floor: bool) -> dict[str, float]:
-    """Duration-averaged log posterior per phone over the segment span,
-    from the utterance's frames keyed by ``t``."""
-    span = range(segment.t_s, segment.t_e)
-    for t in span:
-        if t not in by_t:
-            raise SchemaError(f"no posterior frame for t={t}")
-    phones = sorted(segment.states_of)
-    sums = dict.fromkeys(phones, 0.0)
-    for t in span:
-        probs = by_t[t].probs
-        for phone in phones:
-            mass = sum(probs.get(s, 0.0) for s in segment.states_of[phone])
-            if mass <= 0.0:
-                if not floor:
-                    raise ZeroPosteriorError(
-                        f"phone {phone!r} has zero posterior at t={t}")
-                mass = POSTERIOR_FLOOR
-            sums[phone] += math.log(mass)
-    dur = segment.t_e - segment.t_s
-    return {p: s / dur for p, s in sums.items()}
+def _log_masses(post: UtterancePosteriors, inventory, phones,
+                floor: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    """(log phone mass, zero mask) per frame and phone in ``phones``.
 
-
-def _gop(segment: PhoneSegment, by_t: Mapping[int, PosteriorFrame],
-         floor: bool) -> float:
-    segment.validate()
-    avg = _avg_log_posteriors(segment, by_t, floor)
-    return avg[segment.phone] - max(avg.values())
-
-
-def gop_phone(segment: PhoneSegment, frames: Sequence[PosteriorFrame],
-              *, floor: bool = False) -> float:
-    """Pronunciation score of one phone: <= 0, 0 iff the target is maximal.
-
-    ``floor`` opts into clamping zero posteriors at 1e-10 instead of
-    raising, so numerical rescue stays visible at the call site.
+    A phone's mass adds its state columns in its inventory order.  A
+    zero mass is floored when ``floor``; else the mask marks it (its log
+    reads 0.0) so the segment that covers it can name it.
     """
-    return _gop(segment, {f.t: f for f in frames}, floor)
+    probs = post.probs
+    column = {state: i for i, state in enumerate(post.states)}
+    masses = np.zeros((len(post.ts), len(phones)))
+    for j, phone in enumerate(phones):
+        mass = masses[:, j]
+        for state in inventory[phone]:
+            if state in column:
+                mass += probs[:, column[state]]
+    zero = masses <= 0.0
+    masses[zero] = POSTERIOR_FLOOR if floor else 1.0
+    logs = np.fromiter(map(math.log, masses.ravel().tolist()), np.float64,
+                       masses.size).reshape(masses.shape)
+    return logs, (None if floor or not zero.any() else zero)
+
+
+def _span_start(index: int, segment: PhoneSegment, ts: Sequence[int],
+               zero: np.ndarray | None, phones) -> int:
+    """The row of ``segment.t_s``; SchemaError naming the first ``t`` of
+    the span without a frame, else ZeroPosteriorError naming the segment
+    ``index``, the first zero phone and its ``t``."""
+    start = bisect_left(ts, segment.t_s)
+    stop = start + segment.t_e - segment.t_s
+    # ts ascends without repeats, so the span is whole iff its ends are
+    if not (stop <= len(ts) and ts[start] == segment.t_s
+            and ts[stop - 1] == segment.t_e - 1):
+        for row, t in enumerate(range(segment.t_s, segment.t_e), start):
+            if row >= len(ts) or ts[row] != t:
+                raise SchemaError(f"no posterior frame for t={t}")
+    if zero is not None and zero[start:stop].any():
+        row, j = divmod(int(np.flatnonzero(zero[start:stop])[0]),
+                        len(phones))
+        raise ZeroPosteriorError(
+            f"segment {index}: phone {phones[j]!r} has zero posterior at "
+            f"t={ts[start + row]}")
+    return start
 
 
 def gop_utterance(segments: Sequence[PhoneSegment],
-                  frames: Sequence[PosteriorFrame],
+                  frames: UtterancePosteriors,
                   *, floor: bool = False) -> GopScore:
-    """Per-phone scores plus their arithmetic mean.  The frames are keyed
-    by ``t`` once for all segments."""
+    """Per-phone scores plus their arithmetic mean, every segment scored
+    from the utterance's arrays in one pass.
+
+    A phone's score is its duration-averaged log posterior minus the
+    maximum over the inventory: <= 0, 0 iff the target is maximal.  Each
+    segment's log posteriors are added frame by frame in ``t`` order, so
+    the scores are those of a per-frame loop to the bit.  The segments
+    share one inventory.  ``floor`` opts into clamping zero posteriors at
+    1e-10 instead of raising, so numerical rescue stays visible at the
+    call site.
+    """
     if not segments:
         raise EmptyInputError("no phone segments")
-    by_t = {f.t: f for f in frames}
-    scores = []
+    inventory = segments[0].states_of
+    phones = sorted(inventory)
+    logs, zero = _log_masses(frames, inventory, phones, floor)
+    starts = []
     for index, segment in enumerate(segments):
-        try:
-            scores.append((segment.phone, _gop(segment, by_t, floor)))
-        except ZeroPosteriorError as exc:
-            raise ZeroPosteriorError(f"segment {index}: {exc}") from None
+        segment.validate()
+        if segment.states_of is not inventory \
+                and segment.states_of != inventory:
+            raise SchemaError("the segments of an utterance must share one "
+                              "phone inventory")
+        starts.append(_span_start(index, segment, frames.ts, zero, phones))
+    starts = np.array(starts)
+    lengths = np.array([s.t_e - s.t_s for s in segments])
+    # a row of zeros past the last frame stands in for frames past a
+    # segment's end; adding 0.0 leaves a sum as it is
+    logs = np.vstack([logs, np.zeros((1, len(phones)))])
+    sums = np.zeros((len(segments), len(phones)))
+    for k in range(int(lengths.max())):
+        sums += logs[np.where(k < lengths, starts + k, len(logs) - 1)]
+    avg = sums / lengths[:, None]
+    target = [phones.index(s.phone) for s in segments]
+    gops = avg[np.arange(len(segments)), target] - avg.max(axis=1)
+    scores = [(s.phone, g) for s, g in zip(segments, gops.tolist())]
     mean = sum(s for _, s in scores) / len(scores)
     return GopScore(tuple(scores), mean)
+
+
+def gop_phone(segment: PhoneSegment, frames: UtterancePosteriors,
+              *, floor: bool = False) -> float:
+    """Pronunciation score of one phone: ``gop_utterance`` of the one
+    segment."""
+    return gop_utterance([segment], frames, floor=floor).utterance
 
 
 def word_rarity(word: str, table: FrequencyTable) -> float:
@@ -249,11 +299,13 @@ def read_audio(path: str, sample_rate: int | None = None
     return samples / 32768.0, rate
 
 
-def _utterance_lines(stream: Iterable[str], fields: Sequence[str]):
+def _utterance_lines(stream: Iterable[str], fields: Sequence[str],
+                     first: int = 1):
     """(line number, object, its ``utterance_id``) per line of a
     line-delimited file whose objects need a string ``utterance_id`` and
-    ``fields``; else SchemaError naming the line."""
-    for line_no, raw in read_jsonl(stream):
+    ``fields``, lines numbered from ``first``; else SchemaError naming
+    the line."""
+    for line_no, raw in read_jsonl(stream, first):
         for field in ("utterance_id", *fields):
             if field not in raw:
                 raise SchemaError(f"missing field {field!r}", line=line_no)
@@ -262,21 +314,171 @@ def _utterance_lines(stream: Iterable[str], fields: Sequence[str]):
         yield line_no, raw, raw["utterance_id"]
 
 
-def parse_posterior_frames(stream: Iterable[str]
-                           ) -> dict[str, list[PosteriorFrame]]:
-    """Parse line-delimited ``{utterance_id, t, probs}`` records: each
-    utterance's frames in ``t`` order.  A second frame for the same
-    utterance and ``t`` is SchemaError naming the line."""
-    frames: dict[str, dict[int, PosteriorFrame]] = {}
-    for line_no, raw, utt_id in _utterance_lines(stream, ("t", "probs")):
-        frame = PosteriorFrame(raw["t"], raw["probs"]).validate(line_no)
-        by_t = frames.setdefault(utt_id, {})
-        if frame.t in by_t:
-            raise SchemaError(f"utterance {utt_id!r}: a second frame for "
-                              f"t={frame.t}", line=line_no)
-        by_t[frame.t] = frame
-    return {utt_id: [by_t[t] for t in sorted(by_t)]
-            for utt_id, by_t in frames.items()}
+def inventory_states(inventory: Mapping[str, Sequence[str]]
+                     ) -> tuple[str, ...]:
+    """Every state label of ``inventory`` once, in order of first
+    listing."""
+    return tuple(dict.fromkeys(state for states in inventory.values()
+                               for state in states))
+
+
+_CHUNK_LINES = 256  # posterior lines decoded by one json.loads
+
+
+def _bulk_frames(lines: Sequence[str], states: Sequence[str], buffers):
+    """``(utterance, ts, rows)`` runs, in line order, for a chunk of
+    posterior lines whose every line is a valid frame, all in one key
+    layout, and whose every utterance has ``t`` ascending past the frames
+    ``buffers`` holds for it (with no repeat seen so far); else None.
+    ``rows`` are the run's (frames x states) posteriors.
+
+    One ``json.loads`` reads the chunk as ``[[line, true], ...]``, so
+    the keys are decoded once for all frames.  When the lines hold no
+    ``true``, each one there is ours, and a pair back per line proves
+    each line is one JSON value of its own.  The checks are those of
+    ``_check_frame`` on arrays; each frame's sum adds its values in its
+    key order, column by column.
+    """
+    text = "[[" + ",true],[".join(lines) + ",true]]"
+    if text.count("true") != len(lines):
+        return None
+    try:
+        pairs = json.loads(text)
+    except (ValueError, RecursionError):
+        return None
+    if len(pairs) != len(lines):
+        return None
+    runs, values, layout, last = [], [], None, {}
+    for pair in pairs:
+        if not (type(pair) is list and len(pair) == 2 and pair[1] is True
+                and type(pair[0]) is dict):
+            return None
+        frame = pair[0]
+        utt_id, t, probs = (frame.get("utterance_id"), frame.get("t"),
+                            frame.get("probs"))
+        if not (type(utt_id) is str and type(t) is int and t >= 0
+                and type(probs) is dict):
+            return None
+        if layout is None:
+            layout = tuple(probs)
+        elif tuple(probs) != layout:
+            return None
+        if utt_id not in last:
+            entry = buffers.get(utt_id)
+            if entry is not None and entry[2] is not None:
+                return None
+            last[utt_id] = -1 if entry is None else entry[0][-1]
+        if t <= last[utt_id]:
+            return None
+        last[utt_id] = t
+        if not runs or runs[-1][0] != utt_id:
+            runs.append((utt_id, []))
+        runs[-1][1].append(t)
+        values.extend(probs.values())
+    if not (layout and set(map(type, values)) <= {int, float}):
+        return None
+    try:
+        v = np.array(values, np.float64).reshape(len(pairs), len(layout))
+    except OverflowError:   # an integer beyond the float range
+        return None
+    total = np.zeros(len(pairs))
+    for column in v.T:
+        total += column
+    if not (((v >= 0.0) & (v <= 1.0)).all()
+            and (np.abs(total - 1.0) <= _SUM_TOL).all()):
+        return None
+    where = {state: i for i, state in enumerate(layout)}
+    rows = np.zeros((len(pairs), len(states)))
+    for j, state in enumerate(states):
+        if state in where:
+            rows[:, j] = v[:, where[state]]
+    out, at = [], 0
+    for utt_id, ts in runs:
+        out.append((utt_id, ts, rows[at:at + len(ts)]))
+        at += len(ts)
+    return out
+
+
+def parse_posterior_frames(stream: Iterable[str],
+                           inventory: Mapping[str, Sequence[str]]
+                           ) -> dict[str, UtterancePosteriors]:
+    """Parse line-delimited ``{utterance_id, t, probs}`` records into one
+    (frames x states) float array per utterance, rows in ``t`` order and
+    columns in ``inventory_states`` order; ``check_inventory`` checks the
+    inventory first.
+
+    Every frame's row streams into one float64 buffer, so no per-frame
+    object outlives its chunk of lines, and an utterance whose frames
+    come together in ``t`` order gets a view of it.  A chunk
+    ``_bulk_frames`` cannot take is read line by line, each frame
+    checked by ``_check_frame``, so an error names its line.  A second
+    frame for the same utterance and ``t`` is SchemaError naming the
+    line.
+    """
+    check_inventory(inventory)
+    states = inventory_states(inventory)
+    zeros = [0.0] * len(states)
+    rows = array("d")   # every frame's posteriors, in line order
+    n_rows = 0
+    # utterance -> [its frame indices, its [first, end) runs of rows, the
+    # set of its frame indices, or None while they ascend]
+    buffers: dict[str, list] = {}
+
+    def add(utt_id, ts):
+        """Record that the last ``len(ts)`` rows are frames ``ts`` of
+        ``utt_id``."""
+        nonlocal n_rows
+        entry = buffers.get(utt_id)
+        if entry is None:
+            entry = buffers[utt_id] = [[], [], None]
+        entry[0] += ts
+        first_row, n_rows = n_rows, n_rows + len(ts)
+        runs = entry[1]
+        if runs and runs[-1][1] == first_row:
+            runs[-1][1] = n_rows
+        else:
+            runs.append([first_row, n_rows])
+
+    stream = iter(stream)
+    first = 1
+    while lines := list(islice(stream, _CHUNK_LINES)):
+        bulk = _bulk_frames(lines, states, buffers)
+        if bulk is not None:
+            for utt_id, ts, block in bulk:
+                rows.frombytes(block.tobytes())
+                add(utt_id, ts)
+        else:
+            for line_no, raw, utt_id in _utterance_lines(
+                    lines, ("t", "probs"), first):
+                t, probs = raw["t"], raw["probs"]
+                _check_frame(t, probs, line_no)
+                entry = buffers.get(utt_id)
+                if entry is not None:
+                    ts, _, seen = entry
+                    if seen is None and t <= ts[-1]:
+                        seen = entry[2] = set(ts)
+                    if seen is not None:
+                        if t in seen:
+                            raise SchemaError(
+                                f"utterance {utt_id!r}: a second frame "
+                                f"for t={t}", line=line_no)
+                        seen.add(t)
+                rows.extend(map(probs.get, states, zeros))
+                add(utt_id, [t])
+        first += len(lines)
+    table = np.frombuffer(rows, np.float64).reshape(n_rows, len(states))
+    frames = {}
+    for utt_id, (ts, runs, seen) in buffers.items():
+        if len(runs) == 1 and seen is None:
+            probs = table[runs[0][0]:runs[0][1]]
+        else:
+            at = np.concatenate([np.arange(a, b) for a, b in runs])
+            if seen is not None:
+                order = sorted(range(len(ts)), key=ts.__getitem__)
+                ts, at = [ts[i] for i in order], at[order]
+            probs = table[at]
+        frames[utt_id] = UtterancePosteriors(states, ts, probs)
+    return frames
 
 
 def parse_segments(stream: Iterable[str], inventory: Mapping[str, Sequence[str]]

@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import SchemaError, TooFewValuesError
-from .ingest import THREE_LEVELS, is_finite_number
+from .ingest import THREE_LEVELS, is_finite_number, load_json
 
 _KDE_GRID = 512
 
@@ -216,10 +216,7 @@ def write_schemes(schemes: Sequence[BinningScheme]) -> str:
 
 
 def parse_schemes(text: str) -> dict[str, BinningScheme]:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"invalid JSON: {exc.msg}") from None
+    doc = load_json(text)
     if not isinstance(doc, dict):
         raise SchemaError("a schemes document must be a JSON object")
     return {name: BinningScheme.from_dict(entry) for name, entry in doc.items()}

@@ -25,10 +25,12 @@ do not depend on which encoder wrote them, and ``IoError`` is raised
 for exactly the values ``json.dumps`` rejects.
 
 Every malformed input raises a typed error naming the offending line or
-field; no partially constructed value ever escapes.  Line-delimited
-inputs (utterance records, score tables, frame posteriors, segments) are
-all read by ``read_jsonl``, so a line that is not a JSON object is
-SchemaError naming the line.
+field; no partially constructed value ever escapes.  Input JSON is
+decoded by ``load_json``, so text ``json`` cannot read is SchemaError.
+Line-delimited inputs (utterance records, score tables, frame
+posteriors, segments) are read by ``read_jsonl``, so a line that is not
+a JSON object is SchemaError naming the line; frame posteriors take it
+for any chunk of lines that fails a check.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import re
 import sys
 import warnings
 from dataclasses import dataclass, field
@@ -162,18 +165,39 @@ def _maybe_float(value):
     return float(value) if is_finite_number(value) else value
 
 
-def read_jsonl(stream: Iterable[str]) -> Iterator[tuple[int, dict]]:
+def load_json(text: str, *, line: int | None = None):
+    """``json.loads(text)``; text it cannot read is SchemaError naming
+    ``line`` (for a text that is one line of a file).  Besides invalid
+    JSON, that is nesting too deep for the parser and an integer longer
+    than Python's digit limit (``sys.get_int_max_str_digits()``), two
+    errors ``json`` does not wrap.  In a text of many lines the long
+    integer is named by its line within ``text``."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"invalid JSON: {exc.msg}", line=line) from None
+    except RecursionError:
+        raise SchemaError("JSON nested too deeply", line=line) from None
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        found = re.search(r"\d{%d}" % (limit + 1), text)
+        if line is None and found:
+            line = text.count("\n", 0, found.start()) + 1
+        raise SchemaError(f"an integer has more than {limit} digits",
+                          line=line) from None
+
+
+def read_jsonl(stream: Iterable[str], first: int = 1
+               ) -> Iterator[tuple[int, dict]]:
     """``(line number, object)`` for each non-blank line of a
-    line-delimited JSON stream, numbered from 1.  Invalid JSON, or a line
-    that is not a JSON object, raises SchemaError naming the line."""
-    for line_no, line in enumerate(stream, start=1):
+    line-delimited JSON stream, numbered from ``first``.  Invalid JSON,
+    or a line that is not a JSON object, raises SchemaError naming the
+    line."""
+    for line_no, line in enumerate(stream, start=first):
         line = line.strip()
         if not line:
             continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"invalid JSON: {exc.msg}", line=line_no) from None
+        obj = load_json(line, line=line_no)
         if not isinstance(obj, dict):
             raise SchemaError("line must be a JSON object", line=line_no)
         yield line_no, obj
@@ -364,10 +388,7 @@ def builtin_graph_spec(name: str) -> GraphSpec:
 
 def parse_graph_spec(text: str) -> GraphSpec:
     """Parse and validate a graph spec document."""
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"invalid JSON: {exc.msg}") from None
+    raw = load_json(text)
     if not (isinstance(raw, dict) and isinstance(raw.get("nodes"), list)
             and isinstance(raw.get("edges"), list)):
         raise SchemaError("graph spec needs 'nodes' and 'edges' lists")
@@ -437,7 +458,7 @@ def _quantize(value):
     return value
 
 
-# _float_array_body writes a finite float whose magnitude is in
+# _float_array_body writes ±0.0 and a finite float whose magnitude is in
 # [_FIXED_LO, _FIXED_HI) from the digits of |x| * 10**_PLACES rounded to
 # an integer: at most 15 (9 + _PLACES) of them, in the range repr writes
 # in fixed notation.
@@ -488,11 +509,13 @@ def _float_array_body(values, sep: str) -> str:
     """The items of a 1-D float array slice, ``sep``-joined, as
     ``_items`` writes its ``tolist()``, whatever the items.
 
-    For finite ``1e-4 <= |x| < 1e9``, ``round(x, 6)`` is the double
-    nearest ``d = ±k / 10**6``, ``k`` being the exact ``|x| * 10**6``
-    rounded half to even.  ``d`` has at most 15 significant digits
-    (``k <= 10**15``), and no two such decimals read back as one double,
-    so ``repr`` writes ``d``, in fixed notation in this band: the digits
+    ``0.0`` and ``-0.0`` are both ``k = 0``, written ``0.0`` as
+    ``_quantize`` makes them.  For finite ``1e-4 <= |x| < 1e9``,
+    ``round(x, 6)`` is the double nearest ``d = ±k / 10**6``, ``k``
+    being the exact ``|x| * 10**6`` rounded half to even.  ``d`` has at
+    most 15 significant digits (``k <= 10**15``), and no two such
+    decimals read back as one double, so ``repr`` writes ``d``, in fixed
+    notation in this band: the digits
     of ``k``, the point six from the right, less leading integer and
     trailing fraction zeros (keeping ``0.`` and ``.0``).  ``y = |x| *
     1e6`` is off the exact product by at most half of ``spacing(y)``, so
@@ -505,7 +528,7 @@ def _float_array_body(values, sep: str) -> str:
 
     x = values.astype(np.float64)  # exact, as tolist() widens
     a = np.abs(x)
-    band = (a >= _FIXED_LO) & (a < _FIXED_HI)
+    band = ((a >= _FIXED_LO) & (a < _FIXED_HI)) | (a == 0.0)
     a[~band] = 1.0  # keeps NaN and inf out of the arithmetic below
     y = a * 1e6
     k = np.rint(y)
@@ -514,7 +537,8 @@ def _float_array_body(values, sep: str) -> str:
 
     sep_bytes = sep.encode()
     m = np.empty((_FLOAT_ROWS + len(sep_bytes), len(x)), np.uint8)
-    np.multiply(np.signbit(x), ord("-"), out=m[_SIGN], casting="unsafe")
+    # x < 0, not the sign bit: -0.0 is written "0.0"
+    np.multiply(x < 0.0, ord("-"), out=m[_SIGN], casting="unsafe")
     table = _digit_groups()
     rest = k
     for row in _GROUP_ROWS:
@@ -699,10 +723,7 @@ def write_report(report) -> str:
 
 def parse_report(text: str):
     """Parse a structured report back into its result tree."""
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"invalid JSON: {exc.msg}") from None
+    return load_json(text)
 
 
 # --- delimited plot-data emission --------------------------------------------

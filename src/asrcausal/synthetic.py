@@ -35,9 +35,9 @@ from .causal import (
     joint_tensor,
     marginal,
 )
-from .errors import InvalidSpecError, NotNormalizedError, SchemaError
-from .ingest import (GraphSpec, is_finite_number, parse_graph_spec,
-                     write_graph_spec)
+from .errors import InvalidSpecError, NotNormalizedError
+from .ingest import (GraphSpec, is_finite_number, load_json,
+                     parse_graph_spec, write_graph_spec)
 
 
 @dataclass(frozen=True)
@@ -443,10 +443,7 @@ def write_scm_spec(spec: ScmSpec) -> str:
 
 
 def parse_scm_spec(text: str) -> ScmSpec:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"invalid JSON: {exc.msg}") from None
+    doc = load_json(text)
     if not isinstance(doc, dict):
         raise InvalidSpecError("an SCM spec must be a JSON object")
     for key in ("graph", "seed", "n", "tables"):

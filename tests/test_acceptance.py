@@ -13,7 +13,8 @@ import pytest
 
 from asrcausal import causal, cli, discretize, synthetic
 from asrcausal.alignment import align, oracle_aggregate, score_dataset
-from asrcausal.covariates import PhoneSegment, PosteriorFrame, gop_phone
+from asrcausal.covariates import (PhoneSegment, UtterancePosteriors,
+                                  gop_phone)
 from asrcausal.ingest import UtteranceRecord
 
 from test_alignment import oracle_align
@@ -95,8 +96,7 @@ def test_criterion_04_gop_sign_property():
         n_frames = int(rng.integers(1, 5))
         mat = rng.random((n_frames, 5))
         mat /= mat.sum(axis=1, keepdims=True)
-        frames = [PosteriorFrame(t, dict(zip(states, row)))
-                  for t, row in enumerate(mat)]
+        frames = UtterancePosteriors(tuple(states), range(n_frames), mat)
         target = int(rng.integers(0, 5))
         segment = PhoneSegment(phones[target], 0, n_frames, inventory)
         score = gop_phone(segment, frames)
@@ -112,8 +112,8 @@ def test_criterion_04_gop_sign_property():
 
 def two_phone_gop(p_target: float) -> float:
     inventory = {"p": ["p_s"], "q": ["q_s"]}
-    frames = [PosteriorFrame(t, {"p_s": p_target, "q_s": 1 - p_target})
-              for t in range(2)]
+    frames = UtterancePosteriors(("p_s", "q_s"), range(2),
+                                 np.array([[p_target, 1 - p_target]] * 2))
     return gop_phone(PhoneSegment("p", 0, 2, inventory), frames)
 
 

@@ -1364,6 +1364,14 @@ class TestImports:
         assert "is fresh, skipping" in err
         assert "numpy" not in loaded
 
+    def test_fresh_covariates_skip_loads_no_numpy(self, tmp_path):
+        argv = TestMistypedHandWrittenInputs.gop_inputs(tmp_path)
+        assert run_cli(*argv) == 0
+        loaded, err = probe(f"from asrcausal import cli\ncli.main({argv!r})",
+                            tmp_path)
+        assert "is fresh, skipping" in err
+        assert "numpy" not in loaded
+
     def test_scoring_stages_load_no_numpy(self, workdir):
         body = "from asrcausal import cli\n" + "\n".join(
             f"assert cli.main({argv!r}) == 0" for argv in (

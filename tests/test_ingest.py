@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from asrcausal import ingest
+from asrcausal import discretize, ingest, synthetic
 from asrcausal.errors import (
     CycleError,
     DuplicateIdError,
@@ -91,6 +91,32 @@ class TestParseUtterances:
         text = ingest.write_utterances(records)
         again = ingest.parse_utterances(text.splitlines())
         assert again == records
+
+
+class TestUnreadableJson:
+    """Text ``json`` cannot read, whatever error it raises, is
+    SchemaError naming the line."""
+
+    LONG = "9" * 5001
+
+    def test_long_integer_in_a_record_line(self):
+        line = MINIMAL[:-1] + f', "snr_db": {self.LONG}}}'
+        with pytest.raises(SchemaError, match="^line 2: an integer has "
+                                              "more than 4300 digits"):
+            ingest.parse_utterances([MINIMAL, line])
+
+    def test_deep_nesting_in_a_record_line(self):
+        with pytest.raises(SchemaError, match="^line 1: JSON nested"):
+            ingest.parse_utterances(["[" * 100_000])
+
+    @pytest.mark.parametrize("parse", [
+        ingest.parse_report, ingest.parse_graph_spec,
+        discretize.parse_schemes, synthetic.parse_scm_spec,
+    ], ids=["report", "graph-spec", "schemes", "scm-spec"])
+    def test_long_integer_in_a_document_names_its_line(self, parse):
+        text = '{\n "a": 1,\n "b": [1, %s]\n}\n' % self.LONG
+        with pytest.raises(SchemaError, match="^line 3: an integer"):
+            parse(text)
 
 
 class TestFrequencyTable:
@@ -514,7 +540,7 @@ class TestArrayFormatter:
     def test_near_ties_and_out_of_band_items_take_the_per_item_path(
             self, monkeypatch):
         tie = 123.4567895  # within an ulp of a 6th-decimal tie
-        slow = [tie, 5e-5, math.nan, 1e9, -0.0]
+        slow = [tie, 5e-5, math.nan, 1e9, -1e-300]
         array = np.array([0.25, *slow, 3.5, -12.125])
         quantized = []
 
@@ -526,7 +552,29 @@ class TestArrayFormatter:
         text = ingest.write_report(array)
         assert text == reference_report(array.tolist())
         assert len(quantized) == len(slow)
-        assert quantized[0] == tie and quantized[-1] == 0.0
+        assert quantized[0] == tie and quantized[-1] == -1e-300
+
+    def test_exact_zeros_take_the_bulk_path(self, monkeypatch):
+        rng = np.random.default_rng(16)
+        pool = np.array([0.0, -0.0, math.nan, 0.5, -3.25, 1e-4, -7.0e8,
+                         123.456789, 5e-5])
+        array = rng.choice(pool, size=3 * 4096 + 5)
+        expected = [ingest._scalar(ingest._quantize(x))
+                    for x in array.tolist()]
+        quantized = []
+
+        def spy(value):
+            quantized.append(value)
+            return ref_quantize(value)
+
+        monkeypatch.setattr(ingest, "_quantize", spy)
+        pieces = ingest._float_array_body(array, ",").split(",")
+        assert pieces == expected
+        assert "-0.0" not in pieces
+        # only NaN and 5e-5 (below the band) are written one at a time
+        assert not [x for x in quantized if x == 0.0]
+        assert len(quantized) == int(np.sum(np.isnan(array)
+                                            | (array == 5e-5)))
 
     @pytest.mark.parametrize("rows", [
         np.array([[0, 9, 10], [99, 100, 999]]),
