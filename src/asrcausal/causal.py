@@ -256,8 +256,9 @@ def _typed_array(values, kinds: str, message: str) -> np.ndarray:
 #   \n "variables": [...]\n}\n
 #
 # (an empty list or object as "[]" or "{}").  ``_canonical_dataset``
-# reads that layout with one ``np.fromstring`` per number section and
-# hands everything else to the general reader.
+# reads that layout a block of each number section at a time, with one
+# ``np.fromstring`` per block, and hands everything else to the general
+# reader.
 
 _HEAD = b'{\n "continuous": '
 _ROWS_KEY = b',\n "rows": '
@@ -266,7 +267,7 @@ _TAIL = b"\n}\n"
 _DIGITS = b"0123456789"
 _NUMBER_CHARS = _DIGITS + b".eE+-"
 _NUMBER_SEP = b",\n   "  # between two numbers of a continuous column
-_BLOCK_BYTES = 1 << 18  # skeleton bytes compared at a time
+_BLOCK_BYTES = 1 << 18  # bytes of a number section read at a time
 # Byte classes of a continuous column: 0, 1-9, ".", exponent, "+", "-"
 # and separator (",", newline, space).  A pair of adjacent classes (a, b)
 # is the byte a << 3 | b: _NUMBER_PAIRS holds the pairs JSON numbers
@@ -347,40 +348,50 @@ def _canonical_codes(data: bytes, start: int, end: int, k: int
     """The (n, k) codes of the canonical ``rows`` list at
     ``data[start:end]``, else None.
 
-    Without its digits the list must be the skeleton of n rows of k
-    items, so each code is a run of digits.  The runs must number n * k,
-    and their digits must be exactly those of the codes' decimal forms,
-    so no code has a leading zero.  A code past int64 saturates, has
-    fewer digits than its text and is refused too.
+    The list is read a block of whole rows (about ``_BLOCK_BYTES``) at a
+    time into one array of the n rows its row closes count.  Without its
+    digits each block must be the skeleton of its rows of k items, so
+    each code is a run of digits.  The runs must number k per row, and
+    their digits must be exactly those of the codes' decimal forms, so
+    no code has a leading zero.  A code past int64 saturates, has fewer
+    digits than its text and is refused too.
     """
-    section = data[start:end]
-    if section == b"[]":
+    if data.startswith(b"[]", start) and end == start + 2:
         return np.zeros((0, k), dtype=np.int64)
-    if not k:
+    n = data.count(b"\n  ]", start, end)
+    if not (k and n and data.startswith(b"[\n", start)
+            and data.startswith(b"\n ]", end - 3)):
         return None
-    row = b"  [\n" + b"   ,\n" * (k - 1) + b"   \n  ]"
-    skeleton = section.translate(None, _DIGITS)
-    n, rest = divmod(len(skeleton) - 3, len(row) + 2)
-    # "[\n", n - 1 times row + ",\n", compared a block of rows at a time,
-    # then the last row and "\n ]"
-    period = row + b",\n"
-    block = period * max(1, _BLOCK_BYTES // len(period))
-    last = len(skeleton) - len(row) - 3
-    if (rest or n < 1 or not skeleton.startswith(b"[\n")
-            or not skeleton.endswith(row + b"\n ]")
-            or not all(skeleton.startswith(block[:last - at], at)
-                       for at in range(2, last, len(block)))):
-        return None
-    digits = len(section) - len(skeleton)
-    del skeleton
-    # the codes, one comma between each two
-    text = section.translate(None, b"[] \n")
-    del section
-    codes = _numbers(text, np.int64)
-    if (codes is None or codes.size != n * k
-            or digits != _decimal_digits(codes)):
-        return None
-    return codes.reshape(n, k)
+    # "[\n", the rows joined by ",\n", then "\n ]"
+    period = b"  [\n" + b"   ,\n" * (k - 1) + b"   \n  ],\n"
+    codes = np.empty(n * k, dtype=np.int64)
+    filled = 0
+    for block in _blocks(data, start + 2, end - 3, b"\n  ],\n", 4):
+        skeleton = block.translate(None, _DIGITS)
+        rows, rest = divmod(len(skeleton) + 2, len(period))
+        if rest or not (period * rows).startswith(skeleton):
+            return None
+        # the block's codes, one comma between each two
+        values = _numbers(block.translate(None, b"[] \n"), np.int64)
+        if (values is None or values.size != rows * k
+                or filled + values.size > codes.size
+                or len(block) - len(skeleton) != _decimal_digits(values)):
+            return None
+        codes[filled:filled + values.size] = values
+        filled += values.size
+    return codes.reshape(n, k) if filled == codes.size else None
+
+
+def _blocks(data: bytes, start: int, end: int, mark: bytes, keep: int
+            ) -> Iterator[bytes]:
+    """``data[start:end]`` a block at a time.  A block ends at the first
+    ``mark`` from ``_BLOCK_BYTES`` past its start on, keeping the mark's
+    first ``keep`` bytes, and the next block starts after the mark; the
+    last block ends at ``end``."""
+    while (found := data.find(mark, start + _BLOCK_BYTES, end)) >= 0:
+        yield data[start:found + keep]
+        start = found + len(mark)
+    yield data[start:end]
 
 
 def _decimal_digits(values: np.ndarray) -> int:
@@ -413,7 +424,7 @@ def _canonical_continuous(data: bytes, at: int
         if line.endswith(b": [") and data.startswith(b"\n   ", line_end):
             close = data.find(b"\n  ]", line_end)
             values = (None if close < 0 else
-                      _canonical_column(data[line_end + 4:close]))
+                      _canonical_column(data, line_end + 4, close))
             after = close + 4
         elif line.endswith((b": []", b": [],")):
             values = np.zeros(0)
@@ -437,13 +448,16 @@ def _canonical_continuous(data: bytes, at: int
         at = after + 2
 
 
-def _canonical_column(items: bytes) -> np.ndarray | None:
+def _canonical_column(data: bytes, start: int, end: int
+                      ) -> np.ndarray | None:
     """The floats of a canonical continuous column's items (the text
-    between ``[\\n   `` and ``\\n  ]``), else None.
+    ``data[start:end]`` between ``[\\n   `` and ``\\n  ]``), else None.
 
     The items must be tokens joined by ``",\\n   "``, each a JSON number
     with a fraction or an exponent, which ``json`` reads as
-    ``float(token)``, as ``np.fromstring`` does.  The checks:
+    ``float(token)``, as ``np.fromstring`` does.  They are read a block
+    of whole tokens (about ``_BLOCK_BYTES``) at a time into one array of
+    as many floats as there are separators plus one.  In each block:
 
     * without its number characters the text is the separators;
     * without digits, no token is "" or "-" (an integer);
@@ -454,24 +468,31 @@ def _canonical_column(items: bytes) -> np.ndarray | None:
     * ``np.fromstring`` reads each token to its end, so no token holds
       a second fraction or exponent.
     """
-    separators = items.translate(None, _NUMBER_CHARS)
-    n = len(separators) // len(_NUMBER_SEP) + 1
-    if separators != _NUMBER_SEP * (n - 1):
-        return None
-    shapes = b"," + items.translate(None, _DIGITS + b"\n ") + b","
-    if b",," in shapes or b",-," in shapes:
-        return None
-    # byte classes, every token between separators, then one byte per
-    # adjacent pair of classes
-    x = np.frombuffer((b"   " + items + b",").translate(_CLASSES), np.uint8)
-    pairs = ((x[:-1] << 3) | x[1:]).tobytes()
-    if (pairs.translate(None, _NUMBER_PAIRS)
-            or any(zero in pairs for zero in _LEADING_ZEROS)):
-        return None
-    values = _numbers(items, np.float64)
-    if values is None or values.size != n:
-        return None
-    return values
+    column = np.empty(data.count(_NUMBER_SEP, start, end) + 1)
+    filled = 0
+    for items in _blocks(data, start, end, _NUMBER_SEP, 0):
+        separators = items.translate(None, _NUMBER_CHARS)
+        n = len(separators) // len(_NUMBER_SEP) + 1
+        if separators != _NUMBER_SEP * (n - 1):
+            return None
+        shapes = b"," + items.translate(None, _DIGITS + b"\n ") + b","
+        if b",," in shapes or b",-," in shapes:
+            return None
+        # byte classes, every token between separators, then one byte per
+        # adjacent pair of classes
+        x = np.frombuffer((b"   " + items + b",").translate(_CLASSES),
+                          np.uint8)
+        pairs = ((x[:-1] << 3) | x[1:]).tobytes()
+        if (pairs.translate(None, _NUMBER_PAIRS)
+                or any(zero in pairs for zero in _LEADING_ZEROS)):
+            return None
+        values = _numbers(items, np.float64)
+        if (values is None or values.size != n
+                or filled + n > column.size):
+            return None
+        column[filled:filled + n] = values
+        filled += n
+    return column if filled == column.size else None
 
 
 @dataclass

@@ -395,7 +395,7 @@ def _cmd_covariates(config) -> list[str]:
         return record
 
     enriched = [enrich(record) for record in records]
-    return [_write_text(config.out, [ingest.write_utterances(enriched)])]
+    return [_write_text(config.out, ingest.utterance_lines(enriched))]
 
 
 def _parse_bin_overrides(pairs) -> dict[str, str]:

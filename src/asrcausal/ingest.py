@@ -216,10 +216,16 @@ def parse_utterances(stream: Iterable[str]) -> list[UtteranceRecord]:
     return records
 
 
+def utterance_lines(records: Iterable[UtteranceRecord]) -> Iterator[str]:
+    """Each record as one JSON object on its own line (exact round-trip),
+    one line at a time."""
+    return (json.dumps(r.to_dict(), sort_keys=True) + "\n" for r in records)
+
+
 def write_utterances(records: Iterable[UtteranceRecord]) -> str:
-    """Serialize records one JSON object per line (exact round-trip)."""
-    return "".join(json.dumps(r.to_dict(), sort_keys=True) + "\n"
-                   for r in records)
+    """Serialize records one JSON object per line: ``utterance_lines``
+    joined."""
+    return "".join(utterance_lines(records))
 
 
 @dataclass(frozen=True)

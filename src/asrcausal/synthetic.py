@@ -60,8 +60,7 @@ class ScmSpec:
     emitters: dict[str, EffectEmitter] = field(default_factory=dict)
 
     def validate(self) -> "ScmSpec":
-        if self.n < 0:
-            raise InvalidSpecError(f"sample count {self.n} is negative")
+        _check_draw(self.n, self.seed)
         for node in self.graph.nodes:
             if node not in self.tables:
                 raise InvalidSpecError(f"no table for node {node!r}")
@@ -188,44 +187,69 @@ def _ndtri(p: np.ndarray) -> np.ndarray:
     return out
 
 
+def _check_draw(n: int, seed: int):
+    """A sample count and a seed ``generate`` can draw with."""
+    if n < 0:
+        raise InvalidSpecError(f"sample count {n} is negative")
+    if not 0 <= seed < 2 ** 128:
+        raise InvalidSpecError(f"seed {seed} is not in [0, 2**128), the "
+                               f"range of a Philox key")
+
+
+_BLOCK_ROWS = 1 << 14  # samples drawn and coded at a time
+
+
 def generate(spec: ScmSpec, n: int | None = None, seed: int | None = None
              ) -> DiscreteDataset:
-    """Ancestral sampling; a pure function of (spec, seed)."""
+    """Ancestral sampling; a pure function of (spec, seed).
+
+    The uniforms are drawn ``_BLOCK_ROWS`` rows at a time: Philox fills
+    sequentially, so the blocks are the rows of one (n, width) draw.
+    Each node's codes go straight into the dataset's (n, #nodes) matrix,
+    from which its children read their parent configurations."""
     spec.validate()
     graph = spec.graph
     n = spec.n if n is None else n
     seed = spec.seed if seed is None else seed
-    if n < 0:
-        raise InvalidSpecError(f"sample count {n} is negative")
+    _check_draw(n, seed)
     emitter_nodes = sorted(spec.emitters)
     rng = np.random.Generator(np.random.Philox(key=seed))
-    u = rng.random((n, len(graph.topo_order) + len(emitter_nodes)))
-
-    code_of: dict[str, np.ndarray] = {}
-    for j, node in enumerate(graph.topo_order):
+    width = len(graph.topo_order) + len(emitter_nodes)
+    column = {node: j for j, node in enumerate(graph.nodes)}
+    # per node in topological order: its column, its parents' columns,
+    # the shape of its parent configurations, and its CDF columns (entry
+    # i of each configuration's CDF, one array per i)
+    plan = []
+    for node in graph.topo_order:
         table = spec.tables[node]
         k = table.probs.shape[-1]
         cum = np.cumsum(table.probs, axis=-1).reshape(-1, k)
-        # each sample's parent configuration, as a row of cum
-        config = (np.ravel_multi_index(
-            tuple(code_of[p] for p in table.parents), table.probs.shape[:-1])
-            if table.parents else 0)
-        uj = u[:, j].copy()  # contiguous, for its k comparisons
-        # a code counts the entries of its CDF row at or below its uniform
-        codes = np.zeros(n, dtype=np.int64)
-        for i in range(k):
-            codes += uj >= cum[:, i][config]
-        code_of[node] = np.minimum(codes, k - 1)
+        plan.append((column[node], [column[p] for p in table.parents],
+                     table.probs.shape[:-1], np.ascontiguousarray(cum.T)))
 
-    continuous = {}
-    for m, node in enumerate(emitter_nodes):
-        emitter = spec.emitters[node]
-        noise = _ndtri(np.clip(u[:, len(graph.topo_order) + m], 1e-12, 1 - 1e-12))
-        means = np.asarray(emitter.means, dtype=np.float64)
-        continuous[node] = means[code_of[node]] + emitter.spread * noise
-
-    codes = (np.stack([code_of[v] for v in graph.nodes], axis=1)
-             if n else np.zeros((0, len(graph.nodes)), dtype=np.int64))
+    codes = np.empty((n, len(graph.nodes)), dtype=np.int64)
+    continuous = {node: np.empty(n) for node in emitter_nodes}
+    for start in range(0, n, _BLOCK_ROWS):
+        u = rng.random((min(_BLOCK_ROWS, n - start), width))
+        block = codes[start:start + len(u)]
+        for j, (at, parents, shape, cdf) in enumerate(plan):
+            # each sample's parent configuration, as an index into cdf[i]
+            config = (np.ravel_multi_index(
+                tuple(block[:, p] for p in parents), shape)
+                if parents else 0)
+            uj = u[:, j].copy()  # contiguous, for its k comparisons
+            # a code counts the entries of its CDF row at or below its uniform
+            count = np.zeros(len(u), dtype=np.int64)
+            for entry in cdf:
+                count += uj >= entry[config]
+            block[:, at] = np.minimum(count, len(cdf) - 1)
+        for m, node in enumerate(emitter_nodes):
+            emitter = spec.emitters[node]
+            noise = _ndtri(np.clip(u[:, len(graph.topo_order) + m],
+                                   1e-12, 1 - 1e-12))
+            means = np.asarray(emitter.means, dtype=np.float64)
+            continuous[node][start:start + len(u)] = (
+                means[block[:, column[node]]] + emitter.spread * noise)
     return DiscreteDataset(graph.nodes, graph.categories, codes, continuous)
 
 

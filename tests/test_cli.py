@@ -221,6 +221,28 @@ class TestSynth:
         diagnostic = json.loads(capsys.readouterr().err.strip())
         assert diagnostic["error"] == "E_INVALID_SPEC"
 
+    @pytest.mark.parametrize("source, seed", [
+        ("flag", -1), ("flag", 2 ** 128), ("spec", -3), ("spec", 2 ** 128)])
+    def test_seed_outside_the_philox_key_range_is_e_invalid_spec(
+            self, tmp_path, capsys, source, seed):
+        from asrcausal import synthetic
+        if source == "flag":
+            argv = ["--spec", "copy-chain", "--seed", str(seed)]
+        else:
+            doc = json.loads(
+                synthetic.write_scm_spec(synthetic.copy_chain_spec()))
+            doc["seed"] = seed
+            (tmp_path / "scm.json").write_text(json.dumps(doc))
+            argv = ["--spec", str(tmp_path / "scm.json")]
+        before = sorted(tmp_path.iterdir())
+        assert run_cli("synth", *argv, "--n", "20",
+                       "--out", str(tmp_path / "d.json"),
+                       "--truths", str(tmp_path / "t.json")) == 1
+        diagnostic = json.loads(capsys.readouterr().err.strip())
+        assert diagnostic["error"] == "E_INVALID_SPEC"
+        assert f"seed {seed} " in diagnostic["message"]
+        assert sorted(tmp_path.iterdir()) == before
+
 
 class TestMalformedDataset:
     @pytest.mark.parametrize("bad_row", [[0, 1], ["a", "b", "c"], [0.7, 0, 1]],

@@ -165,6 +165,7 @@ MUTATIONS = {
     "leading-zero code": replaced("\n   11,", "\n   011,"),
     "leading-zero last code": replaced("\n   10\n", "\n   010\n"),
     "double zero code": replaced("\n   0\n", "\n   00\n"),
+    "digit inside a row close": replaced("\n   10\n  ]", "\n   1\n 0 ]"),
     "-1 as a code": replaced("\n   0\n", "\n   -1\n"),
     "code past int64": replaced("\n   3,", "\n   99999999999999999999,"),
     "empty code": replaced("\n   3,", "\n   ,"),
@@ -308,3 +309,155 @@ def test_fit_and_report_read_compact_json_alike(tmp_path, monkeypatch):
             == (tmp_path / "cpts_compact.json").read_bytes())
     assert ((tmp_path / "report_data.json").read_bytes()
             == (tmp_path / "report_compact.json").read_bytes())
+
+
+# --- block boundaries --------------------------------------------------------
+#
+# The array reader reads each number section a block of whole rows or
+# whole tokens (about ``_BLOCK_BYTES``) at a time.  A small block makes a
+# small file span many blocks: 1 byte makes every row and every float a
+# block of its own.
+
+BLOCK_SIZES = [1, 7, 64, 4096]
+
+
+@pytest.mark.parametrize("block", BLOCK_SIZES)
+@pytest.mark.parametrize("data, canonical", EQUIVALENT.values(),
+                         ids=EQUIVALENT)
+def test_small_blocks_read_the_same_dataset(monkeypatch, block, data,
+                                            canonical):
+    monkeypatch.setattr(causal, "_BLOCK_BYTES", block)
+    raw = written(data)
+    expected = general(raw)
+    fast = causal._canonical_dataset(raw)
+    assert (fast is not None) == canonical
+    if canonical:
+        assert_same(fast, expected)
+    assert_same(DiscreteDataset.from_bytes(raw), expected)
+
+
+@pytest.mark.parametrize("block", BLOCK_SIZES)
+@pytest.mark.parametrize("text", MUTATIONS.values(), ids=MUTATIONS)
+def test_no_mutation_gets_past_small_blocks(monkeypatch, block, text):
+    monkeypatch.setattr(causal, "_BLOCK_BYTES", block)
+    test_no_mutation_gets_past_the_array_reader(text)
+
+
+COLUMN = written(dataset(300, columns=("Y",), seed=3))
+COLUMN_BLOCK = 64
+
+
+def block_ends(raw: bytes, block: int, mark: bytes, start: bytes,
+               close: bytes) -> list[int]:
+    """Where the array reader ends each block but the last of the section
+    that follows ``start``: at the first ``mark`` from ``block`` bytes
+    past the block's start on, the next block starting after the mark.
+    The section ends at ``close``."""
+    at = raw.index(start) + len(start)
+    end = raw.index(close, at)
+    ends = []
+    while (found := raw.find(mark, at + block, end)) >= 0:
+        ends.append(found)
+        at = found + len(mark)
+    return ends
+
+
+def blocks_read(monkeypatch, raw: bytes) -> dict:
+    """How many blocks of codes and of floats the array reader reads in
+    ``raw``."""
+    counts = {np.int64: 0, np.float64: 0}
+    numbers = causal._numbers
+
+    def counted(text, dtype):
+        counts[dtype] += 1
+        return numbers(text, dtype)
+
+    monkeypatch.setattr(causal, "_numbers", counted)
+    assert causal._canonical_dataset(raw) is not None
+    monkeypatch.setattr(causal, "_numbers", numbers)
+    return counts
+
+
+def token_around(raw: bytes, sep_at: int, side: str) -> tuple[int, int]:
+    """The span of the float token just before or just after the
+    separator at ``sep_at``."""
+    if side == "before":
+        return raw.rindex(b" ", 0, sep_at) + 1, sep_at
+    start = sep_at + len(causal._NUMBER_SEP)
+    return start, min(raw.index(b",", start), raw.index(b"\n", start))
+
+
+FLOAT_ENDS = block_ends(COLUMN, COLUMN_BLOCK, causal._NUMBER_SEP,
+                        b'"Y": [\n   ', b"\n  ]")
+
+
+@pytest.mark.parametrize("boundary", [0, len(FLOAT_ENDS) // 2, -1],
+                         ids=["first", "middle", "last"])
+@pytest.mark.parametrize("side", ["before", "after"])
+@pytest.mark.parametrize("mutate", [
+    lambda token: (b"-0" + token[1:] if token.startswith(b"-")
+                   else b"0" + token),
+    lambda token: b"-",
+    lambda token: b"",
+    lambda token: token + b"e1e1",
+    lambda token: token + b".5",
+], ids=["leading zero", "bare minus", "empty", "second exponent",
+        "second fraction"])
+def test_float_mutations_at_a_block_boundary_are_refused(
+        monkeypatch, boundary, side, mutate):
+    monkeypatch.setattr(causal, "_BLOCK_BYTES", COLUMN_BLOCK)
+    assert len(FLOAT_ENDS) > 3
+    assert (blocks_read(monkeypatch, COLUMN)[np.float64]
+            == len(FLOAT_ENDS) + 1)
+    assert_same(causal._canonical_dataset(COLUMN), general(COLUMN))
+    start, end = token_around(COLUMN, FLOAT_ENDS[boundary], side)
+    raw = COLUMN[:start] + mutate(COLUMN[start:end]) + COLUMN[end:]
+    assert causal._canonical_dataset(raw) is None
+    assert (outcome(DiscreteDataset.from_bytes, raw)
+            == outcome(general, raw))
+
+
+ROWS = written(dataset(300, levels=12, columns=(), seed=4))
+ROW_BLOCK = 64
+ROW_ENDS = block_ends(ROWS, ROW_BLOCK, b"\n  ],\n", b'"rows": [\n',
+                      b"\n ]")
+
+
+@pytest.mark.parametrize("boundary", [0, len(ROW_ENDS) // 2, -1],
+                         ids=["first", "middle", "last"])
+@pytest.mark.parametrize("side", ["before", "after"])
+@pytest.mark.parametrize("old, new", [
+    (b"\n   ", b"\n   0"),
+    (b"\n   ", b"\n   99999999999999999999"),
+    (b"\n   ", b"\n   -"),
+    (b",\n   ", b"\n   "),
+], ids=["leading zero", "past int64", "minus", "no comma"])
+def test_code_mutations_at_a_block_boundary_are_refused(
+        monkeypatch, boundary, side, old, new):
+    monkeypatch.setattr(causal, "_BLOCK_BYTES", ROW_BLOCK)
+    assert len(ROW_ENDS) > 3
+    assert blocks_read(monkeypatch, ROWS)[np.int64] == len(ROW_ENDS) + 1
+    assert_same(causal._canonical_dataset(ROWS), general(ROWS))
+    # the last code of the row a block ends with, or the first code of
+    # the row the next block starts with
+    close = ROW_ENDS[boundary]
+    at = (ROWS.rindex(old, 0, close) if side == "before"
+          else ROWS.index(old, close))
+    raw = ROWS[:at] + new + ROWS[at + len(old):]
+    assert causal._canonical_dataset(raw) is None
+    assert (outcome(DiscreteDataset.from_bytes, raw)
+            == outcome(general, raw))
+
+
+@pytest.mark.parametrize("row", [0, 1, 2, 3])
+def test_ragged_rows_across_a_block_boundary_are_refused(monkeypatch, row):
+    # a code moves across a row close: the file keeps its length and its
+    # number of codes, and the two rows lie in two blocks
+    monkeypatch.setattr(causal, "_BLOCK_BYTES", 1)
+    doc = json.loads(ROWS)
+    doc["rows"][row].append(doc["rows"][row + 1].pop(0))
+    raw = (json.dumps(doc, sort_keys=True, indent=1) + "\n").encode()
+    assert len(raw) == len(ROWS)
+    assert causal._canonical_dataset(raw) is None
+    with pytest.raises(SchemaError, match="equal-length lists"):
+        DiscreteDataset.from_bytes(raw)

@@ -64,10 +64,75 @@ def gathered_codes(spec, n, seed):
     return code_of
 
 
+def whole_matrix_generate(spec, n, seed):
+    """``generate`` as it was before it sampled in blocks: one (n, width)
+    draw of uniforms, one code array per node, then ``np.stack``."""
+    graph = spec.graph
+    emitter_nodes = sorted(spec.emitters)
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    u = rng.random((n, len(graph.topo_order) + len(emitter_nodes)))
+
+    code_of = {}
+    for j, node in enumerate(graph.topo_order):
+        table = spec.tables[node]
+        k = table.probs.shape[-1]
+        cum = np.cumsum(table.probs, axis=-1).reshape(-1, k)
+        config = (np.ravel_multi_index(
+            tuple(code_of[p] for p in table.parents), table.probs.shape[:-1])
+            if table.parents else 0)
+        uj = u[:, j].copy()
+        codes = np.zeros(n, dtype=np.int64)
+        for i in range(k):
+            codes += uj >= cum[:, i][config]
+        code_of[node] = np.minimum(codes, k - 1)
+
+    continuous = {}
+    for m, node in enumerate(emitter_nodes):
+        emitter = spec.emitters[node]
+        noise = synthetic._ndtri(
+            np.clip(u[:, len(graph.topo_order) + m], 1e-12, 1 - 1e-12))
+        means = np.asarray(emitter.means, dtype=np.float64)
+        continuous[node] = means[code_of[node]] + emitter.spread * noise
+
+    codes = (np.stack([code_of[v] for v in graph.nodes], axis=1)
+             if n else np.zeros((0, len(graph.nodes)), dtype=np.int64))
+    return codes, continuous
+
+
+BLOCK = synthetic._BLOCK_ROWS
+
+
 class TestGenerate:
     def test_empty_dataset(self):
         data = generate(chain_spec(n=0))
         assert len(data) == 0
+
+    @pytest.mark.parametrize("n", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1,
+                                   3 * BLOCK + 7])
+    @pytest.mark.parametrize("seed", [1, 7, 1001])
+    @pytest.mark.parametrize("name", ["paper-shaped", "copy-chain"])
+    def test_blocks_equal_the_whole_matrix_sampler(self, name, seed, n):
+        spec = builtin_scm_spec(name)
+        data = generate(spec, n=n, seed=seed)
+        codes, continuous = whole_matrix_generate(spec, n, seed)
+        assert data.codes.dtype == np.int64
+        assert data.codes.shape == codes.shape
+        assert np.array_equal(data.codes, codes)
+        assert list(data.continuous) == list(continuous)
+        for node, column in continuous.items():
+            # bit for bit
+            assert np.array_equal(data.continuous[node].view(np.int64),
+                                  column.view(np.int64)), node
+
+    def test_seed_spans_the_philox_key_range(self):
+        spec = chain_spec(n=5)
+        for seed in (0, 2 ** 128 - 1):
+            assert len(generate(spec, seed=seed)) == 5
+        for seed in (-1, 2 ** 128):
+            with pytest.raises(InvalidSpecError, match=f"seed {seed} "):
+                generate(spec, seed=seed)
+            with pytest.raises(InvalidSpecError, match=f"seed {seed} "):
+                chain_spec(seed=seed).validate()
 
     @pytest.mark.parametrize("n", [0, 1, 5000])
     @pytest.mark.parametrize("seed", [1, 7, 2024])
