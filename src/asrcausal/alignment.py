@@ -4,12 +4,12 @@ and inter-model correlation.
 Every score-based output is derived from one ``ScoreTable``: for each
 record and model, the S/D/I/N counts of exactly one ``align`` call, with
 the record's reference normalized once for all its models.
-``score_table`` is the one builder that aligns a record set; the public
-``score_dataset``, ``oracle_select``, ``oracle_aggregate`` and
-``model_correlation`` each call it and read the table.  A CLI stage
-builds one table (or, for ``report --scores``, loads the one ``align``
-wrote) and reads all of its outputs from it.  The table holds plain
-Python ints, so scoring never loads NumPy.
+``score_table`` is the one builder that aligns a record set, and
+``ScoreTable.from_scores`` loads the table ``align`` wrote; the table's
+methods give the per-group aggregates, the oracle choice and aggregate,
+and the inter-model correlation.  A CLI stage builds or loads one table
+and reads all of its outputs from it.  The table holds plain Python
+ints, so scoring never loads NumPy.
 
 The edit-distance kernel is one pure-Python DP (``_align_counts``); it
 needs no NumPy and no compiler, and ``kernel_backend()`` names it.
@@ -137,11 +137,6 @@ def align(reference: Sequence[str], hypothesis: Sequence[str]) -> AlignmentResul
         raise EmptyReferenceError("empty reference: WER undefined")
     return AlignmentResult(*_align_counts(reference, hypothesis),
                            len(reference))
-
-
-def align_text(reference: str, hypothesis: str) -> AlignmentResult:
-    """Normalize both transcripts, then align."""
-    return align(normalize_text(reference), normalize_text(hypothesis))
 
 
 @dataclass(frozen=True)
@@ -322,16 +317,22 @@ class ScoreTable:
                 for row in self.rows]
 
     def oracle_select(self) -> dict[str, str]:
+        """Per record id, the model whose hypothesis minimises WER; ties
+        go to fewer substitutions, then to the lexicographically smallest
+        model name.  Every row must hold the same model set."""
         return {record.id: model for record, (model, _) in
                 zip(self.records, self._oracle())}
 
     def oracle_aggregate(self) -> ErrorAggregate:
+        """Micro-averaged aggregate of the per-record oracle choices."""
         return _sum_counts("oracle", [result for _, result in self._oracle()])
 
     def correlation(self, models: Sequence[str] | None = None):
         """Pearson correlation of utterance-level WER vectors per model
         pair, as (models, matrix); `models` defaults to the first
-        record's models, sorted."""
+        record's models, sorted.  matrix[i][j] correlates models i and j;
+        the diagonal is 1, and a model with zero WER variance gives
+        undefined (NaN) off-diagonal entries rather than 0."""
         if len(self.records) < 2:
             raise TooFewValuesError(
                 "need at least 2 utterances for correlation")
@@ -366,34 +367,3 @@ def score_table(records: Iterable,
     return ScoreTable(records, [
         score_row(r, sorted(r.hypotheses) if models is None else models)
         for r in records])
-
-
-def score_dataset(records: Iterable, model: str,
-                  key: Callable = lambda r: "all") -> list[ErrorAggregate]:
-    """Micro-averaged aggregates per group, emitted in sorted key order."""
-    return score_table(records, (model,)).aggregate(model, key)
-
-
-def oracle_select(records: Iterable) -> dict[str, str]:
-    """Per utterance, the model whose hypothesis minimises WER.
-
-    Ties are broken by fewer substitutions, then by lexicographically
-    smallest model name.  All records must share the same model set.
-    """
-    return score_table(records).oracle_select()
-
-
-def oracle_aggregate(records: Iterable) -> ErrorAggregate:
-    """Micro-averaged aggregate of the per-utterance oracle choices."""
-    return score_table(records).oracle_aggregate()
-
-
-def model_correlation(records: Iterable,
-                      models: Sequence[str] | None = None):
-    """Pearson correlation of utterance-level WER vectors per model pair.
-
-    Returns (models, matrix) where matrix[i][j] is the correlation of
-    models i and j.  The diagonal is 1; a model with zero WER variance
-    yields undefined (NaN) off-diagonal entries rather than 0.
-    """
-    return score_table(records, models).correlation(models)

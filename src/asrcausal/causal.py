@@ -209,7 +209,7 @@ class DiscreteDataset:
 
         A file in the layout ``ingest.write_report`` gives ``to_document()``
         is read straight into arrays (``_canonical_dataset``).  Any other
-        text is read by ``ingest.parse_report`` and ``from_document``,
+        text is read by ``ingest.load_json`` and ``from_document``,
         with their errors; bytes that are not UTF-8 are SchemaError.
         Both give equal datasets for the same document.
         """
@@ -220,7 +220,7 @@ class DiscreteDataset:
             text = data.decode()
         except UnicodeDecodeError as exc:
             raise SchemaError(f"invalid JSON: {exc.reason}") from None
-        return cls.from_document(ingest.parse_report(text))
+        return cls.from_document(ingest.load_json(text))
 
 
 def _variables_of(entries) -> tuple[list[str], dict[str, list[str]]]:

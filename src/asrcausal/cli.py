@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from contextlib import contextmanager
@@ -57,6 +58,30 @@ class _Once(argparse.Action):
             parser.error(f"{option_string} given more than once")
         setattr(namespace, f"_{self.dest}_seen", True)
         setattr(namespace, self.dest, values)
+
+
+def _positive_int(text: str) -> int:
+    """argparse type: an integer above 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value <= 0:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not an integer above 0")
+    return value
+
+
+def _alpha(text: str) -> float:
+    """argparse type: a finite number >= 0 (0 is no smoothing)."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0.0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not a finite number >= 0")
+    return value
 
 
 def parse_args(argv) -> argparse.Namespace:
@@ -99,7 +124,7 @@ def parse_args(argv) -> argparse.Namespace:
     p.add_argument("--floor-posteriors", action="store_true",
                    help="clamp zero posteriors at 1e-10 instead of failing")
     p.add_argument("--audio-dir", default=None)
-    p.add_argument("--sample-rate", type=int, default=None,
+    p.add_argument("--sample-rate", type=_positive_int, default=None,
                    help="required for headerless .raw PCM")
     add_force(p)
 
@@ -133,7 +158,7 @@ def parse_args(argv) -> argparse.Namespace:
     p = sub.add_parser("fit", help="fit conditional probability tables")
     p.add_argument("--in", dest="inp", required=True)
     p.add_argument("--graph", action=_Once, default="paper-default")
-    p.add_argument("--alpha", type=float, default=1.0)
+    p.add_argument("--alpha", type=_alpha, default=1.0)
     p.add_argument("--out", required=True)
     add_force(p)
 
@@ -154,7 +179,7 @@ def parse_args(argv) -> argparse.Namespace:
     p.add_argument("--x", required=True)
     p.add_argument("--y", required=True)
     p.add_argument("--z", default=None, help="comma-separated; overrides --graph")
-    p.add_argument("--alpha", type=float, default=1.0)
+    p.add_argument("--alpha", type=_alpha, default=1.0)
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("report", help="per-edge ACE/CMI report")
@@ -162,7 +187,7 @@ def parse_args(argv) -> argparse.Namespace:
                    metavar="[NAME=]DATASET",
                    help="repeatable; NAME defaults to the file stem")
     p.add_argument("--graph", action=_Once, default="paper-default")
-    p.add_argument("--alpha", type=float, default=1.0)
+    p.add_argument("--alpha", type=_alpha, default=1.0)
     p.add_argument("--on-empty", choices=("error", "skip"), default="error")
     p.add_argument("--records", default=None,
                    help="add per-grade error tables to the report")
@@ -350,7 +375,7 @@ def _gop_scores(config) -> dict[str, float]:
     if not (config.posteriors and config.segments and config.inventory):
         raise SchemaError("gop needs --posteriors, --segments and "
                           "--inventory together")
-    inventory = ingest.parse_report(_read_text(config.inventory))
+    inventory = ingest.load_json(_read_text(config.inventory))
     with _reading(config.posteriors) as fh:
         frames = covariates.parse_posterior_frames(fh, inventory)
     with _reading(config.segments) as fh:
@@ -518,7 +543,7 @@ def _cmd_correlate(config) -> list[str]:
     records = _read_records(config.inp)
     if not config.by_grade:
         return [_write_text(config.out, [_correlation_csv(
-            *alignment.model_correlation(records))])]
+            *alignment.score_table(records).correlation())])]
     graded = alignment.score_table(r for r in records if r.grade is not None)
     # every grade's matrix before any file, so a failing grade writes none
     csvs = {}

@@ -88,24 +88,21 @@ class PhoneSegment:
     t_e: int
     states_of: Mapping[str, Sequence[str]]
 
-    def validate(self, line: int | None = None) -> "PhoneSegment":
-        """Check the segment's own fields; the inventory is checked once
-        per file, by ``check_inventory``."""
-        def bad(msg):
-            raise SchemaError(msg, line=line)
-
+    def __post_init__(self):
+        """SchemaError unless the segment's own fields are valid; the
+        inventory is checked once per file, by ``check_inventory``."""
         if not isinstance(self.phone, str):
-            bad(f"phone {self.phone!r} is not a string")
+            raise SchemaError(f"phone {self.phone!r} is not a string")
         for name in ("t_s", "t_e"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):
-                bad(f"segment {self.phone!r}: {name} {value!r} is not an "
-                    f"integer")
+                raise SchemaError(f"segment {self.phone!r}: {name} "
+                                  f"{value!r} is not an integer")
         if self.t_e <= self.t_s:
-            bad(f"segment {self.phone!r}: t_e {self.t_e} <= t_s {self.t_s}")
+            raise SchemaError(f"segment {self.phone!r}: t_e {self.t_e} <= "
+                              f"t_s {self.t_s}")
         if self.phone not in self.states_of:
-            bad(f"phone {self.phone!r} not in inventory")
-        return self
+            raise SchemaError(f"phone {self.phone!r} not in inventory")
 
 
 def check_inventory(inventory) -> None:
@@ -193,7 +190,6 @@ def gop_utterance(segments: Sequence[PhoneSegment],
     logs, zero = _log_masses(frames, inventory, phones, floor)
     starts = []
     for index, segment in enumerate(segments):
-        segment.validate()
         if segment.states_of is not inventory \
                 and segment.states_of != inventory:
             raise SchemaError("the segments of an utterance must share one "
@@ -213,13 +209,6 @@ def gop_utterance(segments: Sequence[PhoneSegment],
     scores = [(s.phone, g) for s, g in zip(segments, gops.tolist())]
     mean = sum(s for _, s in scores) / len(scores)
     return GopScore(tuple(scores), mean)
-
-
-def gop_phone(segment: PhoneSegment, frames: UtterancePosteriors,
-              *, floor: bool = False) -> float:
-    """Pronunciation score of one phone: ``gop_utterance`` of the one
-    segment."""
-    return gop_utterance([segment], frames, floor=floor).utterance
 
 
 def word_rarity(word: str, table: FrequencyTable) -> float:
@@ -279,7 +268,8 @@ def read_audio(path: str, sample_rate: int | None = None
     """Load 16-bit PCM mono audio: WAV container or headerless raw.
 
     Raw files require an explicit ``sample_rate``.  Returns samples
-    scaled to [-1, 1] and the sample rate.
+    scaled to [-1, 1] and the sample rate; a rate of 0 or below is
+    SchemaError naming the file.
     """
     if path.endswith(".wav"):
         with wave.open(path, "rb") as wav:
@@ -295,6 +285,8 @@ def read_audio(path: str, sample_rate: int | None = None
             payload = fh.read()
         if len(payload) % 2:
             raise SchemaError(f"{path}: odd byte count for 16-bit PCM")
+    if rate <= 0:
+        raise SchemaError(f"{path}: sample rate {rate} is not above 0")
     samples = np.frombuffer(payload, dtype="<i2").astype(np.float64)
     return samples / 32768.0, rate
 
@@ -489,8 +481,11 @@ def parse_segments(stream: Iterable[str], inventory: Mapping[str, Sequence[str]]
     segments: dict[str, list[PhoneSegment]] = {}
     for line_no, raw, utt_id in _utterance_lines(
             stream, ("phone", "t_s", "t_e")):
-        segment = PhoneSegment(raw["phone"], raw["t_s"], raw["t_e"],
-                               inventory).validate(line_no)
+        try:
+            segment = PhoneSegment(raw["phone"], raw["t_s"], raw["t_e"],
+                                   inventory)
+        except SchemaError as exc:
+            raise SchemaError(str(exc), line=line_no) from None
         segments.setdefault(utt_id, []).append(segment)
     for ss in segments.values():
         ss.sort(key=lambda s: s.t_s)

@@ -222,12 +222,6 @@ def utterance_lines(records: Iterable[UtteranceRecord]) -> Iterator[str]:
     return (json.dumps(r.to_dict(), sort_keys=True) + "\n" for r in records)
 
 
-def write_utterances(records: Iterable[UtteranceRecord]) -> str:
-    """Serialize records one JSON object per line: ``utterance_lines``
-    joined."""
-    return "".join(utterance_lines(records))
-
-
 @dataclass(frozen=True)
 class FrequencyTable:
     """Pooled word counts used for rarity scoring."""
@@ -274,11 +268,6 @@ def merge_frequency_tables(tables: Sequence[FrequencyTable]) -> FrequencyTable:
         for word, count in table.counts.items():
             counts[word] = counts.get(word, 0) + count
     return FrequencyTable.from_counts(counts)
-
-
-def write_frequency_table(table: FrequencyTable) -> str:
-    rows = "".join(f"{w},{c}\n" for w, c in sorted(table.counts.items()))
-    return "word,count\n" + rows
 
 
 NODE_KINDS = ("exogenous", "endogenous")
@@ -725,11 +714,6 @@ def write_report(report) -> str:
     every float ``_quantize``-d; a value that expression rejects raises
     ``IoError``.  It is the join of ``report_pieces``."""
     return "".join(report_pieces(report))
-
-
-def parse_report(text: str):
-    """Parse a structured report back into its result tree."""
-    return load_json(text)
 
 
 # --- delimited plot-data emission --------------------------------------------

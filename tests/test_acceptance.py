@@ -12,9 +12,9 @@ import numpy as np
 import pytest
 
 from asrcausal import causal, cli, discretize, synthetic
-from asrcausal.alignment import align, oracle_aggregate, score_dataset
+from asrcausal.alignment import align, score_table
 from asrcausal.covariates import (PhoneSegment, UtterancePosteriors,
-                                  gop_phone)
+                                  gop_utterance)
 from asrcausal.ingest import UtteranceRecord
 
 from test_alignment import oracle_align
@@ -61,8 +61,8 @@ def test_criterion_02_oracle_selection_dominance():
             records.append(UtteranceRecord(
                 id=f"u{i}", speaker_id="s", reference=" ".join(ref),
                 hypotheses=hyps))
-        oracle_wer = oracle_aggregate(records).wer
-        best = min(score_dataset(records, m)[0].wer
+        oracle_wer = score_table(records).oracle_aggregate().wer
+        best = min(score_table(records, (m,)).aggregate(m)[0].wer
                    for m in ("m1", "m2", "m3", "m4"))
         if oracle_wer > best:
             violations += 1
@@ -99,7 +99,7 @@ def test_criterion_04_gop_sign_property():
         frames = UtterancePosteriors(tuple(states), range(n_frames), mat)
         target = int(rng.integers(0, 5))
         segment = PhoneSegment(phones[target], 0, n_frames, inventory)
-        score = gop_phone(segment, frames)
+        score = gop_utterance([segment], frames).utterance
         sign_ok = sign_ok and score <= 1e-12
         is_argmax = int(np.argmax(np.log(mat).mean(axis=0))) == target
         equality_ok = equality_ok and ((abs(score) < 1e-12) == is_argmax)
@@ -114,7 +114,8 @@ def two_phone_gop(p_target: float) -> float:
     inventory = {"p": ["p_s"], "q": ["q_s"]}
     frames = UtterancePosteriors(("p_s", "q_s"), range(2),
                                  np.array([[p_target, 1 - p_target]] * 2))
-    return gop_phone(PhoneSegment("p", 0, 2, inventory), frames)
+    return gop_utterance([PhoneSegment("p", 0, 2, inventory)],
+                         frames).utterance
 
 
 @pytest.fixture(scope="module")

@@ -7,15 +7,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from asrcausal import alignment
-from asrcausal.alignment import (
-    align,
-    align_text,
-    model_correlation,
-    normalize_text,
-    oracle_aggregate,
-    oracle_select,
-    score_dataset,
-)
+from asrcausal.alignment import align, normalize_text, score_table
 from asrcausal.errors import (
     EmptyReferenceError,
     MissingModelError,
@@ -187,14 +179,14 @@ class TestScoreDataset:
     def test_all_perfect(self):
         records = [record("u1", "a b", {"m": "a b"}),
                    record("u2", "c d", {"m": "c d"})]
-        (agg,) = score_dataset(records, "m")
+        (agg,) = score_table(records, ("m",)).aggregate("m")
         assert agg.wer == 0.0
 
     def test_micro_average_by_hand(self):
         # (S,D,I,N) = (1,0,0,2) and (0,1,0,2) -> (1+1)/(2+2) = 50%
         records = [record("u1", "a b", {"m": "x b"}),
                    record("u2", "c d", {"m": "c"})]
-        (agg,) = score_dataset(records, "m")
+        (agg,) = score_table(records, ("m",)).aggregate("m")
         assert agg.substitutions == 1 and agg.deletions == 1
         assert agg.wer == pytest.approx(50.0)
 
@@ -202,35 +194,36 @@ class TestScoreDataset:
         records = [record("u1", "a", {"m": "a"}),
                    record("u2", "b", {"other": "b"})]
         with pytest.raises(MissingModelError) as err:
-            score_dataset(records, "m")
+            score_table(records, ("m",)).aggregate("m")
         assert "u2" in str(err.value)
 
     def test_empty_reference_names_record(self):
         records = [record("u9", "...", {"m": "a"})]
         with pytest.raises(EmptyReferenceError) as err:
-            score_dataset(records, "m")
+            score_table(records, ("m",)).aggregate("m")
         assert "u9" in str(err.value)
 
     def test_groups_sorted(self):
         records = [record("u1", "a", {"m": "a"}, grade="5"),
                    record("u2", "b", {"m": "b"}, grade="1")]
-        aggs = score_dataset(records, "m", key=lambda r: r.grade)
+        aggs = score_table(records, ("m",)).aggregate(
+            "m", key=lambda r: r.grade)
         assert [a.key for a in aggs] == ["1", "5"]
 
 
 class TestOracleSelect:
     def test_strict_minimum(self):
         records = [record("u1", "a b", {"A": "a x", "B": "a b"})]
-        assert oracle_select(records) == {"u1": "B"}
+        assert score_table(records).oracle_select() == {"u1": "B"}
 
     def test_tie_breaks_lexicographically(self):
         records = [record("u1", "a b", {"B": "a b", "A": "a b"})]
-        assert oracle_select(records) == {"u1": "A"}
+        assert score_table(records).oracle_select() == {"u1": "A"}
 
     def test_fewer_substitutions_wins_tie(self):
         # same WER; Z has 1 deletion, A has 1 substitution -> Z wins
         records = [record("u1", "a b", {"A": "x b", "Z": "b"})]
-        assert oracle_select(records) == {"u1": "Z"}
+        assert score_table(records).oracle_select() == {"u1": "Z"}
 
     def test_dominance_on_random_fixtures(self):
         rng = random.Random(42)
@@ -245,9 +238,9 @@ class TestOracleSelect:
                         rng.choice(vocab) if rng.random() < 0.4 else w
                         for w in ref)
                 records.append(record(f"u{i}", " ".join(ref), hyps))
-            oracle_wer = oracle_aggregate(records).wer
+            oracle_wer = score_table(records).oracle_aggregate().wer
             for m in ("m1", "m2", "m3"):
-                (agg,) = score_dataset(records, m)
+                (agg,) = score_table(records, (m,)).aggregate(m)
                 assert oracle_wer <= agg.wer + 1e-12
 
 
@@ -255,7 +248,7 @@ class TestModelCorrelation:
     def test_identical_vectors(self):
         records = [record("u1", "a b", {"A": "a b", "B": "a b"}),
                    record("u2", "c d", {"A": "c x", "B": "c x"})]
-        models, matrix = model_correlation(records)
+        models, matrix = score_table(records).correlation()
         assert matrix[0][1] == pytest.approx(1.0)
 
     def test_perfect_anticorrelation(self):
@@ -266,7 +259,7 @@ class TestModelCorrelation:
             record("u3", "c", {"A": "c", "B": "x"}),
             record("u4", "d", {"A": "x", "B": "d"}),
         ]
-        _, matrix = model_correlation(records)
+        _, matrix = score_table(records).correlation()
         assert matrix[0][1] == pytest.approx(-1.0)
 
     def test_hand_computed_pearson(self):
@@ -276,7 +269,7 @@ class TestModelCorrelation:
             record("u2", "b", {"A": "x", "B": "x q"}),
             record("u3", "c", {"A": "x y", "B": "x y z"}),
         ]
-        _, matrix = model_correlation(records)
+        _, matrix = score_table(records).correlation()
         expected = 1.0 / (math.sqrt(2 / 3) * math.sqrt(42 / 27))
         assert matrix[0][1] == pytest.approx(expected, abs=1e-9)
         assert matrix[0][1] == pytest.approx(0.982, abs=1e-3)
@@ -284,13 +277,14 @@ class TestModelCorrelation:
     def test_degenerate_is_nan_not_zero(self):
         records = [record("u1", "a", {"A": "a", "B": "a"}),
                    record("u2", "b", {"A": "b", "B": "x"})]
-        _, matrix = model_correlation(records)
+        _, matrix = score_table(records).correlation()
         assert math.isnan(matrix[0][1])
         assert matrix[0][0] == 1.0
 
     def test_needs_two_utterances(self):
         with pytest.raises(TooFewValuesError):
-            model_correlation([record("u1", "a", {"A": "a", "B": "a"})])
+            score_table([record("u1", "a", {"A": "a", "B": "a"})]
+                        ).correlation()
 
     def test_matrix_shape_properties(self):
         rng = random.Random(3)
@@ -301,7 +295,7 @@ class TestModelCorrelation:
             hyps = {m: " ".join(rng.choice(vocab) if rng.random() < 0.5 else w
                                 for w in ref) for m in ("m1", "m2", "m3")}
             records.append(record(f"u{i}", " ".join(ref), hyps))
-        models, matrix = model_correlation(records)
+        models, matrix = score_table(records).correlation()
         for i in range(len(models)):
             assert matrix[i][i] == 1.0
             for j in range(len(models)):
@@ -311,7 +305,8 @@ class TestModelCorrelation:
 
 
 def test_align_text_normalizes_before_scoring():
-    result = align_text("The CAT sat!", "the cat sat")
+    result = align(normalize_text("The CAT sat!"),
+                   normalize_text("the cat sat"))
     assert result.total_errors == 0
 
 

@@ -87,7 +87,7 @@ class TestDiscreteDataset:
     def test_document_with_no_rows(self):
         doc = dataset_xy([]).to_document()
         assert doc["rows"].shape == (0, 2)
-        written = ingest.parse_report(ingest.write_report(doc))
+        written = ingest.load_json(ingest.write_report(doc))
         assert written["rows"] == []
         assert len(DiscreteDataset.from_document(written)) == 0
 

@@ -3,6 +3,7 @@ import json
 import math
 import os
 import random
+import struct
 import subprocess
 import sys
 import tracemalloc
@@ -87,6 +88,27 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as err:
             run_cli("frob")
         assert err.value.code == 2
+
+    @pytest.mark.parametrize("argv, flag", [
+        *[(("covariates", "--in", "r.jsonl", "--out", "c.jsonl",
+            "--sample-rate", rate), "--sample-rate")
+          for rate in ("0", "-16000")],
+        *[((*argv, f"--alpha={alpha}"), "--alpha")
+          for argv in (("fit", "--in", "d.json", "--out", "c.json"),
+                       ("cmi", "--in", "d.json", "--x", "Age",
+                        "--y", "SubsErr"),
+                       ("report", "--in", "d.json", "--out", "r.json"))
+          for alpha in ("-1", "nan", "inf", "-inf")],
+    ], ids=[*(f"sample-rate={rate}" for rate in ("0", "-16000")),
+            *(f"{command}-alpha={alpha}"
+              for command in ("fit", "cmi", "report")
+              for alpha in ("-1", "nan", "inf", "-inf"))])
+    def test_out_of_range_number_exits_2_naming_the_flag(self, capsys,
+                                                         argv, flag):
+        with pytest.raises(SystemExit) as err:
+            run_cli(*argv)
+        assert err.value.code == 2
+        assert f"argument {flag}: " in capsys.readouterr().err
 
 
 class TestSynth:
@@ -384,6 +406,21 @@ class TestCovariates:
             (record,) = ingest.parse_utterances(fh)
         assert record.snr_db == pytest.approx(0.0, abs=1e-9)
 
+    def test_wav_with_sample_rate_0_is_e_schema_naming_it(self, tmp_path,
+                                                         capsys):
+        (tmp_path / "r.jsonl").write_bytes(MINIMAL_RECORD + b"\n")
+        (tmp_path / "audio").mkdir()
+        pcm = (np.full(16000, 0.25) * 32767).astype("<i2").tobytes()
+        # the wave module refuses to write a rate of 0: the header by hand
+        fmt = struct.pack("<4sIHHIIHH", b"fmt ", 16, 1, 1, 0, 0, 2, 16)
+        body = b"WAVE" + fmt + b"data" + struct.pack("<I", len(pcm)) + pcm
+        (tmp_path / "audio" / "u1.wav").write_bytes(
+            b"RIFF" + struct.pack("<I", len(body)) + body)
+        assert run_cli("covariates", "--in", str(tmp_path / "r.jsonl"),
+                       "--out", str(tmp_path / "c.jsonl"),
+                       "--audio-dir", str(tmp_path / "audio")) == 1
+        assert "u1.wav: sample rate 0" in e_schema_message(capsys)
+        assert not (tmp_path / "c.jsonl").exists()
 
     @staticmethod
     def write_wav(path, amplitude):

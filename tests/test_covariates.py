@@ -12,7 +12,6 @@ from asrcausal.covariates import (
     PhoneSegment,
     UtterancePosteriors,
     estimate_snr,
-    gop_phone,
     gop_utterance,
     parse_posterior_frames,
     sentence_difficulty,
@@ -151,7 +150,8 @@ class TestAgainstThePerFrameKernel:
             assert score.phone_scores == expected[0]
             assert score.utterance == expected[1]
             for segment, (_, value) in zip(segments, expected[0]):
-                assert gop_phone(segment, frames, floor=floor) == value
+                assert gop_utterance([segment], frames,
+                                     floor=floor).utterance == value
             outcomes.add("scored")
         assert outcomes == ({"scored"} if floor else {"scored", "zero"})
 
@@ -194,45 +194,48 @@ class TestGopPhone:
     def test_target_maximal_scores_zero(self):
         frames = two_phone_frames([0.8, 0.8])
         seg = PhoneSegment("p", 0, 2, INVENTORY)
-        assert gop_phone(seg, frames) == pytest.approx(0.0, abs=1e-12)
+        assert gop_utterance([seg], frames).utterance \
+            == pytest.approx(0.0, abs=1e-12)
 
     def test_hand_computed_log_ratio(self):
         # ln 0.2 - ln 0.8 = ln 0.25
         frames = two_phone_frames([0.2, 0.2])
         seg = PhoneSegment("p", 0, 2, INVENTORY)
-        assert gop_phone(seg, frames) == pytest.approx(math.log(0.25),
-                                                       abs=1e-9)
+        assert gop_utterance([seg], frames).utterance \
+            == pytest.approx(math.log(0.25), abs=1e-9)
 
     def test_equal_averaged_log_posteriors(self):
         # p: (0.8, 0.2), q: (0.2, 0.8) -> identical averages -> 0
         frames = two_phone_frames([0.8, 0.2])
         seg = PhoneSegment("p", 0, 2, INVENTORY)
-        assert gop_phone(seg, frames) == pytest.approx(0.0, abs=1e-12)
+        assert gop_utterance([seg], frames).utterance \
+            == pytest.approx(0.0, abs=1e-12)
 
     def test_zero_posterior_raises_without_floor(self):
         frames = two_phone_frames([1.0, 1.0])
         seg = PhoneSegment("q", 0, 2, INVENTORY)
         with pytest.raises(ZeroPosteriorError):
-            gop_phone(seg, frames)
+            gop_utterance([seg], frames)
 
     def test_zero_posterior_floored_on_request(self):
         frames = two_phone_frames([1.0, 1.0])
         seg = PhoneSegment("q", 0, 2, INVENTORY)
-        value = gop_phone(seg, frames, floor=True)
+        value = gop_utterance([seg], frames, floor=True).utterance
         assert value == pytest.approx(math.log(1e-10), abs=1e-9)
 
     def test_missing_frame_rejected(self):
         frames = two_phone_frames([0.5])
         seg = PhoneSegment("p", 0, 2, INVENTORY)
         with pytest.raises(SchemaError):
-            gop_phone(seg, frames)
+            gop_utterance([seg], frames)
 
     def test_multi_state_phones_sum_their_states(self):
         inventory = {"p": ["p1", "p2"], "q": ["q1"]}
         frames = frames_from_rows([{"p1": 0.3, "p2": 0.3, "q1": 0.4}],
                                   inventory)
         seg = PhoneSegment("p", 0, 1, inventory)
-        assert gop_phone(seg, frames) == pytest.approx(0.0, abs=1e-12)
+        assert gop_utterance([seg], frames).utterance \
+            == pytest.approx(0.0, abs=1e-12)
 
     def test_never_positive_and_zero_iff_argmax(self):
         rng = np.random.default_rng(5)
@@ -247,7 +250,7 @@ class TestGopPhone:
                  for row in mat], inventory)
             target = phones[int(rng.integers(0, 6))]
             seg = PhoneSegment(target, 0, int(n_frames), inventory)
-            score = gop_phone(seg, frames)
+            score = gop_utterance([seg], frames).utterance
             assert score <= 1e-12
             avg = np.log(mat).mean(axis=0)
             is_argmax = np.argmax(avg) == phones.index(target)
@@ -258,9 +261,35 @@ class TestGopPhone:
         states = ("ps", "qs", "rs")
         rows = np.array([[0.5, 0.3, 0.2], [0.1, 0.6, 0.3]])
         seg = PhoneSegment("p", 0, 2, inventory)
-        base = gop_phone(seg, UtterancePosteriors(states, [0, 1], rows))
+        base = gop_utterance(
+            [seg], UtterancePosteriors(states, [0, 1], rows)).utterance
         scaled = UtterancePosteriors(states, [0, 1], 0.5 * rows)
-        assert gop_phone(seg, scaled) == pytest.approx(base, abs=1e-12)
+        assert gop_utterance([seg], scaled).utterance \
+            == pytest.approx(base, abs=1e-12)
+
+
+@pytest.mark.parametrize("phone, t_s, t_e, words", [
+    ("p", "1", 2, "segment 'p': t_s '1' is not an integer"),
+    ("p", 0.5, 2, "segment 'p': t_s 0.5 is not an integer"),
+    ("p", True, 2, "segment 'p': t_s True is not an integer"),
+    ("p", 1, "2", "segment 'p': t_e '2' is not an integer"),
+    (["p"], 1, 2, "phone ['p'] is not a string"),
+    ("p", 2, 2, "segment 'p': t_e 2 <= t_s 2"),
+    ("x", 1, 2, "phone 'x' not in inventory"),
+], ids=["string-t_s", "float-t_s", "bool-t_s", "string-t_e", "list-phone",
+        "empty-span", "unknown-phone"])
+def test_invalid_segment_is_rejected_when_built(phone, t_s, t_e, words):
+    """Building the segment raises what ``parse_segments`` names its
+    line with."""
+    with pytest.raises(SchemaError) as built:
+        PhoneSegment(phone, t_s, t_e, INVENTORY)
+    assert str(built.value) == words
+    lines = [json.dumps({"utterance_id": "u", "phone": ph, "t_s": s,
+                         "t_e": e})
+             for ph, s, e in (("p", 0, 1), (phone, t_s, t_e))]
+    with pytest.raises(SchemaError) as parsed:
+        covariates.parse_segments(lines, INVENTORY)
+    assert str(parsed.value) == f"line 2: {words}"
 
 
 class TestGopUtterance:

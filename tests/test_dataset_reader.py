@@ -25,7 +25,7 @@ def written(data: DiscreteDataset) -> bytes:
 
 def general(raw: bytes) -> DiscreteDataset:
     """The general reader alone."""
-    return DiscreteDataset.from_document(ingest.parse_report(raw.decode()))
+    return DiscreteDataset.from_document(ingest.load_json(raw.decode()))
 
 
 def assert_same(a: DiscreteDataset, b: DiscreteDataset):

@@ -207,8 +207,9 @@ class TestScoreTable:
         for rec, row in zip(recs, table.rows):
             assert set(row) == set(rec.hypotheses)
             for model, result in row.items():
-                assert result == alignment.align_text(
-                    rec.reference, rec.hypotheses[model])
+                assert result == alignment.align(
+                    alignment.normalize_text(rec.reference),
+                    alignment.normalize_text(rec.hypotheses[model]))
 
     def test_persisted_table_round_trips(self):
         recs = self.records()
@@ -220,10 +221,14 @@ class TestScoreTable:
     def test_derivations_match_public_functions(self):
         recs = self.records()
         table = alignment.score_table(recs)
-        assert table.aggregate("m") == alignment.score_dataset(recs, "m")
-        assert table.oracle_select() == alignment.oracle_select(recs)
-        assert table.oracle_aggregate() == alignment.oracle_aggregate(recs)
-        assert table.correlation() == alignment.model_correlation(recs)
+        assert table.aggregate("m") == alignment.score_table(
+            recs, ("m",)).aggregate("m")
+        assert table.oracle_select() == alignment.score_table(
+            recs).oracle_select()
+        assert table.oracle_aggregate() == alignment.score_table(
+            recs).oracle_aggregate()
+        assert table.correlation() == alignment.score_table(
+            recs).correlation()
         graded = table.where(lambda r: r.grade is not None)
         assert [r.id for r in graded.records] == ["a", "c"]
 
