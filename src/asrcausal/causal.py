@@ -19,10 +19,11 @@ backdoor formula on the (parents(T), T) marginals of the joint and of
 the joint times the outcome.  Past 10^7 cells a tensor is refused with
 StateExplosionError, as the joint is.
 
-The graph owns each node's categories.  ``fit_cpts``, ``ace`` and
-``edge_report`` raise SchemaError naming the first node they read whose
-dataset categories are not the graph's, in name and order, so every
-tensor is sized by the graph.
+The graph type, ``CausalGraph``, is defined in ``ingest`` (which loads
+no NumPy) and imported here.  The graph owns each node's categories.
+``fit_cpts``, ``ace`` and ``edge_report`` raise SchemaError naming the
+first node they read whose dataset categories are not the graph's, in
+name and order, so every tensor is sized by the graph.
 
 The network is fitted with additive (Laplace) smoothing; a parent
 configuration never observed is uniform 1/K for every alpha, alpha=0
@@ -55,54 +56,10 @@ from .errors import (
     StateExplosionError,
     UnknownLevelError,
 )
-from .ingest import GraphSpec, builtin_graph_spec
+from .ingest import CausalGraph
 
 _NORM_TOL = 1e-9
 _STATE_LIMIT = 10 ** 7
-
-
-class CausalGraph:
-    """Validated DAG with parent/children maps and a deterministic
-    topological order (node-name tie-break)."""
-
-    def __init__(self, spec: GraphSpec):
-        from .ingest import topological_order
-
-        spec.validate()
-        self.spec = spec
-        self.nodes: list[str] = spec.node_names()
-        self.kinds = {n.name: n.kind for n in spec.nodes}
-        self.categories: dict[str, tuple[str, ...]] = {
-            n.name: tuple(n.categories) for n in spec.nodes}
-        self.edges: list[tuple[str, str]] = list(spec.edges)
-        self._parents: dict[str, list[str]] = {n: [] for n in self.nodes}
-        self._children: dict[str, list[str]] = {n: [] for n in self.nodes}
-        for src, dst in self.edges:
-            self._parents[dst].append(src)
-            self._children[src].append(dst)
-        # parent order follows node declaration order, so CPT parent
-        # configurations are reproducible regardless of edge order
-        declared = {name: i for i, name in enumerate(self.nodes)}
-        for node in self.nodes:
-            self._parents[node].sort(key=declared.__getitem__)
-            self._children[node].sort(key=declared.__getitem__)
-        self.topo_order: list[str] = topological_order(self.nodes, self.edges)
-
-    @classmethod
-    def builtin(cls, name: str) -> "CausalGraph":
-        return cls(builtin_graph_spec(name))
-
-    def parents(self, node: str) -> list[str]:
-        return list(self._parents[node])
-
-    def children(self, node: str) -> list[str]:
-        return list(self._children[node])
-
-    def state_space(self) -> int:
-        size = 1
-        for node in self.nodes:
-            size *= len(self.categories[node])
-        return size
 
 
 class DiscreteDataset:

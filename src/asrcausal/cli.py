@@ -298,12 +298,10 @@ def _dir_inputs(path: str | None) -> list[str]:
         return [path, *(e.path for e in entries if e.is_file())]
 
 
-def _load_graph(value: str) -> causal_mod.CausalGraph:
-    from . import causal as causal_mod
-
+def _load_graph(value: str) -> ingest.CausalGraph:
     if value in _BUILTIN_GRAPHS:
-        return causal_mod.CausalGraph.builtin(value)
-    return causal_mod.CausalGraph(ingest.parse_graph_spec(_read_text(value)))
+        return ingest.CausalGraph.builtin(value)
+    return ingest.CausalGraph.from_document(ingest.load_json(_read_text(value)))
 
 
 def _load_dataset(path: str) -> causal_mod.DiscreteDataset:
@@ -476,8 +474,7 @@ def _cmd_discretize(config) -> list[str]:
             records, _read_scores(config.scores), (config.model,))
         results = [row[config.model] for row in table.rows]
 
-    graph_categories = {node.name: node.categories for node
-                        in ingest.builtin_graph_spec("paper-default").nodes}
+    graph_categories = ingest.CausalGraph.builtin("paper-default").categories
     columns: dict[str, list[str]] = {
         "Age": [r.grade for r in records],
         "Gender": [r.gender for r in records]}

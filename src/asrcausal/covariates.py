@@ -239,8 +239,11 @@ def estimate_snr(samples: Sequence[float], sample_rate: int) -> float:
     25 ms windows with a 10 ms hop; noise power is the mean of the
     lowest-decile frames, signal power the mean of frames at or above the
     median.  Invariant to global amplitude scaling.  Requires >= 100 ms
-    of audio; all-zero input raises SilentAudioError.
+    of audio; all-zero input raises SilentAudioError, and a sample rate
+    of 0 or below SchemaError.
     """
+    if sample_rate <= 0:
+        raise SchemaError(f"sample rate {sample_rate} is not above 0")
     x = np.asarray(samples, dtype=np.float64)
     if x.size < int(0.1 * sample_rate):
         raise TooShortError(

@@ -8,7 +8,10 @@ Formats (all diff-able, hand-editable text):
   null; absent is distinct from zero);
 * frequency tables: CSV with header ``word,count``;
 * graph specs: JSON with ``nodes`` (list of {name, kind, categories})
-  and ``edges`` (list of [from, to]);
+  and ``edges`` (list of [from, to]), read by
+  ``CausalGraph.from_document`` and written as
+  ``write_report(graph.to_document())``.  ``CausalGraph``, the one
+  graph type, lives here, so loading a graph loads no NumPy;
 * reports: canonical JSON, keys sorted, reals quantized to 6 decimals.
 
 ``report_pieces`` yields a report's text in pieces from one private
@@ -271,79 +274,6 @@ def merge_frequency_tables(tables: Sequence[FrequencyTable]) -> FrequencyTable:
 
 
 NODE_KINDS = ("exogenous", "endogenous")
-
-
-@dataclass(frozen=True)
-class NodeSpec:
-    name: str
-    kind: str
-    categories: tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class GraphSpec:
-    """Declared DAG: named, kinded nodes with ordered category sets."""
-
-    nodes: tuple[NodeSpec, ...]
-    edges: tuple[tuple[str, str], ...]
-
-    def node_names(self) -> list[str]:
-        return [n.name for n in self.nodes]
-
-    def validate(self) -> "GraphSpec":
-        names = [n.name for n in self.nodes]
-        if len(set(names)) != len(names):
-            raise SchemaError("duplicate node names in graph spec")
-        for node in self.nodes:
-            if node.kind not in NODE_KINDS:
-                raise SchemaError(
-                    f"node {node.name!r}: kind must be one of {NODE_KINDS}")
-            if not node.categories:
-                raise SchemaError(f"node {node.name!r}: needs >= 1 category")
-            if len(set(node.categories)) != len(node.categories):
-                raise SchemaError(f"node {node.name!r}: duplicate categories")
-        known = set(names)
-        seen = set()
-        for src, dst in self.edges:
-            if src not in known or dst not in known:
-                raise UnknownNodeError(f"edge {src}->{dst} names unknown node")
-            if src == dst:
-                raise SelfLoopError(f"self-loop on {src}")
-            if (src, dst) in seen:
-                raise SchemaError(f"duplicate edge {src}->{dst}")
-            seen.add((src, dst))
-        topological_order(names, self.edges)
-        return self
-
-
-def topological_order(names: Sequence[str],
-                      edges: Iterable[tuple[str, str]]) -> list[str]:
-    """Kahn's algorithm with node-name tie-break (deterministic).
-
-    Raises CycleError when the edge relation is not acyclic.
-    """
-    indeg = {n: 0 for n in names}
-    children: dict[str, list[str]] = {n: [] for n in names}
-    for src, dst in edges:
-        indeg[dst] += 1
-        children[src].append(dst)
-    ready = sorted(n for n in names if indeg[n] == 0)
-    order = []
-    while ready:
-        node = ready.pop(0)
-        order.append(node)
-        fresh = []
-        for child in children[node]:
-            indeg[child] -= 1
-            if indeg[child] == 0:
-                fresh.append(child)
-        ready = sorted(ready + fresh)
-    if len(order) != len(names):
-        stuck = sorted(n for n in names if indeg[n] > 0)
-        raise CycleError(f"graph has a cycle through {stuck}")
-    return order
-
-
 THREE_LEVELS = ("Low", "Average", "High")
 
 # Factor nodes in rule order; each points at the three error nodes.
@@ -351,72 +281,144 @@ _ERROR_NODES = ("SubsErr", "DelErr", "InsErr")
 _RULE_FACTORS = ("Age", "Gender", "VocabDiff", "GoP", "SNR", "NoWords")
 
 
-def builtin_graph_spec(name: str) -> GraphSpec:
-    """Built-in DAGs over the nine analysis variables.
+class CausalGraph:
+    """Declared DAG of ``(name, kind, categories)`` nodes and ``(from,
+    to)`` edges, checked once, in order: unique names, each node's kind
+    and categories, each edge, acyclicity.  Parents and children follow
+    node declaration order, so CPT parent configurations do not depend on
+    edge order; ``topo_order`` is Kahn's with node-name tie-break."""
 
-    ``paper-default``: six factors each point at the three error nodes
-    (18 edges) plus Age->GoP and VocabDiff->GoP, 20 edges total.
-    ``fig3e``: same minus the three VocabDiff->error edges (17), for the
-    variant whose error conditionals exclude vocabulary difficulty.
-    """
-    nodes = (
-        NodeSpec("Age", "exogenous", GRADES),
-        NodeSpec("Gender", "exogenous", GENDERS),
-        NodeSpec("SNR", "exogenous", THREE_LEVELS),
-        NodeSpec("VocabDiff", "exogenous", THREE_LEVELS),
-        NodeSpec("NoWords", "exogenous", THREE_LEVELS),
-        NodeSpec("GoP", "endogenous", THREE_LEVELS),
-        NodeSpec("SubsErr", "endogenous", THREE_LEVELS),
-        NodeSpec("DelErr", "endogenous", THREE_LEVELS),
-        NodeSpec("InsErr", "endogenous", THREE_LEVELS),
-    )
-    edges = [(factor, err) for factor in _RULE_FACTORS for err in _ERROR_NODES]
-    edges += [("Age", "GoP"), ("VocabDiff", "GoP")]
-    if name == "paper-default":
-        pass
-    elif name == "fig3e":
-        edges = [e for e in edges if e[0] != "VocabDiff" or e[1] == "GoP"]
-    else:
-        raise UnknownNodeError(f"no builtin graph named {name!r}")
-    return GraphSpec(nodes, tuple(edges)).validate()
+    def __init__(self, nodes: Iterable[tuple[str, str, Sequence[str]]],
+                 edges: Iterable[tuple[str, str]]):
+        nodes = [(name, kind, tuple(cats)) for name, kind, cats in nodes]
+        self.nodes: list[str] = [name for name, _, _ in nodes]
+        if len(set(self.nodes)) != len(self.nodes):
+            raise SchemaError("duplicate node names in graph spec")
+        for name, kind, cats in nodes:
+            if kind not in NODE_KINDS:
+                raise SchemaError(
+                    f"node {name!r}: kind must be one of {NODE_KINDS}")
+            if not cats:
+                raise SchemaError(f"node {name!r}: needs >= 1 category")
+            if len(set(cats)) != len(cats):
+                raise SchemaError(f"node {name!r}: duplicate categories")
+        self.kinds = {name: kind for name, kind, _ in nodes}
+        self.categories: dict[str, tuple[str, ...]] = {
+            name: cats for name, _, cats in nodes}
+        self.edges: list[tuple[str, str]] = []
+        self._parents: dict[str, list[str]] = {n: [] for n in self.nodes}
+        self._children: dict[str, list[str]] = {n: [] for n in self.nodes}
+        for src, dst in edges:
+            if src not in self._parents or dst not in self._parents:
+                raise UnknownNodeError(f"edge {src}->{dst} names unknown node")
+            if src == dst:
+                raise SelfLoopError(f"self-loop on {src}")
+            if src in self._parents[dst]:
+                raise SchemaError(f"duplicate edge {src}->{dst}")
+            self.edges.append((src, dst))
+            self._parents[dst].append(src)
+            self._children[src].append(dst)
+        declared = {name: i for i, name in enumerate(self.nodes)}
+        for node in self.nodes:
+            self._parents[node].sort(key=declared.__getitem__)
+            self._children[node].sort(key=declared.__getitem__)
+        indeg = {n: len(self._parents[n]) for n in self.nodes}
+        ready = sorted(n for n in self.nodes if indeg[n] == 0)
+        self.topo_order: list[str] = []
+        while ready:
+            node = ready.pop(0)
+            self.topo_order.append(node)
+            for child in self._children[node]:
+                indeg[child] -= 1
+                if indeg[child] == 0:
+                    ready.append(child)
+            ready.sort()
+        if len(self.topo_order) != len(self.nodes):
+            stuck = sorted(n for n in self.nodes if indeg[n] > 0)
+            raise CycleError(f"graph has a cycle through {stuck}")
 
+    @classmethod
+    def builtin(cls, name: str) -> "CausalGraph":
+        """Built-in DAGs over the nine analysis variables.
 
-def parse_graph_spec(text: str) -> GraphSpec:
-    """Parse and validate a graph spec document."""
-    raw = load_json(text)
-    if not (isinstance(raw, dict) and isinstance(raw.get("nodes"), list)
-            and isinstance(raw.get("edges"), list)):
-        raise SchemaError("graph spec needs 'nodes' and 'edges' lists")
-    nodes = []
-    for i, entry in enumerate(raw["nodes"]):
-        if not isinstance(entry, dict) or not {"name", "kind", "categories"} <= set(entry):
-            raise SchemaError(f"node {i}: needs name, kind, categories")
-        # a category is a string or an integer (not a bool), read as its
-        # decimal text
-        if not (isinstance(entry["name"], str)
-                and isinstance(entry["categories"], list)
-                and all(isinstance(c, str) or type(c) is int
-                        for c in entry["categories"])):
-            raise SchemaError(f"node {i} ({entry['name']!r}): needs a "
-                              f"string name and a list of string or "
-                              f"integer categories")
-        nodes.append(NodeSpec(entry["name"], entry["kind"],
-                              tuple(map(str, entry["categories"]))))
-    edges = []
-    for entry in raw["edges"]:
-        if not isinstance(entry, list) or list(map(type, entry)) != [str, str]:
-            raise SchemaError(f"edge {entry!r} must be a pair of node names")
-        edges.append((entry[0], entry[1]))
-    return GraphSpec(tuple(nodes), tuple(edges)).validate()
+        ``paper-default``: six factors each point at the three error nodes
+        (18 edges) plus Age->GoP and VocabDiff->GoP, 20 edges total.
+        ``fig3e``: same minus the three VocabDiff->error edges (17), for the
+        variant whose error conditionals exclude vocabulary difficulty.
+        """
+        edges = [(factor, err) for factor in _RULE_FACTORS
+                 for err in _ERROR_NODES]
+        edges += [("Age", "GoP"), ("VocabDiff", "GoP")]
+        if name == "fig3e":
+            edges = [e for e in edges if e[0] != "VocabDiff" or e[1] == "GoP"]
+        elif name != "paper-default":
+            raise UnknownNodeError(f"no builtin graph named {name!r}")
+        return cls([
+            ("Age", "exogenous", GRADES),
+            ("Gender", "exogenous", GENDERS),
+            ("SNR", "exogenous", THREE_LEVELS),
+            ("VocabDiff", "exogenous", THREE_LEVELS),
+            ("NoWords", "exogenous", THREE_LEVELS),
+            ("GoP", "endogenous", THREE_LEVELS),
+            ("SubsErr", "endogenous", THREE_LEVELS),
+            ("DelErr", "endogenous", THREE_LEVELS),
+            ("InsErr", "endogenous", THREE_LEVELS),
+        ], edges)
 
+    @classmethod
+    def from_document(cls, raw) -> "CausalGraph":
+        """Read a graph document: a ``--graph`` file's JSON, or an SCM
+        spec's ``graph``.  A malformed document, node or edge is
+        SchemaError naming it."""
+        if not (isinstance(raw, dict) and isinstance(raw.get("nodes"), list)
+                and isinstance(raw.get("edges"), list)):
+            raise SchemaError("graph spec needs 'nodes' and 'edges' lists")
+        nodes = []
+        for i, entry in enumerate(raw["nodes"]):
+            if not (isinstance(entry, dict)
+                    and {"name", "kind", "categories"} <= set(entry)):
+                raise SchemaError(f"node {i}: needs name, kind, categories")
+            # a category is a string or an integer (not a bool), read as its
+            # decimal text
+            if not (isinstance(entry["name"], str)
+                    and isinstance(entry["categories"], list)
+                    and all(isinstance(c, str) or type(c) is int
+                            for c in entry["categories"])):
+                raise SchemaError(f"node {i} ({entry['name']!r}): needs a "
+                                  f"string name and a list of string or "
+                                  f"integer categories")
+            nodes.append((entry["name"], entry["kind"],
+                          map(str, entry["categories"])))
+        for entry in raw["edges"]:
+            if not (isinstance(entry, list)
+                    and list(map(type, entry)) == [str, str]):
+                raise SchemaError(
+                    f"edge {entry!r} must be a pair of node names")
+        return cls(nodes, map(tuple, raw["edges"]))
 
-def write_graph_spec(spec: GraphSpec) -> str:
-    doc = {
-        "nodes": [{"name": n.name, "kind": n.kind,
-                   "categories": list(n.categories)} for n in spec.nodes],
-        "edges": [list(e) for e in spec.edges],
-    }
-    return json.dumps(doc, sort_keys=True, indent=1) + "\n"
+    def to_document(self) -> dict:
+        """The document ``from_document`` reads."""
+        return {
+            "nodes": [{"name": n, "kind": self.kinds[n],
+                       "categories": list(self.categories[n])}
+                      for n in self.nodes],
+            "edges": [list(e) for e in self.edges],
+        }
+
+    def parents(self, node: str) -> list[str]:
+        return self._neighbours(self._parents, node)
+
+    def children(self, node: str) -> list[str]:
+        return self._neighbours(self._children, node)
+
+    @staticmethod
+    def _neighbours(table: dict[str, list[str]], node: str) -> list[str]:
+        if node not in table:
+            raise UnknownNodeError(f"node {node!r} is not in the graph")
+        return list(table[node])
+
+    def state_space(self) -> int:
+        return math.prod(len(cats) for cats in self.categories.values())
 
 
 # --- deterministic report serialization -------------------------------------

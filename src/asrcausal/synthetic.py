@@ -36,8 +36,7 @@ from .causal import (
     marginal,
 )
 from .errors import InvalidSpecError, NotNormalizedError
-from .ingest import (GraphSpec, is_finite_number, load_json,
-                     parse_graph_spec, write_graph_spec)
+from .ingest import is_finite_number, load_json
 
 
 @dataclass(frozen=True)
@@ -403,14 +402,9 @@ def paper_shaped_spec(n: int = 200_000, seed: int = 1732) -> ScmSpec:
 def copy_chain_spec(n: int = 200_000, seed: int = 97) -> ScmSpec:
     """Two-node fixture where Y deterministically copies X, so
     I(X; Y) equals H(X) exactly."""
-    from .ingest import NodeSpec
-
-    spec = GraphSpec(
-        nodes=(NodeSpec("X", "exogenous", ("a", "b", "c")),
-               NodeSpec("Y", "endogenous", ("a", "b", "c"))),
-        edges=(("X", "Y"),),
-    )
-    graph = CausalGraph(spec)
+    graph = CausalGraph([("X", "exogenous", ("a", "b", "c")),
+                         ("Y", "endogenous", ("a", "b", "c"))],
+                        [("X", "Y")])
     tables = {
         "X": exact_table(graph, "X", {(): [0.2, 0.5, 0.3]}),
         "Y": exact_table(graph, "Y", {("a",): [1.0, 0.0, 0.0],
@@ -456,7 +450,7 @@ def write_scm_spec(spec: ScmSpec) -> str:
                                               for p in table.dist(config)]
         tables_doc[node] = entries
     doc = {
-        "graph": json.loads(write_graph_spec(spec.graph.spec)),
+        "graph": spec.graph.to_document(),
         "seed": spec.seed,
         "n": spec.n,
         "tables": tables_doc,
@@ -479,7 +473,7 @@ def parse_scm_spec(text: str) -> ScmSpec:
     for key in ("tables", "emitters"):
         if not isinstance(doc.get(key, {}), dict):
             raise InvalidSpecError(f"SCM spec {key!r} must be an object")
-    graph = CausalGraph(parse_graph_spec(json.dumps(doc["graph"])))
+    graph = CausalGraph.from_document(doc["graph"])
     tables = {}
     for node in graph.nodes:
         if node not in doc["tables"]:

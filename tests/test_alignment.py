@@ -304,7 +304,7 @@ class TestModelCorrelation:
                     assert -1.0 - 1e-12 <= matrix[i][j] <= 1.0 + 1e-12
 
 
-def test_align_text_normalizes_before_scoring():
+def test_normalized_texts_align_without_errors():
     result = align(normalize_text("The CAT sat!"),
                    normalize_text("the cat sat"))
     assert result.total_errors == 0

@@ -27,17 +27,12 @@ from asrcausal.errors import (
     SchemaError,
     StateExplosionError,
     UnknownLevelError,
+    UnknownNodeError,
 )
-from asrcausal.ingest import GraphSpec, NodeSpec
 
 
 def graph_of(nodes, edges):
-    spec = GraphSpec(
-        nodes=tuple(NodeSpec(name, kind, tuple(cats))
-                    for name, kind, cats in nodes),
-        edges=tuple(edges),
-    )
-    return CausalGraph(spec)
+    return CausalGraph(nodes, edges)
 
 
 def binary_chain():
@@ -67,6 +62,12 @@ class TestCausalGraph:
                           ("C", "endogenous", ["0"])],
                          [("A", "C"), ("B", "C")])
         assert graph.parents("C") == ["B", "A"]
+
+    @pytest.mark.parametrize("method", ["parents", "children"])
+    def test_node_not_in_graph_is_unknown_node(self, method):
+        graph = CausalGraph.builtin("paper-default")
+        with pytest.raises(UnknownNodeError, match="'Nope'"):
+            getattr(graph, method)("Nope")
 
 
 class TestDiscreteDataset:

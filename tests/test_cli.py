@@ -1136,6 +1136,18 @@ class TestAceAndCmiOptions:
         plain = cmi()
         assert plain["z"] == [] and plain["cmi"] != by_graph["cmi"]
 
+    def test_cmi_node_not_in_graph_exits_1_without_traceback(self, data):
+        proc = subprocess.run(
+            [sys.executable, "-m", "asrcausal.cli", "cmi", "--in", str(data),
+             "--graph", "paper-default", "--x", "Age", "--y", "Nope"],
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+            capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        diagnostic = json.loads(proc.stderr)
+        assert diagnostic["error"] == "E_UNKNOWN_NODE"
+        assert "'Nope'" in diagnostic["message"]
+
     def test_out_files_hold_the_stdout_bytes(self, data, tmp_path, capsys):
         for argv in (["ace", "--treatment", "Gender", "--effect", "DelErr"],
                      ["cmi", "--x", "Gender", "--y", "DelErr",

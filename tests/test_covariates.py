@@ -642,6 +642,14 @@ class TestEstimateSnr:
         with pytest.raises(SilentAudioError):
             estimate_snr(np.zeros(16000), 16000)
 
+    @pytest.mark.parametrize("rate", [0, -16000])
+    def test_rate_not_above_zero_rejected(self, rate):
+        x = np.random.default_rng(0).standard_normal(16000)
+        with pytest.raises(SchemaError,
+                           match=f"^sample rate {rate} is not above 0$"):
+            estimate_snr(x, rate)
+        assert estimate_snr(x, 16000) == pytest.approx(0.7527, abs=5e-5)
+
 
 class TestAudioIo:
     def test_wav_round_trip(self, tmp_path):

@@ -110,7 +110,8 @@ class TestUnreadableJson:
             ingest.parse_utterances(["[" * 100_000])
 
     @pytest.mark.parametrize("parse", [
-        ingest.load_json, ingest.parse_graph_spec,
+        ingest.load_json,
+        lambda text: ingest.CausalGraph.from_document(ingest.load_json(text)),
         discretize.parse_schemes, synthetic.parse_scm_spec,
     ], ids=["report", "graph-spec", "schemes", "scm-spec"])
     def test_long_integer_in_a_document_names_its_line(self, parse):
@@ -159,48 +160,48 @@ class TestFrequencyTable:
 
 class TestGraphSpec:
     def test_builtin_paper_default_shape(self):
-        spec = ingest.builtin_graph_spec("paper-default")
-        assert len(spec.nodes) == 9
-        assert len(spec.edges) == 20
+        graph = ingest.CausalGraph.builtin("paper-default")
+        assert len(graph.nodes) == 9
+        assert len(graph.edges) == 20
 
     def test_builtin_fig3e_drops_vocab_error_edges(self):
-        spec = ingest.builtin_graph_spec("fig3e")
-        assert len(spec.nodes) == 9
-        assert len(spec.edges) == 17
-        assert ("VocabDiff", "GoP") in spec.edges
-        assert ("VocabDiff", "SubsErr") not in spec.edges
+        graph = ingest.CausalGraph.builtin("fig3e")
+        assert len(graph.nodes) == 9
+        assert len(graph.edges) == 17
+        assert ("VocabDiff", "GoP") in graph.edges
+        assert ("VocabDiff", "SubsErr") not in graph.edges
 
     def test_two_cycle(self):
         doc = {"nodes": [{"name": "A", "kind": "exogenous", "categories": ["0"]},
                          {"name": "B", "kind": "endogenous", "categories": ["0"]}],
                "edges": [["A", "B"], ["B", "A"]]}
         with pytest.raises(CycleError):
-            ingest.parse_graph_spec(json.dumps(doc))
+            ingest.CausalGraph.from_document(doc)
 
     def test_unknown_node(self):
         doc = {"nodes": [{"name": "A", "kind": "exogenous", "categories": ["0"]}],
                "edges": [["A", "C"]]}
         with pytest.raises(UnknownNodeError):
-            ingest.parse_graph_spec(json.dumps(doc))
+            ingest.CausalGraph.from_document(doc)
 
     def test_self_loop(self):
         doc = {"nodes": [{"name": "A", "kind": "exogenous", "categories": ["0"]}],
                "edges": [["A", "A"]]}
         with pytest.raises(SelfLoopError):
-            ingest.parse_graph_spec(json.dumps(doc))
+            ingest.CausalGraph.from_document(doc)
 
     def test_duplicate_edge(self):
         doc = {"nodes": [{"name": "A", "kind": "exogenous", "categories": ["0"]},
                          {"name": "B", "kind": "endogenous", "categories": ["0"]}],
                "edges": [["A", "B"], ["A", "B"]]}
         with pytest.raises(SchemaError):
-            ingest.parse_graph_spec(json.dumps(doc))
+            ingest.CausalGraph.from_document(doc)
 
     def test_integer_categories_read_as_decimal_text(self):
         doc = {"nodes": [{"name": "A", "kind": "exogenous",
                           "categories": [0, 10, "x"]}], "edges": []}
-        (node,) = ingest.parse_graph_spec(json.dumps(doc)).nodes
-        assert node.categories == ("0", "10", "x")
+        graph = ingest.CausalGraph.from_document(doc)
+        assert graph.categories["A"] == ("0", "10", "x")
 
     @pytest.mark.parametrize("category", [["x"], {"y": 1}, None, True, 1.0],
                              ids=["list", "object", "null", "bool", "float"])
@@ -208,20 +209,24 @@ class TestGraphSpec:
         doc = {"nodes": [{"name": "A", "kind": "exogenous",
                           "categories": ["x", category]}], "edges": []}
         with pytest.raises(SchemaError) as err:
-            ingest.parse_graph_spec(json.dumps(doc))
+            ingest.CausalGraph.from_document(doc)
         assert "'A'" in str(err.value)
 
     def test_round_trip(self):
-        spec = ingest.builtin_graph_spec("paper-default")
-        assert ingest.parse_graph_spec(ingest.write_graph_spec(spec)) == spec
+        graph = ingest.CausalGraph.builtin("paper-default")
+        text = ingest.write_report(graph.to_document())
+        again = ingest.CausalGraph.from_document(ingest.load_json(text))
+        assert again.to_document() == graph.to_document()
+        assert ingest.write_report(again.to_document()) == text
 
     def test_topological_order_deterministic(self):
-        spec = ingest.builtin_graph_spec("paper-default")
-        order = ingest.topological_order(spec.node_names(), spec.edges)
+        graph = ingest.CausalGraph.builtin("paper-default")
+        order = graph.topo_order
         assert order == sorted(order, key=order.index)
         assert order.index("GoP") > order.index("Age")
         assert order.index("SubsErr") > order.index("GoP")
-        again = ingest.topological_order(spec.node_names(), spec.edges)
+        nodes = [(n, graph.kinds[n], graph.categories[n]) for n in graph.nodes]
+        again = ingest.CausalGraph(nodes, graph.edges[::-1]).topo_order
         assert again == order
 
 

@@ -3,6 +3,7 @@ the bytes of every output derived from it."""
 
 import hashlib
 import json
+import math
 import os
 import random
 import subprocess
@@ -218,17 +219,41 @@ class TestScoreTable:
                   for line in table.to_jsonl().splitlines()}
         assert alignment.ScoreTable.from_scores(recs, scores) == table
 
-    def test_derivations_match_public_functions(self):
+    def test_derivations_match_per_pair_alignment(self):
         recs = self.records()
         table = alignment.score_table(recs)
-        assert table.aggregate("m") == alignment.score_table(
-            recs, ("m",)).aggregate("m")
-        assert table.oracle_select() == alignment.score_table(
-            recs).oracle_select()
-        assert table.oracle_aggregate() == alignment.score_table(
-            recs).oracle_aggregate()
-        assert table.correlation() == alignment.score_table(
-            recs).correlation()
+        pairs = [{model: alignment.align(
+                      alignment.normalize_text(rec.reference),
+                      alignment.normalize_text(hyp))
+                  for model, hyp in rec.hypotheses.items()} for rec in recs]
+
+        def summed(key, results):
+            return alignment.ErrorAggregate(
+                key, sum(r.substitutions for r in results),
+                sum(r.deletions for r in results),
+                sum(r.insertions for r in results),
+                sum(r.ref_len for r in results))
+
+        assert table.aggregate("m") == [
+            summed("all", [row["m"] for row in pairs])]
+        # per record, the model with the least (WER, substitutions, name)
+        best = [min(row, key=lambda m: (row[m].wer, row[m].substitutions, m))
+                for row in pairs]
+        assert best == ["m", "m", "n"]
+        assert table.oracle_select() == {
+            rec.id: model for rec, model in zip(recs, best)}
+        assert table.oracle_aggregate() == summed(
+            "oracle", [row[model] for row, model in zip(pairs, best)])
+        wers = [[row[m].wer for row in pairs] for m in ("m", "n")]
+        means = [sum(w) / len(w) for w in wers]
+        cov, var_m, var_n = (
+            sum((a - means[i]) * (b - means[j])
+                for a, b in zip(wers[i], wers[j]))
+            for i, j in ((0, 1), (0, 0), (1, 1)))
+        models, matrix = table.correlation()
+        assert models == ["m", "n"]
+        assert matrix[0][1] == matrix[1][0] == pytest.approx(
+            cov / math.sqrt(var_m * var_n), abs=1e-12)
         graded = table.where(lambda r: r.grade is not None)
         assert [r.id for r in graded.records] == ["a", "c"]
 

@@ -11,7 +11,6 @@ from asrcausal.errors import (
     InvalidSpecError,
     StateExplosionError,
 )
-from asrcausal.ingest import GraphSpec, NodeSpec
 from asrcausal.synthetic import (
     EffectEmitter,
     ScmSpec,
@@ -29,11 +28,7 @@ from asrcausal.synthetic import (
 
 
 def small_graph(edges, nodes):
-    spec = GraphSpec(
-        nodes=tuple(NodeSpec(name, kind, tuple(cats))
-                    for name, kind, cats in nodes),
-        edges=tuple(edges))
-    return CausalGraph(spec)
+    return CausalGraph(nodes, edges)
 
 
 def chain_spec(p_x=0.5, p_y_given=((0.7, 0.3), (0.2, 0.8)), n=1000, seed=3):
