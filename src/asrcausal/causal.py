@@ -37,12 +37,13 @@ quantities are in nats.
 
 from __future__ import annotations
 
+import io
 import itertools
 import json
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import BinaryIO, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -66,8 +67,11 @@ class DiscreteDataset:
     """Complete category assignments, optionally with continuous columns.
 
     Rows are stored as integer codes into each variable's declared
-    category list; ``continuous`` carries per-row real outcomes (for this
-    toolkit, per-utterance error rates in percent) keyed by column name.
+    category list, in the narrowest dtype that holds every code
+    (``code_dtype``: one byte up to 256 categories); ``column`` widens a
+    variable's codes to int64.  ``continuous`` carries per-row real
+    outcomes (for this toolkit, per-utterance error rates in percent)
+    keyed by column name.
     """
 
     def __init__(self, variables: Sequence[str],
@@ -76,14 +80,19 @@ class DiscreteDataset:
                  continuous: Mapping[str, np.ndarray] | None = None):
         self.variables = list(variables)
         self.categories = {v: tuple(categories[v]) for v in self.variables}
-        self.codes = np.asarray(codes, dtype=np.int64)
-        if self.codes.ndim != 2 or self.codes.shape[1] != len(self.variables):
+        codes = np.asarray(codes)
+        if codes.size and codes.dtype.kind not in "iu":
+            raise SchemaError("category codes must be integers")
+        if codes.ndim != 2 or codes.shape[1] != len(self.variables):
             raise SchemaError("codes must be an (n, #variables) array")
+        # range-checked in their own dtype, so narrowing wraps none
         for j, var in enumerate(self.variables):
             k = len(self.categories[var])
-            col = self.codes[:, j]
+            col = codes[:, j]
             if col.size and (col.min() < 0 or col.max() >= k):
                 raise SchemaError(f"variable {var!r}: code out of range")
+        self.codes = codes.astype(
+            code_dtype(len(c) for c in self.categories.values()), copy=False)
         self.continuous = {k: np.asarray(v, dtype=np.float64)
                            for k, v in (continuous or {}).items()}
         for name, col in self.continuous.items():
@@ -94,12 +103,14 @@ class DiscreteDataset:
         return len(self.codes)
 
     def column(self, variable: str) -> np.ndarray:
+        """A variable's codes as int64, so arithmetic on them cannot
+        overflow the narrow stored dtype."""
         try:
             j = self.variables.index(variable)
         except ValueError:
             raise MissingVariableError(
                 f"variable {variable!r} not in dataset") from None
-        return self.codes[:, j]
+        return self.codes[:, j].astype(np.int64)
 
     @classmethod
     def from_rows(cls, categories: Mapping[str, Sequence[str]],
@@ -161,23 +172,35 @@ class DiscreteDataset:
             for name, values in continuous})
 
     @classmethod
-    def from_bytes(cls, data: bytes) -> "DiscreteDataset":
-        """Read a dataset file's bytes.
+    def from_file(cls, file: BinaryIO) -> "DiscreteDataset":
+        """Read a dataset file open for binary reading.
 
         A file in the layout ``ingest.write_report`` gives ``to_document()``
-        is read straight into arrays (``_canonical_dataset``).  Any other
-        text is read by ``ingest.load_json`` and ``from_document``,
-        with their errors; bytes that are not UTF-8 are SchemaError.
-        Both give equal datasets for the same document.
+        is read straight into arrays, a window of about ``_BLOCK_BYTES``
+        at a time (``_canonical_dataset``).  Only any other text is read
+        whole, by ``ingest.load_json`` and ``from_document``, with their
+        errors; bytes that are not UTF-8 are SchemaError.  Both give
+        equal datasets for the same document.  A pipe, which cannot be
+        read through a window, is read whole first.
         """
-        dataset = _canonical_dataset(data)
+        if not file.seekable():
+            file = io.BytesIO(file.read())
+        dataset = _canonical_dataset(file)
         if dataset is not None:
             return dataset
+        file.seek(0)
         try:
-            text = data.decode()
+            text = file.read().decode()
         except UnicodeDecodeError as exc:
             raise SchemaError(f"invalid JSON: {exc.reason}") from None
         return cls.from_document(ingest.load_json(text))
+
+
+def code_dtype(counts: Iterable[int]) -> np.dtype:
+    """The dtype of a dataset's codes: the narrowest unsigned integer
+    that holds a code of every variable, given each one's category count
+    (``uint8`` up to 256 categories, ``uint16`` up to 65,536)."""
+    return np.min_scalar_type(max(max(counts, default=0) - 1, 0))
 
 
 def _variables_of(entries) -> tuple[list[str], dict[str, list[str]]]:
@@ -213,9 +236,9 @@ def _typed_array(values, kinds: str, message: str) -> np.ndarray:
 #   \n "variables": [...]\n}\n
 #
 # (an empty list or object as "[]" or "{}").  ``_canonical_dataset``
-# reads that layout a block of each number section at a time, with one
-# ``np.fromstring`` per block, and hands everything else to the general
-# reader.
+# reads that layout through a ``_Window`` on the file, a block of each
+# number section at a time, with one ``np.fromstring`` per block, and
+# hands everything else to the general reader.
 
 _HEAD = b'{\n "continuous": '
 _ROWS_KEY = b',\n "rows": '
@@ -225,6 +248,7 @@ _DIGITS = b"0123456789"
 _NUMBER_CHARS = _DIGITS + b".eE+-"
 _NUMBER_SEP = b",\n   "  # between two numbers of a continuous column
 _BLOCK_BYTES = 1 << 18  # bytes of a number section read at a time
+_FIRST_SCAN = 1 << 10  # bytes a search reads first (at most a block)
 # Byte classes of a continuous column: 0, 1-9, ".", exponent, "+", "-"
 # and separator (",", newline, space).  A pair of adjacent classes (a, b)
 # is the byte a << 3 | b: _NUMBER_PAIRS holds the pairs JSON numbers
@@ -254,32 +278,95 @@ _LEADING_ZEROS = tuple(_pairs(*start, _ZERO, digit)
                        for digit in (_ZERO, _DIGIT))
 
 
-def _canonical_dataset(data: bytes) -> DiscreteDataset | None:
-    """The dataset ``data`` holds when it is in the layout above, else
-    None.
+class _Window:
+    """A binary file read a slice at a time, never whole.  Offsets are
+    the file's, and a slice that runs past its end is cut short."""
 
-    A dataset is returned only when ``from_document(json.loads(data))``
+    def __init__(self, file: BinaryIO):
+        self.file = file
+        self.size = file.seek(0, io.SEEK_END)
+
+    def read(self, start: int, end: int) -> bytes:
+        """The bytes ``[start, end)``."""
+        if end <= start:
+            return b""
+        self.file.seek(start)
+        return self.file.read(end - start)
+
+    def startswith(self, prefix: bytes, at: int) -> bool:
+        return self.read(at, at + len(prefix)) == prefix
+
+    def find(self, mark: bytes, start: int, end: int | None = None) -> int:
+        """The first ``mark`` within ``[start, end)`` (default: to the end
+        of the file), as ``bytes.find`` gives it, or -1."""
+        end = self.size if end is None else min(end, self.size)
+        for step in _search_steps():
+            if start + len(mark) > end:
+                return -1
+            # every mark that starts in [start, start + step)
+            found = self.read(start, min(start + step + len(mark) - 1,
+                                         end)).find(mark)
+            if found >= 0:
+                return start + found
+            start += step
+
+    def rfind(self, mark: bytes) -> int:
+        """The last ``mark`` in the file, as ``bytes.rfind`` gives it, or
+        -1; searched from the end."""
+        end = self.size
+        for step in _search_steps():
+            if end <= 0:
+                return -1
+            start = max(end - step, 0)
+            # every mark that starts in [start, end)
+            found = self.read(start, end + len(mark) - 1).rfind(mark)
+            if found >= 0:
+                return start + found
+            end = start
+
+
+def _search_steps() -> Iterator[int]:
+    """The sizes of the slices a search reads, one after another:
+    ``_FIRST_SCAN`` bytes (at most a block), doubling up to a block (at
+    least ``_FIRST_SCAN``).  A mark is mostly found in the first."""
+    step = min(_FIRST_SCAN, _BLOCK_BYTES)
+    while True:
+        yield step
+        step = min(2 * step, max(_BLOCK_BYTES, _FIRST_SCAN))
+
+
+def _canonical_dataset(file: BinaryIO) -> DiscreteDataset | None:
+    """The dataset in ``file`` when it is in the layout above, else None.
+
+    A dataset is returned only when ``from_document(json.loads(text))``
     returns an equal one: every number section must be proven canonical
     (``_canonical_codes``, ``_canonical_column``), the ``variables`` go
     through ``json`` and ``_variables_of``, and a dataset the constructor
-    rejects is None too, so the general reader raises its error.
+    rejects is None too, so the general reader raises its error.  The
+    file is read through a ``_Window``: a number section a block at a
+    time, the ``variables`` in one read at its end.
     """
-    if not (data.startswith(_HEAD) and data.endswith(_TAIL)):
+    window = _Window(file)
+    if not (window.startswith(_HEAD, 0)
+            and window.startswith(_TAIL, window.size - len(_TAIL))):
         return None
-    variables_at = data.rfind(_VARIABLES_KEY)
+    variables_at = window.rfind(_VARIABLES_KEY)
+    if variables_at < 0:
+        return None
     try:
-        variables, categories = _variables_of(json.loads(
-            data[variables_at + len(_VARIABLES_KEY):-len(_TAIL)].decode()))
+        variables, categories = _variables_of(json.loads(window.read(
+            variables_at + len(_VARIABLES_KEY),
+            window.size - len(_TAIL)).decode()))
     except (ValueError, KeyError, TypeError, AttributeError):
         return None
-    found = _canonical_continuous(data, len(_HEAD))
+    found = _canonical_continuous(window, len(_HEAD))
     if found is None:
         return None
     continuous, rows_at = found
-    if not (data.startswith(_ROWS_KEY, rows_at) and rows_at < variables_at):
+    if not (window.startswith(_ROWS_KEY, rows_at) and rows_at < variables_at):
         return None
-    codes = _canonical_codes(data, rows_at + len(_ROWS_KEY), variables_at,
-                             len(variables))
+    codes = _canonical_codes(window, rows_at + len(_ROWS_KEY), variables_at,
+                             [len(categories[v]) for v in variables])
     if codes is None:
         return None
     try:
@@ -300,55 +387,61 @@ def _numbers(text: bytes, dtype) -> np.ndarray | None:
             return None
 
 
-def _canonical_codes(data: bytes, start: int, end: int, k: int
-                     ) -> np.ndarray | None:
+def _canonical_codes(window: _Window, start: int, end: int,
+                     sizes: Sequence[int]) -> np.ndarray | None:
     """The (n, k) codes of the canonical ``rows`` list at
-    ``data[start:end]``, else None.
+    ``[start, end)``, for k variables of ``sizes`` categories, in
+    ``code_dtype(sizes)``; else None.
 
     The list is read a block of whole rows (about ``_BLOCK_BYTES``) at a
-    time into one array of the n rows its row closes count.  Without its
-    digits each block must be the skeleton of its rows of k items, so
-    each code is a run of digits.  The runs must number k per row, and
-    their digits must be exactly those of the codes' decimal forms, so
-    no code has a leading zero.  A code past int64 saturates, has fewer
-    digits than its text and is refused too.
+    time.  Without its digits each block must be the skeleton of its rows
+    of k items, so each code is a run of digits, and it must close as
+    many rows as its skeleton does, so no digit lies inside a row close.
+    The runs must number k per row, and their digits must be exactly
+    those of the codes' decimal forms, so no code has a leading zero.  A
+    code past int64 saturates, has fewer digits than its text and is
+    refused too.  Each block's codes are range-checked before they are
+    narrowed, so none wraps; the blocks are joined at the end.
     """
-    if data.startswith(b"[]", start) and end == start + 2:
-        return np.zeros((0, k), dtype=np.int64)
-    n = data.count(b"\n  ]", start, end)
-    if not (k and n and data.startswith(b"[\n", start)
-            and data.startswith(b"\n ]", end - 3)):
+    k = len(sizes)
+    dtype = code_dtype(sizes)
+    if window.startswith(b"[]", start) and end == start + 2:
+        return np.zeros((0, k), dtype=dtype)
+    if not (k and window.startswith(b"[\n", start)
+            and window.startswith(b"\n ]", end - 3)):
         return None
     # "[\n", the rows joined by ",\n", then "\n ]"
     period = b"  [\n" + b"   ,\n" * (k - 1) + b"   \n  ],\n"
-    codes = np.empty(n * k, dtype=np.int64)
-    filled = 0
-    for block in _blocks(data, start + 2, end - 3, b"\n  ],\n", 4):
+    limits = np.array(sizes)
+    blocks = []
+    for block in _blocks(window, start + 2, end - 3, b"\n  ],\n", 4):
         skeleton = block.translate(None, _DIGITS)
         rows, rest = divmod(len(skeleton) + 2, len(period))
-        if rest or not (period * rows).startswith(skeleton):
+        if (rest or not (period * rows).startswith(skeleton)
+                or block.count(b"\n  ]") != rows):
             return None
         # the block's codes, one comma between each two
         values = _numbers(block.translate(None, b"[] \n"), np.int64)
         if (values is None or values.size != rows * k
-                or filled + values.size > codes.size
                 or len(block) - len(skeleton) != _decimal_digits(values)):
             return None
-        codes[filled:filled + values.size] = values
-        filled += values.size
-    return codes.reshape(n, k) if filled == codes.size else None
+        values = values.reshape(rows, k)
+        if (values >= limits).any():
+            return None  # the constructor names the variable
+        blocks.append(values.astype(dtype))
+    return np.concatenate(blocks)
 
 
-def _blocks(data: bytes, start: int, end: int, mark: bytes, keep: int
+def _blocks(window: _Window, start: int, end: int, mark: bytes, keep: int
             ) -> Iterator[bytes]:
-    """``data[start:end]`` a block at a time.  A block ends at the first
-    ``mark`` from ``_BLOCK_BYTES`` past its start on, keeping the mark's
-    first ``keep`` bytes, and the next block starts after the mark; the
-    last block ends at ``end``."""
-    while (found := data.find(mark, start + _BLOCK_BYTES, end)) >= 0:
-        yield data[start:found + keep]
+    """``[start, end)`` a block at a time, one read each.  A block ends
+    at the first ``mark`` from ``_BLOCK_BYTES`` past its start on,
+    keeping the mark's first ``keep`` bytes, and the next block starts
+    after the mark; the last block ends at ``end``."""
+    while (found := window.find(mark, start + _BLOCK_BYTES, end)) >= 0:
+        yield window.read(start, found + keep)
         start = found + len(mark)
-    yield data[start:end]
+    yield window.read(start, end)
 
 
 def _decimal_digits(values: np.ndarray) -> int:
@@ -363,25 +456,25 @@ def _decimal_digits(values: np.ndarray) -> int:
     return digits
 
 
-def _canonical_continuous(data: bytes, at: int
+def _canonical_continuous(window: _Window, at: int
                           ) -> tuple[dict[str, np.ndarray], int] | None:
-    """The columns of the canonical ``continuous`` object at ``data[at:]``,
-    in file order, and the index just past it; else None.  Names must be
-    sorted and distinct."""
-    if data.startswith(b"{}", at):
+    """The columns of the canonical ``continuous`` object at offset
+    ``at``, in file order, and the offset just past it; else None.  Names
+    must be sorted and distinct."""
+    if window.startswith(b"{}", at):
         return {}, at + 2
-    if not data.startswith(b"{\n", at):
+    if not window.startswith(b"{\n", at):
         return None
     columns: dict[str, np.ndarray] = {}
     at += 2
     while True:
         # a name line, '  "<name>": [' or '  "<name>": []', then the items
-        line_end = data.find(b"\n", at)
-        line = data[at:line_end]
-        if line.endswith(b": [") and data.startswith(b"\n   ", line_end):
-            close = data.find(b"\n  ]", line_end)
+        line_end = window.find(b"\n", at)
+        line = window.read(at, line_end)
+        if line.endswith(b": [") and window.startswith(b"\n   ", line_end):
+            close = window.find(b"\n  ]", line_end)
             values = (None if close < 0 else
-                      _canonical_column(data, line_end + 4, close))
+                      _canonical_column(window, line_end + 4, close))
             after = close + 4
         elif line.endswith((b": []", b": [],")):
             values = np.zeros(0)
@@ -398,25 +491,26 @@ def _canonical_continuous(data: bytes, at: int
                 columns and name <= next(reversed(columns))):
             return None
         columns[name] = values
-        if data.startswith(b"\n }", after):
+        if window.startswith(b"\n }", after):
             return columns, after + 3
-        if not data.startswith(b",\n", after):
+        if not window.startswith(b",\n", after):
             return None
         at = after + 2
 
 
-def _canonical_column(data: bytes, start: int, end: int
+def _canonical_column(window: _Window, start: int, end: int
                       ) -> np.ndarray | None:
     """The floats of a canonical continuous column's items (the text
-    ``data[start:end]`` between ``[\\n   `` and ``\\n  ]``), else None.
+    ``[start, end)`` between ``[\\n   `` and ``\\n  ]``), else None.
 
     The items must be tokens joined by ``",\\n   "``, each a JSON number
     with a fraction or an exponent, which ``json`` reads as
     ``float(token)``, as ``np.fromstring`` does.  They are read a block
-    of whole tokens (about ``_BLOCK_BYTES``) at a time into one array of
-    as many floats as there are separators plus one.  In each block:
+    of whole tokens (about ``_BLOCK_BYTES``) at a time, and the blocks
+    joined at the end.  In each block:
 
-    * without its number characters the text is the separators;
+    * without its number characters the text is the separators, and
+      every separator is whole, with no number character inside it;
     * without digits, no token is "" or "-" (an integer);
     * every adjacent pair of bytes, each read as its class in
       ``_CLASSES`` and every token between separators, is one that JSON
@@ -425,12 +519,12 @@ def _canonical_column(data: bytes, start: int, end: int
     * ``np.fromstring`` reads each token to its end, so no token holds
       a second fraction or exponent.
     """
-    column = np.empty(data.count(_NUMBER_SEP, start, end) + 1)
-    filled = 0
-    for items in _blocks(data, start, end, _NUMBER_SEP, 0):
+    blocks = []
+    for items in _blocks(window, start, end, _NUMBER_SEP, 0):
         separators = items.translate(None, _NUMBER_CHARS)
         n = len(separators) // len(_NUMBER_SEP) + 1
-        if separators != _NUMBER_SEP * (n - 1):
+        if (separators != _NUMBER_SEP * (n - 1)
+                or items.count(_NUMBER_SEP) != n - 1):
             return None
         shapes = b"," + items.translate(None, _DIGITS + b"\n ") + b","
         if b",," in shapes or b",-," in shapes:
@@ -444,12 +538,10 @@ def _canonical_column(data: bytes, start: int, end: int
                 or any(zero in pairs for zero in _LEADING_ZEROS)):
             return None
         values = _numbers(items, np.float64)
-        if (values is None or values.size != n
-                or filled + n > column.size):
+        if values is None or values.size != n:
             return None
-        column[filled:filled + n] = values
-        filled += n
-    return column if filled == column.size else None
+        blocks.append(values)
+    return np.concatenate(blocks)
 
 
 @dataclass

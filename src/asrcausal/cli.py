@@ -250,13 +250,6 @@ def _read_text(path: str) -> str:
         raise IoError(f"cannot read {path}: {exc}") from None
 
 
-def _read_bytes(path: str) -> bytes:
-    try:
-        return Path(path).read_bytes()
-    except OSError as exc:
-        raise IoError(f"cannot read {path}: {exc}") from None
-
-
 def _write_text(path: str, pieces: Iterable[str]) -> str:
     """Write the str ``pieces``, one after another, to a temporary file
     next to ``path`` and rename it over ``path``: the text is never held
@@ -307,7 +300,11 @@ def _load_graph(value: str) -> ingest.CausalGraph:
 def _load_dataset(path: str) -> causal_mod.DiscreteDataset:
     from . import causal as causal_mod
 
-    return causal_mod.DiscreteDataset.from_bytes(_read_bytes(path))
+    try:
+        with open(path, "rb") as fh:
+            return causal_mod.DiscreteDataset.from_file(fh)
+    except OSError as exc:
+        raise IoError(f"cannot read {path}: {exc}") from None
 
 
 def _load_scm(value: str, n, seed) -> synthetic.ScmSpec:

@@ -30,6 +30,7 @@ from .causal import (
     ConditionalTable,
     DiscreteDataset,
     _arms,
+    code_dtype,
     edge_records,
     entropy,
     joint_tensor,
@@ -205,7 +206,8 @@ def generate(spec: ScmSpec, n: int | None = None, seed: int | None = None
     The uniforms are drawn ``_BLOCK_ROWS`` rows at a time: Philox fills
     sequentially, so the blocks are the rows of one (n, width) draw.
     Each node's codes go straight into the dataset's (n, #nodes) matrix,
-    from which its children read their parent configurations."""
+    in its narrow ``code_dtype``, from which its children read their
+    parent configurations."""
     spec.validate()
     graph = spec.graph
     n = spec.n if n is None else n
@@ -226,7 +228,8 @@ def generate(spec: ScmSpec, n: int | None = None, seed: int | None = None
         plan.append((column[node], [column[p] for p in table.parents],
                      table.probs.shape[:-1], np.ascontiguousarray(cum.T)))
 
-    codes = np.empty((n, len(graph.nodes)), dtype=np.int64)
+    codes = np.empty((n, len(graph.nodes)), dtype=code_dtype(
+        len(cats) for cats in graph.categories.values()))
     continuous = {node: np.empty(n) for node in emitter_nodes}
     for start in range(0, n, _BLOCK_ROWS):
         u = rng.random((min(_BLOCK_ROWS, n - start), width))

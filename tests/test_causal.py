@@ -126,6 +126,59 @@ class TestDiscreteDataset:
             DiscreteDataset.from_document(doc)
 
 
+    @pytest.mark.parametrize("codes", [
+        [[1.7]], [[1.0]], np.array([[1.7]]), [[True]], np.array([[False]]),
+        [["1"]], np.array([[1]], dtype=object)])
+    def test_constructor_refuses_codes_that_are_not_integers(self, codes):
+        # a float was truncated (1.7 stored as 1) and a bool read as 0/1
+        with pytest.raises(SchemaError, match="codes must be integers"):
+            DiscreteDataset(["X"], {"X": ["a", "b", "c"]}, codes)
+
+    def test_no_rows_of_any_dtype_are_no_codes(self):
+        # from_document reads "rows": [] as an empty float array
+        data = DiscreteDataset(["X"], {"X": ["a", "b"]}, np.zeros((0, 1)))
+        assert len(data) == 0
+        assert data.codes.dtype == np.uint8
+
+    @pytest.mark.parametrize("codes", [
+        np.array([[256]]), np.array([[257]]), np.array([[259]]),
+        np.array([[-1]]), np.array([[-255]]),
+        np.array([[257]], dtype=np.uint16), np.array([[-256]], dtype=np.int16),
+        np.array([[2 ** 64 - 1]], dtype=np.uint64)])
+    def test_code_the_narrow_dtype_cannot_hold_never_wraps(self, codes):
+        # each wraps to a code of X in uint8 (256 -> 0, 257 -> 1, ...)
+        with pytest.raises(SchemaError, match="'X': code out of range"):
+            DiscreteDataset(["X"], {"X": ["a", "b", "c"]}, codes)
+
+    @pytest.mark.parametrize("counts, dtype", [
+        ([1], np.uint8), ([3, 11], np.uint8), ([256, 2], np.uint8),
+        ([257], np.uint16), ([3, 300], np.uint16), ([65_536], np.uint16),
+        ([65_537], np.uint32), ([], np.uint8)])
+    def test_codes_take_the_narrowest_dtype(self, counts, dtype):
+        names = [f"V{j}" for j in range(len(counts))]
+        categories = {v: [str(i) for i in range(k)]
+                      for v, k in zip(names, counts)}
+        top = np.array([[k - 1 for k in counts]], dtype=np.int64)
+        data = DiscreteDataset(names, categories, top.reshape(1, -1))
+        assert causal.code_dtype(counts) == dtype
+        assert data.codes.dtype == dtype
+        assert data.codes.tolist() == top.tolist()
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.uint8, np.int16,
+                                       np.uint16, np.int32, np.int64,
+                                       np.uint64])
+    def test_column_is_int64_for_every_dtype(self, dtype):
+        x = ["x"] * 120
+        wide = [str(i) for i in range(300)]
+        data = DiscreteDataset(["X", "W"], {"X": x, "W": wide}, np.array(
+            [[119, 0], [7, 1]], dtype=dtype))
+        assert data.codes.dtype == np.uint16
+        assert data.column("X").dtype == data.column("W").dtype == np.int64
+        # 119 * 300 + 0 is past uint8 and uint16 alike
+        assert (data.column("X") * 300 + data.column("W")).tolist() == [
+            35_700, 2_101]
+
+
 class TestFitCpts:
     def test_hand_counts_with_smoothing(self):
         # X=0 rows give Y counts (2, 0); alpha=1 -> P(Y=0|X=0) = 3/4

@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import math
 import os
@@ -529,7 +530,7 @@ class TestPipeline:
         # would keep every output byte and pass the other tests
         assert self.assemble(workdir) == 0
         raw = (workdir / "dataset.json").read_bytes()
-        assert causal._canonical_dataset(raw) is not None
+        assert causal._canonical_dataset(io.BytesIO(raw)) is not None
 
     def test_discretize_rejects_stale_scores(self, workdir, capsys):
         # a reference edited after `align` no longer matches its ref_len
@@ -1108,8 +1109,10 @@ class TestAceAndCmiOptions:
         doc = json.loads(capsys.readouterr().out)
         assert (doc["lo"], doc["hi"]) == ("2", "7")
         graph = causal_mod.CausalGraph.builtin("paper-default")
-        want = causal_mod.ace(graph, causal_mod.DiscreteDataset.from_bytes(
-            data.read_bytes()), "Age", "SubsErr", "2", "7", on_empty="skip")
+        with open(data, "rb") as fh:
+            dataset = causal_mod.DiscreteDataset.from_file(fh)
+        want = causal_mod.ace(graph, dataset, "Age", "SubsErr", "2", "7",
+                              on_empty="skip")
         assert doc["ace"] == pytest.approx(want, abs=1e-6)
 
     @pytest.mark.parametrize("flag", ["--lo", "--hi"])

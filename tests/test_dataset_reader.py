@@ -1,4 +1,4 @@
-"""Reading dataset files: ``DiscreteDataset.from_bytes``.
+"""Reading dataset files: ``DiscreteDataset.from_file``.
 
 A file in the layout ``ingest.write_report`` gives a dataset document is
 read straight into arrays by ``causal._canonical_dataset`` (the array
@@ -7,7 +7,10 @@ reader).  Both must give equal datasets, and the array reader must
 refuse (return None for) every text it cannot prove canonical.
 """
 
+import io
 import json
+import os
+import random
 
 import numpy as np
 import pytest
@@ -23,6 +26,22 @@ def written(data: DiscreteDataset) -> bytes:
     return ingest.write_report(data.to_document()).encode()
 
 
+def from_bytes(raw: bytes) -> DiscreteDataset:
+    """Both readers, as ``fit`` and ``report`` read a file of ``raw``."""
+    return DiscreteDataset.from_file(io.BytesIO(raw))
+
+
+def from_path(path) -> DiscreteDataset:
+    """Both readers, on a file on disk."""
+    with open(path, "rb") as fh:
+        return DiscreteDataset.from_file(fh)
+
+
+def array_read(raw: bytes) -> DiscreteDataset | None:
+    """The array reader alone."""
+    return causal._canonical_dataset(io.BytesIO(raw))
+
+
 def general(raw: bytes) -> DiscreteDataset:
     """The general reader alone."""
     return DiscreteDataset.from_document(ingest.load_json(raw.decode()))
@@ -31,7 +50,10 @@ def general(raw: bytes) -> DiscreteDataset:
 def assert_same(a: DiscreteDataset, b: DiscreteDataset):
     assert a.variables == b.variables
     assert a.categories == b.categories
-    assert a.codes.dtype == b.codes.dtype == np.int64
+    # one byte per code up to 256 categories, two bytes up to 65,536
+    widest = max(map(len, a.categories.values()), default=0)
+    assert a.codes.dtype == b.codes.dtype == (
+        np.uint8 if widest <= 256 else np.uint16)
     assert a.codes.shape == b.codes.shape
     assert np.array_equal(a.codes, b.codes)
     assert list(a.continuous) == list(b.continuous)
@@ -79,6 +101,7 @@ EQUIVALENT = {
     "1 variable": (dataset(30, k=1), True),
     "no continuous columns": (dataset(30, columns=()), True),
     "two-digit codes": (dataset(300, levels=12), True),
+    "300 categories": (dataset(300, levels=300), True),
     "negative floats": (dataset(
         300, values=lambda rng, n: -np.abs(rng.normal(size=n)) * 100), True),
     "1e-05-style floats": (dataset(300, values=small_floats), True),
@@ -95,11 +118,11 @@ EQUIVALENT = {
 def test_both_readers_give_the_same_dataset(data, canonical):
     raw = written(data)
     expected = general(raw)
-    fast = causal._canonical_dataset(raw)
+    fast = array_read(raw)
     assert (fast is not None) == canonical
     if canonical:
         assert_same(fast, expected)
-    assert_same(DiscreteDataset.from_bytes(raw), expected)
+    assert_same(from_bytes(raw), expected)
 
 
 @settings(max_examples=60, deadline=None)
@@ -113,7 +136,7 @@ def test_array_reader_matches_json_on_any_finite_floats(levels, k, floats,
                    values=lambda rng, n: np.array(floats, dtype=np.float64),
                    seed=seed)
     raw = written(data)
-    fast = causal._canonical_dataset(raw)
+    fast = array_read(raw)
     assert fast is not None
     assert_same(fast, general(raw))
 
@@ -184,6 +207,8 @@ MUTATIONS = {
     "signed bare exponent": replaced("   3e-05\n", "   3e-\n"),
     "exponent without digits before": replaced("   3e-05\n", "   e-05\n"),
     "sign inside a float": replaced("   -1.25,", "   1-1.25,"),
+    # valid JSON, and the skeleton of a column, but no separator is whole
+    "float inside a separator": replaced("\n   -1.25,", "\n -1.25  ,"),
     "NaN among floats": replaced("   0.5,", "   NaN,"),
     "Infinity among floats": replaced("   0.5,", "   Infinity,"),
     "null among codes": dumped(setter("rows", 0, 0, None)),
@@ -231,15 +256,15 @@ def outcome(read, raw: bytes):
 
 
 def test_base_takes_the_array_reader():
-    assert_same(causal._canonical_dataset(BASE.encode()),
+    assert_same(array_read(BASE.encode()),
                 general(BASE.encode()))
 
 
 @pytest.mark.parametrize("text", MUTATIONS.values(), ids=MUTATIONS)
 def test_no_mutation_gets_past_the_array_reader(text):
     raw = text.encode()
-    assert causal._canonical_dataset(raw) is None
-    got, expected = (outcome(DiscreteDataset.from_bytes, raw),
+    assert array_read(raw) is None
+    got, expected = (outcome(from_bytes, raw),
                      outcome(general, raw))
     if isinstance(expected, DiscreteDataset):
         assert_same(got, expected)
@@ -258,10 +283,10 @@ def test_ragged_rows_of_the_right_size_are_refused_anywhere(row):
     doc["rows"][row].append(doc["rows"][row + 1].pop(0))
     raw = (json.dumps(doc, sort_keys=True, indent=1) + "\n").encode()
     assert len(raw) == len(LONG)
-    assert causal._canonical_dataset(LONG.encode()) is not None
-    assert causal._canonical_dataset(raw) is None
+    assert array_read(LONG.encode()) is not None
+    assert array_read(raw) is None
     with pytest.raises(SchemaError, match="equal-length lists"):
-        DiscreteDataset.from_bytes(raw)
+        from_bytes(raw)
 
 
 @pytest.mark.parametrize("old, new", [
@@ -276,7 +301,7 @@ def test_other_json_floats_read_alike(old, new):
     # valid JSON floats that write_report does not write; either reader
     # may take them, and they must read the same
     raw = replaced(old, new).encode()
-    assert_same(DiscreteDataset.from_bytes(raw), general(raw))
+    assert_same(from_bytes(raw), general(raw))
 
 
 @pytest.mark.parametrize("token, named", [
@@ -284,13 +309,114 @@ def test_other_json_floats_read_alike(old, new):
 def test_bool_code_is_e_schema(token, named):
     raw = replaced("\n   3,", f"\n   {token},").encode()
     with pytest.raises(SchemaError, match=named):
-        DiscreteDataset.from_bytes(raw)
+        from_bytes(raw)
 
 
 def test_invalid_utf8_is_e_schema():
     raw = BASE.encode().replace(b'"c11"', b'"c\xff"')
     with pytest.raises(SchemaError, match="invalid JSON"):
-        DiscreteDataset.from_bytes(raw)
+        from_bytes(raw)
+
+
+THREE = written(dataset(40, levels=3, columns=("Y",), seed=2)).decode()
+
+
+@pytest.mark.parametrize("code", ["3", "256", "257", "259", "65537", "-1",
+                                  "-255"])
+def test_code_out_of_range_never_wraps(tmp_path, code):
+    # 256 + 1 and 65536 + 1 would wrap to 1 in uint8, a code of V1
+    at = THREE.index("\n   2", THREE.index('"rows"'))
+    raw = (THREE[:at] + "\n   " + code + THREE[at + 5:]).encode()
+    assert array_read(raw) is None
+    (tmp_path / "data.json").write_bytes(raw)
+    for read in (from_bytes, general,
+                 lambda raw: from_path(tmp_path / "data.json")):
+        with pytest.raises(SchemaError, match="'V.': code out of range"):
+            read(raw)
+
+
+def test_wide_node_round_trips_in_the_bytes_of_int64_codes():
+    data = dataset(500, k=2, levels=300, columns=("Y",), seed=6)
+    assert data.codes.dtype == np.uint16 and data.codes.max() >= 256
+    raw = written(data)
+    as_int64 = {**data.to_document(), "rows": data.codes.astype(np.int64)}
+    assert raw == ingest.write_report(as_int64).encode()
+    again = array_read(raw)
+    assert_same(again, general(raw))
+    assert written(again) == raw
+
+
+@pytest.mark.parametrize("text", [
+    *(written(data).decode() for data, _ in EQUIVALENT.values()),
+    *MUTATIONS.values()], ids=[*EQUIVALENT, *MUTATIONS])
+def test_a_file_reads_as_its_bytes(tmp_path, text):
+    raw = text.encode()
+    (tmp_path / "data.json").write_bytes(raw)
+    got, expected = (outcome(from_path, tmp_path / "data.json"),
+                     outcome(from_bytes, raw))
+    if isinstance(expected, DiscreteDataset):
+        assert_same(got, expected)
+    else:
+        assert got == expected
+
+
+@pytest.mark.parametrize("text", [BASE, MUTATIONS["compact json.dumps"],
+                                  MUTATIONS["-1 as a code"]],
+                         ids=["canonical", "compact", "-1 as a code"])
+def test_a_pipe_reads_as_its_bytes(text):
+    # a pipe cannot seek (fit --in /dev/stdin); it is read whole first
+    raw = text.encode()
+    read_end, write_end = os.pipe()
+    with open(read_end, "rb") as fh:
+        with open(write_end, "wb") as out:
+            out.write(raw)  # within the pipe's buffer
+        got = outcome(DiscreteDataset.from_file, fh)
+    expected = outcome(from_bytes, raw)
+    if isinstance(expected, DiscreteDataset):
+        assert_same(got, expected)
+    else:
+        assert got == expected
+
+
+class Recorded(io.BytesIO):
+    """A file that records the size of every read."""
+
+    def __init__(self, raw):
+        super().__init__(raw)
+        self.sizes = []
+
+    def read(self, size=-1):
+        chunk = super().read(size)
+        self.sizes.append(len(chunk))
+        return chunk
+
+
+@pytest.mark.parametrize("block", [64, 4096, causal._BLOCK_BYTES])
+def test_a_canonical_file_is_read_through_a_window(monkeypatch, block):
+    monkeypatch.setattr(causal, "_BLOCK_BYTES", block)
+    raw = LONG.encode()
+    assert len(raw) > 4 * causal._BLOCK_BYTES
+    file = Recorded(raw)
+    assert_same(DiscreteDataset.from_file(file), general(raw))
+    # a block and the last row or float it ends with, or a search slice
+    assert max(file.sizes) <= max(block, causal._FIRST_SCAN) + 64
+    assert sum(file.sizes) < 3 * len(raw)
+
+
+@pytest.mark.parametrize("block", [1, 3, causal._BLOCK_BYTES])
+def test_window_searches_as_bytes_do(monkeypatch, block):
+    monkeypatch.setattr(causal, "_BLOCK_BYTES", block)
+    monkeypatch.setattr(causal, "_FIRST_SCAN", 2)
+    rng = random.Random(block)
+    for _ in range(2000):
+        text = bytes(rng.choices(b"ab\n", k=rng.randrange(40)))
+        mark = bytes(rng.choices(b"ab\n", k=rng.randrange(1, 4)))
+        window = causal._Window(io.BytesIO(text))
+        start, end = rng.randrange(45), rng.randrange(45)
+        assert window.find(mark, start, end) == text.find(mark, start, end)
+        assert window.find(mark, start) == text.find(mark, start)
+        assert window.rfind(mark) == text.rfind(mark)
+        assert window.read(start, end) == text[start:end]
 
 
 def test_fit_and_report_read_compact_json_alike(tmp_path, monkeypatch):
@@ -298,7 +424,7 @@ def test_fit_and_report_read_compact_json_alike(tmp_path, monkeypatch):
     assert cli.main(["synth", "--spec", "paper-shaped", "--n", "2000",
                      "--seed", "7", "--out", "data.json"]) == 0
     raw = (tmp_path / "data.json").read_bytes()
-    assert causal._canonical_dataset(raw) is not None
+    assert array_read(raw) is not None
     (tmp_path / "compact.json").write_text(json.dumps(json.loads(raw)))
     for name in ("data", "compact"):
         assert cli.main(["fit", "--in", f"{name}.json",
@@ -329,11 +455,11 @@ def test_small_blocks_read_the_same_dataset(monkeypatch, block, data,
     monkeypatch.setattr(causal, "_BLOCK_BYTES", block)
     raw = written(data)
     expected = general(raw)
-    fast = causal._canonical_dataset(raw)
+    fast = array_read(raw)
     assert (fast is not None) == canonical
     if canonical:
         assert_same(fast, expected)
-    assert_same(DiscreteDataset.from_bytes(raw), expected)
+    assert_same(from_bytes(raw), expected)
 
 
 @pytest.mark.parametrize("block", BLOCK_SIZES)
@@ -373,7 +499,7 @@ def blocks_read(monkeypatch, raw: bytes) -> dict:
         return numbers(text, dtype)
 
     monkeypatch.setattr(causal, "_numbers", counted)
-    assert causal._canonical_dataset(raw) is not None
+    assert array_read(raw) is not None
     monkeypatch.setattr(causal, "_numbers", numbers)
     return counts
 
@@ -409,11 +535,11 @@ def test_float_mutations_at_a_block_boundary_are_refused(
     assert len(FLOAT_ENDS) > 3
     assert (blocks_read(monkeypatch, COLUMN)[np.float64]
             == len(FLOAT_ENDS) + 1)
-    assert_same(causal._canonical_dataset(COLUMN), general(COLUMN))
+    assert_same(array_read(COLUMN), general(COLUMN))
     start, end = token_around(COLUMN, FLOAT_ENDS[boundary], side)
     raw = COLUMN[:start] + mutate(COLUMN[start:end]) + COLUMN[end:]
-    assert causal._canonical_dataset(raw) is None
-    assert (outcome(DiscreteDataset.from_bytes, raw)
+    assert array_read(raw) is None
+    assert (outcome(from_bytes, raw)
             == outcome(general, raw))
 
 
@@ -437,15 +563,15 @@ def test_code_mutations_at_a_block_boundary_are_refused(
     monkeypatch.setattr(causal, "_BLOCK_BYTES", ROW_BLOCK)
     assert len(ROW_ENDS) > 3
     assert blocks_read(monkeypatch, ROWS)[np.int64] == len(ROW_ENDS) + 1
-    assert_same(causal._canonical_dataset(ROWS), general(ROWS))
+    assert_same(array_read(ROWS), general(ROWS))
     # the last code of the row a block ends with, or the first code of
     # the row the next block starts with
     close = ROW_ENDS[boundary]
     at = (ROWS.rindex(old, 0, close) if side == "before"
           else ROWS.index(old, close))
     raw = ROWS[:at] + new + ROWS[at + len(old):]
-    assert causal._canonical_dataset(raw) is None
-    assert (outcome(DiscreteDataset.from_bytes, raw)
+    assert array_read(raw) is None
+    assert (outcome(from_bytes, raw)
             == outcome(general, raw))
 
 
@@ -458,6 +584,6 @@ def test_ragged_rows_across_a_block_boundary_are_refused(monkeypatch, row):
     doc["rows"][row].append(doc["rows"][row + 1].pop(0))
     raw = (json.dumps(doc, sort_keys=True, indent=1) + "\n").encode()
     assert len(raw) == len(ROWS)
-    assert causal._canonical_dataset(raw) is None
+    assert array_read(raw) is None
     with pytest.raises(SchemaError, match="equal-length lists"):
-        DiscreteDataset.from_bytes(raw)
+        from_bytes(raw)

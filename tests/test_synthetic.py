@@ -110,7 +110,7 @@ class TestGenerate:
         spec = builtin_scm_spec(name)
         data = generate(spec, n=n, seed=seed)
         codes, continuous = whole_matrix_generate(spec, n, seed)
-        assert data.codes.dtype == np.int64
+        assert data.codes.dtype == np.uint8
         assert data.codes.shape == codes.shape
         assert np.array_equal(data.codes, codes)
         assert list(data.continuous) == list(continuous)
