@@ -47,7 +47,7 @@ from typing import BinaryIO, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from . import ingest
+from . import __version__, ingest
 from .errors import (
     EmptyStratumError,
     IncompleteAssignmentError,
@@ -105,12 +105,16 @@ class DiscreteDataset:
     def column(self, variable: str) -> np.ndarray:
         """A variable's codes as int64, so arithmetic on them cannot
         overflow the narrow stored dtype."""
+        return self._stored(variable).astype(np.int64)
+
+    def _stored(self, variable: str) -> np.ndarray:
+        """A variable's codes in the stored dtype: a view, no copy."""
         try:
             j = self.variables.index(variable)
         except ValueError:
             raise MissingVariableError(
                 f"variable {variable!r} not in dataset") from None
-        return self.codes[:, j].astype(np.int64)
+        return self.codes[:, j]
 
     @classmethod
     def from_rows(cls, categories: Mapping[str, Sequence[str]],
@@ -173,9 +177,12 @@ class DiscreteDataset:
 
     @classmethod
     def from_file(cls, file: BinaryIO) -> "DiscreteDataset":
-        """Read a dataset file open for binary reading.
+        """Read a dataset file open for binary reading, from its text.
 
-        A file in the layout ``ingest.write_report`` gives ``to_document()``
+        This is how the CLI reads a dataset file without a matching
+        sidecar (``read_sidecar``): one written by hand or by another
+        tool, one whose sidecar is missing or stale, or a pipe.  A file
+        in the layout ``ingest.write_report`` gives ``to_document()``
         is read straight into arrays, a window of about ``_BLOCK_BYTES``
         at a time (``_canonical_dataset``).  Only any other text is read
         whole, by ``ingest.load_json`` and ``from_document``, with their
@@ -276,6 +283,18 @@ _NUMBER_PAIRS = b"".join(
 _LEADING_ZEROS = tuple(_pairs(*start, _ZERO, digit)
                        for start in ((_SEP,), (_SEP, _MINUS))
                        for digit in (_ZERO, _DIGIT))
+# Byte classes of a rows list: space, digit, bracket and separator (","
+# and newline).  _CODE_PAIRS holds the pairs of adjacent classes in which
+# a run of digits follows only a space and is followed only by a
+# separator.
+_C_SPACE, _C_DIGIT, _C_BRACKET, _C_SEP = range(4)
+_CODE_CLASSES = bytes.maketrans(
+    _DIGITS + b" [],\n",
+    bytes([_C_DIGIT] * 10 + [_C_SPACE] + [_C_BRACKET] * 2 + [_C_SEP] * 2))
+_CODE_PAIRS = b"".join(
+    _pairs(a, b) for a, b in itertools.product(range(4), repeat=2)
+    if (b != _C_DIGIT or a in (_C_SPACE, _C_DIGIT))
+    and (a != _C_DIGIT or b in (_C_DIGIT, _C_SEP)))
 
 
 class _Window:
@@ -395,13 +414,16 @@ def _canonical_codes(window: _Window, start: int, end: int,
 
     The list is read a block of whole rows (about ``_BLOCK_BYTES``) at a
     time.  Without its digits each block must be the skeleton of its rows
-    of k items, so each code is a run of digits, and it must close as
-    many rows as its skeleton does, so no digit lies inside a row close.
-    The runs must number k per row, and their digits must be exactly
-    those of the codes' decimal forms, so no code has a leading zero.  A
-    code past int64 saturates, has fewer digits than its text and is
-    refused too.  Each block's codes are range-checked before they are
-    narrowed, so none wraps; the blocks are joined at the end.
+    of k items, and it must close as many rows as its skeleton does, so
+    no digit lies inside a row close.  Every run of digits must sit in
+    an item slot, right after a space and right before ``,`` or a
+    newline: in the skeleton that is only after the third indent space
+    of an item, so no code is split (``"  1 1"``) or moved into the
+    indent.  The runs must number k per row, and their digits must be
+    exactly those of the codes' decimal forms, so no code has a leading
+    zero.  A code past int64 saturates, has fewer digits than its text
+    and is refused too.  Each block's codes are range-checked before
+    they are narrowed, so none wraps; the blocks are joined at the end.
     """
     k = len(sizes)
     dtype = code_dtype(sizes)
@@ -419,6 +441,10 @@ def _canonical_codes(window: _Window, start: int, end: int,
         rows, rest = divmod(len(skeleton) + 2, len(period))
         if (rest or not (period * rows).startswith(skeleton)
                 or block.count(b"\n  ]") != rows):
+            return None
+        # byte classes, a separator first, then one byte per adjacent pair
+        x = np.frombuffer((b"\n" + block).translate(_CODE_CLASSES), np.uint8)
+        if ((x[:-1] << 3) | x[1:]).tobytes().translate(None, _CODE_PAIRS):
             return None
         # the block's codes, one comma between each two
         values = _numbers(block.translate(None, b"[] \n"), np.int64)
@@ -544,6 +570,123 @@ def _canonical_column(window: _Window, start: int, end: int
     return np.concatenate(blocks)
 
 
+# --- array sidecars ----------------------------------------------------------
+#
+# A sidecar holds the arrays a dataset file's text reads back as, so the
+# text need not be parsed again.  It is a header, written by
+# ``ingest.write_report`` (so its last line, and only that one, is "}"),
+# then the raw bytes of the codes in C order and of each continuous
+# column in the header's order.  The header holds the format tag, the
+# package version, the text's length and SHA-256, the ``variables`` as
+# the text holds them, the row count, the codes' dtype and the column
+# names, and the byte order of codes and floats.  No pickle and no
+# timestamps: its bytes depend only on the dataset.
+
+SIDECAR_FORMAT = "asrcausal dataset arrays 1"
+_SIDECAR_ITEMS = 1 << 14  # floats read back and written at a time
+_FLOAT_DTYPE = np.dtype(np.float64).str  # a column's bytes, in this order
+
+
+def sidecar_pieces(data: DiscreteDataset, text_bytes: int,
+                   text_sha256: str) -> Iterator | None:
+    """The sidecar, in bytes-like pieces, of the dataset file
+    ``write_report`` writes for ``data.to_document()``, given that text's
+    length in bytes and its SHA-256 (hex).  None when the dataset has no
+    variables (its text reads back as no rows) or a continuous column
+    holds a value that is not finite: such a file is read from its
+    text.  Each column is written as
+    ``ingest.float_read_back`` gives it, a slice at a time, so no copy of
+    it is held."""
+    if not data.variables or not all(
+            np.isfinite(column).all() for column in data.continuous.values()):
+        return None
+    doc = data.to_document()
+    header = {"format": SIDECAR_FORMAT, "version": __version__,
+              "bytes": text_bytes, "sha256": text_sha256,
+              "variables": doc["variables"], "rows": len(data),
+              "codes": data.codes.dtype.str, "floats": _FLOAT_DTYPE,
+              "continuous": list(doc["continuous"])}
+
+    def pieces():
+        yield ingest.write_report(header).encode()
+        yield np.ascontiguousarray(data.codes).reshape(-1).view(np.uint8)
+        for column in doc["continuous"].values():
+            for i in range(0, len(column), _SIDECAR_ITEMS):
+                yield ingest.float_read_back(column[i:i + _SIDECAR_ITEMS])
+    return pieces()
+
+
+def read_sidecar(sidecar: BinaryIO, text: BinaryIO) -> DiscreteDataset | None:
+    """The dataset in ``sidecar`` when it is whole and was written by
+    this package version for the bytes ``text`` holds: their length, then
+    their SHA-256, computed a block at a time, must match.  Otherwise
+    None, and the text must be read (``DiscreteDataset.from_file``).
+
+    The arrays are read straight into their final buffers, and a
+    dataset the constructor rejects is None too.
+    """
+    header = _sidecar_header(sidecar)
+    try:
+        variables, categories = _variables_of(header["variables"])
+        rows, names = header["rows"], header["continuous"]
+        digest = header["sha256"]
+        dtype = code_dtype(len(c) for c in categories.values())
+        if not (header["format"] == SIDECAR_FORMAT
+                and header["version"] == __version__
+                and header["bytes"] == text.seek(0, io.SEEK_END)
+                and header["codes"] == dtype.str
+                and header["floats"] == _FLOAT_DTYPE
+                and variables and type(rows) is int and rows >= 0
+                and all(type(name) is str for name in names)
+                and names == sorted(set(names))):
+            return None
+    except (KeyError, TypeError, AttributeError):
+        return None
+    # the payload's size before any allocation, then the text's hash
+    at = sidecar.tell()
+    if (sidecar.seek(0, io.SEEK_END) - at
+            != rows * (len(variables) * dtype.itemsize + 8 * len(names))
+            or _sha256(text) != digest):
+        return None
+    sidecar.seek(at)
+    codes = np.empty((rows, len(variables)), dtype)
+    continuous = {name: np.empty(rows) for name in names}
+    for array in (codes, *continuous.values()):
+        if sidecar.readinto(array.reshape(-1).view(np.uint8)) != array.nbytes:
+            return None
+    try:
+        return DiscreteDataset(variables, categories, codes, continuous)
+    except SchemaError:
+        return None
+
+
+def _sidecar_header(file: BinaryIO):
+    """The JSON header at the start of a sidecar, or None."""
+    lines = []
+    while (line := file.readline()) != b"}\n":
+        if not line:
+            return None
+        lines.append(line)
+    try:
+        return json.loads(b"".join(lines) + b"}")
+    except (ValueError, RecursionError):
+        return None
+
+
+def _sha256(file: BinaryIO) -> str:
+    """The SHA-256 (hex) of a file's bytes, read a block at a time."""
+    # imported here: it loads OpenSSL, about 3.6 MB that a read from the
+    # text does not need
+    import hashlib
+
+    digest = hashlib.sha256()
+    block = bytearray(_BLOCK_BYTES)
+    file.seek(0)
+    while size := file.readinto(block):
+        digest.update(memoryview(block)[:size])
+    return digest.hexdigest()
+
+
 @dataclass
 class ConditionalTable:
     """P(node | parents) as one dense array.
@@ -616,8 +759,11 @@ def count_tensors(data: DiscreteDataset, variables: Sequence[str],
     order and sized by its category count, and for each outcome in
     ``outcomes`` (a continuous column, else a variable's ordinal codes)
     the moment tensor S of the same shape: the sum of that outcome over
-    each cell's rows, added in row order.  Raises StateExplosionError
-    past 10^7 cells.
+    each cell's rows, added in row order.  Every row of a cell has the
+    cell's code of a variable among ``variables``, so such an outcome's
+    S is N times that code along its axis: the same sums, exactly, as
+    they are of integers below 2**53.  Raises StateExplosionError past
+    10^7 cells.
     """
     shape = tuple(len(data.categories[v]) for v in variables)
     size = math.prod(shape)
@@ -627,11 +773,18 @@ def count_tensors(data: DiscreteDataset, variables: Sequence[str],
     flat = np.zeros(len(data), dtype=np.int64)
     for v, k in zip(variables, shape):
         flat *= k
-        flat += data.column(v)
+        flat += data._stored(v)  # widened as it is added: no int64 copy
     counts = np.bincount(flat, minlength=size).reshape(shape)
-    moments = {y: np.bincount(flat, weights=_outcome_vector(data, y),
-                              minlength=size).reshape(shape)
-               for y in outcomes}
+    moments = {}
+    for y in outcomes:
+        if y in variables and y not in data.continuous:
+            axis = list(variables).index(y)
+            code = np.arange(shape[axis], dtype=np.float64)
+            moments[y] = counts * code.reshape(
+                [-1 if i == axis else 1 for i in range(len(shape))])
+        else:
+            moments[y] = np.bincount(flat, weights=_outcome_vector(data, y),
+                                     minlength=size).reshape(shape)
     return counts, moments
 
 
@@ -848,7 +1001,7 @@ def _outcome_vector(data: DiscreteDataset, effect: str) -> np.ndarray:
     if effect in data.continuous:
         return data.continuous[effect]
     if effect in data.variables:
-        return data.column(effect).astype(np.float64)
+        return data._stored(effect).astype(np.float64)
     raise MissingVariableError(f"effect {effect!r} not in dataset")
 
 

@@ -10,6 +10,16 @@ newer than those files (override with ``--force``); outputs are written
 through a temporary file and renamed into place.  Every stage runs
 serially, in input order.
 
+A dataset file (``synth --out``, ``discretize --out``) gets a second
+hidden file next to it, its sidecar ``.<name>.arrays``, which its stamp
+lists: the codes and continuous columns as the text reads back, the
+variables, and the text's length and SHA-256 (``causal.sidecar_pieces``).
+``fit``, ``report``, ``ace`` and ``cmi`` load a dataset from its sidecar
+when that matches the text and this package version; a sidecar that is
+missing or does not match is ignored, and the text is read.  So deleting
+a sidecar is safe: it only makes the next read parse the text, and the
+next run of its stage write it again.
+
 Each subcommand imports the stage modules it runs, after its freshness
 check, so ``--help`` and up-to-date skips load no NumPy.  Stage functions
 are called as module attributes (``causal_mod.fit_cpts``), so wrappers
@@ -22,10 +32,11 @@ import argparse
 import json
 import math
 import os
+import stat
 import sys
 from contextlib import contextmanager
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Iterator, TextIO
+from typing import IO, TYPE_CHECKING, Iterable, Iterator, TextIO
 
 from . import __version__, ingest
 from .errors import (DuplicateIdError, IoError, SchemaError,
@@ -199,9 +210,10 @@ def parse_args(argv) -> argparse.Namespace:
     return parser.parse_args(argv)
 
 
-def _stamp_path(out: str) -> Path:
-    target = Path(out)
-    return target.with_name(f".{target.name}.stamp")
+def _hidden(path: str, suffix: str) -> Path:
+    """The hidden file ``.<name>.<suffix>`` next to ``path``."""
+    target = Path(path)
+    return target.with_name(f".{target.name}.{suffix}")
 
 
 def _config_key(config) -> dict:
@@ -219,7 +231,7 @@ def _is_fresh(config, inputs) -> bool:
     newer than the oldest of them.  Input contents are not hashed."""
     if config.force:
         return False
-    stamp = _stamp_path(config.out)
+    stamp = _hidden(config.out, "stamp")
     try:
         doc = json.loads(stamp.read_text())
         if (doc["version"] != __version__
@@ -250,26 +262,60 @@ def _read_text(path: str) -> str:
         raise IoError(f"cannot read {path}: {exc}") from None
 
 
-def _write_text(path: str, pieces: Iterable[str]) -> str:
-    """Write the str ``pieces``, one after another, to a temporary file
-    next to ``path`` and rename it over ``path``: the text is never held
-    whole, and an interrupted or failed write leaves the previous output
-    (or none), never a truncated one that looks fresh.  Returns
-    ``path``."""
+@contextmanager
+def _replacing(path: str, mode: str = "w") -> Iterator[IO]:
+    """A temporary file next to ``path``, open in ``mode``, renamed over
+    ``path`` when the block ends: an interrupted or failed write leaves
+    the previous output (or none), never a truncated one that looks
+    fresh."""
     target = Path(path)
     tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
     try:
         target.parent.mkdir(parents=True, exist_ok=True)
         try:
-            with open(tmp, "w") as fh:
-                fh.writelines(pieces)
+            with open(tmp, mode) as fh:
+                yield fh
             os.replace(tmp, target)
         except BaseException:
             tmp.unlink(missing_ok=True)
             raise
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from None
+
+
+def _write_text(path: str, pieces: Iterable[str]) -> str:
+    """Write the str ``pieces``, one after another, through
+    ``_replacing``, so the text is never held whole.  Returns ``path``."""
+    with _replacing(path) as fh:
+        fh.writelines(pieces)
     return path
+
+
+def _write_dataset(path: str, data: causal_mod.DiscreteDataset) -> list[str]:
+    """Write ``data``'s dataset file to ``path``, hashing its bytes as
+    they stream out, then its sidecar (``causal.sidecar_pieces``) next to
+    it.  Returns the files written, for the stamp.  A dataset that gets
+    no sidecar removes any old one; a failed sidecar write leaves the old
+    one, which no longer matches the text."""
+    import hashlib
+
+    from . import causal as causal_mod
+
+    digest, size = hashlib.sha256(), 0
+    with _replacing(path, "wb") as fh:
+        for piece in ingest.report_pieces(data.to_document()):
+            raw = piece.encode()
+            digest.update(raw)
+            size += len(raw)
+            fh.write(raw)
+    sidecar = _hidden(path, "arrays")
+    pieces = causal_mod.sidecar_pieces(data, size, digest.hexdigest())
+    if pieces is None:
+        sidecar.unlink(missing_ok=True)
+        return [path]
+    with _replacing(str(sidecar), "wb") as fh:
+        fh.writelines(pieces)
+    return [path, str(sidecar)]
 
 
 def _read_records(path: str):
@@ -298,11 +344,23 @@ def _load_graph(value: str) -> ingest.CausalGraph:
 
 
 def _load_dataset(path: str) -> causal_mod.DiscreteDataset:
+    """The dataset in ``path``: from its sidecar when ``path`` is a
+    regular file and the sidecar matches it (``causal.read_sidecar``),
+    else from its text, with the text's errors."""
     from . import causal as causal_mod
 
     try:
         with open(path, "rb") as fh:
-            return causal_mod.DiscreteDataset.from_file(fh)
+            data = None
+            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                try:
+                    with open(_hidden(path, "arrays"), "rb") as sidecar:
+                        data = causal_mod.read_sidecar(sidecar, fh)
+                except OSError:
+                    pass  # no sidecar, or one that cannot be read
+            if data is None:
+                data = causal_mod.DiscreteDataset.from_file(fh)
+            return data
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from None
 
@@ -325,9 +383,7 @@ def _cmd_synth(config) -> list[str]:
     from . import synthetic
 
     spec = _load_scm(config.spec, config.n, config.seed)
-    data = synthetic.generate(spec)
-    written = [_write_text(config.out,
-                           ingest.report_pieces(data.to_document()))]
+    written = _write_dataset(config.out, synthetic.generate(spec))
     if config.truths:
         written.append(_write_text(config.truths, ingest.report_pieces(
             {"edges": synthetic.true_edges(spec)})))
@@ -503,9 +559,8 @@ def _cmd_discretize(config) -> list[str]:
     categories = {node: graph_categories[node] for node in columns}
     rows = [{var: columns[var][i] for var in categories}
             for i in range(len(records))]
-    data = causal_mod.DiscreteDataset.from_rows(categories, rows, continuous)
-    written = [_write_text(config.out,
-                           ingest.report_pieces(data.to_document()))]
+    written = _write_dataset(config.out, causal_mod.DiscreteDataset.from_rows(
+        categories, rows, continuous))
     if config.schemes_out:
         written.append(_write_text(config.schemes_out,
                                    [discretize.write_schemes(schemes)]))
@@ -704,7 +759,7 @@ def _run_stage(config, command, inputs) -> int:
         print(f"{config.command}: {config.out} is fresh, skipping",
               file=sys.stderr)
         return 0
-    stamp = _stamp_path(config.out)
+    stamp = _hidden(config.out, "stamp")
     stamp.unlink(missing_ok=True)
     doc = {"version": __version__, "config": _config_key(config),
            "outputs": command(config)}

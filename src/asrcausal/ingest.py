@@ -502,9 +502,10 @@ _GROUP_ROWS = (17, 14, 10, 7, 4, 1)
 _SPLICE = "\1"  # stands for an item written one at a time
 
 
-def _float_array_body(values, sep: str) -> str:
-    """The items of a 1-D float array slice, ``sep``-joined, as
-    ``_items`` writes its ``tolist()``, whatever the items.
+def _fixed_point(x):
+    """``(k, fast)`` for a float64 array ``x``: ``k``, as float64, is
+    ``rint(|x| * 10**6)`` and ``fast`` marks the items whose text is the
+    digits of ``k`` (elsewhere ``k`` means nothing).
 
     ``0.0`` and ``-0.0`` are both ``k = 0``, written ``0.0`` as
     ``_quantize`` makes them.  For finite ``1e-4 <= |x| < 1e9``,
@@ -512,24 +513,54 @@ def _float_array_body(values, sep: str) -> str:
     being the exact ``|x| * 10**6`` rounded half to even.  ``d`` has at
     most 15 significant digits (``k <= 10**15``), and no two such
     decimals read back as one double, so ``repr`` writes ``d``, in fixed
-    notation in this band: the digits
-    of ``k``, the point six from the right, less leading integer and
-    trailing fraction zeros (keeping ``0.`` and ``.0``).  ``y = |x| *
-    1e6`` is off the exact product by at most half of ``spacing(y)``, so
-    where ``| |y - k| - 0.5 | > spacing(y)`` no ``.5`` boundary lies
-    between them and ``k = rint(y)``.  Every other item (a near-tie, out
-    of the band, NaN, ±inf) is written by ``_scalar(_quantize(x))`` and
-    spliced in by index.
+    notation in this band: the digits of ``k``, the point six from the
+    right, less leading integer and trailing fraction zeros (keeping
+    ``0.`` and ``.0``).  ``y = |x| * 1e6`` is off the exact product by
+    at most half of ``spacing(y)``, so where ``| |y - k| - 0.5 | >
+    spacing(y)`` no ``.5`` boundary lies between them and ``k =
+    rint(y)``.  The other items (a near-tie, out of the band, NaN, ±inf)
+    are written as ``_scalar(_quantize(x))``.
     """
     import numpy as np
 
-    x = values.astype(np.float64)  # exact, as tolist() widens
     a = np.abs(x)
     band = ((a >= _FIXED_LO) & (a < _FIXED_HI)) | (a == 0.0)
     a[~band] = 1.0  # keeps NaN and inf out of the arithmetic below
     y = a * 1e6
     k = np.rint(y)
-    fast = band & (np.abs(np.abs(y - k) - 0.5) > np.spacing(y))
+    return k, band & (np.abs(np.abs(y - k) - 0.5) > np.spacing(y))
+
+
+def float_read_back(values):
+    """The float64 array that reading the text ``_float_array_body``
+    writes for the finite 1-D float array ``values`` gives back: ``±k /
+    10**6`` where ``_fixed_point`` finds the item fast (``k / 1e6`` is
+    that double, as one IEEE division rounds correctly), else
+    ``_quantize(x)``, whose ``repr`` reads back as itself."""
+    import numpy as np
+
+    x = values.astype(np.float64)
+    k, fast = _fixed_point(x)
+    k /= 1e6
+    # x < 0, not the sign bit: -0.0 is written "0.0"
+    np.negative(k, out=k, where=x < 0.0)
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        k[slow] = [_quantize(v) for v in x[slow].tolist()]
+    return k
+
+
+def _float_array_body(values, sep: str) -> str:
+    """The items of a 1-D float array slice, ``sep``-joined, as
+    ``_items`` writes its ``tolist()``, whatever the items: a fast item
+    (``_fixed_point``) from the digits of its ``k``, formatted by NumPy,
+    and every other item by ``_scalar(_quantize(x))``, spliced in by
+    index.
+    """
+    import numpy as np
+
+    x = values.astype(np.float64)  # exact, as tolist() widens
+    k, fast = _fixed_point(x)
     k = k.astype(np.int64)
 
     sep_bytes = sep.encode()

@@ -196,7 +196,7 @@ def _check_draw(n: int, seed: int):
                                f"range of a Philox key")
 
 
-_BLOCK_ROWS = 1 << 14  # samples drawn and coded at a time
+_BLOCK_ROWS = 1 << 13  # samples drawn and coded at a time
 
 
 def generate(spec: ScmSpec, n: int | None = None, seed: int | None = None

@@ -532,6 +532,25 @@ class TestPipeline:
         raw = (workdir / "dataset.json").read_bytes()
         assert causal._canonical_dataset(io.BytesIO(raw)) is not None
 
+    def test_discretize_writes_a_matching_sidecar(self, workdir):
+        assert self.assemble(workdir) == 0
+        out = workdir / "dataset.json"
+        stamp = json.loads((workdir / ".dataset.json.stamp").read_text())
+        assert str(workdir / ".dataset.json.arrays") in stamp["outputs"]
+        with open(out, "rb") as text, \
+                open(workdir / ".dataset.json.arrays", "rb") as sidecar:
+            from_sidecar = causal.read_sidecar(sidecar, text)
+        with open(out, "rb") as text:
+            from_text = causal.DiscreteDataset.from_file(text)
+        assert from_sidecar.variables == from_text.variables
+        assert from_sidecar.categories == from_text.categories
+        assert from_sidecar.codes.dtype == from_text.codes.dtype
+        assert np.array_equal(from_sidecar.codes, from_text.codes)
+        assert list(from_sidecar.continuous) == list(from_text.continuous)
+        for name, column in from_text.continuous.items():
+            assert np.array_equal(from_sidecar.continuous[name].view(np.int64),
+                                  column.view(np.int64))
+
     def test_discretize_rejects_stale_scores(self, workdir, capsys):
         # a reference edited after `align` no longer matches its ref_len
         records = workdir / "records.jsonl"
@@ -1318,6 +1337,29 @@ class TestStamps:
         assert run_cli(*argv) == 0
         assert self.skipped(capsys)
 
+    def test_dataset_sidecar_is_a_stamped_output(self, tmp_path, capsys):
+        data = tmp_path / "d.json"
+        sidecar = tmp_path / ".d.json.arrays"
+        argv = ["synth", "--spec", "paper-shaped", "--n", "300", "--seed",
+                "4", "--out", str(data)]
+        assert run_cli(*argv) == 0
+        stamp = json.loads((tmp_path / ".d.json.stamp").read_text())
+        assert stamp["outputs"] == [str(data), str(sidecar)]
+        first, mtime = sidecar.read_bytes(), sidecar.stat().st_mtime_ns
+        # a re-run skips and leaves the sidecar as it was
+        assert run_cli(*argv) == 0
+        assert self.skipped(capsys)
+        assert sidecar.read_bytes() == first
+        assert sidecar.stat().st_mtime_ns == mtime
+        # a forced run writes the same bytes
+        assert run_cli(*argv, "--force") == 0
+        assert sidecar.read_bytes() == first
+        # deleting the sidecar makes the stage run again
+        sidecar.unlink()
+        assert run_cli(*argv) == 0
+        assert not self.skipped(capsys)
+        assert sidecar.read_bytes() == first
+
     def test_failed_stage_leaves_no_stamp(self, tmp_path, capsys):
         bad = {"id": "u-bad", "speaker_id": "s", "reference": "?!",
                "hypotheses": {"m": "a"}}
@@ -1374,6 +1416,40 @@ class TestAtomicWrite:
         assert not [name for name in after if name.endswith(".tmp")]
         assert after["t.json"] == before["t.json"]
         assert after["d.json"] == before["d.json"]
+        assert after[".d.json.arrays"] == before[".d.json.arrays"]
+
+    @pytest.mark.parametrize("failure", ["seed out of range",
+                                         "sidecar write fails"])
+    def test_failed_synth_leaves_no_temporary_sidecar(
+            self, tmp_path, monkeypatch, capsys, failure):
+        argv = ["synth", "--spec", "paper-shaped", "--n", "300", "--seed",
+                "2", "--out", str(tmp_path / "d.json")]
+        assert run_cli(*argv) == 0
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()
+                  if p.suffix != ".stamp"}
+        if failure == "seed out of range":
+            argv[-3] = "-1"
+        else:
+            pieces = causal.sidecar_pieces
+
+            def failing(*args):
+                yield next(pieces(*args))
+                raise OSError(28, "No space left on device")
+
+            monkeypatch.setattr(causal, "sidecar_pieces", failing)
+        assert run_cli(*argv, "--force") == 1
+        diagnostic = json.loads(capsys.readouterr().err.strip())
+        assert diagnostic["error"] == ("E_INVALID_SPEC" if failure.startswith(
+            "seed") else "E_IO")
+        after = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        assert not [name for name in after if name.endswith(".tmp")]
+        assert ".d.json.stamp" not in after
+        assert {k: v for k, v in after.items() if k in before} == before
+        # the sidecar left in place still matches the text
+        monkeypatch.undo()
+        with open(tmp_path / "d.json", "rb") as text, \
+                open(tmp_path / ".d.json.arrays", "rb") as sidecar:
+            assert causal.read_sidecar(sidecar, text) is not None
 
     def test_streamed_dataset_peaks_below_half_its_size(self, tmp_path):
         from asrcausal import synthetic

@@ -5,12 +5,20 @@ read straight into arrays by ``causal._canonical_dataset`` (the array
 reader); any other text by ``json`` and ``from_document`` (the general
 reader).  Both must give equal datasets, and the array reader must
 refuse (return None for) every text it cannot prove canonical.
+
+A dataset file the CLI writes has a sidecar (``causal.read_sidecar``),
+which must give exactly what the text gives, and which the CLI's loader
+must ignore unless it matches the text.
 """
 
 import io
 import json
+import math
 import os
 import random
+import tempfile
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -189,6 +197,9 @@ MUTATIONS = {
     "leading-zero last code": replaced("\n   10\n", "\n   010\n"),
     "double zero code": replaced("\n   0\n", "\n   00\n"),
     "digit inside a row close": replaced("\n   10\n  ]", "\n   1\n 0 ]"),
+    # json refuses it; the digits alone make the skeleton and the code 11
+    "code split by a space": replaced("\n   11,", "\n  1 1,"),
+    "code in the indent": replaced("\n   11,", "\n 11  ,"),
     "-1 as a code": replaced("\n   0\n", "\n   -1\n"),
     "code past int64": replaced("\n   3,", "\n   99999999999999999999,"),
     "empty code": replaced("\n   3,", "\n   ,"),
@@ -557,7 +568,8 @@ ROW_ENDS = block_ends(ROWS, ROW_BLOCK, b"\n  ],\n", b'"rows": [\n',
     (b"\n   ", b"\n   99999999999999999999"),
     (b"\n   ", b"\n   -"),
     (b",\n   ", b"\n   "),
-], ids=["leading zero", "past int64", "minus", "no comma"])
+    (b"\n   ", b"\n  1 "),
+], ids=["leading zero", "past int64", "minus", "no comma", "split code"])
 def test_code_mutations_at_a_block_boundary_are_refused(
         monkeypatch, boundary, side, old, new):
     monkeypatch.setattr(causal, "_BLOCK_BYTES", ROW_BLOCK)
@@ -587,3 +599,216 @@ def test_ragged_rows_across_a_block_boundary_are_refused(monkeypatch, row):
     assert array_read(raw) is None
     with pytest.raises(SchemaError, match="equal-length lists"):
         from_bytes(raw)
+
+
+# --- sidecars ---------------------------------------------------------------
+
+
+def with_sidecar(directory, data: DiscreteDataset) -> Path:
+    """``data`` written as the CLI writes a dataset: its text, then its
+    sidecar."""
+    path = Path(directory) / "data.json"
+    cli._write_dataset(str(path), data)
+    return path
+
+
+def sidecar_of(path) -> Path:
+    return cli._hidden(str(path), "arrays")
+
+
+def sidecar_read(path) -> DiscreteDataset | None:
+    """The sidecar reader alone."""
+    with open(path, "rb") as text, open(sidecar_of(path), "rb") as sidecar:
+        return causal.read_sidecar(sidecar, text)
+
+
+def loaded(path) -> DiscreteDataset:
+    """As ``fit`` and ``report`` load ``path``."""
+    return cli._load_dataset(str(path))
+
+
+@pytest.mark.parametrize("data, canonical", EQUIVALENT.values(),
+                         ids=EQUIVALENT)
+def test_sidecar_gives_what_the_text_gives(tmp_path, data, canonical):
+    path = with_sidecar(tmp_path, data)
+    assert path.read_bytes() == written(data)
+    # only a column holding Infinity keeps a dataset from its sidecar
+    assert sidecar_of(path).exists() == canonical
+    expected = from_path(path)
+    if canonical:
+        assert_same(sidecar_read(path), expected)
+    assert_same(loaded(path), expected)
+
+
+def test_a_dataset_without_a_sidecar_removes_the_old_one(tmp_path):
+    path = with_sidecar(tmp_path, dataset(30))
+    assert sidecar_of(path).exists()
+    assert with_sidecar(tmp_path, dataset(30, values=with_infinity)) == path
+    assert not sidecar_of(path).exists()
+    assert_same(loaded(path), from_path(path))
+
+
+NEAR_TIES = st.integers(-10 ** 15, 10 ** 15).map(lambda k: (k + 0.5) / 1e6)
+SIDECAR_FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    NEAR_TIES,
+    NEAR_TIES.map(lambda x: math.nextafter(x, math.inf)),
+    st.sampled_from([0.0, -0.0, 1e-4, -1e-4, math.nextafter(1e-4, 0.0),
+                     1e9, -1e9, math.nextafter(1e9, 0.0), 5e-7, -5e-7]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([1, 2, 3, 12, 300]), st.integers(1, 4),
+       st.lists(SIDECAR_FLOATS, min_size=0, max_size=40),
+       st.integers(0, 2 ** 32 - 1))
+def test_sidecar_matches_the_text_on_any_finite_floats(levels, k, floats,
+                                                       seed):
+    data = dataset(len(floats), k=k, levels=levels, columns=("Y", "Z"),
+                   values=lambda rng, n: np.array(floats, dtype=np.float64),
+                   seed=seed)
+    with tempfile.TemporaryDirectory() as directory:
+        path = with_sidecar(directory, data)
+        got = sidecar_read(path)
+        assert got is not None
+        assert_same(got, from_path(path))
+
+
+def test_synth_output_loads_from_its_sidecar(tmp_path, monkeypatch):
+    path = tmp_path / "data.json"
+    assert cli.main(["synth", "--spec", "paper-shaped", "--n", "3000",
+                     "--seed", "7", "--out", str(path)]) == 0
+    expected = from_path(path)
+
+    def text_read(file):
+        raise AssertionError("read the text")
+
+    monkeypatch.setattr(DiscreteDataset, "from_file", text_read)
+    assert_same(sidecar_read(path), expected)
+    assert_same(loaded(path), expected)
+
+
+def edited_header(**changes):
+    """A sidecar edit: its header with ``changes`` (None drops a key)."""
+    def edit(raw: bytes) -> bytes:
+        end = raw.index(b"\n}\n") + 3
+        header = json.loads(raw[:end])
+        for key, value in changes.items():
+            if value is None:
+                header.pop(key)
+            else:
+                header[key] = value(header[key]) if callable(value) else value
+        return ingest.write_report(header).encode() + raw[end:]
+    return edit
+
+
+def code_byte(raw: bytes) -> bytes:
+    """The sidecar with its first code set to 255, out of range."""
+    at = raw.index(b"\n}\n") + 3
+    return raw[:at] + b"\xff" + raw[at + 1:]
+
+
+SIDECAR_EDITS = {
+    "empty": lambda raw: b"",
+    "truncated in the header": lambda raw: raw[:40],
+    "header only": lambda raw: raw[:raw.index(b"\n}\n") + 3],
+    "truncated by a byte": lambda raw: raw[:-1],
+    "a byte more": lambda raw: raw + b"\0",
+    "garbage": lambda raw: bytes(random.Random(3).randbytes(len(raw))),
+    "garbage lines": lambda raw: b"x\n" * 100,
+    "no header line": lambda raw: b"\n}\n" + raw,
+    "header not an object": lambda raw: b"[]\n}\n",
+    "header nested too deeply": lambda raw: b"[" * 100_000 + b"\n}\n",
+    "header not UTF-8": lambda raw: b"\xff\xfe\n}\n",
+    "another version": edited_header(version="0.0.0"),
+    "another format": edited_header(format="asrcausal dataset arrays 0"),
+    "another text length": edited_header(bytes=lambda n: n + 1),
+    "another text hash": edited_header(sha256="0" * 64),
+    "a row more": edited_header(rows=lambda n: n + 1),
+    "negative rows": edited_header(rows=-1),
+    "rows a float": edited_header(rows=lambda n: n + 0.0),
+    "int64 codes": edited_header(codes="<i8"),
+    "float codes": edited_header(codes="<f8"),
+    "big-endian floats": edited_header(floats=">f8"),
+    "unsorted columns": edited_header(continuous=["Y", "A"]),
+    "a column less": edited_header(continuous=["A"]),
+    "variables not a list": edited_header(variables=7),
+    "no variables and no payload": lambda raw: edited_header(
+        variables=[], continuous=[])(raw[:raw.index(b"\n}\n") + 3]),
+    "no variables key": edited_header(variables=None),
+    "no sha256 key": edited_header(sha256=None),
+    "code out of range": code_byte,
+}
+
+
+@pytest.mark.parametrize("edit", SIDECAR_EDITS.values(), ids=SIDECAR_EDITS)
+def test_a_broken_sidecar_gives_the_text(tmp_path, edit):
+    data = dataset(50, levels=12, columns=("A", "Y"), seed=8)
+    path = with_sidecar(tmp_path, data)
+    sidecar = sidecar_of(path)
+    sidecar.write_bytes(edit(sidecar.read_bytes()))
+    assert sidecar_read(path) is None
+    assert_same(loaded(path), from_path(path))
+
+
+def one_code_changed(raw: bytes) -> bytes:
+    """The text with its first code changed and its length kept."""
+    at = raw.index(b'"rows": [\n  [\n   ') + 17
+    return raw[:at] + (b"1" if raw[at:at + 1] == b"0" else b"0") + raw[at + 1:]
+
+
+TEXT_EDITS = {
+    "a code changed, same length": one_code_changed,
+    "a code out of range, same length": lambda raw: raw.replace(
+        b"\n   2,", b"\n   9,", 1),
+    "not JSON, same length": lambda raw: raw.replace(b"[", b"(", 1),
+    "compact JSON": lambda raw: json.dumps(json.loads(raw)).encode(),
+    "truncated": lambda raw: raw[:-10],
+    "empty": lambda raw: b"",
+}
+
+
+@pytest.mark.parametrize("edit", TEXT_EDITS.values(), ids=TEXT_EDITS)
+def test_a_text_edited_after_writing_is_read_as_text(tmp_path, edit):
+    data = dataset(50, levels=3, columns=("Y",), seed=9)
+    path = with_sidecar(tmp_path, data)
+    raw = edit(path.read_bytes())
+    path.write_bytes(raw)
+    assert sidecar_read(path) is None
+    got, expected = outcome(loaded, path), outcome(from_bytes, raw)
+    if isinstance(expected, DiscreteDataset):
+        assert_same(got, expected)
+    else:
+        assert got == expected
+
+
+def test_a_sidecar_from_another_version_is_ignored(tmp_path, monkeypatch):
+    path = with_sidecar(tmp_path, dataset(30))
+    assert sidecar_read(path) is not None
+    monkeypatch.setattr(causal, "__version__", causal.__version__ + ".1")
+    assert sidecar_read(path) is None
+
+
+def test_a_pipe_is_read_as_text(tmp_path, monkeypatch):
+    # a FIFO with a sidecar that matches the bytes sent through it: the
+    # loader reads a pipe from its text, never from a sidecar
+    written_path = with_sidecar(tmp_path, dataset(30))
+    raw = written_path.read_bytes()
+    fifo = tmp_path / "fifo.json"
+    os.mkfifo(fifo)
+    sidecar_of(fifo).write_bytes(sidecar_of(written_path).read_bytes())
+    calls = []
+    monkeypatch.setattr(causal, "read_sidecar",
+                        lambda *args: calls.append(args))
+
+    def send():
+        with open(fifo, "wb") as out:
+            out.write(raw)
+
+    sender = threading.Thread(target=send)
+    sender.start()
+    try:
+        got = loaded(fifo)
+    finally:
+        sender.join()
+    assert not calls
+    assert_same(got, from_bytes(raw))

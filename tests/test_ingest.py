@@ -404,6 +404,39 @@ class TestBulkListEncoding:
             assert ingest.write_report(report) == reference_report(report)
 
 
+class TestFloatReadBack:
+    """``float_read_back`` gives, bit for bit, the floats that the text
+    the encoder writes for a float array reads back as."""
+
+    @staticmethod
+    def check(array):
+        got = ingest.float_read_back(array)
+        expected = np.array(json.loads(ingest.write_report(array)),
+                            dtype=np.float64)
+        assert got.dtype == np.float64
+        # bit for bit, so -0.0 and 0.0 differ
+        assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(_BAND_EDGE_FLOATS, min_size=1, max_size=30))
+    def test_reads_back_as_the_text(self, values):
+        self.check(np.array(values, dtype=np.float64))
+
+    @pytest.mark.parametrize("values", [
+        [0.0, -0.0, 1e-4, -1e-4, math.nextafter(1e-4, 0.0), 1e9, -1e9,
+         math.nextafter(1e9, 0.0), 5e-7, -5e-7, 2.5e-6, 0.5, -1.25],
+        np.float32([0.1, -3.3, 1e-5, 7e8]),
+    ], ids=["band edges", "float32"])
+    def test_edge_cases(self, values):
+        self.check(np.asarray(values))
+
+    def test_long_array(self):
+        rng = np.random.default_rng(21)
+        n = 3 * ingest._CHUNK + 5
+        self.check(10.0 ** rng.uniform(-12, 12, n)
+                   * rng.choice([-1.0, 1.0], n))
+
+
 def streamed(report) -> str:
     return "".join(ingest.report_pieces(report))
 

@@ -102,8 +102,11 @@ class TestGenerate:
         data = generate(chain_spec(n=0))
         assert len(data) == 0
 
+    # Row counts on either side of the first and second block boundaries,
+    # plus ragged tails after three and six whole blocks.
     @pytest.mark.parametrize("n", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1,
-                                   3 * BLOCK + 7])
+                                   2 * BLOCK - 1, 2 * BLOCK, 2 * BLOCK + 1,
+                                   3 * BLOCK + 7, 6 * BLOCK + 7])
     @pytest.mark.parametrize("seed", [1, 7, 1001])
     @pytest.mark.parametrize("name", ["paper-shaped", "copy-chain"])
     def test_blocks_equal_the_whole_matrix_sampler(self, name, seed, n):
