@@ -184,11 +184,13 @@ class DiscreteDataset:
         tool, one whose sidecar is missing or stale, or a pipe.  A file
         in the layout ``ingest.write_report`` gives ``to_document()``
         is read straight into arrays, a window of about ``_BLOCK_BYTES``
-        at a time (``_canonical_dataset``).  Only any other text is read
-        whole, by ``ingest.load_json`` and ``from_document``, with their
-        errors; bytes that are not UTF-8 are SchemaError.  Both give
-        equal datasets for the same document.  A pipe, which cannot be
-        read through a window, is read whole first.
+        at a time, and kept only when the writer gives its number
+        sections' bytes back (``_canonical_dataset``).  Only any other
+        text is read whole, by ``ingest.load_json`` and
+        ``from_document``, with their errors; bytes that are not UTF-8
+        are SchemaError.  Both give equal datasets for the same
+        document.  A pipe, which cannot be read through a window, is
+        read whole first.
         """
         if not file.seekable():
             file = io.BytesIO(file.read())
@@ -244,57 +246,18 @@ def _typed_array(values, kinds: str, message: str) -> np.ndarray:
 #
 # (an empty list or object as "[]" or "{}").  ``_canonical_dataset``
 # reads that layout through a ``_Window`` on the file, a block of each
-# number section at a time, with one ``np.fromstring`` per block, and
-# hands everything else to the general reader.
+# number section at a time, with one ``np.fromstring`` per block.  The
+# numbers it reads are kept only when the writer's own formatter,
+# ``ingest.array_text``, gives back their bytes exactly (``_section``);
+# any other text goes to the general reader.
 
 _HEAD = b'{\n "continuous": '
 _ROWS_KEY = b',\n "rows": '
 _VARIABLES_KEY = b',\n "variables": '
 _TAIL = b"\n}\n"
-_DIGITS = b"0123456789"
-_NUMBER_CHARS = _DIGITS + b".eE+-"
 _NUMBER_SEP = b",\n   "  # between two numbers of a continuous column
 _BLOCK_BYTES = 1 << 18  # bytes of a number section read at a time
 _FIRST_SCAN = 1 << 10  # bytes a search reads first (at most a block)
-# Byte classes of a continuous column: 0, 1-9, ".", exponent, "+", "-"
-# and separator (",", newline, space).  A pair of adjacent classes (a, b)
-# is the byte a << 3 | b: _NUMBER_PAIRS holds the pairs JSON numbers
-# allow, and _LEADING_ZEROS the runs of pairs of an integer part that
-# starts with 0 and goes on with a digit.
-_ZERO, _DIGIT, _DOT, _EXP, _PLUS, _MINUS, _SEP = range(7)
-_CLASSES = bytes.maketrans(_NUMBER_CHARS + b",\n ",
-                           bytes([_ZERO] + [_DIGIT] * 9
-                                 + [_DOT, _EXP, _EXP, _PLUS, _MINUS]
-                                 + [_SEP] * 3))
-
-
-def _pairs(*classes: int) -> bytes:
-    """One byte per adjacent pair in a run of classes."""
-    return bytes(a << 3 | b for a, b in zip(classes, classes[1:]))
-
-
-_NUMBER_PAIRS = b"".join(
-    _pairs(a, b) for a, b in itertools.chain(
-        itertools.product((_ZERO, _DIGIT),
-                          (_ZERO, _DIGIT, _DOT, _EXP, _SEP)),
-        itertools.product((_DOT, _PLUS, _MINUS), (_ZERO, _DIGIT)),
-        itertools.product((_EXP,), (_ZERO, _DIGIT, _PLUS, _MINUS)),
-        itertools.product((_SEP,), (_ZERO, _DIGIT, _MINUS, _SEP))))
-_LEADING_ZEROS = tuple(_pairs(*start, _ZERO, digit)
-                       for start in ((_SEP,), (_SEP, _MINUS))
-                       for digit in (_ZERO, _DIGIT))
-# Byte classes of a rows list: space, digit, bracket and separator (","
-# and newline).  _CODE_PAIRS holds the pairs of adjacent classes in which
-# a run of digits follows only a space and is followed only by a
-# separator.
-_C_SPACE, _C_DIGIT, _C_BRACKET, _C_SEP = range(4)
-_CODE_CLASSES = bytes.maketrans(
-    _DIGITS + b" [],\n",
-    bytes([_C_DIGIT] * 10 + [_C_SPACE] + [_C_BRACKET] * 2 + [_C_SEP] * 2))
-_CODE_PAIRS = b"".join(
-    _pairs(a, b) for a, b in itertools.product(range(4), repeat=2)
-    if (b != _C_DIGIT or a in (_C_SPACE, _C_DIGIT))
-    and (a != _C_DIGIT or b in (_C_DIGIT, _C_SEP)))
 
 
 class _Window:
@@ -358,12 +321,13 @@ def _canonical_dataset(file: BinaryIO) -> DiscreteDataset | None:
     """The dataset in ``file`` when it is in the layout above, else None.
 
     A dataset is returned only when ``from_document(json.loads(text))``
-    returns an equal one: every number section must be proven canonical
-    (``_canonical_codes``, ``_canonical_column``), the ``variables`` go
-    through ``json`` and ``_variables_of``, and a dataset the constructor
-    rejects is None too, so the general reader raises its error.  The
-    file is read through a ``_Window``: a number section a block at a
-    time, the ``variables`` in one read at its end.
+    returns an equal one: every number section is kept only when the
+    writer gives its bytes back (``_section``), the ``variables`` go
+    through ``json`` and ``_variables_of``, and ``variables`` that
+    ``json`` cannot read (nested too deeply included) or a dataset the
+    constructor rejects is None too, so the general reader raises its
+    error.  The file is read through a ``_Window``: a number section a
+    block at a time, the ``variables`` in one read at its end.
     """
     window = _Window(file)
     if not (window.startswith(_HEAD, 0)
@@ -376,7 +340,7 @@ def _canonical_dataset(file: BinaryIO) -> DiscreteDataset | None:
         variables, categories = _variables_of(json.loads(window.read(
             variables_at + len(_VARIABLES_KEY),
             window.size - len(_TAIL)).decode()))
-    except (ValueError, KeyError, TypeError, AttributeError):
+    except (ValueError, KeyError, TypeError, AttributeError, RecursionError):
         return None
     found = _canonical_continuous(window, len(_HEAD))
     if found is None:
@@ -413,17 +377,8 @@ def _canonical_codes(window: _Window, start: int, end: int,
     ``code_dtype(sizes)``; else None.
 
     The list is read a block of whole rows (about ``_BLOCK_BYTES``) at a
-    time.  Without its digits each block must be the skeleton of its rows
-    of k items, and it must close as many rows as its skeleton does, so
-    no digit lies inside a row close.  Every run of digits must sit in
-    an item slot, right after a space and right before ``,`` or a
-    newline: in the skeleton that is only after the third indent space
-    of an item, so no code is split (``"  1 1"``) or moved into the
-    indent.  The runs must number k per row, and their digits must be
-    exactly those of the codes' decimal forms, so no code has a leading
-    zero.  A code past int64 saturates, has fewer digits than its text
-    and is refused too.  Each block's codes are range-checked before
-    they are narrowed, so none wraps; the blocks are joined at the end.
+    time (``_section``).  A block's codes must fill whole rows of k, and
+    they are range-checked before they are narrowed, so none wraps.
     """
     k = len(sizes)
     dtype = code_dtype(sizes)
@@ -432,30 +387,19 @@ def _canonical_codes(window: _Window, start: int, end: int,
     if not (k and window.startswith(b"[\n", start)
             and window.startswith(b"\n ]", end - 3)):
         return None
-    # "[\n", the rows joined by ",\n", then "\n ]"
-    period = b"  [\n" + b"   ,\n" * (k - 1) + b"   \n  ],\n"
     limits = np.array(sizes)
-    blocks = []
-    for block in _blocks(window, start + 2, end - 3, b"\n  ],\n", 4):
-        skeleton = block.translate(None, _DIGITS)
-        rows, rest = divmod(len(skeleton) + 2, len(period))
-        if (rest or not (period * rows).startswith(skeleton)
-                or block.count(b"\n  ]") != rows):
-            return None
-        # byte classes, a separator first, then one byte per adjacent pair
-        x = np.frombuffer((b"\n" + block).translate(_CODE_CLASSES), np.uint8)
-        if ((x[:-1] << 3) | x[1:]).tobytes().translate(None, _CODE_PAIRS):
-            return None
-        # the block's codes, one comma between each two
+
+    def rows(block: bytes) -> np.ndarray | None:
         values = _numbers(block.translate(None, b"[] \n"), np.int64)
-        if (values is None or values.size != rows * k
-                or len(block) - len(skeleton) != _decimal_digits(values)):
+        if values is None or values.size % k:
             return None
-        values = values.reshape(rows, k)
-        if (values >= limits).any():
+        values = values.reshape(-1, k)
+        if ((values < 0) | (values >= limits)).any():
             return None  # the constructor names the variable
-        blocks.append(values.astype(dtype))
-    return np.concatenate(blocks)
+        return values.astype(dtype)
+
+    # "[\n", the rows joined by ",\n", then "\n ]"
+    return _section(window, start + 2, end - 3, b"\n  ],\n", 4, "\n  ", rows)
 
 
 def _blocks(window: _Window, start: int, end: int, mark: bytes, keep: int
@@ -468,18 +412,6 @@ def _blocks(window: _Window, start: int, end: int, mark: bytes, keep: int
         yield window.read(start, found + keep)
         start = found + len(mark)
     yield window.read(start, end)
-
-
-def _decimal_digits(values: np.ndarray) -> int:
-    """The number of digits in the decimal forms of non-negative
-    ``values``."""
-    digits = values.size
-    if digits:
-        top, power = int(values.max()), 10
-        while power <= top:
-            digits += int(np.count_nonzero(values >= power))
-            power *= 10
-    return digits
 
 
 def _canonical_continuous(window: _Window, at: int
@@ -499,8 +431,8 @@ def _canonical_continuous(window: _Window, at: int
         line = window.read(at, line_end)
         if line.endswith(b": [") and window.startswith(b"\n   ", line_end):
             close = window.find(b"\n  ]", line_end)
-            values = (None if close < 0 else
-                      _canonical_column(window, line_end + 4, close))
+            values = (None if close < 0 else _section(
+                window, line_end + 4, close, _NUMBER_SEP, 0, "\n   ", _finite))
             after = close + 4
         elif line.endswith((b": []", b": [],")):
             values = np.zeros(0)
@@ -524,50 +456,45 @@ def _canonical_continuous(window: _Window, at: int
         at = after + 2
 
 
-def _canonical_column(window: _Window, start: int, end: int
-                      ) -> np.ndarray | None:
-    """The floats of a canonical continuous column's items (the text
-    ``[start, end)`` between ``[\\n   `` and ``\\n  ]``), else None.
+def _finite(block: bytes) -> np.ndarray | None:
+    """A block's floats, or None.  A float that is not finite is refused:
+    ``np.fromstring`` reads ``Infinity``, which only ``json`` takes."""
+    values = _numbers(block, np.float64)
+    return values if values is not None and np.isfinite(values).all() else None
 
-    The items must be tokens joined by ``",\\n   "``, each a JSON number
-    with a fraction or an exponent, which ``json`` reads as
-    ``float(token)``, as ``np.fromstring`` does.  They are read a block
-    of whole tokens (about ``_BLOCK_BYTES``) at a time, and the blocks
-    joined at the end.  In each block:
 
-    * without its number characters the text is the separators, and
-      every separator is whole, with no number character inside it;
-    * without digits, no token is "" or "-" (an integer);
-    * every adjacent pair of bytes, each read as its class in
-      ``_CLASSES`` and every token between separators, is one that JSON
-      numbers allow (``_NUMBER_PAIRS``), and no integer part has a
-      leading zero (``_LEADING_ZEROS``);
-    * ``np.fromstring`` reads each token to its end, so no token holds
-      a second fraction or exponent.
+def _section(window: _Window, start: int, end: int, mark: bytes, keep: int,
+             ind: str, parse) -> np.ndarray | None:
+    """The items of the number section ``[start, end)`` of a list whose
+    items are indented by ``ind``, read in the blocks ``_blocks(...,
+    mark, keep)`` gives, each made an array by ``parse``; else None.
+
+    They are kept only when the writer gives their bytes back: each run
+    of whole blocks holding at least ``ingest._CHUNK`` items, and the
+    last run, joined by the bytes cut between blocks, must be exactly
+    ``ingest.array_text`` of its items after the rest of the separator
+    ``"," + ind``.  One writer call per run, not per block, so a small
+    block costs no call of its own.
     """
-    blocks = []
-    for items in _blocks(window, start, end, _NUMBER_SEP, 0):
-        separators = items.translate(None, _NUMBER_CHARS)
-        n = len(separators) // len(_NUMBER_SEP) + 1
-        if (separators != _NUMBER_SEP * (n - 1)
-                or items.count(_NUMBER_SEP) != n - 1):
-            return None
-        shapes = b"," + items.translate(None, _DIGITS + b"\n ") + b","
-        if b",," in shapes or b",-," in shapes:
-            return None
-        # byte classes, every token between separators, then one byte per
-        # adjacent pair of classes
-        x = np.frombuffer((b"   " + items + b",").translate(_CLASSES),
-                          np.uint8)
-        pairs = ((x[:-1] << 3) | x[1:]).tobytes()
-        if (pairs.translate(None, _NUMBER_PAIRS)
-                or any(zero in pairs for zero in _LEADING_ZEROS)):
-            return None
-        values = _numbers(items, np.float64)
-        if values is None or values.size != n:
-            return None
-        blocks.append(values)
-    return np.concatenate(blocks)
+    cut = mark[keep:]
+    lead = ("," + ind).encode()[len(cut):]
+    arrays, run, items = [], [], 0
+    # the None after the last block closes the last run
+    for block in itertools.chain(_blocks(window, start, end, mark, keep),
+                                 [None]):
+        if block is not None:
+            values = parse(block)
+            if values is None or not len(values):
+                return None
+            arrays.append(values)
+            run.append(block)
+            items += len(values)
+        if run and (block is None or items >= ingest._CHUNK):
+            text = ingest.array_text(np.concatenate(arrays[-len(run):]), ind)
+            if cut.join(run) != lead + text:
+                return None
+            run, items = [], 0
+    return np.concatenate(arrays)
 
 
 # --- array sidecars ----------------------------------------------------------
@@ -576,15 +503,17 @@ def _canonical_column(window: _Window, start: int, end: int
 # text need not be parsed again.  It is a header, written by
 # ``ingest.write_report`` (so its last line, and only that one, is "}"),
 # then the raw bytes of the codes in C order and of each continuous
-# column in the header's order.  The header holds the format tag, the
-# package version, the text's length and SHA-256, the ``variables`` as
-# the text holds them, the row count, the codes' dtype and the column
-# names, and the byte order of codes and floats.  No pickle and no
-# timestamps: its bytes depend only on the dataset.
+# column in the header's order, then a trailer line: the SHA-256 (hex) of
+# every byte before it.  The header holds the format tag, the package
+# version, the text's length and SHA-256, the ``variables`` as the text
+# holds them, the row count, the codes' dtype and the column names, and
+# the byte order of codes and floats.  No pickle and no timestamps: its
+# bytes depend only on the dataset.
 
-SIDECAR_FORMAT = "asrcausal dataset arrays 1"
+SIDECAR_FORMAT = "asrcausal dataset arrays 2"
 _SIDECAR_ITEMS = 1 << 14  # floats read back and written at a time
 _FLOAT_DTYPE = np.dtype(np.float64).str  # a column's bytes, in this order
+_TRAILER_BYTES = 65  # a SHA-256 in hex, then a newline
 
 
 def sidecar_pieces(data: DiscreteDataset, text_bytes: int,
@@ -595,8 +524,9 @@ def sidecar_pieces(data: DiscreteDataset, text_bytes: int,
     variables (its text reads back as no rows) or a continuous column
     holds a value that is not finite: such a file is read from its
     text.  Each column is written as
-    ``ingest.float_read_back`` gives it, a slice at a time, so no copy of
-    it is held."""
+    ``ingest.float_read_back`` gives it, a slice at a time, and each
+    piece is hashed for the trailer as it goes out, so no copy of it is
+    held."""
     if not data.variables or not all(
             np.isfinite(column).all() for column in data.continuous.values()):
         return None
@@ -607,22 +537,31 @@ def sidecar_pieces(data: DiscreteDataset, text_bytes: int,
               "codes": data.codes.dtype.str, "floats": _FLOAT_DTYPE,
               "continuous": list(doc["continuous"])}
 
-    def pieces():
+    def payload():
         yield ingest.write_report(header).encode()
         yield np.ascontiguousarray(data.codes).reshape(-1).view(np.uint8)
         for column in doc["continuous"].values():
             for i in range(0, len(column), _SIDECAR_ITEMS):
                 yield ingest.float_read_back(column[i:i + _SIDECAR_ITEMS])
+
+    def pieces():
+        digest = _sha256()
+        for piece in payload():
+            digest.update(piece)
+            yield piece
+        yield digest.hexdigest().encode() + b"\n"
     return pieces()
 
 
 def read_sidecar(sidecar: BinaryIO, text: BinaryIO) -> DiscreteDataset | None:
     """The dataset in ``sidecar`` when it is whole and was written by
     this package version for the bytes ``text`` holds: their length, then
-    their SHA-256, computed a block at a time, must match.  Otherwise
-    None, and the text must be read (``DiscreteDataset.from_file``).
+    their SHA-256, computed a block at a time, must match, and so must
+    the sidecar's own trailer.  Otherwise None, and the text must be read
+    (``DiscreteDataset.from_file``).
 
-    The arrays are read straight into their final buffers, and a
+    The sidecar's size is checked before any allocation, and the arrays
+    are read straight into their final buffers and hashed there.  A
     dataset the constructor rejects is None too.
     """
     header = _sidecar_header(sidecar)
@@ -642,18 +581,24 @@ def read_sidecar(sidecar: BinaryIO, text: BinaryIO) -> DiscreteDataset | None:
             return None
     except (KeyError, TypeError, AttributeError):
         return None
-    # the payload's size before any allocation, then the text's hash
+    # the sidecar's size before any allocation, then the text's hash
     at = sidecar.tell()
-    if (sidecar.seek(0, io.SEEK_END) - at
-            != rows * (len(variables) * dtype.itemsize + 8 * len(names))
-            or _sha256(text) != digest):
+    payload = rows * (len(variables) * dtype.itemsize + 8 * len(names))
+    if (sidecar.seek(0, io.SEEK_END) - at != payload + _TRAILER_BYTES
+            or _file_sha256(text) != digest):
         return None
-    sidecar.seek(at)
+    sidecar.seek(0)
+    own = _sha256()
+    own.update(sidecar.read(at))
     codes = np.empty((rows, len(variables)), dtype)
     continuous = {name: np.empty(rows) for name in names}
     for array in (codes, *continuous.values()):
-        if sidecar.readinto(array.reshape(-1).view(np.uint8)) != array.nbytes:
+        buffer = array.reshape(-1).view(np.uint8)
+        if sidecar.readinto(buffer) != array.nbytes:
             return None
+        own.update(buffer)
+    if sidecar.read() != own.hexdigest().encode() + b"\n":
+        return None
     try:
         return DiscreteDataset(variables, categories, codes, continuous)
     except SchemaError:
@@ -673,13 +618,18 @@ def _sidecar_header(file: BinaryIO):
         return None
 
 
-def _sha256(file: BinaryIO) -> str:
-    """The SHA-256 (hex) of a file's bytes, read a block at a time."""
+def _sha256():
+    """A new SHA-256 hash object."""
     # imported here: it loads OpenSSL, about 3.6 MB that a read from the
     # text does not need
     import hashlib
 
-    digest = hashlib.sha256()
+    return hashlib.sha256()
+
+
+def _file_sha256(file: BinaryIO) -> str:
+    """The SHA-256 (hex) of a file's bytes, read a block at a time."""
+    digest = _sha256()
     block = bytearray(_BLOCK_BYTES)
     file.seek(0)
     while size := file.readinto(block):

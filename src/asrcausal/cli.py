@@ -13,9 +13,10 @@ serially, in input order.
 A dataset file (``synth --out``, ``discretize --out``) gets a second
 hidden file next to it, its sidecar ``.<name>.arrays``, which its stamp
 lists: the codes and continuous columns as the text reads back, the
-variables, and the text's length and SHA-256 (``causal.sidecar_pieces``).
-``fit``, ``report``, ``ace`` and ``cmi`` load a dataset from its sidecar
-when that matches the text and this package version; a sidecar that is
+variables, the text's length and SHA-256, and a trailer hashing the
+sidecar's own bytes (``causal.sidecar_pieces``).  ``fit``, ``report``,
+``ace`` and ``cmi`` load a dataset from its sidecar when that matches
+the text, its own trailer and this package version; a sidecar that is
 missing or does not match is ignored, and the text is read.  So deleting
 a sidecar is safe: it only makes the next read parse the text, and the
 next run of its stage write it again.
@@ -228,7 +229,8 @@ def _config_key(config) -> dict:
 def _is_fresh(config, inputs) -> bool:
     """True when the stamp next to ``--out`` holds the current package
     version and options, every output it lists exists, and no input is
-    newer than the oldest of them.  Input contents are not hashed."""
+    newer than the oldest of them.  Input contents are not hashed.  A
+    stamp that cannot be read (nested too deeply included) is not fresh."""
     if config.force:
         return False
     stamp = _hidden(config.out, "stamp")
@@ -239,7 +241,7 @@ def _is_fresh(config, inputs) -> bool:
             return False
         oldest = min(os.path.getmtime(p) for p in [stamp, *doc["outputs"]])
         return all(os.path.getmtime(p) <= oldest for p in inputs if p)
-    except (OSError, ValueError, KeyError, TypeError):
+    except (OSError, ValueError, KeyError, TypeError, RecursionError):
         return False
 
 

@@ -723,6 +723,13 @@ def _items(chunk, ind: str) -> Iterator[str]:
         lead = sep
 
 
+def array_text(values, ind: str) -> bytes:
+    """The bytes of a non-empty list's or array's items, as ``_items``
+    writes them in a list whose items are indented by ``ind``: without
+    the brackets and the first item's indent."""
+    return "".join(_items(values, ind)).encode()
+
+
 def report_pieces(report) -> Iterator[str]:
     """The text of ``write_report(report)`` as consecutive pieces.
 

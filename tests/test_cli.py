@@ -1360,6 +1360,20 @@ class TestStamps:
         assert not self.skipped(capsys)
         assert sidecar.read_bytes() == first
 
+    def test_stamp_nested_too_deeply_recomputes(self, tmp_path, capsys):
+        data = tmp_path / "d.json"
+        stamp = tmp_path / ".d.json.stamp"
+        argv = ["synth", "--spec", "paper-shaped", "--n", "300", "--seed",
+                "4", "--out", str(data)]
+        assert run_cli(*argv) == 0
+        # json raises RecursionError, not ValueError, on this
+        stamp.write_text("[" * 100_000)
+        assert run_cli(*argv) == 0
+        assert not self.skipped(capsys)
+        assert json.loads(stamp.read_text())["outputs"][0] == str(data)
+        assert run_cli(*argv) == 0
+        assert self.skipped(capsys)
+
     def test_failed_stage_leaves_no_stamp(self, tmp_path, capsys):
         bad = {"id": "u-bad", "speaker_id": "s", "reference": "?!",
                "hypotheses": {"m": "a"}}

@@ -254,6 +254,14 @@ MUTATIONS = {
     "variables not a list": dumped(setter("variables", {"name": "V0"})),
     "variable without categories": dumped(
         lambda doc: doc["variables"][0].pop("categories")),
+    # a number section with no items: valid JSON, an empty list
+    "empty line as the rows": BASE[:BASE.index('"rows": [') + 9] + "\n\n ]"
+    + BASE[BASE.index(',\n "variables"'):],
+    "blank item line as a column": BASE[:BASE.index('"Y": [') + 6]
+    + "\n   \n  ]" + BASE[BASE.index("\n  ]", BASE.index('"Y": [')) + 4:],
+    # json raises RecursionError, not ValueError, on this
+    "variables nested too deeply": BASE[:BASE.index('"variables": ') + 13]
+    + "[" * 100_000 + "\n}\n",
     "empty file": "",
     "array file": "[]\n",
 }
@@ -601,6 +609,58 @@ def test_ragged_rows_across_a_block_boundary_are_refused(monkeypatch, row):
         from_bytes(raw)
 
 
+# --- one byte changed ---------------------------------------------------------
+#
+# One byte replaced, inserted or deleted anywhere in a number section, by
+# a byte a number or its separators could hold, at several block sizes:
+# the array reader must give None or the general reader's dataset.
+
+FUZZED = written(DiscreteDataset(
+    ["V0", "V1", "V2"], {f"V{j}": [f"c{i}" for i in range(12)]
+                         for j in range(3)},
+    np.random.default_rng(11).integers(0, 12, size=(30, 3)),
+    {"A": np.random.default_rng(12).normal(size=30) * 100,
+     "Y": np.concatenate([small_floats(np.random.default_rng(13), 15),
+                          large_floats(np.random.default_rng(14), 15)])}))
+
+
+def number_sections(raw: bytes) -> list[int]:
+    """Every offset from just after the ``[`` that opens a number section
+    (a continuous column or the rows) to its closing ``]``, inclusive."""
+    offsets = []
+    for opening in (b'"A": [', b'"Y": [', b'"rows": ['):
+        start = raw.index(opening) + len(opening)
+        close = raw.index(b"\n ]" if opening == b'"rows": [' else b"\n  ]",
+                          start) + 3
+        offsets.extend(range(start, close + 1))
+    return offsets
+
+
+FUZZED_AT = number_sections(FUZZED)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(FUZZED_AT), st.sampled_from(["replace", "insert",
+                                                    "delete"]),
+       st.sampled_from(list(b"0123456789-+.eE ,\n[]\t")),
+       st.sampled_from([1, 7, 64, causal._BLOCK_BYTES]))
+def test_one_byte_changed_in_a_number_section(at, how, byte, block):
+    new = b"" if how == "delete" else bytes([byte])
+    raw = FUZZED[:at] + new + FUZZED[at + (how != "insert"):]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(causal, "_BLOCK_BYTES", block)
+        fast = array_read(raw)
+        got = outcome(from_bytes, raw)
+    expected = outcome(general, raw)
+    if isinstance(expected, DiscreteDataset):
+        assert_same(got, expected)
+        if fast is not None:
+            assert_same(fast, expected)
+    else:
+        assert got == expected
+        assert fast is None
+
+
 # --- sidecars ---------------------------------------------------------------
 
 
@@ -707,6 +767,13 @@ def code_byte(raw: bytes) -> bytes:
     return raw[:at] + b"\xff" + raw[at + 1:]
 
 
+def code_changed(raw: bytes) -> bytes:
+    """The sidecar with its first code changed within range (12
+    categories)."""
+    at = raw.index(b"\n}\n") + 3
+    return raw[:at] + bytes([(raw[at] + 1) % 12]) + raw[at + 1:]
+
+
 SIDECAR_EDITS = {
     "empty": lambda raw: b"",
     "truncated in the header": lambda raw: raw[:40],
@@ -737,6 +804,7 @@ SIDECAR_EDITS = {
     "no variables key": edited_header(variables=None),
     "no sha256 key": edited_header(sha256=None),
     "code out of range": code_byte,
+    "a code changed within range": code_changed,
 }
 
 
