@@ -627,6 +627,26 @@ def _sha256():
     return hashlib.sha256()
 
 
+class TextDigest:
+    """Counts and hashes a dataset file's text on its way out: ``encode``
+    turns its str pieces into bytes, and once they have all passed,
+    ``size`` and ``hexdigest()`` are the length and SHA-256 that
+    ``sidecar_pieces`` records."""
+
+    def __init__(self):
+        self.size, self._digest = 0, _sha256()
+
+    def encode(self, pieces: Iterable[str]) -> Iterator[bytes]:
+        for piece in pieces:
+            raw = piece.encode()
+            self._digest.update(raw)
+            self.size += len(raw)
+            yield raw
+
+    def hexdigest(self) -> str:
+        return self._digest.hexdigest()
+
+
 def _file_sha256(file: BinaryIO) -> str:
     """The SHA-256 (hex) of a file's bytes, read a block at a time."""
     digest = _sha256()

@@ -21,10 +21,23 @@ missing or does not match is ignored, and the text is read.  So deleting
 a sidecar is safe: it only makes the next read parse the text, and the
 next run of its stage write it again.
 
-Each subcommand imports the stage modules it runs, after its freshness
-check, so ``--help`` and up-to-date skips load no NumPy.  Stage functions
-are called as module attributes (``causal_mod.fit_cpts``), so wrappers
-installed on the modules see every call.
+Each subcommand imports the modules it runs, ``ingest`` included, after
+its freshness check.  So ``--help`` and an up-to-date skip load only
+this module, ``errors`` and the standard-library modules they import at
+the top (argparse, json, pathlib and the like): no NumPy, and none of
+``ingest``'s dataclasses.  Stage functions are called as module
+attributes (``causal_mod.fit_cpts``, ``ingest.report_pieces``), so
+wrappers installed on the modules see every call.
+
+The ``asrcausal`` console script and ``python -m asrcausal.cli`` run
+``console``: ``main``, then a flush of stdout and stderr, then
+``os._exit`` with the exit code, which skips the interpreter's teardown
+of every module and object.  That is safe because every output is
+written and renamed into place before ``main`` returns, and the package
+registers no atexit handler, thread or logger.  A flush that fails is
+an ``E_IO`` record and exit 1; an unexpected exception still ends the
+usual way, with a traceback.  ``main`` itself returns its exit code, so
+callers of it keep a normal teardown.
 """
 
 from __future__ import annotations
@@ -37,15 +50,15 @@ import stat
 import sys
 from contextlib import contextmanager
 from pathlib import Path
-from typing import IO, TYPE_CHECKING, Iterable, Iterator, TextIO
+from typing import IO, TYPE_CHECKING, Iterable, Iterator, NoReturn, TextIO
 
-from . import __version__, ingest
+from . import __version__
 from .errors import (DuplicateIdError, IoError, SchemaError,
                      TooFewValuesError, ToolkitError)
 
 if TYPE_CHECKING:
     from . import causal as causal_mod
-    from . import synthetic
+    from . import ingest, synthetic
 
 _BUILTIN_GRAPHS = ("paper-default", "fig3e")
 _BUILTIN_SCMS = ("paper-shaped", "copy-chain")
@@ -295,23 +308,19 @@ def _write_text(path: str, pieces: Iterable[str]) -> str:
 
 def _write_dataset(path: str, data: causal_mod.DiscreteDataset) -> list[str]:
     """Write ``data``'s dataset file to ``path``, hashing its bytes as
-    they stream out, then its sidecar (``causal.sidecar_pieces``) next to
-    it.  Returns the files written, for the stamp.  A dataset that gets
-    no sidecar removes any old one; a failed sidecar write leaves the old
-    one, which no longer matches the text."""
-    import hashlib
-
+    they stream out (``causal.TextDigest``), then its sidecar
+    (``causal.sidecar_pieces``) next to it.  Returns the files written,
+    for the stamp.  A dataset that gets no sidecar removes any old one; a
+    failed sidecar write leaves the old one, which no longer matches the
+    text."""
     from . import causal as causal_mod
+    from . import ingest
 
-    digest, size = hashlib.sha256(), 0
+    text = causal_mod.TextDigest()
     with _replacing(path, "wb") as fh:
-        for piece in ingest.report_pieces(data.to_document()):
-            raw = piece.encode()
-            digest.update(raw)
-            size += len(raw)
-            fh.write(raw)
+        fh.writelines(text.encode(ingest.report_pieces(data.to_document())))
     sidecar = _hidden(path, "arrays")
-    pieces = causal_mod.sidecar_pieces(data, size, digest.hexdigest())
+    pieces = causal_mod.sidecar_pieces(data, text.size, text.hexdigest())
     if pieces is None:
         sidecar.unlink(missing_ok=True)
         return [path]
@@ -321,6 +330,8 @@ def _write_dataset(path: str, data: causal_mod.DiscreteDataset) -> list[str]:
 
 
 def _read_records(path: str):
+    from . import ingest
+
     with _reading(path) as fh:
         return ingest.parse_utterances(fh)
 
@@ -340,6 +351,8 @@ def _dir_inputs(path: str | None) -> list[str]:
 
 
 def _load_graph(value: str) -> ingest.CausalGraph:
+    from . import ingest
+
     if value in _BUILTIN_GRAPHS:
         return ingest.CausalGraph.builtin(value)
     return ingest.CausalGraph.from_document(ingest.load_json(_read_text(value)))
@@ -382,7 +395,7 @@ def _load_scm(value: str, n, seed) -> synthetic.ScmSpec:
 # --- subcommands ---------------------------------------------------------------
 
 def _cmd_synth(config) -> list[str]:
-    from . import synthetic
+    from . import ingest, synthetic
 
     spec = _load_scm(config.spec, config.n, config.seed)
     written = _write_dataset(config.out, synthetic.generate(spec))
@@ -405,6 +418,8 @@ def _cmd_align(config) -> list[str]:
 
 
 def _read_scores(path: str) -> dict[str, dict]:
+    from . import ingest
+
     scores = {}
     with _reading(path) as fh:
         for line_no, entry in ingest.read_jsonl(fh):
@@ -421,7 +436,7 @@ def _read_scores(path: str) -> dict[str, dict]:
 def _gop_scores(config) -> dict[str, float]:
     """Utterance id -> GoP from the posterior, segment and inventory
     files; the posterior arrays are dropped on return."""
-    from . import covariates
+    from . import covariates, ingest
 
     if not (config.posteriors or config.segments or config.inventory):
         return {}
@@ -440,7 +455,7 @@ def _gop_scores(config) -> dict[str, float]:
 
 
 def _cmd_covariates(config) -> list[str]:
-    from . import alignment, covariates
+    from . import alignment, covariates, ingest
 
     records = _read_records(config.inp)
 
@@ -506,7 +521,7 @@ def _fit_or_reuse(variable, values, method, persisted):
 def _cmd_discretize(config) -> list[str]:
     from . import alignment
     from . import causal as causal_mod
-    from . import discretize
+    from . import discretize, ingest
 
     methods = _parse_bin_overrides(config.bin)
     records = _read_records(config.records)
@@ -570,7 +585,7 @@ def _cmd_discretize(config) -> list[str]:
 
 
 def _cmd_oracle(config) -> list[str]:
-    from . import alignment
+    from . import alignment, ingest
 
     table = alignment.score_table(_read_records(config.inp))
     # first, so a mixed model set fails as such, not as a missing model
@@ -584,12 +599,14 @@ def _cmd_oracle(config) -> list[str]:
 
 
 def _correlation_csv(models, matrix) -> str:
+    from . import ingest
+
     return ingest.emit_plot_data(
         {"correlation": {"models": models, "matrix": matrix}})["correlation.csv"]
 
 
 def _cmd_correlate(config) -> list[str]:
-    from . import alignment
+    from . import alignment, ingest
 
     records = _read_records(config.inp)
     if not config.by_grade:
@@ -612,6 +629,7 @@ def _cmd_correlate(config) -> list[str]:
 
 def _cmd_fit(config) -> list[str]:
     from . import causal as causal_mod
+    from . import ingest
 
     graph = _load_graph(config.graph)
     data = _load_dataset(config.inp)
@@ -631,6 +649,8 @@ def _cmd_fit(config) -> list[str]:
 
 
 def _emit(config, payload: dict) -> int:
+    from . import ingest
+
     text = ingest.write_report(payload)
     if config.out:
         _write_text(config.out, [text])
@@ -694,6 +714,7 @@ def _cmd_report(config) -> list[str]:
     if config.scores and not config.records:
         raise SchemaError("--scores requires --records")
     from . import causal as causal_mod
+    from . import ingest
 
     graph = _load_graph(config.graph)
     report: dict = {"graph": config.graph, "models": {}}
@@ -769,6 +790,15 @@ def _run_stage(config, command, inputs) -> int:
     return 0
 
 
+def _print_error(exc: ToolkitError) -> int:
+    """Print ``exc``'s error record on stderr; returns exit code 1."""
+    diagnostic = {"error": exc.code, "message": str(exc)}
+    if exc.record_id is not None:
+        diagnostic["record"] = exc.record_id
+    print(json.dumps(diagnostic, sort_keys=True), file=sys.stderr)
+    return 1
+
+
 def run(config: argparse.Namespace) -> int:
     """Execute a parsed configuration; maps data errors to exit 1."""
     command, inputs = _COMMANDS[config.command]
@@ -777,20 +807,40 @@ def run(config: argparse.Namespace) -> int:
             return command(config)
         return _run_stage(config, command, inputs(config))
     except ToolkitError as exc:
-        diagnostic = {"error": exc.code, "message": str(exc)}
-        if exc.record_id is not None:
-            diagnostic["record"] = exc.record_id
-        print(json.dumps(diagnostic, sort_keys=True), file=sys.stderr)
-        return 1
+        return _print_error(exc)
     except OSError as exc:
-        print(json.dumps({"error": "E_IO", "message": str(exc)},
-                         sort_keys=True), file=sys.stderr)
-        return 1
+        return _print_error(IoError(str(exc)))
 
 
 def main(argv=None) -> int:
     return run(parse_args(argv if argv is not None else sys.argv[1:]))
 
 
+def console() -> NoReturn:
+    """Run ``main`` as a process: flush stdout and stderr, then end with
+    ``os._exit`` and ``main``'s exit code, or argparse's (2 for a usage
+    error, 0 for ``--help``), skipping the interpreter's teardown.  A
+    flush that fails is an ``E_IO`` record on stderr and exit 1.  Any
+    other exception, and a SystemExit without an int code, propagates."""
+    try:
+        code = main()
+    except SystemExit as exc:
+        if not isinstance(exc.code, int):
+            raise
+        code = exc.code
+    try:
+        try:
+            if sys.stdout is not None:  # None when started with fd 1 closed
+                sys.stdout.flush()
+        except OSError as exc:
+            code = _print_error(
+                IoError(f"cannot write standard output: {exc}"))
+        if sys.stderr is not None:
+            sys.stderr.flush()
+    except OSError:
+        code = 1  # stderr cannot take the record either
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    console()

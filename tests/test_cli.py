@@ -1550,3 +1550,169 @@ class TestImports:
                           "assert cli.main(['synth', '--spec', 'paper-shaped',"
                           " '--n', '500', '--out', 'd.json']) == 0", tmp_path)
         assert loaded == {"numpy"}
+
+    def test_help_and_every_fresh_skip_import_no_ingest(self, workdir,
+                                                         monkeypatch):
+        # every stage once in-process, so the spawned runs below are skips
+        stages = [
+            ["synth", "--spec", "paper-shaped", "--n", "200",
+             "--out", "d.json"],
+            ["align", "--in", "records.jsonl", "--out", "scores.jsonl"],
+            ["covariates", "--in", "records.jsonl", "--out", "enriched.jsonl",
+             "--freq-table", "freq.csv"],
+            ["discretize", "--records", "enriched.jsonl", "--scores",
+             "scores.jsonl", "--model", "whisper", "--out", "ds.json"],
+            ["oracle", "--in", "records.jsonl", "--out", "oracle.json"],
+            ["correlate", "--in", "records.jsonl", "--out", "c.csv"],
+            ["fit", "--in", "ds.json", "--out", "cpts.json"],
+            ["report", "--in", "fixture=d.json", "--out", "report.json",
+             "--on-empty", "skip"]]
+        monkeypatch.chdir(workdir)
+        for argv in stages:
+            assert run_cli(*argv) == 0, argv
+        # the modules each call adds to sys.modules, so modules that a
+        # site hook imported at start-up do not count
+        body = f"""
+import json, sys
+from contextlib import redirect_stdout
+before = set(sys.modules)
+from asrcausal import cli
+imported = []
+for argv in {[["--help"], *stages]!r}:
+    try:
+        with redirect_stdout(sys.stderr):
+            code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    imported.append([argv[0], code, sorted(set(sys.modules) - before)])
+print(json.dumps(imported))
+"""
+        proc = subprocess.run(
+            [sys.executable, "-c", body], cwd=workdir,
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+            capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.count("is fresh, skipping") == len(stages)
+        results = json.loads(proc.stdout)
+        assert [name for name, _, _ in results] == [
+            "--help", *(argv[0] for argv in stages)]
+        for name, code, modules in results:
+            assert code == 0, name
+            assert not {"asrcausal.ingest", "numpy", "dataclasses",
+                        "inspect"} & set(modules), (name, modules)
+
+
+def spawn_cli(*argv, cwd, stdout=subprocess.PIPE, unbuffered=False):
+    """``python -m asrcausal.cli`` on the checkout's sources, as a process
+    with stderr piped, help text formatted for 80 columns and stdout
+    buffered unless ``unbuffered``, whatever this process's environment
+    says."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env.update(PYTHONPATH=str(SRC), COLUMNS="80")
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.run(
+        [sys.executable, "-m", "asrcausal.cli", *argv], cwd=cwd, env=env,
+        stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=120)
+
+
+class TestProcess:
+    """The console entry point: a CLI process ends with the exit code
+    and output bytes of ``cli.main``, after a flush of stdout and
+    stderr."""
+
+    SYNTH = ("synth", "--spec", "paper-shaped", "--n", "500", "--seed", "3",
+             "--out", "d.json", "--truths", "t.json")
+
+    def test_run_and_skip_write_the_bytes_of_main(self, tmp_path,
+                                                  monkeypatch):
+        spawned, in_process = tmp_path / "spawned", tmp_path / "in_process"
+        spawned.mkdir()
+        in_process.mkdir()
+        proc = spawn_cli(*self.SYNTH, cwd=spawned)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
+        monkeypatch.chdir(in_process)
+        assert run_cli(*self.SYNTH) == 0
+        files = sorted(p.name for p in spawned.iterdir())
+        assert files == [".d.json.arrays", ".d.json.stamp", "d.json",
+                         "t.json"]
+        assert files == sorted(p.name for p in in_process.iterdir())
+        for name in files:
+            assert ((spawned / name).read_bytes()
+                    == (in_process / name).read_bytes()), name
+        before = {name: (spawned / name).read_bytes() for name in files}
+        proc = spawn_cli(*self.SYNTH, cwd=spawned)
+        assert proc.returncode == 0
+        assert proc.stderr == "synth: d.json is fresh, skipping\n"
+        assert {name: (spawned / name).read_bytes()
+                for name in files} == before
+
+    def test_data_error_exits_1_with_the_whole_record(self, tmp_path,
+                                                      monkeypatch, capsys):
+        argv = ("fit", "--in", "missing.json", "--out", "cpts.json")
+        proc = spawn_cli(*argv, cwd=tmp_path)
+        assert proc.returncode == 1
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(*argv) == 1
+        assert proc.stderr == capsys.readouterr().err
+        assert json.loads(proc.stderr)["error"] == "E_IO"
+
+    def test_usage_error_exits_2(self, tmp_path):
+        argv = ("fit", "--in", "d.json", "--out", "c.json", "--frobnicate")
+        proc = spawn_cli(*argv, cwd=tmp_path)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.startswith("usage: asrcausal ")
+        assert proc.stderr.endswith(
+            "error: unrecognized arguments: --frobnicate\n")
+
+    def test_help_text_is_whole(self, tmp_path, monkeypatch, capsys):
+        proc = spawn_cli("--help", cwd=tmp_path)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as err:
+            run_cli("--help")
+        assert err.value.code == 0
+        assert proc.stdout == capsys.readouterr().out
+        assert proc.stdout.startswith("usage: asrcausal ")
+        assert proc.stdout.endswith("show this help message and exit\n")
+
+    def test_ace_without_out_prints_json(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(*self.SYNTH) == 0
+        argv = ("ace", "--in", "d.json", "--treatment", "Age", "--effect",
+                "SubsErr")
+        capsys.readouterr()
+        assert run_cli(*argv) == 0
+        printed = capsys.readouterr().out
+        proc = spawn_cli(*argv, cwd=tmp_path)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == printed
+        assert json.loads(proc.stdout)["effect"] == "SubsErr"
+
+    def test_closed_stdout_is_no_error(self, tmp_path):
+        # the interpreter sets sys.stdout to None when fd 1 is closed
+        proc = subprocess.run(
+            [sys.executable, "-m", "asrcausal.cli", *self.SYNTH],
+            cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(SRC)},
+            preexec_fn=lambda: os.close(1), stderr=subprocess.PIPE,
+            text=True, timeout=120)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert (tmp_path / ".d.json.stamp").exists()
+
+    # buffered, the text fails at the last flush; unbuffered, at the
+    # write inside the command
+    @pytest.mark.parametrize("unbuffered", [False, True],
+                             ids=["buffered", "unbuffered"])
+    def test_stdout_that_cannot_be_written_is_e_io(self, tmp_path,
+                                                    monkeypatch, unbuffered):
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(*self.SYNTH) == 0
+        with open("/dev/full", "w") as full:
+            proc = spawn_cli("ace", "--in", "d.json", "--treatment", "Age",
+                             "--effect", "SubsErr", cwd=tmp_path,
+                             stdout=full, unbuffered=unbuffered)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        diagnostic = json.loads(proc.stderr)
+        assert diagnostic["error"] == "E_IO"
+        assert "No space left on device" in diagnostic["message"]

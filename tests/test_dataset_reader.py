@@ -197,7 +197,8 @@ MUTATIONS = {
     "leading-zero last code": replaced("\n   10\n", "\n   010\n"),
     "double zero code": replaced("\n   0\n", "\n   00\n"),
     "digit inside a row close": replaced("\n   10\n  ]", "\n   1\n 0 ]"),
-    # json refuses it; the digits alone make the skeleton and the code 11
+    # json refuses it, and the writer gives no code back as "  1 1,",
+    # so the write-back check refuses it too
     "code split by a space": replaced("\n   11,", "\n  1 1,"),
     "code in the indent": replaced("\n   11,", "\n 11  ,"),
     "-1 as a code": replaced("\n   0\n", "\n   -1\n"),
@@ -218,7 +219,8 @@ MUTATIONS = {
     "signed bare exponent": replaced("   3e-05\n", "   3e-\n"),
     "exponent without digits before": replaced("   3e-05\n", "   e-05\n"),
     "sign inside a float": replaced("   -1.25,", "   1-1.25,"),
-    # valid JSON, and the skeleton of a column, but no separator is whole
+    # valid JSON with the column's numbers, but the writer puts each comma
+    # right after its number, so the write-back check refuses these bytes
     "float inside a separator": replaced("\n   -1.25,", "\n -1.25  ,"),
     "NaN among floats": replaced("   0.5,", "   NaN,"),
     "Infinity among floats": replaced("   0.5,", "   Infinity,"),
@@ -297,7 +299,8 @@ LONG = written(dataset(30_000, columns=("Y",))).decode()
 @pytest.mark.parametrize("row", [0, 4095, 11_915, 20_000, 29_998])
 def test_ragged_rows_of_the_right_size_are_refused_anywhere(row):
     # one code moves to the row before it: the file keeps its length and
-    # its number of codes; the skeleton is compared a block at a time
+    # its number of codes; the writer gives back other bytes for those
+    # rows, so the write-back check refuses it in whichever block it falls
     doc = json.loads(LONG)
     doc["rows"][row].append(doc["rows"][row + 1].pop(0))
     raw = (json.dumps(doc, sort_keys=True, indent=1) + "\n").encode()
