@@ -33,6 +33,10 @@ for exogenous treatments this reduces to a difference of conditional
 means.  CMI is a plug-in estimate from the smoothed empirical
 contingency table, clamped at zero from below.  All information
 quantities are in nats.
+
+A dataset file's text is this module's in both directions:
+``dataset_pieces`` writes it, with NumPy formatting its number
+sections, and ``DiscreteDataset.from_file`` reads it back.
 """
 
 from __future__ import annotations
@@ -146,7 +150,8 @@ class DiscreteDataset:
         """The dataset document, holding the dataset's own arrays: the
         ``codes`` as ``rows`` and each continuous column, not list
         copies.  ``ingest.write_report`` writes an array as its
-        ``tolist()``, a slice at a time."""
+        ``tolist()``; ``dataset_pieces`` writes the same bytes a slice
+        at a time, formatted by NumPy."""
         return {
             "variables": [{"name": v, "categories": list(self.categories[v])}
                           for v in self.variables],
@@ -182,14 +187,13 @@ class DiscreteDataset:
         This is how the CLI reads a dataset file without a matching
         sidecar (``read_sidecar``): one written by hand or by another
         tool, one whose sidecar is missing or stale, or a pipe.  A file
-        in the layout ``ingest.write_report`` gives ``to_document()``
-        is read straight into arrays, a window of about ``_BLOCK_BYTES``
-        at a time, and kept only when the writer gives its number
-        sections' bytes back (``_canonical_dataset``).  Only any other
-        text is read whole, by ``ingest.load_json`` and
-        ``from_document``, with their errors; bytes that are not UTF-8
-        are SchemaError.  Both give equal datasets for the same
-        document.  A pipe, which cannot be read through a window, is
+        in the layout ``dataset_pieces`` writes is read straight into
+        arrays, a window of about ``_BLOCK_BYTES`` at a time, and kept
+        only when the writer gives its number sections' bytes back
+        (``_canonical_dataset``).  Only any other text is read whole, by
+        ``ingest.load_json`` and ``from_document``, with their errors;
+        bytes that are not UTF-8 are SchemaError.  Both give equal
+        datasets for the same document.  A pipe, which cannot be read through a window, is
         read whole first.
         """
         if not file.seekable():
@@ -238,26 +242,234 @@ def _typed_array(values, kinds: str, message: str) -> np.ndarray:
 
 # --- canonical dataset files ---------------------------------------------------
 #
-# ``ingest.write_report`` writes ``DiscreteDataset.to_document()`` as
+# ``dataset_pieces`` writes a dataset file, the bytes of
+# ``ingest.write_report(DiscreteDataset.to_document())``, as
 #
 #   {\n "continuous": {\n  "<name>": [\n   <float>,\n   ...\n  ],\n  ...\n },
 #   \n "rows": [\n  [\n   <code>,\n   ...\n  ],\n  ...\n ],
 #   \n "variables": [...]\n}\n
 #
-# (an empty list or object as "[]" or "{}").  ``_canonical_dataset``
-# reads that layout through a ``_Window`` on the file, a block of each
-# number section at a time, with one ``np.fromstring`` per block.  The
-# numbers it reads are kept only when the writer's own formatter,
-# ``ingest.array_text``, gives back their bytes exactly (``_section``);
-# any other text goes to the general reader.
+# (an empty list or object as "[]" or "{}"), each number section a
+# ``_CHUNK`` slice at a time, formatted by ``array_text``.
+# ``_canonical_dataset`` reads that layout through a ``_Window`` on the
+# file, a block of each number section at a time, with one
+# ``np.fromstring`` per block.  The numbers it reads are kept only when
+# ``array_text`` gives back their bytes exactly (``_section``); any other
+# text goes to the general reader.
 
 _HEAD = b'{\n "continuous": '
 _ROWS_KEY = b',\n "rows": '
 _VARIABLES_KEY = b',\n "variables": '
 _TAIL = b"\n}\n"
 _NUMBER_SEP = b",\n   "  # between two numbers of a continuous column
+_CHUNK = 4096  # list items written per piece
 _BLOCK_BYTES = 1 << 18  # bytes of a number section read at a time
 _FIRST_SCAN = 1 << 10  # bytes a search reads first (at most a block)
+
+
+def dataset_pieces(data: DiscreteDataset) -> Iterator[bytes]:
+    """The dataset file of ``data``, in the layout above, as consecutive
+    bytes pieces: the bytes of ``ingest.write_report(data.to_document())``.
+    No piece holds more than one ``_CHUNK`` slice of a list, so writing
+    them out one by one holds neither the text nor a list copy of an
+    array."""
+    doc = data.to_document()
+    yield _HEAD
+    lead = b"{"
+    for name, column in doc["continuous"].items():
+        yield lead + b"\n  " + json.dumps(name).encode() + b": "
+        yield from _list_pieces(column, "\n   ")
+        lead = b","
+    yield b"\n }" if doc["continuous"] else b"{}"
+    yield _ROWS_KEY
+    yield from _list_pieces(doc["rows"], "\n  ")
+    yield _VARIABLES_KEY
+    # one level deeper than write_report puts it; a newline is only ever
+    # structural, as strings escape theirs
+    yield ingest.write_report(doc["variables"])[:-1].replace(
+        "\n", "\n ").encode()
+    yield _TAIL
+
+
+def _list_pieces(values: np.ndarray, ind: str) -> Iterator[bytes]:
+    """The JSON list of an array's items, indented by ``ind``, a
+    ``_CHUNK`` slice at a time."""
+    if not len(values):
+        yield b"[]"
+        return
+    lead = ("[" + ind).encode()
+    for i in range(0, len(values), _CHUNK):
+        yield lead
+        yield array_text(values[i:i + _CHUNK], ind)
+        lead = ("," + ind).encode()
+    yield ind[:-1].encode() + b"]"
+
+
+def array_text(values: np.ndarray, ind: str) -> bytes:
+    """The items of a non-empty 1-D float array (a continuous column) or
+    2-D integer array (code rows), as a JSON list whose items are
+    indented by ``ind`` holds its ``tolist()``, quantized as
+    ``ingest.write_report`` quantizes: ``","``-separated, without the
+    brackets and the first item's indent.
+
+    A float slice and rows with at least one column and every code in
+    ``[0, 1000)`` are formatted by NumPy into a byte matrix
+    (``_float_array_body``, ``_int_array_rows_body``).  Other rows (no
+    columns, or a code outside ``[0, 1000)``) are written by
+    ``json.dumps`` and re-indented to ``ind``.
+    """
+    if values.ndim == 1:
+        return _float_array_body(values, "," + ind)
+    if values.shape[1] and values.min() >= 0 and values.max() < 1000:
+        return _int_array_rows_body(values, ind)
+    return json.dumps(values.tolist(), indent=1)[3:-2].replace(
+        "\n", ind[:-1]).encode()
+
+
+# An array slice is written from a (width, n) uint8 matrix: one column
+# per item holding its bytes, with a zero byte wherever the text has no
+# character, so one ``bytes.translate(None, b"\0")`` of the transposed
+# matrix gives the text.  The (width, n) layout keeps each row, filled by
+# one NumPy operation, contiguous.
+#
+# _float_array_body writes ±0.0 and a finite float whose magnitude is in
+# [_FIXED_LO, _FIXED_HI) from the digits of |x| * 10**6 rounded to an
+# integer: at most 15 of them, in the range repr writes in fixed
+# notation.
+_FIXED_LO = 1e-4
+_FIXED_HI = 1e9
+# Rows of a float item: sign, the 18 digits of k = round(|x| * 10**6) (12
+# of the integer part, 6 of the fraction) with the point between, then
+# the separator.  The groups of three digits start at these rows, least
+# significant first.
+_SIGN, _POINT, _FLOAT_ROWS = 0, 13, 20
+_GROUP_ROWS = (17, 14, 10, 7, 4, 1)
+_SPLICE = b"\1"  # stands for an item written one at a time
+
+
+# (3, 1000) uint8 tables: column v of _DIGIT_GROUPS holds the ASCII
+# digits of "%03d" % v, and of _CODE_GROUPS the text of "%d" % v,
+# right-aligned, its leading zeros as zero bytes
+_DIGIT_GROUPS = (np.arange(1000) // np.array([[100], [10], [1]]) % 10
+                 + ord("0")).astype(np.uint8)
+_CODE_GROUPS = np.where(np.arange(1000) >= np.array([[100], [10], [0]]),
+                        _DIGIT_GROUPS, 0).astype(np.uint8)
+
+
+def _fixed_point(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(k, fast)`` for a float64 array ``x``: ``k``, as float64, is
+    ``rint(|x| * 10**6)`` and ``fast`` marks the items whose text is the
+    digits of ``k`` (elsewhere ``k`` means nothing).
+
+    ``0.0`` and ``-0.0`` are both ``k = 0``, written ``0.0`` as
+    ``ingest._quantize`` makes them.  For finite ``1e-4 <= |x| < 1e9``,
+    ``round(x, 6)`` is the double nearest ``d = ±k / 10**6``, ``k``
+    being the exact ``|x| * 10**6`` rounded half to even.  ``d`` has at
+    most 15 significant digits (``k <= 10**15``), and no two such
+    decimals read back as one double, so ``repr`` writes ``d``, in fixed
+    notation in this band: the digits of ``k``, the point six from the
+    right, less leading integer and trailing fraction zeros (keeping
+    ``0.`` and ``.0``).  ``y = |x| * 1e6`` is off the exact product by
+    at most half of ``spacing(y)``, so where ``| |y - k| - 0.5 | >
+    spacing(y)`` no ``.5`` boundary lies between them and ``k =
+    rint(y)``.  The other items (a near-tie, out of the band, NaN, ±inf)
+    are written as ``json.dumps(ingest._quantize(x))``.
+    """
+    a = np.abs(x)
+    band = ((a >= _FIXED_LO) & (a < _FIXED_HI)) | (a == 0.0)
+    a[~band] = 1.0  # keeps NaN and inf out of the arithmetic below
+    y = a * 1e6
+    k = np.rint(y)
+    return k, band & (np.abs(np.abs(y - k) - 0.5) > np.spacing(y))
+
+
+def float_read_back(values: np.ndarray) -> np.ndarray:
+    """The float64 array that reading the text ``_float_array_body``
+    writes for the finite 1-D float array ``values`` gives back: ``±k /
+    10**6`` where ``_fixed_point`` finds the item fast (``k / 1e6`` is
+    that double, as one IEEE division rounds correctly), else
+    ``ingest._quantize(x)``, whose ``repr`` reads back as itself."""
+    x = values.astype(np.float64)
+    k, fast = _fixed_point(x)
+    k /= 1e6
+    # x < 0, not the sign bit: -0.0 is written "0.0"
+    np.negative(k, out=k, where=x < 0.0)
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        k[slow] = [ingest._quantize(v) for v in x[slow].tolist()]
+    return k
+
+
+def _float_array_body(values: np.ndarray, sep: str) -> bytes:
+    """The items of a 1-D float array slice, ``sep``-joined, as
+    ``ingest.write_report`` writes its ``tolist()``, whatever the items:
+    a fast item (``_fixed_point``) from the digits of its ``k``,
+    formatted by NumPy, and every other item by
+    ``json.dumps(ingest._quantize(x))``, spliced in by index.
+    """
+    x = values.astype(np.float64)  # exact, as tolist() widens
+    k, fast = _fixed_point(x)
+    k = k.astype(np.int64)
+
+    sep_bytes = sep.encode()
+    m = np.empty((_FLOAT_ROWS + len(sep_bytes), len(x)), np.uint8)
+    # x < 0, not the sign bit: -0.0 is written "0.0"
+    np.multiply(x < 0.0, ord("-"), out=m[_SIGN], casting="unsafe")
+    rest = k
+    for row in _GROUP_ROWS:
+        rest, group = np.divmod(rest, 1000)
+        _DIGIT_GROUPS.take(group, axis=1, out=m[row:row + 3], mode="clip")
+    m[_POINT] = ord(".")
+    # leading integer zeros, then trailing fraction zeros; the units
+    # digit and the first fraction digit stay
+    _zero_runs(m, range(_SIGN + 1, _POINT - 1))
+    _zero_runs(m, range(_FLOAT_ROWS - 1, _POINT + 1, -1))
+    m[_FLOAT_ROWS:] = np.frombuffer(sep_bytes, np.uint8)[:, None]
+    m[_FLOAT_ROWS:, -1] = 0
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        m[:_FLOAT_ROWS, slow] = 0
+        m[_SIGN, slow] = ord(_SPLICE)
+    text = m.T.tobytes().translate(None, b"\0")
+    if not slow.size:
+        return text
+    parts = text.split(_SPLICE)
+    slow_texts = [json.dumps(ingest._quantize(v)).encode()
+                  for v in x[slow].tolist()]
+    return b"".join(itertools.chain.from_iterable(
+        zip(parts, slow_texts))) + parts[-1]
+
+
+def _zero_runs(m: np.ndarray, rows: range) -> None:
+    """Zero, in each column of ``m``, the run of ``"0"`` bytes that
+    starts at the first of ``rows`` and goes on through them in order."""
+    run = m[rows[0]] == ord("0")
+    for row in rows:
+        run &= m[row] == ord("0")
+        m[row][run] = 0
+
+
+def _int_array_rows_body(rows: np.ndarray, ind: str) -> bytes:
+    """The rows of a 2-D integer array slice with at least one column and
+    every code in ``[0, 1000)``, ``","``-separated, each on a line
+    indented by ``ind``, as ``ingest.write_report`` writes its
+    ``tolist()``; each code's text is taken from ``_CODE_GROUPS``."""
+    cols = rows.shape[1]
+    cell = (ind + " ").encode()
+    # one row: "[", per code its cell, three digit bytes and "," (none
+    # after the last), then ind + "]" and, but after the last row, "," + ind
+    code = cell + b"\0\0\0,"
+    template = (b"[" + code * (cols - 1) + code[:-1] + b"\0"
+                + ind.encode() + b"]," + ind.encode())
+    m = np.empty((len(template), len(rows)), np.uint8)
+    m[:] = np.frombuffer(template, np.uint8)[:, None]
+    m[-len(ind) - 1:, -1] = 0
+    # (byte of a code's text, column, row)
+    codes = (m[1:1 + cols * len(code)].reshape(cols, len(code), len(rows))
+             .swapaxes(0, 1))
+    at = len(cell)
+    codes[at:at + 3] = _CODE_GROUPS.take(rows.T, axis=1)
+    return m.T.tobytes().translate(None, b"\0")
 
 
 class _Window:
@@ -470,9 +682,9 @@ def _section(window: _Window, start: int, end: int, mark: bytes, keep: int,
     mark, keep)`` gives, each made an array by ``parse``; else None.
 
     They are kept only when the writer gives their bytes back: each run
-    of whole blocks holding at least ``ingest._CHUNK`` items, and the
+    of whole blocks holding at least ``_CHUNK`` items, and the
     last run, joined by the bytes cut between blocks, must be exactly
-    ``ingest.array_text`` of its items after the rest of the separator
+    ``array_text`` of its items after the rest of the separator
     ``"," + ind``.  One writer call per run, not per block, so a small
     block costs no call of its own.
     """
@@ -489,8 +701,8 @@ def _section(window: _Window, start: int, end: int, mark: bytes, keep: int,
             arrays.append(values)
             run.append(block)
             items += len(values)
-        if run and (block is None or items >= ingest._CHUNK):
-            text = ingest.array_text(np.concatenate(arrays[-len(run):]), ind)
+        if run and (block is None or items >= _CHUNK):
+            text = array_text(np.concatenate(arrays[-len(run):]), ind)
             if cut.join(run) != lead + text:
                 return None
             run, items = [], 0
@@ -519,12 +731,12 @@ _TRAILER_BYTES = 65  # a SHA-256 in hex, then a newline
 def sidecar_pieces(data: DiscreteDataset, text_bytes: int,
                    text_sha256: str) -> Iterator | None:
     """The sidecar, in bytes-like pieces, of the dataset file
-    ``write_report`` writes for ``data.to_document()``, given that text's
+    ``dataset_pieces`` writes for ``data``, given that text's
     length in bytes and its SHA-256 (hex).  None when the dataset has no
     variables (its text reads back as no rows) or a continuous column
     holds a value that is not finite: such a file is read from its
     text.  Each column is written as
-    ``ingest.float_read_back`` gives it, a slice at a time, and each
+    ``float_read_back`` gives it, a slice at a time, and each
     piece is hashed for the trailer as it goes out, so no copy of it is
     held."""
     if not data.variables or not all(
@@ -542,7 +754,7 @@ def sidecar_pieces(data: DiscreteDataset, text_bytes: int,
         yield np.ascontiguousarray(data.codes).reshape(-1).view(np.uint8)
         for column in doc["continuous"].values():
             for i in range(0, len(column), _SIDECAR_ITEMS):
-                yield ingest.float_read_back(column[i:i + _SIDECAR_ITEMS])
+                yield float_read_back(column[i:i + _SIDECAR_ITEMS])
 
     def pieces():
         digest = _sha256()
@@ -625,26 +837,6 @@ def _sha256():
     import hashlib
 
     return hashlib.sha256()
-
-
-class TextDigest:
-    """Counts and hashes a dataset file's text on its way out: ``encode``
-    turns its str pieces into bytes, and once they have all passed,
-    ``size`` and ``hexdigest()`` are the length and SHA-256 that
-    ``sidecar_pieces`` records."""
-
-    def __init__(self):
-        self.size, self._digest = 0, _sha256()
-
-    def encode(self, pieces: Iterable[str]) -> Iterator[bytes]:
-        for piece in pieces:
-            raw = piece.encode()
-            self._digest.update(raw)
-            self.size += len(raw)
-            yield raw
-
-    def hexdigest(self) -> str:
-        return self._digest.hexdigest()
 
 
 def _file_sha256(file: BinaryIO) -> str:

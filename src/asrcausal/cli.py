@@ -26,7 +26,7 @@ its freshness check.  So ``--help`` and an up-to-date skip load only
 this module, ``errors`` and the standard-library modules they import at
 the top (argparse, json, pathlib and the like): no NumPy, and none of
 ``ingest``'s dataclasses.  Stage functions are called as module
-attributes (``causal_mod.fit_cpts``, ``ingest.report_pieces``), so
+attributes (``causal_mod.fit_cpts``, ``ingest.write_report``), so
 wrappers installed on the modules see every call.
 
 The ``asrcausal`` console script and ``python -m asrcausal.cli`` run
@@ -49,6 +49,7 @@ import os
 import stat
 import sys
 from contextlib import contextmanager
+from itertools import compress
 from pathlib import Path
 from typing import IO, TYPE_CHECKING, Iterable, Iterator, NoReturn, TextIO
 
@@ -307,20 +308,24 @@ def _write_text(path: str, pieces: Iterable[str]) -> str:
 
 
 def _write_dataset(path: str, data: causal_mod.DiscreteDataset) -> list[str]:
-    """Write ``data``'s dataset file to ``path``, hashing its bytes as
-    they stream out (``causal.TextDigest``), then its sidecar
+    """Write ``data``'s dataset file to ``path`` (``causal.dataset_pieces``),
+    hashing its bytes as they go out, then its sidecar
     (``causal.sidecar_pieces``) next to it.  Returns the files written,
     for the stamp.  A dataset that gets no sidecar removes any old one; a
     failed sidecar write leaves the old one, which no longer matches the
     text."""
-    from . import causal as causal_mod
-    from . import ingest
+    import hashlib
 
-    text = causal_mod.TextDigest()
+    from . import causal as causal_mod
+
+    digest = hashlib.sha256()
     with _replacing(path, "wb") as fh:
-        fh.writelines(text.encode(ingest.report_pieces(data.to_document())))
+        for piece in causal_mod.dataset_pieces(data):
+            digest.update(piece)
+            fh.write(piece)
+        size = fh.tell()
     sidecar = _hidden(path, "arrays")
-    pieces = causal_mod.sidecar_pieces(data, text.size, text.hexdigest())
+    pieces = causal_mod.sidecar_pieces(data, size, digest.hexdigest())
     if pieces is None:
         sidecar.unlink(missing_ok=True)
         return [path]
@@ -400,8 +405,8 @@ def _cmd_synth(config) -> list[str]:
     spec = _load_scm(config.spec, config.n, config.seed)
     written = _write_dataset(config.out, synthetic.generate(spec))
     if config.truths:
-        written.append(_write_text(config.truths, ingest.report_pieces(
-            {"edges": synthetic.true_edges(spec)})))
+        written.append(_write_text(config.truths, [ingest.write_report(
+            {"edges": synthetic.true_edges(spec)})]))
     return written
 
 
@@ -595,7 +600,7 @@ def _cmd_oracle(config) -> list[str]:
     if table.rows:
         aggregates["oracle"] = table.oracle_aggregate().to_dict()
     report = {"choice": choice, "aggregates": aggregates}
-    return [_write_text(config.out, ingest.report_pieces(report))]
+    return [_write_text(config.out, [ingest.write_report(report)])]
 
 
 def _correlation_csv(models, matrix) -> str:
@@ -632,20 +637,22 @@ def _cmd_fit(config) -> list[str]:
     from . import ingest
 
     graph = _load_graph(config.graph)
-    data = _load_dataset(config.inp)
-    cpts = causal_mod.fit_cpts(graph, data, config.alpha)
+    # no name holds the dataset, so its arrays are freed before the
+    # report text is built
+    cpts = causal_mod.fit_cpts(graph, _load_dataset(config.inp), config.alpha)
     doc = {}
     for node, table in cpts.items():
         rows = table.counts.reshape(-1, len(table.categories))
         # nonzero parent configurations only; a root node always has its row
+        keep = rows.any(axis=-1) | (not table.parents)
+        configs = compress(map("|".join, table.parent_configs()),
+                           keep.tolist())
         doc[node] = {
             "parents": list(table.parents),
             "alpha": table.alpha,
-            "counts": {"|".join(cfg): [int(c) for c in row]
-                       for cfg, row in zip(table.parent_configs(), rows)
-                       if row.any() or not table.parents},
+            "counts": dict(zip(configs, rows[keep].tolist())),
         }
-    return [_write_text(config.out, ingest.report_pieces(doc))]
+    return [_write_text(config.out, [ingest.write_report(doc)])]
 
 
 def _emit(config, payload: dict) -> int:
@@ -655,7 +662,10 @@ def _emit(config, payload: dict) -> int:
     if config.out:
         _write_text(config.out, [text])
     else:
-        sys.stdout.write(text)
+        try:
+            sys.stdout.write(text)
+        except OSError as exc:  # unbuffered, the write itself fails
+            raise IoError(f"cannot write standard output: {exc}") from None
     return 0
 
 
@@ -744,7 +754,7 @@ def _cmd_report(config) -> list[str]:
         if len(records) >= 2:
             corr_models, matrix = table.correlation()
             report["correlation"] = {"models": corr_models, "matrix": matrix}
-    written = [_write_text(config.out, ingest.report_pieces(report))]
+    written = [_write_text(config.out, [ingest.write_report(report)])]
     if config.plot_dir:
         for name, text in ingest.emit_plot_data(report).items():
             written.append(_write_text(os.path.join(config.plot_dir, name),

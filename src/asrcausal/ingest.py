@@ -14,18 +14,11 @@ Formats (all diff-able, hand-editable text):
   graph type, lives here, so loading a graph loads no NumPy;
 * reports: canonical JSON, keys sorted, reals quantized to 6 decimals.
 
-``report_pieces`` yields a report's text in pieces from one private
-encoder that quantizes as it emits; ``write_report`` joins them.  A
-NumPy array in a report (found by its ``dtype``) is written as its
-``tolist()`` would be, one slice at a time.  A 1-D float slice and a 2-D
-one of integer codes in ``[0, 1000)`` (a dataset's columns and code rows)
-are formatted by NumPy into a byte matrix; every list item, and every item
-of any other array slice, is written one at a time.  NumPy is imported
-only once an array has reached the encoder, so reading and skipping
-load none.  The bytes are those of ``json.dumps(..., sort_keys=True,
-indent=1)`` on the quantized tree, so readers, golden files and digests
-do not depend on which encoder wrote them, and ``IoError`` is raised
-for exactly the values ``json.dumps`` rejects.
+``write_report`` is ``json.dumps(..., sort_keys=True, indent=1)`` of the
+quantized tree (``_quantized``), with any NumPy array in it made its
+``tolist()``; this module loads no NumPy.  A dataset file, whose
+arrays are too large for that, is written by
+``causal.dataset_pieces`` in the same bytes, next to its reader.
 
 Every malformed input raises a typed error naming the offending line or
 field; no partially constructed value ever escapes.  Input JSON is
@@ -38,15 +31,12 @@ for any chunk of lines that fails a check.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import re
 import sys
 import warnings
 from dataclasses import dataclass, field
-from itertools import chain
-from json.encoder import encode_basestring_ascii as _encode_str
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -455,305 +445,29 @@ def _quantize(value):
     return value
 
 
-# _float_array_body writes ±0.0 and a finite float whose magnitude is in
-# [_FIXED_LO, _FIXED_HI) from the digits of |x| * 10**_PLACES rounded to
-# an integer: at most 15 (9 + _PLACES) of them, in the range repr writes
-# in fixed notation.
-_FIXED_LO = 1e-4
-_FIXED_HI = 1e9
-_CHUNK = 4096  # list items written per piece
-
-
-# --- array slices ---------------------------------------------------------------
-#
-# An array slice is written from a (width, n) uint8 matrix: one column
-# per item holding its bytes, with a zero byte wherever the text has no
-# character, so one ``bytes.translate(None, b"\0")`` of the transposed
-# matrix gives the text.  The (width, n) layout keeps each row, filled by
-# one NumPy operation, contiguous.  NumPy is imported here only once an
-# array has reached the encoder, so it is loaded already.
-
-@functools.cache
-def _digit_groups():
-    """(3, 1000) uint8 table: column ``v`` holds the ASCII digits of
-    ``"%03d" % v``."""
-    import numpy as np
-
-    v = np.arange(1000)
-    return (np.stack([v // 100, v // 10 % 10, v % 10]) + 48).astype(np.uint8)
-
-
-@functools.cache
-def _code_groups():
-    """``_digit_groups`` with the leading zeros of each ``v`` as zero
-    bytes: the text of ``"%d" % v``, right-aligned in three bytes."""
-    table = _digit_groups().copy()
-    table[0, :100] = 0
-    table[1, :10] = 0
-    return table
-
-
-# Rows of a float item: sign, the 18 digits of k = round(|x| * 10**6) (12
-# of the integer part, 6 of the fraction) with the point between, then
-# the separator.  The groups of three digits start at these rows, least
-# significant first.
-_SIGN, _POINT, _FLOAT_ROWS = 0, 13, 20
-_GROUP_ROWS = (17, 14, 10, 7, 4, 1)
-_SPLICE = "\1"  # stands for an item written one at a time
-
-
-def _fixed_point(x):
-    """``(k, fast)`` for a float64 array ``x``: ``k``, as float64, is
-    ``rint(|x| * 10**6)`` and ``fast`` marks the items whose text is the
-    digits of ``k`` (elsewhere ``k`` means nothing).
-
-    ``0.0`` and ``-0.0`` are both ``k = 0``, written ``0.0`` as
-    ``_quantize`` makes them.  For finite ``1e-4 <= |x| < 1e9``,
-    ``round(x, 6)`` is the double nearest ``d = ±k / 10**6``, ``k``
-    being the exact ``|x| * 10**6`` rounded half to even.  ``d`` has at
-    most 15 significant digits (``k <= 10**15``), and no two such
-    decimals read back as one double, so ``repr`` writes ``d``, in fixed
-    notation in this band: the digits of ``k``, the point six from the
-    right, less leading integer and trailing fraction zeros (keeping
-    ``0.`` and ``.0``).  ``y = |x| * 1e6`` is off the exact product by
-    at most half of ``spacing(y)``, so where ``| |y - k| - 0.5 | >
-    spacing(y)`` no ``.5`` boundary lies between them and ``k =
-    rint(y)``.  The other items (a near-tie, out of the band, NaN, ±inf)
-    are written as ``_scalar(_quantize(x))``.
-    """
-    import numpy as np
-
-    a = np.abs(x)
-    band = ((a >= _FIXED_LO) & (a < _FIXED_HI)) | (a == 0.0)
-    a[~band] = 1.0  # keeps NaN and inf out of the arithmetic below
-    y = a * 1e6
-    k = np.rint(y)
-    return k, band & (np.abs(np.abs(y - k) - 0.5) > np.spacing(y))
-
-
-def float_read_back(values):
-    """The float64 array that reading the text ``_float_array_body``
-    writes for the finite 1-D float array ``values`` gives back: ``±k /
-    10**6`` where ``_fixed_point`` finds the item fast (``k / 1e6`` is
-    that double, as one IEEE division rounds correctly), else
-    ``_quantize(x)``, whose ``repr`` reads back as itself."""
-    import numpy as np
-
-    x = values.astype(np.float64)
-    k, fast = _fixed_point(x)
-    k /= 1e6
-    # x < 0, not the sign bit: -0.0 is written "0.0"
-    np.negative(k, out=k, where=x < 0.0)
-    slow = np.flatnonzero(~fast)
-    if slow.size:
-        k[slow] = [_quantize(v) for v in x[slow].tolist()]
-    return k
-
-
-def _float_array_body(values, sep: str) -> str:
-    """The items of a 1-D float array slice, ``sep``-joined, as
-    ``_items`` writes its ``tolist()``, whatever the items: a fast item
-    (``_fixed_point``) from the digits of its ``k``, formatted by NumPy,
-    and every other item by ``_scalar(_quantize(x))``, spliced in by
-    index.
-    """
-    import numpy as np
-
-    x = values.astype(np.float64)  # exact, as tolist() widens
-    k, fast = _fixed_point(x)
-    k = k.astype(np.int64)
-
-    sep_bytes = sep.encode()
-    m = np.empty((_FLOAT_ROWS + len(sep_bytes), len(x)), np.uint8)
-    # x < 0, not the sign bit: -0.0 is written "0.0"
-    np.multiply(x < 0.0, ord("-"), out=m[_SIGN], casting="unsafe")
-    table = _digit_groups()
-    rest = k
-    for row in _GROUP_ROWS:
-        rest, group = np.divmod(rest, 1000)
-        table.take(group, axis=1, out=m[row:row + 3], mode="clip")
-    m[_POINT] = ord(".")
-    # leading integer zeros, then trailing fraction zeros; the units
-    # digit and the first fraction digit stay
-    _zero_runs(m, range(_SIGN + 1, _POINT - 1))
-    _zero_runs(m, range(_FLOAT_ROWS - 1, _POINT + 1, -1))
-    m[_FLOAT_ROWS:] = np.frombuffer(sep_bytes, np.uint8)[:, None]
-    m[_FLOAT_ROWS:, -1] = 0
-    slow = np.flatnonzero(~fast)
-    if slow.size:
-        m[:_FLOAT_ROWS, slow] = 0
-        m[_SIGN, slow] = ord(_SPLICE)
-    text = m.T.tobytes().translate(None, b"\0").decode("ascii")
-    if not slow.size:
-        return text
-    parts = text.split(_SPLICE)
-    slow_texts = [_scalar(_quantize(v)) for v in x[slow].tolist()]
-    return "".join(chain.from_iterable(zip(parts, slow_texts))) + parts[-1]
-
-
-def _zero_runs(m, rows) -> None:
-    """Zero, in each column of ``m``, the run of ``"0"`` bytes that
-    starts at the first of ``rows`` and goes on through them in order."""
-    run = m[rows[0]] == ord("0")
-    for row in rows:
-        run &= m[row] == ord("0")
-        m[row][run] = 0
-
-
-def _int_array_rows_body(rows, ind: str) -> str:
-    """The rows of a 2-D integer array slice with at least one column and
-    every code in ``[0, 1000)``, ``","``-separated, each on a line
-    indented by ``ind``, as ``_items`` writes its ``tolist()``; each
-    code's text is taken from ``_code_groups``."""
-    import numpy as np
-
-    cols = rows.shape[1]
-    cell = (ind + " ").encode()
-    # one row: "[", per code its cell, three digit bytes and "," (none
-    # after the last), then ind + "]" and, but after the last row, "," + ind
-    code = cell + b"\0\0\0,"
-    template = (b"[" + code * (cols - 1) + code[:-1] + b"\0"
-                + ind.encode() + b"]," + ind.encode())
-    m = np.empty((len(template), len(rows)), np.uint8)
-    m[:] = np.frombuffer(template, np.uint8)[:, None]
-    m[-len(ind) - 1:, -1] = 0
-    # (byte of a code's text, column, row)
-    codes = (m[1:1 + cols * len(code)].reshape(cols, len(code), len(rows))
-             .swapaxes(0, 1))
-    at = len(cell)
-    codes[at:at + 3] = _code_groups().take(rows.T, axis=1)
-    return m.T.tobytes().translate(None, b"\0").decode("ascii")
-
-
-def _scalar(value) -> str:
-    """JSON text of a non-container value, by ``json.dumps``' rules."""
-    if isinstance(value, str):
-        return _encode_str(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        if math.isinf(value):
-            return "Infinity" if value > 0 else "-Infinity"
-        return float.__repr__(value)
-    raise TypeError(f"Object of type {type(value).__name__} "
-                    f"is not JSON serializable")
-
-
-# Values written by _scalar, joined to the piece before them rather than
-# given a generator of their own.
-_LEAVES = (str, int, float, type(None))
-
-
-def _encode(value, ind: str) -> Iterator[str]:
-    """Canonical JSON text of ``value``, in pieces, whose line is
-    indented by ``ind``.
-
-    ``ind`` is a newline plus one space per nesting level.  A list, tuple
-    or NumPy array (told by its ``dtype``; a NumPy scalar has ``ndim`` 0
-    and is a scalar here) is written one ``_CHUNK`` slice at a time by
-    ``_items``.
-    """
+def _quantized(value):
+    """``value`` as ``write_report`` hands it to ``json.dumps``: every
+    dict key ``str(key)``, every tuple a list, every NumPy array (told by
+    its ``dtype``; a NumPy scalar has ``ndim`` 0 and is a scalar here)
+    its ``tolist()``, and every float ``_quantize``-d."""
     if isinstance(value, dict):
-        named = {str(k): v for k, v in value.items()}
-        if not named:
-            yield "{}"
-            return
-        inner = ind + " "
-        lead = "{" + inner
-        for key in sorted(named):
-            item = named[key]
-            head = lead + _encode_str(key) + ": "
-            if isinstance(item, _LEAVES):
-                yield head + _scalar(_quantize(item))
-            else:
-                yield head
-                yield from _encode(item, inner)
-            lead = "," + inner
-        yield ind + "}"
-    elif (isinstance(value, (list, tuple))
-          or hasattr(value, "dtype") and value.ndim):
-        if not len(value):
-            yield "[]"
-            return
-        inner = ind + " "
-        lead = "[" + inner
-        for i in range(0, len(value), _CHUNK):
-            yield lead
-            yield from _items(value[i:i + _CHUNK], inner)
-            lead = "," + inner
-        yield ind + "]"
-    else:
-        yield _scalar(_quantize(value))
-
-
-def _items(chunk, ind: str) -> Iterator[str]:
-    """The items of one list slice, ``","``-separated, each on a line
-    indented by ``ind``.
-
-    A 1-D float array slice is formatted by ``_float_array_body`` and a
-    2-D integer one with codes in ``[0, 1000)`` by
-    ``_int_array_rows_body``.  Any other array slice is made its
-    ``tolist()``, and every list item is written one at a time: a scalar
-    by ``_scalar(_quantize(item))``, a container by ``_encode``.
-    """
-    sep = "," + ind
-    if hasattr(chunk, "dtype"):
-        kind = chunk.dtype.kind
-        if chunk.ndim == 1 and kind == "f" and chunk.dtype.itemsize <= 8:
-            yield _float_array_body(chunk, sep)
-            return
-        if (chunk.ndim == 2 and kind in "iu" and chunk.shape[1]
-                and chunk.min() >= 0 and chunk.max() < 1000):
-            yield _int_array_rows_body(chunk, ind)
-            return
-        chunk = chunk.tolist()
-    lead = ""
-    for item in chunk:
-        if isinstance(item, _LEAVES):
-            yield lead + _scalar(_quantize(item))
-        else:
-            yield lead
-            yield from _encode(item, ind)
-        lead = sep
-
-
-def array_text(values, ind: str) -> bytes:
-    """The bytes of a non-empty list's or array's items, as ``_items``
-    writes them in a list whose items are indented by ``ind``: without
-    the brackets and the first item's indent."""
-    return "".join(_items(values, ind)).encode()
-
-
-def report_pieces(report) -> Iterator[str]:
-    """The text of ``write_report(report)`` as consecutive pieces.
-
-    No piece holds more than one ``_CHUNK`` slice of a list, and an
-    array's items are formatted one slice at a time, so writing the
-    pieces out one by one holds neither the whole text nor a list copy
-    of an array.  A value that ``write_report`` rejects
-    raises ``IoError`` when it is reached, after the pieces before it.
-    """
-    try:
-        yield from _encode(report, "\n")
-    except (TypeError, ValueError) as exc:
-        raise IoError(f"report not serializable: {exc}") from None
-    yield "\n"
+        return {str(k): _quantized(v) for k, v in value.items()}
+    if hasattr(value, "dtype") and value.ndim:
+        value = value.tolist()
+    if isinstance(value, (list, tuple)):
+        return [_quantized(v) for v in value]
+    return _quantize(value)
 
 
 def write_report(report) -> str:
-    """Deterministic serialization of an analysis result tree: the text
-    of ``json.dumps(q, sort_keys=True, indent=1) + "\\n"``, where ``q`` is
-    ``report`` with every NumPy array (``ndim >= 1``) made its
-    ``tolist()``, every dict key ``str(key)``, every tuple a list and
-    every float ``_quantize``-d; a value that expression rejects raises
-    ``IoError``.  It is the join of ``report_pieces``."""
-    return "".join(report_pieces(report))
+    """Deterministic serialization of an analysis result tree:
+    ``json.dumps(_quantized(report), sort_keys=True, indent=1) + "\\n"``.
+    A value ``json.dumps`` rejects (a NumPy integer scalar, a set, an
+    integer past Python's digit limit) raises ``IoError``."""
+    try:
+        return json.dumps(_quantized(report), sort_keys=True, indent=1) + "\n"
+    except (TypeError, ValueError) as exc:
+        raise IoError(f"report not serializable: {exc}") from None
 
 
 # --- delimited plot-data emission --------------------------------------------

@@ -1473,7 +1473,8 @@ class TestAtomicWrite:
         out = tmp_path / "data.json"
         tracemalloc.start()
         try:
-            cli._write_text(str(out), ingest.report_pieces(doc))
+            with open(out, "wb") as fh:
+                fh.writelines(causal.dataset_pieces(data))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1510,6 +1511,13 @@ class TestImports:
                      "try:\n    cli.main(['--help'])\n"
                      "except SystemExit:\n    pass")
         assert probe(help_body, tmp_path)[0] == set()
+
+    def test_ingest_loads_no_numpy(self, tmp_path):
+        body = ("from asrcausal import ingest\n"
+                "graph = ingest.CausalGraph.builtin('paper-default')\n"
+                "ingest.write_report({'graph': graph.to_document(), "
+                "'x': [0.1, float('nan')], (1, 2): (3,)})")
+        assert probe(body, tmp_path)[0] == set()
 
     def test_package_attribute_imports_submodule(self, tmp_path):
         loaded, _ = probe("import asrcausal\n"
@@ -1713,6 +1721,6 @@ class TestProcess:
                              stdout=full, unbuffered=unbuffered)
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr
-        diagnostic = json.loads(proc.stderr)
-        assert diagnostic["error"] == "E_IO"
-        assert "No space left on device" in diagnostic["message"]
+        assert json.loads(proc.stderr) == {
+            "error": "E_IO", "message": "cannot write standard output: "
+                                        "[Errno 28] No space left on device"}

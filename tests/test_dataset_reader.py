@@ -1,10 +1,12 @@
-"""Reading dataset files: ``DiscreteDataset.from_file``.
+"""Writing and reading dataset files: ``causal.dataset_pieces`` and
+``DiscreteDataset.from_file``.
 
-A file in the layout ``ingest.write_report`` gives a dataset document is
-read straight into arrays by ``causal._canonical_dataset`` (the array
-reader); any other text by ``json`` and ``from_document`` (the general
-reader).  Both must give equal datasets, and the array reader must
-refuse (return None for) every text it cannot prove canonical.
+The writer must give the bytes of ``ingest.write_report`` of the
+dataset document.  A file in that layout is read straight into arrays
+by ``causal._canonical_dataset`` (the array reader); any other text by
+``json`` and ``from_document`` (the general reader).  Both must give
+equal datasets, and the array reader must refuse (return None for)
+every text it cannot prove canonical.
 
 A dataset file the CLI writes has a sidecar (``causal.read_sidecar``),
 which must give exactly what the text gives, and which the CLI's loader
@@ -31,7 +33,7 @@ from asrcausal.errors import SchemaError, ToolkitError
 
 
 def written(data: DiscreteDataset) -> bytes:
-    return ingest.write_report(data.to_document()).encode()
+    return b"".join(causal.dataset_pieces(data))
 
 
 def from_bytes(raw: bytes) -> DiscreteDataset:
@@ -119,6 +121,53 @@ EQUIVALENT = {
     # Infinity is no JSON number: only the general reader takes it
     "a column holding Infinity": (dataset(30, values=with_infinity), False),
 }
+
+
+def ties_and_specials(rng, n):
+    """Normal floats with NaN, ±inf, -0.0 and 6th-decimal near-ties."""
+    values = rng.normal(size=n)
+    ties = [(k + 0.5) / 1e6 for k in (0, 7, 12345, 10 ** 9)]
+    special = [math.nan, math.inf, -math.inf, -0.0, 5e-7, 1e9, *ties,
+               *(math.nextafter(t, d) for t in ties
+                 for d in (-math.inf, math.inf))]
+    values[rng.choice(n, len(special), replace=False)] = special
+    return values
+
+
+WRITER_CASES = {
+    "no rows, two empty columns": dataset(0),
+    "no rows, no columns": dataset(0, columns=()),
+    "rows with no variables": DiscreteDataset(
+        [], {}, np.zeros((5000, 0), np.int64), {"x": np.arange(5000.0)}),
+    "uint16 codes of 1000 and up": dataset(5000, levels=1500),
+    "NaN, inf and near-ties": dataset(5000, values=ties_and_specials),
+    "no continuous columns": dataset(30, columns=()),
+    **{f"{n} rows": dataset(n, seed=n)
+       for n in (4095, 4096, 4097, 2 * 4096 - 1, 2 * 4096 + 1)},
+}
+
+
+@pytest.mark.parametrize("data", WRITER_CASES.values(), ids=WRITER_CASES)
+def test_writer_gives_the_bytes_of_write_report(data):
+    pieces = list(causal.dataset_pieces(data))
+    raw = b"".join(pieces)
+    assert raw == ingest.write_report(data.to_document()).encode()
+    # a code row takes a line per code and two for its brackets
+    lines = causal._CHUNK * (len(data.variables) + 2)
+    assert max(piece.count(b"\n") for piece in pieces) <= lines
+    if data.variables and all(np.isfinite(column).all()
+                              for column in data.continuous.values()):
+        assert_same(array_read(raw), general(raw))
+
+
+def test_no_piece_holds_more_than_one_chunk():
+    data = dataset(10 * causal._CHUNK, k=9)
+    pieces = list(causal.dataset_pieces(data))
+    longest = max(map(len, pieces))
+    # no piece is longer than one chunk of code rows written as a list
+    assert longest * 9 < sum(map(len, pieces))
+    assert longest <= len(b"".join(causal._list_pieces(
+        data.codes[:causal._CHUNK], "\n  ")))
 
 
 @pytest.mark.parametrize("data, canonical", EQUIVALENT.values(),

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from asrcausal import discretize, ingest, synthetic
+from asrcausal import causal, discretize, ingest, synthetic
 from asrcausal.errors import (
     CycleError,
     DuplicateIdError,
@@ -372,10 +372,9 @@ _BAND_EDGE_FLOATS = st.one_of(
 
 
 class TestBulkListEncoding:
-    """Every list item, floats and int rows alike, is written one at a
-    time by the encoder's per-item loop, a chunk of 4096 items per
-    piece; long lists must match ``json.dumps(ref_quantize(x), ...)``
-    byte for byte."""
+    """Every list item, floats and int rows alike, is quantized one at a
+    time and written by ``json.dumps``; long lists must match
+    ``json.dumps(ref_quantize(x), ...)`` byte for byte."""
 
     @settings(max_examples=400, deadline=None)
     @given(st.lists(_BAND_EDGE_FLOATS, min_size=1, max_size=30))
@@ -385,7 +384,7 @@ class TestBulkListEncoding:
 
     def test_long_float_lists_across_chunks(self):
         rng = np.random.default_rng(12)
-        n = 3 * ingest._CHUNK + 5
+        n = 3 * causal._CHUNK + 5
         spread = (10.0 ** rng.uniform(-12, 10, n)
                   * rng.choice([-1.0, 1.0], n)).tolist()
         whole = [float(i) for i in range(n)]  # every item ends in ".0"
@@ -404,15 +403,22 @@ class TestBulkListEncoding:
             assert ingest.write_report(report) == reference_report(report)
 
 
+def listed(array, ind: str = "\n ") -> str:
+    """The JSON list of ``causal.array_text(array, ind)``: for ``ind`` of
+    one space, ``json.dumps``' text of the quantized ``tolist()``."""
+    return ("[" + ind + causal.array_text(array, ind).decode()
+            + ind[:-1] + "]")
+
+
 class TestFloatReadBack:
-    """``float_read_back`` gives, bit for bit, the floats that the text
-    the encoder writes for a float array reads back as."""
+    """``causal.float_read_back`` gives, bit for bit, the floats that
+    the text the dataset writer writes for a float array reads back
+    as."""
 
     @staticmethod
     def check(array):
-        got = ingest.float_read_back(array)
-        expected = np.array(json.loads(ingest.write_report(array)),
-                            dtype=np.float64)
+        got = causal.float_read_back(array)
+        expected = np.array(json.loads(listed(array)), dtype=np.float64)
         assert got.dtype == np.float64
         # bit for bit, so -0.0 and 0.0 differ
         assert np.array_equal(got.view(np.int64), expected.view(np.int64))
@@ -432,27 +438,21 @@ class TestFloatReadBack:
 
     def test_long_array(self):
         rng = np.random.default_rng(21)
-        n = 3 * ingest._CHUNK + 5
+        n = 3 * causal._CHUNK + 5
         self.check(10.0 ** rng.uniform(-12, 12, n)
                    * rng.choice([-1.0, 1.0], n))
-
-
-def streamed(report) -> str:
-    return "".join(ingest.report_pieces(report))
 
 
 _LENGTHS = [0, 1, 4095, 4096, 4097, 2 * 4096 + 1]
 
 
 class TestArrayEncoding:
-    """A NumPy array in a report is written as its ``tolist()`` would be,
-    by ``report_pieces`` and by ``write_report`` alike."""
+    """A NumPy array in a report is written as its ``tolist()`` would
+    be."""
 
     @staticmethod
     def check(report, as_lists):
-        expected = reference_report(as_lists)
-        assert streamed(report) == expected
-        assert ingest.write_report(report) == expected
+        assert ingest.write_report(report) == reference_report(as_lists)
 
     @pytest.mark.parametrize("n", _LENGTHS)
     def test_dataset_arrays_by_length(self, n):
@@ -479,7 +479,7 @@ class TestArrayEncoding:
     def test_bool_array_is_written_as_booleans(self):
         flags = np.array([True, False, True])
         self.check({"flags": flags}, {"flags": [True, False, True]})
-        assert "true" in streamed(flags)
+        assert "true" in ingest.write_report(flags)
         grid = np.array([[True, False], [False, True]])
         self.check(grid, grid.tolist())
 
@@ -498,12 +498,6 @@ class TestArrayEncoding:
     def test_unserializable_array_raises_io_error(self):
         with pytest.raises(IoError, match="report not serializable"):
             ingest.write_report({"z": np.array([1j, 2j])})
-
-    def test_pieces_stay_small(self):
-        codes = np.zeros((10 * ingest._CHUNK, 9), dtype=np.int64)
-        text = ingest.write_report({"rows": codes})
-        longest = max(map(len, ingest.report_pieces({"rows": codes})))
-        assert longest * 9 < len(text)
 
 
 def _tie_neighbours(ms):
@@ -532,10 +526,27 @@ _HARD_FLOATS = {
 }
 
 
+def dataset_text(array) -> tuple[bytes, bytes]:
+    """A dataset holding ``array``, a float column or non-negative code
+    rows, written by ``causal.dataset_pieces`` and by ``write_report``."""
+    if array.ndim == 1:
+        data = causal.DiscreteDataset(
+            ["V"], {"V": ["a"]}, np.zeros((len(array), 1), np.int64),
+            {"x": array})
+    else:
+        names = [f"V{j}" for j in range(array.shape[1])]
+        levels = [str(i) for i in range(int(array.max(initial=0)) + 1)]
+        data = causal.DiscreteDataset(names, dict.fromkeys(names, levels),
+                                      array)
+    return (b"".join(causal.dataset_pieces(data)),
+            ingest.write_report(data.to_document()).encode())
+
+
 class TestArrayFormatter:
-    """1-D float and 2-D integer array slices are formatted with NumPy;
-    the text must be ``json.dumps`` of their ``tolist()``, whichever
-    items take the per-item path."""
+    """The dataset writer formats 1-D float and 2-D integer array slices
+    with NumPy (``causal.array_text``); the text must be ``json.dumps``
+    of their ``tolist()``, whichever items take the per-item path, and
+    ``write_report`` must write the same."""
 
     @staticmethod
     def check(array):
@@ -543,6 +554,14 @@ class TestArrayFormatter:
                                  ({"c": {"x": array}},
                                   {"c": {"x": array.tolist()}})):
             assert ingest.write_report(report) == reference_report(as_lists)
+        if len(array):
+            expected = reference_report(array.tolist())[:-1]
+            assert listed(array) == expected
+            ind = "\n   "
+            assert listed(array, ind) == expected.replace("\n", ind[:-1])
+        if array.ndim == 1 or array.min(initial=0) >= 0:
+            fast, reference = dataset_text(array)
+            assert fast == reference
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("case", sorted(_HARD_FLOATS))
@@ -587,8 +606,8 @@ class TestArrayFormatter:
             return ref_quantize(value)
 
         monkeypatch.setattr(ingest, "_quantize", spy)
-        text = ingest.write_report(array)
-        assert text == reference_report(array.tolist())
+        text = listed(array)
+        assert text == reference_report(array.tolist())[:-1]
         assert len(quantized) == len(slow)
         assert quantized[0] == tie and quantized[-1] == -1e-300
 
@@ -597,8 +616,7 @@ class TestArrayFormatter:
         pool = np.array([0.0, -0.0, math.nan, 0.5, -3.25, 1e-4, -7.0e8,
                          123.456789, 5e-5])
         array = rng.choice(pool, size=3 * 4096 + 5)
-        expected = [ingest._scalar(ingest._quantize(x))
-                    for x in array.tolist()]
+        expected = [json.dumps(ref_quantize(x)) for x in array.tolist()]
         quantized = []
 
         def spy(value):
@@ -606,7 +624,7 @@ class TestArrayFormatter:
             return ref_quantize(value)
 
         monkeypatch.setattr(ingest, "_quantize", spy)
-        pieces = ingest._float_array_body(array, ",").split(",")
+        pieces = causal.array_text(array, "\n").decode().split(",\n")
         assert pieces == expected
         assert "-0.0" not in pieces
         # only NaN and 5e-5 (below the band) are written one at a time
