@@ -5,7 +5,7 @@ Every score-based output is derived from one ``ScoreTable``: for each
 record and model, the S/D/I/N counts of exactly one ``align`` call, with
 the record's reference normalized once for all its models.
 ``score_table`` is the one builder that aligns a record set, and
-``ScoreTable.from_scores`` loads the table ``align`` wrote; the table's
+``ScoreTable.read`` loads the table ``align`` wrote; the table's
 methods give the per-group aggregates, the oracle choice and aggregate,
 and the inter-model correlation.  A CLI stage builds or loads one table
 and reads all of its outputs from it.  The table holds plain Python
@@ -24,11 +24,13 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from .errors import (
+    DuplicateIdError,
     EmptyReferenceError,
     MissingModelError,
     SchemaError,
     TooFewValuesError,
 )
+from .ingest import read_jsonl
 
 
 def kernel_backend() -> str:
@@ -230,16 +232,30 @@ class ScoreTable:
     rows: list[dict[str, AlignmentResult]]
 
     @classmethod
-    def from_scores(cls, records: Sequence, scores: dict,
-                    models: Sequence[str] | None = None) -> "ScoreTable":
-        """The table persisted by ``align``: `scores` maps record id to
-        ``{model: {substitutions, deletions, insertions, ref_len, ...}}``.
+    def read(cls, stream: Iterable[str], records: Sequence,
+             models: Sequence[str] | None = None) -> "ScoreTable":
+        """The table ``align`` wrote (``to_jsonl``), read from a text
+        stream: one ``{"id", "scores"}`` line per record, where
+        ``scores`` maps model to ``{substitutions, deletions, insertions,
+        ref_len, ...}``.
 
-        Every record needs a score for each of `models` (default: every
-        model it carries), and each ``ref_len`` must equal the length of
-        the record's normalized reference (a mismatch means the scores are
-        stale); otherwise SchemaError naming the record.
+        A line that is not such an object is SchemaError naming the line,
+        and a repeated id DuplicateIdError, as the stream is read.  Then,
+        in record order, every record needs a score for each of `models`
+        (default: every model it carries), and each ``ref_len`` must
+        equal the length of the record's normalized reference (a mismatch
+        means the scores are stale); otherwise SchemaError naming the
+        record.
         """
+        scores = {}
+        for line_no, entry in read_jsonl(stream):
+            if not ("scores" in entry and isinstance(entry.get("id"), str)):
+                raise SchemaError("score lines need a string 'id' and "
+                                  "'scores'", line=line_no)
+            if entry["id"] in scores:
+                raise DuplicateIdError(
+                    f"line {line_no}: duplicate id {entry['id']!r}")
+            scores[entry["id"]] = entry["scores"]
         rows = []
         for record in records:
             entry = scores.get(record.id)

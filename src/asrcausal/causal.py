@@ -19,6 +19,10 @@ backdoor formula on the (parents(T), T) marginals of the joint and of
 the joint times the outcome.  Past 10^7 cells a tensor is refused with
 StateExplosionError, as the joint is.
 
+A ``DiscreteDataset`` is built from its code matrix: ``synth`` samples
+codes and ``discretize`` bins values straight to them, so no dataset is
+ever assembled from label strings.
+
 The graph type, ``CausalGraph``, is defined in ``ingest`` (which loads
 no NumPy) and imported here.  The graph owns each node's categories.
 ``fit_cpts``, ``ace`` and ``edge_report`` raise SchemaError naming the
@@ -54,7 +58,6 @@ import numpy as np
 from . import __version__, ingest
 from .errors import (
     EmptyStratumError,
-    IncompleteAssignmentError,
     MissingVariableError,
     NotNormalizedError,
     SchemaError,
@@ -119,32 +122,6 @@ class DiscreteDataset:
             raise MissingVariableError(
                 f"variable {variable!r} not in dataset") from None
         return self.codes[:, j]
-
-    @classmethod
-    def from_rows(cls, categories: Mapping[str, Sequence[str]],
-                  rows: Iterable[Mapping[str, str]],
-                  continuous: Mapping[str, Sequence[float]] | None = None
-                  ) -> "DiscreteDataset":
-        variables = list(categories)
-        index = {v: {c: i for i, c in enumerate(categories[v])}
-                 for v in variables}
-        coded = []
-        for row_no, row in enumerate(rows):
-            out = []
-            for v in variables:
-                if v not in row:
-                    raise SchemaError(f"row {row_no}: missing {v!r}")
-                try:
-                    out.append(index[v][row[v]])
-                except KeyError:
-                    raise SchemaError(
-                        f"row {row_no}: {row[v]!r} not a category of {v!r}"
-                    ) from None
-            coded.append(out)
-        codes = np.array(coded, dtype=np.int64).reshape(len(coded), len(variables))
-        cont = {k: np.asarray(v, dtype=np.float64)
-                for k, v in (continuous or {}).items()}
-        return cls(variables, categories, codes, cont)
 
     def to_document(self) -> dict:
         """The dataset document, holding the dataset's own arrays: the
@@ -999,25 +976,6 @@ def fit_cpts(graph: CausalGraph, data: DiscreteDataset, alpha: float = 1.0
     return tables
 
 
-def joint_probability(graph: CausalGraph,
-                      cpts: Mapping[str, ConditionalTable],
-                      assignment: Mapping[str, str]) -> float:
-    """Probability of a full assignment under the DAG factorization."""
-    missing = [n for n in graph.nodes if n not in assignment]
-    if missing:
-        raise IncompleteAssignmentError(f"assignment lacks {missing}")
-    p = 1.0
-    for node in graph.nodes:
-        p *= cpts[node].prob(assignment[node], assignment)
-    return p
-
-
-def enumerate_assignments(graph: CausalGraph) -> Iterator[dict[str, str]]:
-    names = graph.nodes
-    for combo in itertools.product(*(graph.categories[n] for n in names)):
-        yield dict(zip(names, combo))
-
-
 def joint_tensor(graph: CausalGraph, tables: Mapping[str, ConditionalTable],
                  do: Mapping[str, str] | None = None) -> np.ndarray:
     """Full joint distribution with one axis per node (declaration
@@ -1076,33 +1034,6 @@ def entropy(dist: Sequence[float]) -> float:
     _check_normalized(p)
     nz = p[p > 0]
     return float(-np.sum(nz * np.log(nz)))
-
-
-def conditional_entropy(joint: Sequence[Sequence[float]]) -> float:
-    """H(X | Y) = -sum_{x,y} p(x,y) ln p(x|y) for a joint table p[x, y]."""
-    p = np.asarray(joint, dtype=np.float64)
-    _check_normalized(p)
-    i, j = np.nonzero(p > 0)
-    return float(-np.sum(p[i, j] * np.log(p[i, j] / p.sum(axis=0)[j])))
-
-
-def mutual_information(joint: Sequence[Sequence[float]]) -> float:
-    """I(X; Y) = sum p(x,y) ln [p(x,y) / (p(x) p(y))]; >= 0."""
-    p = np.asarray(joint, dtype=np.float64)
-    _check_normalized(p)
-    i, j = np.nonzero(p > 0)
-    out = np.sum(p[i, j] * np.log(p[i, j] / (p.sum(axis=1)[i]
-                                            * p.sum(axis=0)[j])))
-    return float(max(0.0, out))
-
-
-def smoothed_joint(data: DiscreteDataset, x: str, y: str, alpha: float = 1.0
-                   ) -> np.ndarray:
-    """Alpha-smoothed empirical joint table over (x, y)."""
-    counts, _ = count_tensors(data, [x, y])
-    flat = counts.ravel().astype(np.float64)
-    flat += alpha
-    return (flat / flat.sum()).reshape(counts.shape)
 
 
 def conditional_mutual_information(data: DiscreteDataset, x: str, y: str,

@@ -54,8 +54,7 @@ from pathlib import Path
 from typing import IO, TYPE_CHECKING, Iterable, Iterator, NoReturn, TextIO
 
 from . import __version__
-from .errors import (DuplicateIdError, IoError, SchemaError,
-                     TooFewValuesError, ToolkitError)
+from .errors import IoError, SchemaError, TooFewValuesError, ToolkitError
 
 if TYPE_CHECKING:
     from . import causal as causal_mod
@@ -422,22 +421,6 @@ def _cmd_align(config) -> list[str]:
                         [alignment.score_table(records, models).to_jsonl()])]
 
 
-def _read_scores(path: str) -> dict[str, dict]:
-    from . import ingest
-
-    scores = {}
-    with _reading(path) as fh:
-        for line_no, entry in ingest.read_jsonl(fh):
-            if not ("scores" in entry and isinstance(entry.get("id"), str)):
-                raise SchemaError("score lines need a string 'id' and "
-                                  "'scores'", line=line_no)
-            if entry["id"] in scores:
-                raise DuplicateIdError(
-                    f"line {line_no}: duplicate id {entry['id']!r}")
-            scores[entry["id"]] = entry["scores"]
-    return scores
-
-
 def _gop_scores(config) -> dict[str, float]:
     """Utterance id -> GoP from the posterior, segment and inventory
     files; the posterior arrays are dropped on return."""
@@ -524,6 +507,8 @@ def _fit_or_reuse(variable, values, method, persisted):
 
 
 def _cmd_discretize(config) -> list[str]:
+    import numpy as np
+
     from . import alignment
     from . import causal as causal_mod
     from . import discretize, ingest
@@ -545,14 +530,15 @@ def _cmd_discretize(config) -> list[str]:
                                   record_id=record.id)
     results = None
     if config.scores:
-        table = alignment.ScoreTable.from_scores(
-            records, _read_scores(config.scores), (config.model,))
+        with _reading(config.scores) as fh:
+            table = alignment.ScoreTable.read(fh, records, (config.model,))
         results = [row[config.model] for row in table.rows]
 
     graph_categories = ingest.CausalGraph.builtin("paper-default").categories
-    columns: dict[str, list[str]] = {
-        "Age": [r.grade for r in records],
-        "Gender": [r.gender for r in records]}
+    # node -> graph codes; ingest admits only the graph's grades and genders
+    columns = {node: np.array([graph_categories[node].index(getattr(r, field))
+                               for r in records], dtype=np.intp)
+               for node, field in _CATEGORICAL_SOURCES.items()}
     schemes = []
 
     def bin_column(node, values, method):
@@ -565,7 +551,9 @@ def _cmd_discretize(config) -> list[str]:
                               f"are not, in order, among the graph's "
                               f"categories {list(cats)}")
         schemes.append(scheme)
-        columns[node] = discretize.apply_bins_array(scheme, values)
+        graph_codes = np.array([cats.index(label) for label in scheme.labels])
+        columns[node] = graph_codes.take(
+            discretize.apply_bins_array(scheme, values))
 
     for node, field in _BINNED_SOURCES.items():
         bin_column(node, [float(getattr(r, field)) for r in records],
@@ -578,11 +566,9 @@ def _cmd_discretize(config) -> list[str]:
             bin_column(node, values, methods.get(node, "quantile"))
             continuous[node] = values
 
-    categories = {node: graph_categories[node] for node in columns}
-    rows = [{var: columns[var][i] for var in categories}
-            for i in range(len(records))]
-    written = _write_dataset(config.out, causal_mod.DiscreteDataset.from_rows(
-        categories, rows, continuous))
+    codes = np.column_stack(list(columns.values()))
+    written = _write_dataset(config.out, causal_mod.DiscreteDataset(
+        list(columns), graph_categories, codes, continuous))
     if config.schemes_out:
         written.append(_write_text(config.schemes_out,
                                    [discretize.write_schemes(schemes)]))
@@ -741,8 +727,8 @@ def _cmd_report(config) -> list[str]:
 
         records = _read_records(config.records)
         if config.scores:
-            table = alignment.ScoreTable.from_scores(
-                records, _read_scores(config.scores))
+            with _reading(config.scores) as fh:
+                table = alignment.ScoreTable.read(fh, records)
         else:
             table = alignment.score_table(records)
         graded = table.where(lambda r: r.grade is not None)

@@ -10,14 +10,14 @@ Three methods:
   quantile binning when the density has too few minima;
 * ``quantile`` — equal-mass bins from sorted order statistics.
 
-Fitted schemes serialize to JSON so they can be persisted and re-applied
-across datasets.
+``apply_bins_array`` maps values to codes: each value's index into its
+scheme's labels.  Fitted schemes serialize to JSON so they can be
+persisted and re-applied across datasets.
 """
 
 from __future__ import annotations
 
 import json
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -54,6 +54,9 @@ class BinningScheme:
         if len(self.labels) != len(self.boundaries) + 1:
             raise SchemaError(
                 f"{self.variable}: need #boundaries + 1 labels")
+        if self.method == "sigma" and len(self.boundaries) not in (0, 2):
+            raise SchemaError(f"{self.variable}: a sigma scheme needs 0 or "
+                              f"2 boundaries, not {len(self.boundaries)}")
 
     def to_dict(self) -> dict:
         doc = {"variable": self.variable, "method": self.method,
@@ -186,28 +189,20 @@ def fit_kde_bins(values: Sequence[float], bins: int = 3,
                          bandwidth=h)
 
 
-def apply_bins(scheme: BinningScheme, value: float) -> str:
-    """Map a real to its category label (total, deterministic).
-
-    Generic boundaries are half-open: x >= b_i enters bin i+1.  The sigma
-    method keeps the middle interval inclusive on both ends, so exactly
-    the values within one standard deviation of the mean are 'Average'.
-    """
-    if not scheme.boundaries:
-        return scheme.labels[0]
-    if scheme.method == "sigma":
-        lo, hi = scheme.boundaries
-        if value < lo:
-            return scheme.labels[0]
-        if value > hi:
-            return scheme.labels[2]
-        return scheme.labels[1]
-    return scheme.labels[bisect_right(scheme.boundaries, value)]
-
-
 def apply_bins_array(scheme: BinningScheme, values: Sequence[float]
-                     ) -> list[str]:
-    return [apply_bins(scheme, float(v)) for v in values]
+                     ) -> np.ndarray:
+    """Each value's index into ``scheme.labels`` (total, deterministic).
+
+    Generic boundaries are half-open: x >= b_i enters bin i+1, and NaN
+    the last bin.  The sigma method keeps the middle interval inclusive
+    on both ends, so exactly the values within one standard deviation of
+    the mean, and NaN, are 'Average'.
+    """
+    x = np.asarray(values, dtype=np.float64)
+    if scheme.method == "sigma" and scheme.boundaries:
+        lo, hi = scheme.boundaries
+        return 1 - (x < lo) + (x > hi)
+    return np.searchsorted(scheme.boundaries, x, side="right")
 
 
 def write_schemes(schemes: Sequence[BinningScheme]) -> str:

@@ -18,7 +18,6 @@ and rows could be sharded by index without changing output.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
@@ -421,46 +420,16 @@ _BUILTIN_SPECS = {"paper-shaped": paper_shaped_spec,
                   "copy-chain": copy_chain_spec}
 
 
-def builtin_scm_spec(name: str, n: int | None = None,
-                     seed: int | None = None) -> ScmSpec:
+def builtin_scm_spec(name: str) -> ScmSpec:
     if name not in _BUILTIN_SPECS:
         raise InvalidSpecError(f"no builtin SCM named {name!r}; "
                                f"choices: {sorted(_BUILTIN_SPECS)}")
-    spec = _BUILTIN_SPECS[name]()
-    if n is not None:
-        spec.n = n
-    if seed is not None:
-        spec.seed = seed
-    return spec
+    return _BUILTIN_SPECS[name]()
 
 
 # --- document form --------------------------------------------------------------
 
 _CFG_SEP = "|"
-
-
-def write_scm_spec(spec: ScmSpec) -> str:
-    spec.validate()
-    tables_doc = {}
-    for node, table in spec.tables.items():
-        entries = {}
-        for config in table.parent_configs():
-            for label in config:
-                if _CFG_SEP in label:
-                    raise InvalidSpecError(
-                        f"category label {label!r} contains {_CFG_SEP!r}")
-            entries[_CFG_SEP.join(config)] = [float(p)
-                                              for p in table.dist(config)]
-        tables_doc[node] = entries
-    doc = {
-        "graph": spec.graph.to_document(),
-        "seed": spec.seed,
-        "n": spec.n,
-        "tables": tables_doc,
-        "emitters": {node: {"means": list(e.means), "spread": e.spread}
-                     for node, e in sorted(spec.emitters.items())},
-    }
-    return json.dumps(doc, sort_keys=True, indent=1) + "\n"
 
 
 def parse_scm_spec(text: str) -> ScmSpec:

@@ -9,15 +9,10 @@ from asrcausal.causal import (
     CausalGraph,
     DiscreteDataset,
     ace,
-    conditional_entropy,
     conditional_mutual_information,
     edge_report,
-    enumerate_assignments,
     entropy,
     fit_cpts,
-    joint_probability,
-    mutual_information,
-    smoothed_joint,
 )
 from asrcausal.errors import (
     EmptyStratumError,
@@ -28,6 +23,15 @@ from asrcausal.errors import (
     StateExplosionError,
     UnknownLevelError,
     UnknownNodeError,
+)
+
+from support import (
+    conditional_entropy,
+    dataset_from_rows,
+    enumerate_assignments,
+    joint_probability,
+    mutual_information,
+    smoothed_joint,
 )
 
 
@@ -43,7 +47,7 @@ def binary_chain():
 
 def dataset_xy(pairs):
     rows = [{"X": x, "Y": y} for x, y in pairs]
-    return DiscreteDataset.from_rows({"X": ["0", "1"], "Y": ["0", "1"]}, rows)
+    return dataset_from_rows({"X": ["0", "1"], "Y": ["0", "1"]}, rows)
 
 
 class TestCausalGraph:
@@ -71,14 +75,6 @@ class TestCausalGraph:
 
 
 class TestDiscreteDataset:
-    def test_rejects_undeclared_category(self):
-        with pytest.raises(SchemaError):
-            DiscreteDataset.from_rows({"X": ["a"]}, [{"X": "b"}])
-
-    def test_rejects_missing_variable(self):
-        with pytest.raises(SchemaError):
-            DiscreteDataset.from_rows({"X": ["a"], "Y": ["b"]}, [{"X": "a"}])
-
     def test_document_round_trip(self):
         data = dataset_xy([("0", "1"), ("1", "0")])
         again = DiscreteDataset.from_document(data.to_document())
@@ -201,14 +197,14 @@ class TestFitCpts:
                 assert abs(table.dist(config).sum() - 1.0) < 1e-9
 
     def test_missing_variable(self):
-        data = DiscreteDataset.from_rows({"X": ["0", "1"]}, [{"X": "0"}])
+        data = dataset_from_rows({"X": ["0", "1"]}, [{"X": "0"}])
         with pytest.raises(MissingVariableError):
             fit_cpts(binary_chain(), data)
 
     def test_unseen_config_uniform_for_any_alpha(self):
         graph = graph_of([("X", "exogenous", ["0", "1"]),
                           ("Y", "endogenous", ["a", "b", "c"])], [("X", "Y")])
-        data = DiscreteDataset.from_rows(
+        data = dataset_from_rows(
             {"X": ["0", "1"], "Y": ["a", "b", "c"]},
             [{"X": "0", "Y": "a"}, {"X": "0", "Y": "c"}])
         for alpha in (0.0, 0.3, 1.0):
@@ -219,7 +215,7 @@ class TestFitCpts:
 
     def test_code_beyond_graph_categories(self):
         # the dataset declares a third X category the graph lacks
-        data = DiscreteDataset.from_rows(
+        data = dataset_from_rows(
             {"X": ["0", "1", "2"], "Y": ["0", "1"]}, [{"X": "2", "Y": "0"}])
         with pytest.raises(SchemaError):
             fit_cpts(binary_chain(), data)
@@ -230,7 +226,7 @@ class TestJointProbability:
         graph = graph_of([(n, "exogenous", ["0", "1"]) for n in "ABC"], [])
         rows = [{"A": a, "B": b, "C": c}
                 for a in "01" for b in "01" for c in "01"]
-        data = DiscreteDataset.from_rows(
+        data = dataset_from_rows(
             {n: ["0", "1"] for n in "ABC"}, rows)
         cpts = fit_cpts(graph, data, alpha=0.5)
         for assignment in enumerate_assignments(graph):
@@ -383,7 +379,7 @@ class TestConditionalMutualInformation:
         y = (rng.random(n) < np.take(p_by_z, z)).astype(int)
         rows = [{"X": str(a), "Y": str(b), "Z": str(c)}
                 for a, b, c in zip(x, y, z)]
-        data = DiscreteDataset.from_rows(
+        data = dataset_from_rows(
             {"X": ["0", "1"], "Y": ["0", "1"], "Z": ["0", "1", "2"]}, rows)
         value = conditional_mutual_information(data, "X", "Y", ["Z"])
         assert 0.0 <= value <= 0.01
@@ -395,7 +391,7 @@ class TestConditionalMutualInformation:
         n = 50_000
         x = rng.choice(["a", "b", "c"], size=n, p=[0.2, 0.5, 0.3])
         rows = [{"X": v, "Y": v} for v in x]
-        data = DiscreteDataset.from_rows(
+        data = dataset_from_rows(
             {"X": ["a", "b", "c"], "Y": ["a", "b", "c"]}, rows)
         counts = np.bincount([{"a": 0, "b": 1, "c": 2}[v] for v in x],
                              minlength=3)
@@ -451,7 +447,7 @@ class TestAce:
         rng = np.random.default_rng(1)
         pairs = [(str(rng.integers(2)), "0") for _ in range(200)]
         y = rng.random(200)
-        data = DiscreteDataset.from_rows(
+        data = dataset_from_rows(
             {"X": ["0", "1"], "Y": ["0"]},
             [{"X": x, "Y": "0"} for x, _ in pairs], {"out": y})
         graph = graph_of([("X", "exogenous", ["0", "1"]),
@@ -487,7 +483,7 @@ class TestAce:
         rows = [{"Z": "0", "X": "0", "Y": "0"},
                 {"Z": "0", "X": "1", "Y": "1"},
                 {"Z": "1", "X": "0", "Y": "0"}]  # Z=1 stratum lacks X=1
-        data = DiscreteDataset.from_rows(cats, rows)
+        data = dataset_from_rows(cats, rows)
         with pytest.raises(EmptyStratumError):
             ace(graph, data, "X", "Y")
         value = ace(graph, data, "X", "Y", on_empty="skip")
@@ -526,7 +522,7 @@ class TestAce:
         # value is 0.0 rather than a division by zero
         graph = graph_of([("X", "exogenous", ["only"]),
                           ("Y", "endogenous", ["0", "1"])], [("X", "Y")])
-        data = DiscreteDataset.from_rows(
+        data = dataset_from_rows(
             {"X": ["only"], "Y": ["0", "1"]},
             [{"X": "only", "Y": "0"}, {"X": "only", "Y": "1"}])
         assert ace(graph, data, "X", "Y") == 0.0
@@ -572,7 +568,7 @@ class TestEdgeReport:
         pairs = [("0", "0"), ("1", "1")] * 10
         rows = [{"X": x, "Y": y} for x, y in pairs]
         outcome = [0.0 if x == "0" else 10.0 for x, _ in pairs]
-        data = DiscreteDataset.from_rows({"X": ["0", "1"], "Y": ["0", "1"]},
+        data = dataset_from_rows({"X": ["0", "1"], "Y": ["0", "1"]},
                                          rows, {"Y": outcome})
         (record,) = edge_report(graph, data)
         assert record["ace"] == pytest.approx(10.0)
@@ -715,7 +711,7 @@ def empty_stratum_data():
     cats = {"Z": ["0", "1"], "X": ["0", "1"], "Y": ["0", "1"]}
     rows = [{"Z": "0", "X": "0", "Y": "0"}, {"Z": "0", "X": "1", "Y": "1"},
             {"Z": "1", "X": "0", "Y": "0"}, {"Z": "0", "X": "1", "Y": "0"}]
-    return graph, DiscreteDataset.from_rows(cats, rows, {"Y": [0.5, 2.0,
+    return graph, dataset_from_rows(cats, rows, {"Y": [0.5, 2.0,
                                                                0.25, 1.0]})
 
 

@@ -17,6 +17,8 @@ import pytest
 from asrcausal import causal, cli, ingest
 from asrcausal.errors import IoError
 
+from support import write_scm_spec
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
@@ -173,7 +175,7 @@ class TestSynth:
     def test_spec_file_round_trip(self, tmp_path):
         from asrcausal import synthetic
         spec_path = tmp_path / "scm.json"
-        spec_path.write_text(synthetic.write_scm_spec(
+        spec_path.write_text(write_scm_spec(
             synthetic.copy_chain_spec(n=50, seed=3)))
         out = tmp_path / "d.json"
         assert run_cli("synth", "--spec", str(spec_path),
@@ -204,7 +206,7 @@ class TestSynth:
     def test_spec_with_short_probability_vector_exits_1(self, tmp_path,
                                                          capsys):
         from asrcausal import synthetic
-        doc = json.loads(synthetic.write_scm_spec(synthetic.copy_chain_spec()))
+        doc = json.loads(write_scm_spec(synthetic.copy_chain_spec()))
         doc["tables"]["X"][""] = [0.5, 0.5]  # X has three categories
         spec_path = tmp_path / "scm.json"
         spec_path.write_text(json.dumps(doc))
@@ -231,7 +233,7 @@ class TestSynth:
             "string-seed", "float-seed", "string-n", "bool-n"])
     def test_mistyped_spec_is_e_invalid_spec(self, tmp_path, capsys, edit):
         from asrcausal import synthetic
-        doc = json.loads(synthetic.write_scm_spec(synthetic.copy_chain_spec()))
+        doc = json.loads(write_scm_spec(synthetic.copy_chain_spec()))
         if "table" in edit:
             node, vec = edit.pop("table")
             key = next(iter(doc["tables"][node]))
@@ -253,7 +255,7 @@ class TestSynth:
             argv = ["--spec", "copy-chain", "--seed", str(seed)]
         else:
             doc = json.loads(
-                synthetic.write_scm_spec(synthetic.copy_chain_spec()))
+                write_scm_spec(synthetic.copy_chain_spec()))
             doc["seed"] = seed
             (tmp_path / "scm.json").write_text(json.dumps(doc))
             argv = ["--spec", str(tmp_path / "scm.json")]
@@ -913,10 +915,11 @@ class TestMistypedHandWrittenInputs:
         {"variable": ["GoP"]}, {"boundaries": [-2.0, float("nan")]},
         {"boundaries": [float("-inf"), -1.0]}, {"method": 5},
         {"labels": "LAH"}, {"boundaries": [-2.0, 10 ** 400]},
+        {"boundaries": [-2.0], "labels": ["Low", "Average"]},
     ], ids=["string-boundary", "null-boundary", "bool-boundary",
             "list-boundary", "list-variable", "nan-boundary",
             "-inf-boundary", "int-method", "string-labels",
-            "int-beyond-float-boundary"])
+            "int-beyond-float-boundary", "sigma-one-boundary"])
     def test_schemes(self, workdir, capsys, edit):
         run_cli("covariates", "--in", str(workdir / "records.jsonl"),
                 "--out", str(workdir / "cov.jsonl"),
@@ -1020,7 +1023,7 @@ class TestInvalidSpecValues:
     def test_table_entry(self, tmp_path, capsys, node, config, vec, named,
                          truths):
         from asrcausal import synthetic
-        doc = json.loads(synthetic.write_scm_spec(synthetic.copy_chain_spec()))
+        doc = json.loads(write_scm_spec(synthetic.copy_chain_spec()))
         doc["tables"][node][config] = vec
         extra = ["--truths", str(tmp_path / "t.json")] if truths else []
         assert self.synth(tmp_path, doc, *extra) == 1
@@ -1036,7 +1039,7 @@ class TestInvalidSpecValues:
             "int-beyond-float-mean"])
     def test_emitter(self, tmp_path, capsys, emitter):
         from asrcausal import synthetic
-        doc = json.loads(synthetic.write_scm_spec(synthetic.copy_chain_spec()))
+        doc = json.loads(write_scm_spec(synthetic.copy_chain_spec()))
         doc["emitters"] = {"Y": emitter}
         assert self.synth(tmp_path, doc) == 1
         assert "'Y'" in spec_error(capsys)

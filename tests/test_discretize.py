@@ -1,11 +1,14 @@
+import math
+from bisect import bisect_right
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from asrcausal.discretize import (
     BinningScheme,
-    apply_bins,
     apply_bins_array,
     fit_kde_bins,
     fit_quantile_bins,
@@ -14,6 +17,11 @@ from asrcausal.discretize import (
     write_schemes,
 )
 from asrcausal.errors import SchemaError, TooFewValuesError
+
+
+def labels_of(scheme, values):
+    """Each value's label under ``scheme``."""
+    return [scheme.labels[i] for i in apply_bins_array(scheme, values)]
 
 
 class TestSigmaBins:
@@ -27,7 +35,7 @@ class TestSigmaBins:
     def test_degenerate_single_average_bin(self):
         scheme = fit_sigma_bins([2.0, 2.0, 2.0])
         assert scheme.labels == ("Average",)
-        assert apply_bins(scheme, -100.0) == "Average"
+        assert labels_of(scheme, [-100.0]) == ["Average"]
 
     def test_too_few(self):
         with pytest.raises(TooFewValuesError):
@@ -37,7 +45,7 @@ class TestSigmaBins:
         rng = np.random.default_rng(8)
         values = rng.standard_normal(50_000)
         scheme = fit_sigma_bins(values)
-        labels = apply_bins_array(scheme, values)
+        labels = labels_of(scheme, values)
         mass = labels.count("Average") / len(labels)
         assert mass == pytest.approx(0.6827, abs=0.01)
 
@@ -46,24 +54,21 @@ class TestApplyBins:
     def test_sigma_boundary_is_inclusive(self):
         scheme = BinningScheme("v", "sigma", (-1.0, 1.0),
                                ("Low", "Average", "High"))
-        assert apply_bins(scheme, 1.0) == "Average"
-        assert apply_bins(scheme, -1.0) == "Average"
+        assert labels_of(scheme, [1.0, -1.0]) == ["Average", "Average"]
 
     def test_sigma_outside(self):
         scheme = BinningScheme("v", "sigma", (-1.0, 1.0),
                                ("Low", "Average", "High"))
-        assert apply_bins(scheme, 1.5) == "High"
-        assert apply_bins(scheme, -1.5) == "Low"
+        assert labels_of(scheme, [1.5, -1.5]) == ["High", "Low"]
 
     def test_generic_boundary_joins_upper_bin(self):
         scheme = BinningScheme("v", "quantile", (2.0,), ("L1", "L2"))
-        assert apply_bins(scheme, 2.0) == "L2"
-        assert apply_bins(scheme, 1.999) == "L1"
+        assert labels_of(scheme, [2.0, 1.999]) == ["L2", "L1"]
 
     def test_total_function(self):
         scheme = BinningScheme("v", "quantile", (0.0, 1.0), ("A", "B", "C"))
-        for x in (-1e9, 0.0, 0.5, 1.0, 1e9):
-            assert apply_bins(scheme, x) in ("A", "B", "C")
+        codes = apply_bins_array(scheme, [-1e9, 0.0, 0.5, 1.0, 1e9])
+        assert codes.tolist() == [0, 1, 1, 2, 2]
 
 
 class TestQuantileBins:
@@ -71,7 +76,7 @@ class TestQuantileBins:
         rng = np.random.default_rng(0)
         values = rng.standard_normal(10_000)
         scheme = fit_quantile_bins(values, 3)
-        counts = Counter(apply_bins_array(scheme, values))
+        counts = Counter(labels_of(scheme, values))
         for label in scheme.labels:
             assert abs(counts[label] - len(values) / 3) <= 1
 
@@ -107,7 +112,7 @@ class TestKdeBins:
         values = rng.standard_normal(10_000)
         scheme = fit_kde_bins(values, bins=3)
         assert scheme.method == "quantile"
-        counts = Counter(apply_bins_array(scheme, values))
+        counts = Counter(labels_of(scheme, values))
         for label in scheme.labels:
             assert abs(counts[label] - len(values) / 3) <= 1
 
@@ -144,7 +149,7 @@ class TestAffineInvariance:
         mapped = fitter(a * values + b)
         left = apply_bins_array(base, values)
         right = apply_bins_array(mapped, a * values + b)
-        assert left == right
+        assert left.tolist() == right.tolist()
 
 
 class TestSchemeValidation:
@@ -155,6 +160,12 @@ class TestSchemeValidation:
     def test_label_count_must_match(self):
         with pytest.raises(SchemaError):
             BinningScheme("v", "quantile", (1.0,), ("A", "B", "C"))
+
+    @pytest.mark.parametrize("boundaries", [(-1.0,), (-2.0, -1.0, 0.0)])
+    def test_sigma_needs_zero_or_two_boundaries(self, boundaries):
+        labels = ("L1", "L2", "L3", "L4")[:len(boundaries) + 1]
+        with pytest.raises(SchemaError, match="GoP"):
+            BinningScheme("GoP", "sigma", boundaries, labels)
 
     @pytest.mark.parametrize("edit", [
         {"boundaries": [-2.0, float("nan")]},
@@ -182,3 +193,63 @@ class TestSchemeValidation:
         parsed = parse_schemes(write_schemes(schemes))
         assert parsed["gop"] == schemes[0]
         assert parsed["rate"] == schemes[1]
+
+
+def per_value_bin(scheme, value):
+    """The per-value rule ``apply_bins_array`` vectorizes: the first label
+    without boundaries; for sigma, Low below the lower boundary, High
+    above the upper one and Average between them, both ends included;
+    otherwise the boundaries at or below the value."""
+    if not scheme.boundaries:
+        return 0
+    if scheme.method == "sigma":
+        lo, hi = scheme.boundaries
+        if value < lo:
+            return 0
+        if value > hi:
+            return 2
+        return 1
+    return bisect_right(scheme.boundaries, value)
+
+
+def _schemes():
+    rng = np.random.default_rng(31)
+    normal = rng.normal(0.0, 2.0, 500)
+    modes = np.concatenate([rng.normal(-6, 0.5, 400), rng.normal(0, 0.5, 400),
+                            rng.normal(6, 0.5, 400)])
+    return {
+        "sigma": fit_sigma_bins(normal),
+        "quantile": fit_quantile_bins(normal, 3),
+        "kde": fit_kde_bins(modes, 3),
+        "shrunk-quantile": fit_quantile_bins([0.0] * 25 + [1.0] * 5, 3),
+        "zero-spread-sigma": fit_sigma_bins([2.0, 2.0, 2.0]),
+    }
+
+
+SCHEMES = _schemes()
+
+
+class TestBinningRule:
+    def test_schemes_are_the_named_kinds(self):
+        methods = {name: (s.method, len(s.boundaries))
+                   for name, s in SCHEMES.items()}
+        assert methods == {"sigma": ("sigma", 2),
+                           "quantile": ("quantile", 2),
+                           "kde": ("kde", 2),
+                           "shrunk-quantile": ("quantile", 1),
+                           "zero-spread-sigma": ("sigma", 0)}
+
+    @pytest.mark.parametrize("name", sorted(SCHEMES))
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_array_rule_equals_per_value_rule(self, name, data):
+        scheme = SCHEMES[name]
+        edges = [x for b in scheme.boundaries
+                 for x in (math.nextafter(b, -math.inf), b,
+                           math.nextafter(b, math.inf))]
+        special = st.sampled_from(edges + [-math.inf, math.inf, math.nan])
+        values = data.draw(st.lists(st.one_of(special, st.floats()),
+                                    max_size=40))
+        codes = apply_bins_array(scheme, values)
+        assert codes.shape == (len(values),)
+        assert codes.tolist() == [per_value_bin(scheme, v) for v in values]

@@ -2,6 +2,7 @@
 the bytes of every output derived from it."""
 
 import hashlib
+import io
 import json
 import math
 import os
@@ -13,7 +14,8 @@ from pathlib import Path
 import pytest
 
 from asrcausal import alignment, cli
-from asrcausal.errors import EmptyReferenceError, SchemaError
+from asrcausal.errors import (DuplicateIdError, EmptyReferenceError,
+                              SchemaError)
 from asrcausal.ingest import UtteranceRecord
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -215,9 +217,8 @@ class TestScoreTable:
     def test_persisted_table_round_trips(self):
         recs = self.records()
         table = alignment.score_table(recs)
-        scores = {json.loads(line)["id"]: json.loads(line)["scores"]
-                  for line in table.to_jsonl().splitlines()}
-        assert alignment.ScoreTable.from_scores(recs, scores) == table
+        stream = io.StringIO(table.to_jsonl())
+        assert alignment.ScoreTable.read(stream, recs) == table
 
     def test_derivations_match_per_pair_alignment(self):
         recs = self.records()
@@ -257,22 +258,38 @@ class TestScoreTable:
         graded = table.where(lambda r: r.grade is not None)
         assert [r.id for r in graded.records] == ["a", "c"]
 
-    def test_from_scores_rejects_bad_counts(self):
+    def test_read_rejects_bad_counts(self):
         recs = self.records()[:1]
         good = {"substitutions": 0, "deletions": 1, "insertions": 0,
                 "ref_len": 3}
         for bad in ({**good, "deletions": -1}, {**good, "ref_len": 3.0},
                     {**good, "insertions": True}, {"ref_len": 3}, [0, 1]):
             with pytest.raises(SchemaError):
-                alignment.ScoreTable.from_scores(
-                    recs, {"a": {"m": good, "n": bad}})
+                alignment.ScoreTable.read(io.StringIO(dump(
+                    [{"id": "a", "scores": {"m": good, "n": bad}}])), recs)
 
-    def test_from_scores_rejects_empty_reference(self):
+    def test_read_rejects_empty_reference(self):
         recs = [record("e", "?!", {"m": "a"})]
         zero = {"substitutions": 0, "deletions": 0, "insertions": 1,
                 "ref_len": 0}
         with pytest.raises(EmptyReferenceError):
-            alignment.ScoreTable.from_scores(recs, {"e": {"m": zero}})
+            alignment.ScoreTable.read(io.StringIO(dump(
+                [{"id": "e", "scores": {"m": zero}}])), recs)
+
+    @pytest.mark.parametrize("line, error, message", [
+        ('{"id": "a", "scores": {}}', DuplicateIdError,
+         "line 3: duplicate id 'a'"),
+        ('[1]', SchemaError, "line 3: line must be a JSON object"),
+        ('{"id": 5, "scores": {}}', SchemaError,
+         "line 3: score lines need a string 'id' and 'scores'"),
+    ], ids=["duplicate", "not-object", "id-not-string"])
+    def test_line_errors_precede_record_errors(self, line, error, message):
+        # record "a" has no scores object, but line 3 fails first
+        text = dump([{"id": "a", "scores": None}, {"id": "b", "scores": {}}])
+        with pytest.raises(error) as err:
+            alignment.ScoreTable.read(io.StringIO(text + line + "\n"),
+                                      self.records())
+        assert str(err.value) == message
 
 
 def run_report(work, scores_text):

@@ -23,8 +23,9 @@ from asrcausal.synthetic import (
     true_ace,
     true_cmi,
     true_edges,
-    write_scm_spec,
 )
+
+from support import write_scm_spec
 
 
 def small_graph(edges, nodes):
@@ -373,7 +374,7 @@ class TestFixtures:
         assert spec.graph.state_space() == 48114
 
     def test_builtin_lookup(self):
-        assert builtin_scm_spec("copy-chain", n=7, seed=9).n == 7
+        assert builtin_scm_spec("copy-chain").graph.nodes == ["X", "Y"]
         with pytest.raises(InvalidSpecError):
             builtin_scm_spec("nope")
 
