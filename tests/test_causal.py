@@ -75,6 +75,16 @@ class TestCausalGraph:
 
 
 class TestDiscreteDataset:
+    def test_rejects_undeclared_category(self):
+        # code 1 names a second category that "X" does not declare
+        with pytest.raises(SchemaError, match="'X': code out of range"):
+            DiscreteDataset(["X"], {"X": ["a"]}, np.array([[1]]))
+
+    def test_rejects_missing_variable(self):
+        with pytest.raises(SchemaError, match="#variables"):
+            DiscreteDataset(["X", "Y"], {"X": ["a"], "Y": ["b"]},
+                            np.array([[0]]))
+
     def test_document_round_trip(self):
         data = dataset_xy([("0", "1"), ("1", "0")])
         again = DiscreteDataset.from_document(data.to_document())
