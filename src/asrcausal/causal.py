@@ -38,9 +38,14 @@ means.  CMI is a plug-in estimate from the smoothed empirical
 contingency table, clamped at zero from below.  All information
 quantities are in nats.
 
-A dataset file's text is this module's in both directions:
-``dataset_pieces`` writes it, with NumPy formatting its number
-sections, and ``DiscreteDataset.from_file`` reads it back.
+A dataset file is this module's in both directions.  ``write_dataset``
+streams its text (``dataset_pieces``), then its sidecar
+``.<name>.arrays`` (``sidecar_pieces``): the arrays the text reads back
+as, the text's length and SHA-256, and a trailer hashing the sidecar's
+own bytes.  ``load_dataset`` reads the sidecar when it matches the text,
+its own trailer and this package version (``read_sidecar``), and the
+text otherwise (``DiscreteDataset.from_file``), so deleting a sidecar
+only makes the next read parse the text.
 """
 
 from __future__ import annotations
@@ -49,8 +54,11 @@ import io
 import itertools
 import json
 import math
+import os
+import stat
 import warnings
 from dataclasses import dataclass
+from pathlib import Path
 from typing import BinaryIO, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -58,6 +66,7 @@ import numpy as np
 from . import __version__, ingest
 from .errors import (
     EmptyStratumError,
+    IoError,
     MissingVariableError,
     NotNormalizedError,
     SchemaError,
@@ -159,19 +168,18 @@ class DiscreteDataset:
 
     @classmethod
     def from_file(cls, file: BinaryIO) -> "DiscreteDataset":
-        """Read a dataset file open for binary reading, from its text.
-
-        This is how the CLI reads a dataset file without a matching
-        sidecar (``read_sidecar``): one written by hand or by another
-        tool, one whose sidecar is missing or stale, or a pipe.  A file
-        in the layout ``dataset_pieces`` writes is read straight into
-        arrays, a window of about ``_BLOCK_BYTES`` at a time, and kept
-        only when the writer gives its number sections' bytes back
-        (``_canonical_dataset``).  Only any other text is read whole, by
-        ``ingest.load_json`` and ``from_document``, with their errors;
-        bytes that are not UTF-8 are SchemaError.  Both give equal
-        datasets for the same document.  A pipe, which cannot be read through a window, is
-        read whole first.
+        """Read a dataset file open for binary reading, from its text:
+        how ``load_dataset`` reads one without a matching sidecar (one
+        written by hand or by another tool, one whose sidecar is missing
+        or stale, or a pipe).  A file in the layout ``dataset_pieces``
+        writes is read straight into arrays, a window of about
+        ``_BLOCK_BYTES`` at a time, and kept only when the writer gives
+        its number sections' bytes back (``_canonical_dataset``).  Only
+        any other text is read whole, by ``ingest.load_json`` and
+        ``from_document``, with their errors; bytes that are not UTF-8
+        are SchemaError.  Both give equal datasets for the same document.
+        A pipe, which cannot be read through a window, is read whole
+        first.
         """
         if not file.seekable():
             file = io.BytesIO(file.read())
@@ -826,6 +834,55 @@ def _file_sha256(file: BinaryIO) -> str:
     return digest.hexdigest()
 
 
+# --- dataset files on disk ---------------------------------------------------
+
+def _sidecar_path(path: str) -> Path:
+    """The sidecar ``.<name>.arrays`` next to the dataset file ``path``."""
+    target = Path(path)
+    return target.with_name(f".{target.name}.arrays")
+
+
+def write_dataset(path: str, data: DiscreteDataset) -> list[str]:
+    """Write ``data``'s dataset file to ``path`` (``dataset_pieces``),
+    taking its SHA-256 and size as the pieces go out, then its sidecar
+    (``sidecar_pieces``) next to it.  Returns the files written.  A
+    dataset that gets no sidecar removes any old one; a failed sidecar
+    write leaves the old one, which no longer matches the text."""
+    digest = _sha256()
+    with ingest.replacing(path, "wb") as fh:
+        for piece in dataset_pieces(data):
+            digest.update(piece)
+            fh.write(piece)
+        size = fh.tell()
+    sidecar = _sidecar_path(path)
+    pieces = sidecar_pieces(data, size, digest.hexdigest())
+    if pieces is None:
+        sidecar.unlink(missing_ok=True)
+        return [path]
+    with ingest.replacing(str(sidecar), "wb") as fh:
+        fh.writelines(pieces)
+    return [path, str(sidecar)]
+
+
+def load_dataset(path: str) -> DiscreteDataset:
+    """The dataset in the file ``path``: from its sidecar when ``path`` is
+    a regular file and ``read_sidecar`` accepts it, else from its text
+    (``DiscreteDataset.from_file``).  An unreadable file is IoError."""
+    try:
+        with open(path, "rb") as fh:
+            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                try:
+                    with open(_sidecar_path(path), "rb") as sidecar:
+                        data = read_sidecar(sidecar, fh)
+                    if data is not None:
+                        return data
+                except OSError:
+                    pass  # no sidecar, or one that cannot be read
+            return DiscreteDataset.from_file(fh)
+    except OSError as exc:
+        raise IoError(f"cannot read {path}: {exc}") from None
+
+
 @dataclass
 class ConditionalTable:
     """P(node | parents) as one dense array.
@@ -858,15 +915,6 @@ class ConditionalTable:
                 f"{config} is not a parent configuration of {self.node!r}"
             ) from None
         return self.probs[idx]
-
-    def prob(self, value: str, assignment: Mapping[str, str]) -> float:
-        config = tuple(assignment[p] for p in self.parents)
-        try:
-            i = self.categories.index(value)
-        except ValueError:
-            raise UnknownLevelError(
-                f"{value!r} not a category of {self.node!r}") from None
-        return float(self.dist(config)[i])
 
     def parent_configs(self) -> Iterator[tuple[str, ...]]:
         yield from itertools.product(*self.parent_categories)

@@ -7,19 +7,9 @@ it (``.<name>.stamp``) holding the package version, their options and
 the files they wrote, and skip recomputation when the stamp holds the
 current version and options, every file it lists exists and no input is
 newer than those files (override with ``--force``); outputs are written
-through a temporary file and renamed into place.  Every stage runs
+through a temporary file and renamed into place (``ingest.replacing``),
+a dataset and its sidecar by ``causal.write_dataset``.  Every stage runs
 serially, in input order.
-
-A dataset file (``synth --out``, ``discretize --out``) gets a second
-hidden file next to it, its sidecar ``.<name>.arrays``, which its stamp
-lists: the codes and continuous columns as the text reads back, the
-variables, the text's length and SHA-256, and a trailer hashing the
-sidecar's own bytes (``causal.sidecar_pieces``).  ``fit``, ``report``,
-``ace`` and ``cmi`` load a dataset from its sidecar when that matches
-the text, its own trailer and this package version; a sidecar that is
-missing or does not match is ignored, and the text is read.  So deleting
-a sidecar is safe: it only makes the next read parse the text, and the
-next run of its stage write it again.
 
 Each subcommand imports the modules it runs, ``ingest`` included, after
 its freshness check.  So ``--help`` and an up-to-date skip load only
@@ -46,12 +36,11 @@ import argparse
 import json
 import math
 import os
-import stat
 import sys
 from contextlib import contextmanager
 from itertools import compress
 from pathlib import Path
-from typing import IO, TYPE_CHECKING, Iterable, Iterator, NoReturn, TextIO
+from typing import TYPE_CHECKING, Iterable, Iterator, NoReturn, TextIO
 
 from . import __version__
 from .errors import IoError, SchemaError, TooFewValuesError, ToolkitError
@@ -260,77 +249,31 @@ def _is_fresh(config, inputs) -> bool:
 
 @contextmanager
 def _reading(path: str) -> Iterator[TextIO]:
-    """``path`` opened as text.  Bytes that do not decode, read in the
-    body, raise SchemaError naming the file, as a dataset's do."""
+    """``path`` opened as text.  A file that cannot be opened or read is
+    IoError, and bytes that do not decode, read in the body, SchemaError,
+    each naming the file, as a dataset's are."""
     try:
         with open(path) as fh:
             yield fh
     except UnicodeDecodeError as exc:
         raise SchemaError(f"cannot decode {path}: {exc.reason}") from None
-
-
-def _read_text(path: str) -> str:
-    try:
-        with _reading(path) as fh:
-            return fh.read()
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from None
 
 
-@contextmanager
-def _replacing(path: str, mode: str = "w") -> Iterator[IO]:
-    """A temporary file next to ``path``, open in ``mode``, renamed over
-    ``path`` when the block ends: an interrupted or failed write leaves
-    the previous output (or none), never a truncated one that looks
-    fresh."""
-    target = Path(path)
-    tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
-    try:
-        target.parent.mkdir(parents=True, exist_ok=True)
-        try:
-            with open(tmp, mode) as fh:
-                yield fh
-            os.replace(tmp, target)
-        except BaseException:
-            tmp.unlink(missing_ok=True)
-            raise
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from None
+def _read_text(path: str) -> str:
+    with _reading(path) as fh:
+        return fh.read()
 
 
 def _write_text(path: str, pieces: Iterable[str]) -> str:
-    """Write the str ``pieces``, one after another, through
-    ``_replacing``, so the text is never held whole.  Returns ``path``."""
-    with _replacing(path) as fh:
+    """Write the str ``pieces`` one after another, so the text is never
+    held whole.  Returns ``path``."""
+    from . import ingest
+
+    with ingest.replacing(path) as fh:
         fh.writelines(pieces)
     return path
-
-
-def _write_dataset(path: str, data: causal_mod.DiscreteDataset) -> list[str]:
-    """Write ``data``'s dataset file to ``path`` (``causal.dataset_pieces``),
-    hashing its bytes as they go out, then its sidecar
-    (``causal.sidecar_pieces``) next to it.  Returns the files written,
-    for the stamp.  A dataset that gets no sidecar removes any old one; a
-    failed sidecar write leaves the old one, which no longer matches the
-    text."""
-    import hashlib
-
-    from . import causal as causal_mod
-
-    digest = hashlib.sha256()
-    with _replacing(path, "wb") as fh:
-        for piece in causal_mod.dataset_pieces(data):
-            digest.update(piece)
-            fh.write(piece)
-        size = fh.tell()
-    sidecar = _hidden(path, "arrays")
-    pieces = causal_mod.sidecar_pieces(data, size, digest.hexdigest())
-    if pieces is None:
-        sidecar.unlink(missing_ok=True)
-        return [path]
-    with _replacing(str(sidecar), "wb") as fh:
-        fh.writelines(pieces)
-    return [path, str(sidecar)]
 
 
 def _read_records(path: str):
@@ -347,11 +290,15 @@ def _graph_inputs(value: str) -> list[str]:
 
 def _dir_inputs(path: str | None) -> list[str]:
     """Freshness inputs of a directory: itself, so adding or removing a
-    file counts, and each file in it.  A missing directory adds none."""
-    if not (path and os.path.isdir(path)):
+    file counts, and each file in it.  A directory given that is missing
+    or not a directory is IoError naming it."""
+    if not path:
         return []
-    with os.scandir(path) as entries:
-        return [path, *(e.path for e in entries if e.is_file())]
+    try:
+        with os.scandir(path) as entries:
+            return [path, *(e.path for e in entries if e.is_file())]
+    except OSError as exc:
+        raise IoError(f"cannot read {path}: {exc}") from None
 
 
 def _load_graph(value: str) -> ingest.CausalGraph:
@@ -360,28 +307,6 @@ def _load_graph(value: str) -> ingest.CausalGraph:
     if value in _BUILTIN_GRAPHS:
         return ingest.CausalGraph.builtin(value)
     return ingest.CausalGraph.from_document(ingest.load_json(_read_text(value)))
-
-
-def _load_dataset(path: str) -> causal_mod.DiscreteDataset:
-    """The dataset in ``path``: from its sidecar when ``path`` is a
-    regular file and the sidecar matches it (``causal.read_sidecar``),
-    else from its text, with the text's errors."""
-    from . import causal as causal_mod
-
-    try:
-        with open(path, "rb") as fh:
-            data = None
-            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
-                try:
-                    with open(_hidden(path, "arrays"), "rb") as sidecar:
-                        data = causal_mod.read_sidecar(sidecar, fh)
-                except OSError:
-                    pass  # no sidecar, or one that cannot be read
-            if data is None:
-                data = causal_mod.DiscreteDataset.from_file(fh)
-            return data
-    except OSError as exc:
-        raise IoError(f"cannot read {path}: {exc}") from None
 
 
 def _load_scm(value: str, n, seed) -> synthetic.ScmSpec:
@@ -399,10 +324,11 @@ def _load_scm(value: str, n, seed) -> synthetic.ScmSpec:
 # --- subcommands ---------------------------------------------------------------
 
 def _cmd_synth(config) -> list[str]:
+    from . import causal as causal_mod
     from . import ingest, synthetic
 
     spec = _load_scm(config.spec, config.n, config.seed)
-    written = _write_dataset(config.out, synthetic.generate(spec))
+    written = causal_mod.write_dataset(config.out, synthetic.generate(spec))
     if config.truths:
         written.append(_write_text(config.truths, [ingest.write_report(
             {"edges": synthetic.true_edges(spec)})]))
@@ -567,7 +493,7 @@ def _cmd_discretize(config) -> list[str]:
             continuous[node] = values
 
     codes = np.column_stack(list(columns.values()))
-    written = _write_dataset(config.out, causal_mod.DiscreteDataset(
+    written = causal_mod.write_dataset(config.out, causal_mod.DiscreteDataset(
         list(columns), graph_categories, codes, continuous))
     if config.schemes_out:
         written.append(_write_text(config.schemes_out,
@@ -625,7 +551,8 @@ def _cmd_fit(config) -> list[str]:
     graph = _load_graph(config.graph)
     # no name holds the dataset, so its arrays are freed before the
     # report text is built
-    cpts = causal_mod.fit_cpts(graph, _load_dataset(config.inp), config.alpha)
+    cpts = causal_mod.fit_cpts(graph, causal_mod.load_dataset(config.inp),
+                               config.alpha)
     doc = {}
     for node, table in cpts.items():
         rows = table.counts.reshape(-1, len(table.categories))
@@ -659,7 +586,7 @@ def _cmd_ace(config) -> int:
     from . import causal as causal_mod
 
     graph = _load_graph(config.graph)
-    data = _load_dataset(config.inp)
+    data = causal_mod.load_dataset(config.inp)
     value = causal_mod.ace(graph, data, config.treatment, config.effect,
                            config.lo, config.hi, on_empty=config.on_empty)
     return _emit(config, {
@@ -676,7 +603,7 @@ def _cmd_ace(config) -> int:
 def _cmd_cmi(config) -> int:
     from . import causal as causal_mod
 
-    data = _load_dataset(config.inp)
+    data = causal_mod.load_dataset(config.inp)
     if config.z is not None:
         z = [v for v in config.z.split(",") if v]
     elif config.graph is not None:
@@ -715,7 +642,7 @@ def _cmd_report(config) -> list[str]:
     graph = _load_graph(config.graph)
     report: dict = {"graph": config.graph, "models": {}}
     for name, path in _named_datasets(config):
-        data = _load_dataset(path)
+        data = causal_mod.load_dataset(path)
         edges = causal_mod.edge_report(graph, data, config.alpha,
                                        on_empty=config.on_empty)
         report["models"][name] = {

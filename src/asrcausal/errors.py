@@ -92,10 +92,6 @@ class MissingVariableError(ToolkitError):
     code = "E_MISSING_VARIABLE"
 
 
-class IncompleteAssignmentError(ToolkitError):
-    code = "E_INCOMPLETE_ASSIGNMENT"
-
-
 class NotNormalizedError(ToolkitError):
     code = "E_NOT_NORMALIZED"
 

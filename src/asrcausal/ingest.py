@@ -17,8 +17,9 @@ Formats (all diff-able, hand-editable text):
 ``write_report`` is ``json.dumps(..., sort_keys=True, indent=1)`` of the
 quantized tree (``_quantized``), with any NumPy array in it made its
 ``tolist()``; this module loads no NumPy.  A dataset file, whose
-arrays are too large for that, is written by
-``causal.dataset_pieces`` in the same bytes, next to its reader.
+arrays are too large for that, is written by ``causal.write_dataset``
+in the same bytes, next to its reader.  Every file the package writes
+goes through ``replacing``: a temporary file renamed over it once whole.
 
 Every malformed input raises a typed error naming the offending line or
 field; no partially constructed value ever escapes.  Input JSON is
@@ -33,11 +34,14 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import re
 import sys
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from pathlib import Path
+from typing import IO, Iterable, Iterator, Sequence
 
 from .errors import (
     CycleError,
@@ -468,6 +472,29 @@ def write_report(report) -> str:
         return json.dumps(_quantized(report), sort_keys=True, indent=1) + "\n"
     except (TypeError, ValueError) as exc:
         raise IoError(f"report not serializable: {exc}") from None
+
+
+# --- atomic file writes ------------------------------------------------------
+
+@contextmanager
+def replacing(path: str, mode: str = "w") -> Iterator[IO]:
+    """A temporary file next to ``path``, open in ``mode``, renamed over
+    ``path`` when the block ends: an interrupted or failed write leaves
+    the previous output (or none), never a truncated one that looks
+    fresh."""
+    target = Path(path)
+    tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+    try:
+        target.parent.mkdir(parents=True, exist_ok=True)
+        try:
+            with open(tmp, mode) as fh:
+                yield fh
+            os.replace(tmp, target)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
+    except OSError as exc:
+        raise IoError(f"cannot write {path}: {exc}") from None
 
 
 # --- delimited plot-data emission --------------------------------------------

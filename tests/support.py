@@ -18,7 +18,7 @@ from asrcausal.causal import (
     _check_normalized,
     count_tensors,
 )
-from asrcausal.errors import IncompleteAssignmentError, InvalidSpecError
+from asrcausal.errors import InvalidSpecError
 from asrcausal.synthetic import _CFG_SEP, ScmSpec
 
 
@@ -35,16 +35,23 @@ def dataset_from_rows(categories: Mapping[str, Sequence[str]],
                            continuous)
 
 
+def probability(table: ConditionalTable, value: str,
+                assignment: Mapping[str, str]) -> float:
+    """P(node = value | the parents' values in ``assignment``)."""
+    config = tuple(assignment[p] for p in table.parents)
+    return float(table.dist(config)[table.categories.index(value)])
+
+
 def joint_probability(graph: CausalGraph,
                       cpts: Mapping[str, ConditionalTable],
                       assignment: Mapping[str, str]) -> float:
     """Probability of a full assignment under the DAG factorization."""
     missing = [n for n in graph.nodes if n not in assignment]
     if missing:
-        raise IncompleteAssignmentError(f"assignment lacks {missing}")
+        raise ValueError(f"assignment lacks {missing}")
     p = 1.0
     for node in graph.nodes:
-        p *= cpts[node].prob(assignment[node], assignment)
+        p *= probability(cpts[node], assignment[node], assignment)
     return p
 
 

@@ -16,7 +16,6 @@ from asrcausal.causal import (
 )
 from asrcausal.errors import (
     EmptyStratumError,
-    IncompleteAssignmentError,
     MissingVariableError,
     NotNormalizedError,
     SchemaError,
@@ -31,6 +30,7 @@ from support import (
     enumerate_assignments,
     joint_probability,
     mutual_information,
+    probability,
     smoothed_joint,
 )
 
@@ -267,7 +267,7 @@ class TestJointProbability:
         graph = binary_chain()
         data = dataset_xy([("0", "0")])
         cpts = fit_cpts(graph, data)
-        with pytest.raises(IncompleteAssignmentError):
+        with pytest.raises(ValueError, match=r"assignment lacks \['Y'\]"):
             joint_probability(graph, cpts, {"X": "0"})
 
 
@@ -294,7 +294,8 @@ class TestJointTensor:
                 if node == "X":
                     expected *= float(assignment["X"] == "1")
                 else:
-                    expected *= tables[node].prob(assignment[node], assignment)
+                    expected *= probability(tables[node], assignment[node],
+                                            assignment)
             index = tuple(graph.categories[n].index(assignment[n])
                           for n in graph.nodes)
             assert joint[index] == pytest.approx(expected, abs=1e-15)

@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import io
 import json
@@ -469,16 +470,38 @@ class TestCovariates:
         assert "skipping" not in capsys.readouterr().err
         assert out.read_bytes() != second
 
-    def test_missing_audio_dir_adds_no_input(self, tmp_path, capsys):
+    @pytest.mark.parametrize("given", ["missing", "a file"])
+    def test_audio_dir_that_is_not_a_directory_is_e_io(self, tmp_path,
+                                                       capsys, given):
         rec = {"id": "a", "speaker_id": "s", "reference": "hi",
                "hypotheses": {"m": "hi"}}
         (tmp_path / "r.jsonl").write_text(json.dumps(rec) + "\n")
+        audio, out = tmp_path / "audio", tmp_path / "cov.jsonl"
         argv = ("covariates", "--in", str(tmp_path / "r.jsonl"),
-                "--out", str(tmp_path / "cov.jsonl"),
-                "--audio-dir", str(tmp_path / "none"))
+                "--out", str(out), "--audio-dir", str(audio))
+
+        def refused():
+            assert run_cli(*argv) == 1
+            diagnostic = json.loads(capsys.readouterr().err)
+            assert diagnostic["error"] == "E_IO"
+            assert diagnostic["message"].startswith(f"cannot read {audio}: ")
+
+        if given == "a file":
+            audio.write_text("not audio\n")
+        refused()
+        assert not out.exists()
+        # a directory without the record's audio file is allowed ...
+        audio.unlink(missing_ok=True)
+        audio.mkdir()
         assert run_cli(*argv) == 0
-        assert run_cli(*argv) == 0
-        assert "is fresh, skipping" in capsys.readouterr().err
+        written = out.read_bytes()
+        assert b"snr_db" not in written
+        # ... and once it is gone, the stage is not fresh but refused
+        audio.rmdir()
+        if given == "a file":
+            audio.write_text("not audio\n")
+        refused()
+        assert out.read_bytes() == written
 
     def test_repeated_posterior_frame_is_e_schema(self, tmp_path, capsys):
         rec = {"id": "u1", "speaker_id": "s", "reference": "hi",
@@ -843,6 +866,97 @@ class TestUndecodableInputs:
 
 MINIMAL_RECORD = (b'{"id": "u1", "speaker_id": "s", "reference": "hi", '
                   b'"hypotheses": {"m": "hi"}}')
+
+
+class TestUnreadableInputs:
+    """A line-delimited input that is missing or a directory is E_IO
+    naming the file, as every other input is."""
+
+    @pytest.fixture(scope="class")
+    def inputs(self, tmp_path_factory):
+        work = tmp_path_factory.mktemp("inputs")
+        (work / "records.jsonl").write_text(make_records(20))
+        (work / "freq.csv").write_text(FREQ)
+        (work / "adir").mkdir()
+        assert run_cli("covariates", "--in", str(work / "records.jsonl"),
+                       "--out", str(work / "cov.jsonl"),
+                       "--freq-table", str(work / "freq.csv")) == 0
+        assert run_cli("align", "--in", str(work / "records.jsonl"),
+                       "--out", str(work / "scores.jsonl")) == 0
+        assert run_cli("synth", "--spec", "paper-shaped", "--n", "300",
+                       "--out", str(work / "d.json")) == 0
+        (work / "inv.json").write_text('{"p": ["p_s"]}')
+        (work / "post.jsonl").write_text(json.dumps(
+            {"utterance_id": "u000", "t": 0, "probs": {"p_s": 1.0}}) + "\n")
+        (work / "seg.jsonl").write_text(json.dumps(
+            {"utterance_id": "u000", "phone": "p", "t_s": 0, "t_e": 1})
+            + "\n")
+        return work
+
+    GOP = ["--posteriors", "post.jsonl", "--segments", "seg.jsonl",
+           "--inventory", "inv.json"]
+
+    @pytest.mark.parametrize("flag, argv", [
+        ("--in", ["align", "--out", "o"]),
+        ("--in", ["covariates", "--out", "o"]),
+        ("--posteriors", ["covariates", "--in", "records.jsonl",
+                          "--out", "o", *GOP]),
+        ("--segments", ["covariates", "--in", "records.jsonl",
+                        "--out", "o", *GOP]),
+        ("--records", ["discretize", "--out", "o"]),
+        ("--scores", ["discretize", "--records", "cov.jsonl",
+                      "--model", "whisper", "--out", "o"]),
+        ("--in", ["oracle", "--out", "o"]),
+        ("--in", ["correlate", "--out", "o"]),
+        ("--records", ["report", "--in", "d.json", "--on-empty", "skip",
+                       "--out", "o"]),
+        ("--scores", ["report", "--in", "d.json", "--on-empty", "skip",
+                      "--records", "records.jsonl", "--out", "o"]),
+    ], ids=["align-in", "covariates-in", "covariates-posteriors",
+            "covariates-segments", "discretize-records", "discretize-scores",
+            "oracle-in", "correlate-in", "report-records", "report-scores"])
+    @pytest.mark.parametrize("bad, errno_", [("nope.jsonl", errno.ENOENT),
+                                            ("adir", errno.EISDIR)],
+                             ids=["missing", "directory"])
+    def test_is_e_io_naming_the_file(self, inputs, monkeypatch, capsys,
+                                     flag, argv, bad, errno_):
+        monkeypatch.chdir(inputs)
+        argv = list(argv)
+        if flag in argv:
+            argv[argv.index(flag) + 1] = bad
+        else:
+            argv[1:1] = [flag, bad]
+        assert run_cli(*argv) == 1
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "E_IO",
+            "message": f"cannot read {bad}: [Errno {errno_}] "
+                       f"{os.strerror(errno_)}: {bad!r}"}
+        assert not Path("o").exists()
+
+
+class TestRefusedOptions:
+    @pytest.mark.parametrize("argv, message", [
+        (["discretize", "--records", "records.jsonl", "--out", "d.json",
+          "--bin", "GoP"], "--bin expects VAR=METHOD, got 'GoP'"),
+        (["discretize", "--records", "records.jsonl", "--out", "d.json",
+          "--bin", "GoP=median"], "unknown binning method 'median'"),
+        (["discretize", "--records", "records.jsonl", "--out", "d.json",
+          "--scores", "scores.jsonl"], "--scores requires --model"),
+        (["covariates", "--in", "records.jsonl", "--out", "d.json",
+          "--posteriors", "post.jsonl"],
+         "gop needs --posteriors, --segments and --inventory together"),
+        (["covariates", "--in", "records.jsonl", "--out", "d.json",
+          "--segments", "seg.jsonl", "--inventory", "inv.json"],
+         "gop needs --posteriors, --segments and --inventory together"),
+    ], ids=["bin-without-equals", "bin-unknown-method", "scores-no-model",
+            "posteriors-only", "no-posteriors"])
+    def test_is_e_schema(self, workdir, monkeypatch, capsys, argv, message):
+        monkeypatch.chdir(workdir)
+        before = sorted(p.name for p in workdir.iterdir())
+        assert run_cli(*argv) == 1
+        assert json.loads(capsys.readouterr().err) == {"error": "E_SCHEMA",
+                                                       "message": message}
+        assert sorted(p.name for p in workdir.iterdir()) == before
 
 
 def e_schema_message(capsys) -> str:

@@ -676,3 +676,24 @@ class TestAudioIo:
         samples, rate = covariates.read_audio(str(path), 8000)
         assert rate == 8000
         assert samples.shape == (100,)
+
+    @pytest.mark.parametrize("name, channels, width, message", [
+        ("clip.wav", 2, 2, "need 16-bit mono PCM"),
+        ("clip.wav", 1, 1, "need 16-bit mono PCM"),
+        ("clip.raw", None, None, "odd byte count for 16-bit PCM"),
+    ], ids=["stereo-wav", "8-bit-wav", "odd-length-raw"])
+    def test_refusals(self, tmp_path, name, channels, width, message):
+        import wave
+
+        path = tmp_path / name
+        if channels is None:
+            path.write_bytes(b"\x00\x01" * 100 + b"\x00")
+        else:
+            with wave.open(str(path), "wb") as out:
+                out.setnchannels(channels)
+                out.setsampwidth(width)
+                out.setframerate(16000)
+                out.writeframes(b"\x00\x01" * 100)
+        with pytest.raises(SchemaError) as caught:
+            covariates.read_audio(str(path), 16000)
+        assert str(caught.value) == f"{path}: {message}"

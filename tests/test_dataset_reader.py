@@ -720,7 +720,7 @@ def with_sidecar(directory, data: DiscreteDataset) -> Path:
     """``data`` written as the CLI writes a dataset: its text, then its
     sidecar."""
     path = Path(directory) / "data.json"
-    cli._write_dataset(str(path), data)
+    causal.write_dataset(str(path), data)
     return path
 
 
@@ -736,7 +736,7 @@ def sidecar_read(path) -> DiscreteDataset | None:
 
 def loaded(path) -> DiscreteDataset:
     """As ``fit`` and ``report`` load ``path``."""
-    return cli._load_dataset(str(path))
+    return causal.load_dataset(str(path))
 
 
 @pytest.mark.parametrize("data, canonical", EQUIVALENT.values(),

@@ -185,6 +185,13 @@ class TestSchemeValidation:
             BinningScheme.from_dict(doc)
         assert "GoP" in str(err.value)
 
+    @pytest.mark.parametrize("text", ["[1]", "5", '"GoP"', "null"],
+                             ids=["list", "int", "string", "null"])
+    def test_parse_schemes_refuses_a_non_object(self, text):
+        with pytest.raises(SchemaError) as err:
+            parse_schemes(text)
+        assert str(err.value) == "a schemes document must be a JSON object"
+
     def test_round_trip(self):
         schemes = [
             fit_sigma_bins([0.0, 1.0, 2.0, 3.0], "gop"),

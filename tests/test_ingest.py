@@ -684,3 +684,68 @@ class TestEmitPlotData:
         lines = out["grade_errors_m.csv"].splitlines()
         assert len(lines) == 12
         assert [ln.split(",")[0] for ln in lines[1:]] == list(ingest.GRADES)
+
+
+# --- refusals ---------------------------------------------------------------
+
+RECORD = {"id": "u1", "speaker_id": "s", "reference": "hi",
+          "hypotheses": {"m": "hi"}}
+NODE_A = ("A", "exogenous", ("x", "y"))
+
+
+def record_line(**edit) -> list[str]:
+    return [json.dumps({**RECORD, **edit}) + "\n"]
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: ingest.parse_utterances(record_line(id=5)), SchemaError,
+     "line 1: field 'id' must be a non-empty string"),
+    (lambda: ingest.parse_utterances(record_line(speaker_id=5)), SchemaError,
+     "line 1: field 'speaker_id' must be a string"),
+    (lambda: ingest.parse_utterances(record_line(reference=["hi"])),
+     SchemaError, "line 1: field 'reference' must be a string"),
+    (lambda: ingest.parse_utterances(record_line(hypotheses={"": "hi"})),
+     SchemaError, "line 1: hypothesis model names must be non-empty"),
+    (lambda: ingest.parse_utterances(record_line(hypotheses={"m": 5})),
+     SchemaError, "line 1: hypothesis for model 'm' must be a string"),
+    (lambda: ingest.parse_utterances(record_line(gender="other")),
+     SchemaError, "line 1: field 'gender' must be one of ('boy', 'girl')"),
+    (lambda: ingest.parse_utterances(record_line(vocab_difficulty=-0.5)),
+     SchemaError, "line 1: field 'vocab_difficulty' must be >= 0"),
+    (lambda: ingest.UtteranceRecord.from_dict([RECORD], line=3), SchemaError,
+     "line 3: record must be a JSON object"),
+    (lambda: ingest.parse_frequency_table("word,count\nthe 5\n"), SchemaError,
+     "line 2: expected 'word,count'"),
+    (lambda: ingest.parse_frequency_table("word,count\n,5\n"), SchemaError,
+     "line 2: expected 'word,count'"),
+    (lambda: ingest.parse_frequency_table("word,count\n\n"), EmptyInputError,
+     "frequency table has no rows"),
+    (lambda: ingest.merge_frequency_tables([]), EmptyInputError,
+     "no frequency tables to merge"),
+    (lambda: ingest.CausalGraph([NODE_A, NODE_A], []), SchemaError,
+     "duplicate node names in graph spec"),
+    (lambda: ingest.CausalGraph([("A", "latent", ("x",))], []), SchemaError,
+     "node 'A': kind must be one of ('exogenous', 'endogenous')"),
+    (lambda: ingest.CausalGraph([("A", "exogenous", ())], []), SchemaError,
+     "node 'A': needs >= 1 category"),
+    (lambda: ingest.CausalGraph([("A", "exogenous", ("x", "x"))], []),
+     SchemaError, "node 'A': duplicate categories"),
+    (lambda: ingest.CausalGraph.builtin("paper"), UnknownNodeError,
+     "no builtin graph named 'paper'"),
+    (lambda: ingest.CausalGraph.from_document(
+        {"nodes": [{"name": "A", "kind": "exogenous"}], "edges": []}),
+     SchemaError, "node 0: needs name, kind, categories"),
+    (lambda: ingest.CausalGraph.from_document({"nodes": [5], "edges": []}),
+     SchemaError, "node 0: needs name, kind, categories"),
+], ids=["int-id", "int-speaker", "list-reference", "empty-model-name",
+        "int-hypothesis", "unknown-gender", "negative-vocab-difficulty",
+        "non-object-record", "freq-no-comma", "freq-empty-word",
+        "freq-header-only", "merge-no-tables", "graph-duplicate-names",
+        "graph-unknown-kind", "graph-no-categories",
+        "graph-duplicate-categories", "graph-unknown-builtin",
+        "graph-node-without-categories", "graph-non-object-node"])
+def test_refusals(call, error, message):
+    with pytest.raises(error) as caught:
+        call()
+    assert type(caught.value) is error
+    assert str(caught.value) == message

@@ -291,6 +291,15 @@ class TestScoreTable:
                                       self.records())
         assert str(err.value) == message
 
+    @pytest.mark.parametrize("scores", [None, 5, [1]],
+                             ids=["null", "int", "list"])
+    def test_read_refuses_a_non_object_scores_entry(self, scores):
+        text = dump([{"id": "a", "scores": scores}])
+        with pytest.raises(SchemaError) as err:
+            alignment.ScoreTable.read(io.StringIO(text), self.records()[:1])
+        assert str(err.value) == ("scores file has no scores object for "
+                                  "this record (record 'a')")
+
 
 def run_report(work, scores_text):
     (work / "bad.jsonl").write_text(scores_text)

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 from statistics import NormalDist
 
@@ -489,3 +490,53 @@ class TestNdtri:
         ulps = np.abs(synthetic._ndtri(p) - expected) / np.spacing(
             np.abs(expected))
         assert ulps.max() <= 4
+
+
+# --- refusals ---------------------------------------------------------------
+
+
+def chain_text(**edit) -> str:
+    """The copy-chain spec as a document, with ``edit``'s keys replaced
+    (a value of None removes the key)."""
+    doc = json.loads(write_scm_spec(copy_chain_spec(n=10)))
+    doc.update(edit)
+    return json.dumps({k: v for k, v in doc.items() if v is not None})
+
+
+def chain_tables(**tables) -> dict:
+    doc = json.loads(chain_text())["tables"]
+    doc.update(tables)
+    return doc
+
+
+def with_table_of_x_for_y() -> ScmSpec:
+    spec = copy_chain_spec(n=10)
+    return ScmSpec(spec.graph, {"X": spec.tables["X"], "Y": spec.tables["X"]},
+                   seed=0, n=10)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: parse_scm_spec("[1]"), "an SCM spec must be a JSON object"),
+    (lambda: parse_scm_spec(chain_text(tables=None)),
+     "SCM spec missing 'tables'"),
+    (lambda: parse_scm_spec(chain_text(
+        tables={"X": chain_tables()["X"]})), "no table for node 'Y'"),
+    (lambda: parse_scm_spec(chain_text(tables=chain_tables(
+        Y={"a": [1.0, 0.0, 0.0], "b": [0.0, 1.0, 0.0]}))),
+     "table for 'Y': no probabilities for config ('c',)"),
+    (lambda: with_table_of_x_for_y().validate(),
+     "table for 'Y' disagrees with graph parents"),
+    (lambda: parse_scm_spec(chain_text(
+        emitters={"Q": {"means": [0.0], "spread": 1.0}})),
+     "emitter for unknown node 'Q'"),
+    (lambda: parse_scm_spec(chain_text(
+        emitters={"Y": {"means": [0.0, 1.0, 2.0], "spread": -1.0}})),
+     "emitter for 'Y': spread < 0"),
+    (lambda: parse_scm_spec(chain_text(n=-1)), "sample count -1 is negative"),
+], ids=["non-object", "missing-key", "no-table", "missing-parent-config",
+        "table-parents-disagree", "emitter-unknown-node", "negative-spread",
+        "negative-n"])
+def test_refusals(call, message):
+    with pytest.raises(InvalidSpecError) as caught:
+        call()
+    assert str(caught.value) == message
