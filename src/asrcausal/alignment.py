@@ -343,24 +343,23 @@ class ScoreTable:
         """Micro-averaged aggregate of the per-record oracle choices."""
         return _sum_counts("oracle", [result for _, result in self._oracle()])
 
-    def correlation(self, models: Sequence[str] | None = None):
+    def correlation(self):
         """Pearson correlation of utterance-level WER vectors per model
-        pair, as (models, matrix); `models` defaults to the first
-        record's models, sorted.  matrix[i][j] correlates models i and j;
-        the diagonal is 1, and a model with zero WER variance gives
-        undefined (NaN) off-diagonal entries rather than 0."""
+        pair, as (models, matrix), the models being the first record's,
+        sorted.  matrix[i][j] correlates models i and j; the diagonal is
+        1, and a model with zero WER variance gives undefined (NaN)
+        off-diagonal entries rather than 0."""
         if len(self.records) < 2:
             raise TooFewValuesError(
                 "need at least 2 utterances for correlation")
-        if models is None:
-            models = sorted(self.records[0].hypotheses)
+        models = sorted(self.records[0].hypotheses)
         vectors = {m: [r.wer for _, r in self._column(m)] for m in models}
         matrix = [[1.0] * len(models) for _ in models]
         for a in range(len(models)):
             for b in range(a + 1, len(models)):
                 r = _pearson(vectors[models[a]], vectors[models[b]])
                 matrix[a][b] = matrix[b][a] = r
-        return list(models), matrix
+        return models, matrix
 
 
 def _pearson(xs, ys) -> float:

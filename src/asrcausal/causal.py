@@ -14,10 +14,8 @@ each built by one ``bincount`` over the rows (``count_tensors``): the
 joint count tensor N, and per outcome the moment tensor S holding the
 sum of that outcome over each cell's rows.  ``fit_cpts`` reads family
 marginals of N, backdoor ACE the (parents(T), T) marginals of N and S,
-and CMI the (x, y, z) marginal of N.  CPT-based ACE runs the same
-backdoor formula on the (parents(T), T) marginals of the joint and of
-the joint times the outcome.  Past 10^7 cells a tensor is refused with
-StateExplosionError, as the joint is.
+and CMI the (x, y, z) marginal of N.  Past 10^7 cells a tensor is
+refused with StateExplosionError, as the joint is.
 
 A ``DiscreteDataset`` is built from its code matrix: ``synth`` samples
 codes and ``discretize`` bins values straight to them, so no dataset is
@@ -1146,50 +1144,33 @@ def _outcome_vector(data: DiscreteDataset, effect: str) -> np.ndarray:
     raise MissingVariableError(f"effect {effect!r} not in dataset")
 
 
-def ace(graph: CausalGraph, data_or_cpts, treatment: str, effect: str,
-        level_lo: str | None = None, level_hi: str | None = None, *,
-        on_empty: str = "error") -> float:
-    """Average causal effect E[Y | do(X=hi)] - E[Y | do(X=lo)].
+def ace(graph: CausalGraph, data: DiscreteDataset, treatment: str,
+        effect: str, level_lo: str | None = None,
+        level_hi: str | None = None, *, on_empty: str = "error") -> float:
+    """Average causal effect E[Y | do(X=hi)] - E[Y | do(X=lo)] in
+    ``data``.
 
     Backdoor adjustment over Z = parents(treatment):
-    E[Y | do(x)] = sum_z E[Y | x, z] P(z).  Levels default to the first
-    and last treatment category; ``ace_per_level`` gives the per-level
-    value that edge records carry.
-
-    One formula serves both inputs: it reads the (Z, treatment) cell
-    masses and outcome sums, counted over a dataset's rows or, from
-    fitted or exact CPTs, summed over the enumerated joint (effect must
-    then be a graph node, its outcome the category index).  A stratum
-    missing one of the two treatment arms raises EmptyStratumError
-    unless ``on_empty='skip'``, which drops it and renormalizes the
-    stratum weights.  A dataset's categories for every node read must
-    be the graph's, else SchemaError.
+    E[Y | do(x)] = sum_z E[Y | x, z] P(z), read from the (Z, treatment)
+    cell counts and outcome sums over the rows.  Levels default to the
+    first and last treatment category; ``ace_per_level`` gives the
+    per-level value that edge records carry.  A stratum missing one of
+    the two treatment arms raises EmptyStratumError unless
+    ``on_empty='skip'``, which drops it and renormalizes the stratum
+    weights.  The dataset's categories for every node read must be the
+    graph's, else SchemaError.
     """
     if treatment not in graph.nodes:
         raise MissingVariableError(f"treatment {treatment!r} not in graph")
     arms = _arms(graph, treatment, level_lo, level_hi)
     adjust = graph.parents(treatment)
     family = (*adjust, treatment)
-    if isinstance(data_or_cpts, DiscreteDataset):
-        data = data_or_cpts
-        # an effect node without a continuous column is read as its codes
-        _check_categories(graph, data, family if effect in data.continuous
-                          or effect not in graph.nodes else (*family, effect))
-        mass, moments = count_tensors(data, family, [effect])
-        moment = moments[effect]
-    else:
-        if effect not in graph.nodes:
-            raise MissingVariableError(
-                f"effect {effect!r} must be a graph node for CPT-based ACE")
-        # the (Z, T) marginals of the joint P and of P times the outcome
-        joint = joint_tensor(graph, data_or_cpts)
-        outcome = np.arange(len(graph.categories[effect]), dtype=np.float64)
-        outcome = outcome.reshape([-1 if node == effect else 1
-                                   for node in graph.nodes])
-        mass, moment = (_axes_as(graph, marginal(graph, table, family),
-                                 family) for table in (joint, joint * outcome))
-    return _ace_from_counts(mass, moment, treatment, effect, adjust, arms,
-                            on_empty)
+    # an effect node without a continuous column is read as its codes
+    _check_categories(graph, data, family if effect in data.continuous
+                      or effect not in graph.nodes else (*family, effect))
+    mass, moments = count_tensors(data, family, [effect])
+    return _ace_from_counts(mass, moments[effect], treatment, effect, adjust,
+                            arms, on_empty)
 
 
 def ace_per_level(graph: CausalGraph, treatment: str, value: float) -> float:

@@ -27,6 +27,7 @@ import numpy as np
 from . import alignment
 from .errors import (
     EmptyInputError,
+    IoError,
     SchemaError,
     SilentAudioError,
     TooShortError,
@@ -271,23 +272,32 @@ def read_audio(path: str, sample_rate: int | None = None
     """Load 16-bit PCM mono audio: WAV container or headerless raw.
 
     Raw files require an explicit ``sample_rate``.  Returns samples
-    scaled to [-1, 1] and the sample rate; a rate of 0 or below is
-    SchemaError naming the file.
+    scaled to [-1, 1] and the sample rate.  A file that is no such WAV,
+    holds an odd byte count or declares a rate of 0 or below is
+    SchemaError naming the file; one that cannot be read is IoError.
     """
-    if path.endswith(".wav"):
-        with wave.open(path, "rb") as wav:
-            if wav.getnchannels() != 1 or wav.getsampwidth() != 2:
-                raise SchemaError(f"{path}: need 16-bit mono PCM")
-            rate = wav.getframerate()
-            payload = wav.readframes(wav.getnframes())
-    else:
-        if sample_rate is None:
-            raise SchemaError(f"{path}: raw PCM needs a declared sample rate")
-        rate = sample_rate
-        with open(path, "rb") as fh:
-            payload = fh.read()
-        if len(payload) % 2:
-            raise SchemaError(f"{path}: odd byte count for 16-bit PCM")
+    try:
+        if path.endswith(".wav"):
+            with wave.open(path, "rb") as wav:
+                if wav.getnchannels() != 1 or wav.getsampwidth() != 2:
+                    raise SchemaError(f"{path}: need 16-bit mono PCM")
+                rate = wav.getframerate()
+                payload = wav.readframes(wav.getnframes())
+        else:
+            if sample_rate is None:
+                raise SchemaError(
+                    f"{path}: raw PCM needs a declared sample rate")
+            rate = sample_rate
+            with open(path, "rb") as fh:
+                payload = fh.read()
+    except (wave.Error, EOFError) as exc:
+        raise SchemaError(f"{path}: not a WAV file: "
+                          f"{str(exc) or 'it ends inside its header'}"
+                          ) from None
+    except OSError as exc:
+        raise IoError(f"cannot read {path}: {exc}") from None
+    if len(payload) % 2:
+        raise SchemaError(f"{path}: odd byte count for 16-bit PCM")
     if rate <= 0:
         raise SchemaError(f"{path}: sample rate {rate} is not above 0")
     samples = np.frombuffer(payload, dtype="<i2").astype(np.float64)
@@ -320,12 +330,11 @@ def inventory_states(inventory: Mapping[str, Sequence[str]]
 _CHUNK_LINES = 256  # posterior lines decoded by one json.loads
 
 
-def _bulk_frames(lines: Sequence[str], states: Sequence[str], buffers):
-    """``(utterance, ts, rows)`` runs, in line order, for a chunk of
+def _bulk_frames(lines: Sequence[str], states: Sequence[str]):
+    """``(utterance ids, ts, rows)``, one per line, for a chunk of
     posterior lines whose every line is a valid frame, all in one key
-    layout, and whose every utterance has ``t`` ascending past the frames
-    ``buffers`` holds for it (with no repeat seen so far); else None.
-    ``rows`` are the run's (frames x states) posteriors.
+    layout; else None.  ``rows`` are the chunk's (lines x states)
+    posteriors.
 
     One ``json.loads`` reads the chunk as ``[[line, true], ...]``, so
     the keys are decoded once for all frames.  When the lines hold no
@@ -343,7 +352,7 @@ def _bulk_frames(lines: Sequence[str], states: Sequence[str], buffers):
         return None
     if len(pairs) != len(lines):
         return None
-    runs, values, layout, last = [], [], None, {}
+    utt_ids, ts, values, layout = [], [], [], None
     for pair in pairs:
         if not (type(pair) is list and len(pair) == 2 and pair[1] is True
                 and type(pair[0]) is dict):
@@ -358,17 +367,8 @@ def _bulk_frames(lines: Sequence[str], states: Sequence[str], buffers):
             layout = tuple(probs)
         elif tuple(probs) != layout:
             return None
-        if utt_id not in last:
-            entry = buffers.get(utt_id)
-            if entry is not None and entry[2] is not None:
-                return None
-            last[utt_id] = -1 if entry is None else entry[0][-1]
-        if t <= last[utt_id]:
-            return None
-        last[utt_id] = t
-        if not runs or runs[-1][0] != utt_id:
-            runs.append((utt_id, []))
-        runs[-1][1].append(t)
+        utt_ids.append(utt_id)
+        ts.append(t)
         values.extend(probs.values())
     if not (layout and set(map(type, values)) <= {int, float}):
         return None
@@ -387,11 +387,7 @@ def _bulk_frames(lines: Sequence[str], states: Sequence[str], buffers):
     for j, state in enumerate(states):
         if state in where:
             rows[:, j] = v[:, where[state]]
-    out, at = [], 0
-    for utt_id, ts in runs:
-        out.append((utt_id, ts, rows[at:at + len(ts)]))
-        at += len(ts)
-    return out
+    return utt_ids, ts, rows
 
 
 def parse_posterior_frames(stream: Iterable[str],
@@ -406,9 +402,9 @@ def parse_posterior_frames(stream: Iterable[str],
     object outlives its chunk of lines, and an utterance whose frames
     come together in ``t`` order gets a view of it.  A chunk
     ``_bulk_frames`` cannot take is read line by line, each frame
-    checked by ``_check_frame``, so an error names its line.  A second
-    frame for the same utterance and ``t`` is SchemaError naming the
-    line.
+    checked by ``_check_frame``, so an error names its line.  Either way
+    each frame is recorded by one routine, which refuses a second frame
+    for the same utterance and ``t`` as SchemaError naming the line.
     """
     check_inventory(inventory)
     states = inventory_states(inventory)
@@ -419,47 +415,45 @@ def parse_posterior_frames(stream: Iterable[str],
     # set of its frame indices, or None while they ascend]
     buffers: dict[str, list] = {}
 
-    def add(utt_id, ts):
-        """Record that the last ``len(ts)`` rows are frames ``ts`` of
-        ``utt_id``."""
-        nonlocal n_rows
+    def record(utt_id, t, line_no, row):
+        """Record that buffer ``row``, read from line ``line_no``, is
+        frame ``t`` of ``utt_id``."""
         entry = buffers.get(utt_id)
         if entry is None:
-            entry = buffers[utt_id] = [[], [], None]
-        entry[0] += ts
-        first_row, n_rows = n_rows, n_rows + len(ts)
-        runs = entry[1]
-        if runs and runs[-1][1] == first_row:
-            runs[-1][1] = n_rows
+            buffers[utt_id] = [[t], [[row, row + 1]], None]
+            return
+        ts, runs, seen = entry
+        if seen is None and t <= ts[-1]:
+            seen = entry[2] = set(ts)
+        if seen is not None:
+            if t in seen:
+                raise SchemaError(f"utterance {utt_id!r}: a second frame "
+                                  f"for t={t}", line=line_no)
+            seen.add(t)
+        ts.append(t)
+        if runs[-1][1] == row:
+            runs[-1][1] = row + 1
         else:
-            runs.append([first_row, n_rows])
+            runs.append([row, row + 1])
 
     stream = iter(stream)
     first = 1
     while lines := list(islice(stream, _CHUNK_LINES)):
-        bulk = _bulk_frames(lines, states, buffers)
+        bulk = _bulk_frames(lines, states)
         if bulk is not None:
-            for utt_id, ts, block in bulk:
-                rows.frombytes(block.tobytes())
-                add(utt_id, ts)
+            utt_ids, ts, block = bulk
+            rows.frombytes(block.tobytes())
+            for i, (utt_id, t) in enumerate(zip(utt_ids, ts)):
+                record(utt_id, t, first + i, n_rows + i)
+            n_rows += len(ts)
         else:
             for line_no, raw, utt_id in _utterance_lines(
                     lines, ("t", "probs"), first):
                 t, probs = raw["t"], raw["probs"]
                 _check_frame(t, probs, line_no)
-                entry = buffers.get(utt_id)
-                if entry is not None:
-                    ts, _, seen = entry
-                    if seen is None and t <= ts[-1]:
-                        seen = entry[2] = set(ts)
-                    if seen is not None:
-                        if t in seen:
-                            raise SchemaError(
-                                f"utterance {utt_id!r}: a second frame "
-                                f"for t={t}", line=line_no)
-                        seen.add(t)
                 rows.extend(map(probs.get, states, zeros))
-                add(utt_id, [t])
+                record(utt_id, t, line_no, n_rows)
+                n_rows += 1
         first += len(lines)
     table = np.frombuffer(rows, np.float64).reshape(n_rows, len(states))
     frames = {}

@@ -146,13 +146,14 @@ def _silverman_bandwidth(x: np.ndarray) -> float:
     return 0.9 * spread * x.size ** (-0.2)
 
 
-def gaussian_kde_grid(x: np.ndarray, bandwidth: float, grid_size: int = _KDE_GRID
+def gaussian_kde_grid(x: np.ndarray, bandwidth: float
                       ) -> tuple[np.ndarray, np.ndarray]:
-    """Gaussian-kernel density on a uniform grid over [min-3h, max+3h]."""
+    """Gaussian-kernel density on a uniform grid of ``_KDE_GRID`` points
+    over [min-3h, max+3h]."""
     grid = np.linspace(x.min() - 3 * bandwidth, x.max() + 3 * bandwidth,
-                       grid_size)
+                       _KDE_GRID)
     # evaluate in chunks to bound the (n, grid) distance matrix
-    density = np.zeros(grid_size)
+    density = np.zeros(_KDE_GRID)
     norm = 1.0 / (x.size * bandwidth * np.sqrt(2 * np.pi))
     for start in range(0, x.size, 4096):
         chunk = x[start:start + 4096]

@@ -59,7 +59,11 @@ class ScmSpec:
     emitters: dict[str, EffectEmitter] = field(default_factory=dict)
 
     def validate(self) -> "ScmSpec":
-        _check_draw(self.n, self.seed)
+        if self.n < 0:
+            raise InvalidSpecError(f"sample count {self.n} is negative")
+        if not 0 <= self.seed < 2 ** 128:
+            raise InvalidSpecError(f"seed {self.seed} is not in [0, 2**128), "
+                                   f"the range of a Philox key")
         for node in self.graph.nodes:
             if node not in self.tables:
                 raise InvalidSpecError(f"no table for node {node!r}")
@@ -186,21 +190,12 @@ def _ndtri(p: np.ndarray) -> np.ndarray:
     return out
 
 
-def _check_draw(n: int, seed: int):
-    """A sample count and a seed ``generate`` can draw with."""
-    if n < 0:
-        raise InvalidSpecError(f"sample count {n} is negative")
-    if not 0 <= seed < 2 ** 128:
-        raise InvalidSpecError(f"seed {seed} is not in [0, 2**128), the "
-                               f"range of a Philox key")
-
-
 _BLOCK_ROWS = 1 << 13  # samples drawn and coded at a time
 
 
-def generate(spec: ScmSpec, n: int | None = None, seed: int | None = None
-             ) -> DiscreteDataset:
-    """Ancestral sampling; a pure function of (spec, seed).
+def generate(spec: ScmSpec) -> DiscreteDataset:
+    """Ancestral sampling of ``spec.n`` rows; a pure function of the
+    spec, its seed included.
 
     The uniforms are drawn ``_BLOCK_ROWS`` rows at a time: Philox fills
     sequentially, so the blocks are the rows of one (n, width) draw.
@@ -209,11 +204,9 @@ def generate(spec: ScmSpec, n: int | None = None, seed: int | None = None
     parent configurations."""
     spec.validate()
     graph = spec.graph
-    n = spec.n if n is None else n
-    seed = spec.seed if seed is None else seed
-    _check_draw(n, seed)
+    n = spec.n
     emitter_nodes = sorted(spec.emitters)
-    rng = np.random.Generator(np.random.Philox(key=seed))
+    rng = np.random.Generator(np.random.Philox(key=spec.seed))
     width = len(graph.topo_order) + len(emitter_nodes)
     column = {node: j for j, node in enumerate(graph.nodes)}
     # per node in topological order: its column, its parents' columns,

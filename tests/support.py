@@ -1,7 +1,8 @@
 """Reference helpers the tests share: a dataset built from label rows,
-brute-force joint enumeration, information measures on explicit joint
-tables, and the SCM spec writer that ``synthetic.parse_scm_spec`` reads
-back.  None of them runs in a CLI stage."""
+brute-force joint enumeration, backdoor ACE read off CPTs, information
+measures on explicit joint tables, and the SCM spec writer that
+``synthetic.parse_scm_spec`` reads back.  None of them runs in a CLI
+stage."""
 
 from __future__ import annotations
 
@@ -15,8 +16,13 @@ from asrcausal.causal import (
     CausalGraph,
     ConditionalTable,
     DiscreteDataset,
+    _ace_from_counts,
+    _arms,
+    _axes_as,
     _check_normalized,
     count_tensors,
+    joint_tensor,
+    marginal,
 )
 from asrcausal.errors import InvalidSpecError
 from asrcausal.synthetic import _CFG_SEP, ScmSpec
@@ -53,6 +59,25 @@ def joint_probability(graph: CausalGraph,
     for node in graph.nodes:
         p *= probability(cpts[node], assignment[node], assignment)
     return p
+
+
+def backdoor_ace(graph: CausalGraph, tables: Mapping[str, ConditionalTable],
+                 treatment: str, effect: str) -> float:
+    """The backdoor ACE of ``treatment`` on the category index of
+    ``effect`` under fitted or exact CPTs: ``causal``'s own formula on
+    the (parents(treatment), treatment) marginals of the enumerated
+    joint P and of P times the outcome, between the first and last
+    treatment categories."""
+    adjust = graph.parents(treatment)
+    family = (*adjust, treatment)
+    joint = joint_tensor(graph, tables)
+    outcome = np.arange(len(graph.categories[effect]), dtype=np.float64)
+    outcome = outcome.reshape([-1 if node == effect else 1
+                               for node in graph.nodes])
+    mass, moment = (_axes_as(graph, marginal(graph, table, family), family)
+                    for table in (joint, joint * outcome))
+    return _ace_from_counts(mass, moment, treatment, effect, adjust,
+                            _arms(graph, treatment), "error")
 
 
 def enumerate_assignments(graph: CausalGraph) -> Iterator[dict[str, str]]:

@@ -25,6 +25,7 @@ from asrcausal.errors import (
 )
 
 from support import (
+    backdoor_ace,
     conditional_entropy,
     dataset_from_rows,
     enumerate_assignments,
@@ -502,7 +503,7 @@ class TestAce:
 
     def test_adjustment_formula_matches_surgery_enumeration(self):
         spec = confounded_spec()
-        adjusted = ace(spec.graph, spec.tables, "X", "Y")
+        adjusted = backdoor_ace(spec.graph, spec.tables, "X", "Y")
         assert adjusted == pytest.approx(0.42, abs=1e-12)
         truth = synthetic.true_ace(spec, "X", "Y")
         assert abs(adjusted - truth) < 1e-9
@@ -513,18 +514,18 @@ class TestAce:
     def test_cpt_ace_matches_truth_on_paper_shaped(self):
         spec = synthetic.paper_shaped_spec(n=10)
         for cause in ("Age", "VocabDiff"):
-            adjusted = ace(spec.graph, spec.tables, cause, "GoP")
+            adjusted = backdoor_ace(spec.graph, spec.tables, cause, "GoP")
             truth = synthetic.true_ace(spec, cause, "GoP")
             assert abs(adjusted - truth) < 1e-9
 
     def test_cpt_ace_matches_truth_on_every_paper_shaped_edge(self):
         # without emitters the truth's outcome is the category index, as
-        # it is for CPT-based ACE
+        # it is for backdoor_ace
         spec = synthetic.paper_shaped_spec(n=10)
         spec.emitters = {}
         assert len(spec.graph.edges) == 20
         for cause, effect in spec.graph.edges:
-            adjusted = ace(spec.graph, spec.tables, cause, effect)
+            adjusted = backdoor_ace(spec.graph, spec.tables, cause, effect)
             truth = synthetic.true_ace(spec, cause, effect)
             assert abs(adjusted - truth) < 1e-9, (cause, effect)
 

@@ -20,6 +20,7 @@ from asrcausal.covariates import (
 )
 from asrcausal.errors import (
     EmptyInputError,
+    IoError,
     SchemaError,
     SilentAudioError,
     TooShortError,
@@ -405,6 +406,29 @@ class TestParsePosteriorFrames:
             assert frames[utt_id].probs.tolist() == [[p] for _, p in expected]
         assert len(checked) == (len(order) if flag else 0)
 
+    def test_out_of_order_chunk_is_read_in_one_decode(self, monkeypatch):
+        checked = []
+        monkeypatch.setattr(covariates, "_check_frame",
+                            lambda *args: checked.append(args))
+        lines = [json.dumps({"utterance_id": "u", "t": t,
+                             "probs": {"p_s1": t / 4, "q": 1 - t / 4}})
+                 for t in (0, 2, 1, 3)]
+        frames = self.parse(lines)["u"]
+        assert frames.ts == [0, 1, 2, 3]
+        assert frames.probs.tolist() == [[0.0], [0.25], [0.5], [0.75]]
+        assert checked == []
+
+    def test_repeat_in_a_one_decode_chunk_names_its_line(self, monkeypatch):
+        checked = []
+        monkeypatch.setattr(covariates, "_check_frame",
+                            lambda *args: checked.append(args))
+        lines = [self.line("u", t) for t in (0, 2, 1, 2, 3)]
+        with pytest.raises(SchemaError) as err:
+            self.parse(lines)
+        assert str(err.value) \
+            == "line 4: utterance 'u': a second frame for t=2"
+        assert checked == []
+
     def test_chunks_and_repeats_across_them(self, monkeypatch):
         monkeypatch.setattr(covariates, "_CHUNK_LINES", 3)
         lines = [self.line("u", t) for t in (0, 1, 2, 3, 5, 4, 6)]
@@ -697,3 +721,37 @@ class TestAudioIo:
         with pytest.raises(SchemaError) as caught:
             covariates.read_audio(str(path), 16000)
         assert str(caught.value) == f"{path}: {message}"
+
+    @pytest.mark.parametrize("name, content, error, message", [
+        ("clip.wav", b"not a riff file", SchemaError,
+         "{path}: not a WAV file: file does not start with RIFF id"),
+        ("clip.wav", b"RIFF", SchemaError,
+         "{path}: not a WAV file: it ends inside its header"),
+        ("clip.wav", b"RIFF\x04\x00\x00\x00WAVE", SchemaError,
+         "{path}: not a WAV file: fmt chunk and/or data chunk missing"),
+        ("clip.wav", "cut", SchemaError,
+         "{path}: odd byte count for 16-bit PCM"),
+        ("clip.wav", None, IoError,
+         "cannot read {path}: [Errno 21] Is a directory: '{path}'"),
+        ("clip.raw", None, IoError,
+         "cannot read {path}: [Errno 21] Is a directory: '{path}'"),
+    ], ids=["not-riff", "riff-only", "no-fmt-chunk", "wav-cut-mid-sample",
+            "wav-directory", "raw-directory"])
+    def test_unreadable_files(self, tmp_path, name, content, error, message):
+        import wave
+
+        path = tmp_path / name
+        if content is None:
+            path.mkdir()
+        elif content == "cut":
+            with wave.open(str(path), "wb") as out:
+                out.setnchannels(1)
+                out.setsampwidth(2)
+                out.setframerate(16000)
+                out.writeframes(b"\x00\x01" * 100)
+            path.write_bytes(path.read_bytes()[:-1])
+        else:
+            path.write_bytes(content)
+        with pytest.raises(error) as caught:
+            covariates.read_audio(str(path), 16000)
+        assert str(caught.value) == message.format(path=path)
