@@ -43,7 +43,9 @@ as, the text's length and SHA-256, and a trailer hashing the sidecar's
 own bytes.  ``load_dataset`` reads the sidecar when it matches the text,
 its own trailer and this package version (``read_sidecar``), and the
 text otherwise (``DiscreteDataset.from_file``), so deleting a sidecar
-only makes the next read parse the text.
+only makes the next read parse the text.  A text in the writer's layout
+is read in one forward pass into arrays, and kept only when the writer
+gives the whole file back (``_canonical_dataset``).
 """
 
 from __future__ import annotations
@@ -53,6 +55,7 @@ import itertools
 import json
 import math
 import os
+import re
 import stat
 import warnings
 from dataclasses import dataclass
@@ -169,15 +172,14 @@ class DiscreteDataset:
         """Read a dataset file open for binary reading, from its text:
         how ``load_dataset`` reads one without a matching sidecar (one
         written by hand or by another tool, one whose sidecar is missing
-        or stale, or a pipe).  A file in the layout ``dataset_pieces``
-        writes is read straight into arrays, a window of about
+        or stale, or a pipe).  A file that opens as ``dataset_pieces``
+        writes one is read straight into arrays in one forward pass,
         ``_BLOCK_BYTES`` at a time, and kept only when the writer gives
-        its number sections' bytes back (``_canonical_dataset``).  Only
-        any other text is read whole, by ``ingest.load_json`` and
-        ``from_document``, with their errors; bytes that are not UTF-8
-        are SchemaError.  Both give equal datasets for the same document.
-        A pipe, which cannot be read through a window, is read whole
-        first.
+        the whole file back (``_canonical_dataset``).  Any other text is
+        read whole, by ``ingest.load_json`` and ``from_document``, with
+        their errors; bytes that are not UTF-8 are SchemaError.  Both
+        give equal datasets for the same document.  A pipe, which cannot
+        be read twice, is read whole first.
         """
         if not file.seekable():
             file = io.BytesIO(file.read())
@@ -199,10 +201,26 @@ def code_dtype(counts: Iterable[int]) -> np.dtype:
     return np.min_scalar_type(max(max(counts, default=0) - 1, 0))
 
 
-def _variables_of(entries) -> tuple[list[str], dict[str, list[str]]]:
-    """Names, in order, and categories of a document's ``variables``."""
-    return ([v["name"] for v in entries],
-            {v["name"]: list(v["categories"]) for v in entries})
+def _variables_of(entries) -> tuple[list[str], dict[str, list]]:
+    """Names, in order, and categories of a document's ``variables``.
+    Each entry needs a string ``name`` and a list ``categories`` of
+    strings or integers (not bools); a name or a category given twice is
+    SchemaError naming the variable."""
+    categories: dict[str, list] = {}
+    for entry in entries:
+        name, values = entry["name"], entry["categories"]
+        if not isinstance(name, str):
+            raise SchemaError(f"variable name {name!r} is not a string")
+        if name in categories:
+            raise SchemaError(f"variable {name!r} listed twice")
+        if not (type(values) is list
+                and all(type(c) in (str, int) for c in values)):
+            raise SchemaError(f"variable {name!r}: categories must be a "
+                              f"list of strings or integers")
+        if len(set(values)) != len(values):
+            raise SchemaError(f"variable {name!r}: duplicate categories")
+        categories[name] = values
+    return list(categories), categories
 
 
 def _typed_array(values, kinds: str, message: str) -> np.ndarray:
@@ -234,20 +252,22 @@ def _typed_array(values, kinds: str, message: str) -> np.ndarray:
 #
 # (an empty list or object as "[]" or "{}"), each number section a
 # ``_CHUNK`` slice at a time, formatted by ``array_text``.
-# ``_canonical_dataset`` reads that layout through a ``_Window`` on the
-# file, a block of each number section at a time, with one
-# ``np.fromstring`` per block.  The numbers it reads are kept only when
-# ``array_text`` gives back their bytes exactly (``_section``); any other
-# text goes to the general reader.
+# ``_canonical_dataset`` reads a file in one forward pass, a block of
+# whole lines at a time.  ``_KEY`` finds the lines that start a section:
+# '\n  "<name>": ' a continuous column, '\n "rows": ' and
+# '\n "variables": ' the other two.  A string holds no raw newline, so the
+# indent tells a column named "rows" from the rows.  The numbers between
+# key lines are read with no check of the layout around them; the file
+# is kept only when ``dataset_pieces`` gives back all of its bytes, and
+# any other text goes to the general reader.
 
 _HEAD = b'{\n "continuous": '
 _ROWS_KEY = b',\n "rows": '
 _VARIABLES_KEY = b',\n "variables": '
 _TAIL = b"\n}\n"
-_NUMBER_SEP = b",\n   "  # between two numbers of a continuous column
+_KEY = re.compile(rb'\n(?:  ("(?:[^"\\\n]|\\.)*")| "(rows|variables)"): ')
 _CHUNK = 4096  # list items written per piece
-_BLOCK_BYTES = 1 << 18  # bytes of a number section read at a time
-_FIRST_SCAN = 1 << 10  # bytes a search reads first (at most a block)
+_BLOCK_BYTES = 1 << 18  # bytes read at a time
 
 
 def dataset_pieces(data: DiscreteDataset) -> Iterator[bytes]:
@@ -455,102 +475,95 @@ def _int_array_rows_body(rows: np.ndarray, ind: str) -> bytes:
     return m.T.tobytes().translate(None, b"\0")
 
 
-class _Window:
-    """A binary file read a slice at a time, never whole.  Offsets are
-    the file's, and a slice that runs past its end is cut short."""
-
-    def __init__(self, file: BinaryIO):
-        self.file = file
-        self.size = file.seek(0, io.SEEK_END)
-
-    def read(self, start: int, end: int) -> bytes:
-        """The bytes ``[start, end)``."""
-        if end <= start:
-            return b""
-        self.file.seek(start)
-        return self.file.read(end - start)
-
-    def startswith(self, prefix: bytes, at: int) -> bool:
-        return self.read(at, at + len(prefix)) == prefix
-
-    def find(self, mark: bytes, start: int, end: int | None = None) -> int:
-        """The first ``mark`` within ``[start, end)`` (default: to the end
-        of the file), as ``bytes.find`` gives it, or -1."""
-        end = self.size if end is None else min(end, self.size)
-        for step in _search_steps():
-            if start + len(mark) > end:
-                return -1
-            # every mark that starts in [start, start + step)
-            found = self.read(start, min(start + step + len(mark) - 1,
-                                         end)).find(mark)
-            if found >= 0:
-                return start + found
-            start += step
-
-    def rfind(self, mark: bytes) -> int:
-        """The last ``mark`` in the file, as ``bytes.rfind`` gives it, or
-        -1; searched from the end."""
-        end = self.size
-        for step in _search_steps():
-            if end <= 0:
-                return -1
-            start = max(end - step, 0)
-            # every mark that starts in [start, end)
-            found = self.read(start, end + len(mark) - 1).rfind(mark)
-            if found >= 0:
-                return start + found
-            end = start
-
-
-def _search_steps() -> Iterator[int]:
-    """The sizes of the slices a search reads, one after another:
-    ``_FIRST_SCAN`` bytes (at most a block), doubling up to a block (at
-    least ``_FIRST_SCAN``).  A mark is mostly found in the first."""
-    step = min(_FIRST_SCAN, _BLOCK_BYTES)
-    while True:
-        yield step
-        step = min(2 * step, max(_BLOCK_BYTES, _FIRST_SCAN))
-
-
 def _canonical_dataset(file: BinaryIO) -> DiscreteDataset | None:
     """The dataset in ``file`` when it is in the layout above, else None.
 
-    A dataset is returned only when ``from_document(json.loads(text))``
-    returns an equal one: every number section is kept only when the
-    writer gives its bytes back (``_section``), the ``variables`` go
-    through ``json`` and ``_variables_of``, and ``variables`` that
-    ``json`` cannot read (nested too deeply included) or a dataset the
-    constructor rejects is None too, so the general reader raises its
-    error.  The file is read through a ``_Window``: a number section a
-    block at a time, the ``variables`` in one read at its end.
+    One forward pass reads the file leniently (``_line_blocks``): each
+    block of a number section is one ``_numbers`` call with the brackets,
+    spaces and newlines dropped, and only ``_HEAD`` is checked.  The
+    dataset is kept only when ``dataset_pieces`` gives back the file byte
+    for byte, compared a piece at a time in a second pass, so one is
+    returned only when ``from_document(json.loads(text))`` returns an
+    equal one.  A column name or ``variables`` that ``json`` cannot read
+    (nested too deeply included), ``variables`` that ``_variables_of``
+    refuses, or a dataset the constructor refuses is None too, so the
+    general reader raises its error.
     """
-    window = _Window(file)
-    if not (window.startswith(_HEAD, 0)
-            and window.startswith(_TAIL, window.size - len(_TAIL))):
+    if file.read(len(_HEAD)) != _HEAD:
         return None
-    variables_at = window.rfind(_VARIABLES_KEY)
-    if variables_at < 0:
-        return None
+    # each number section by its column name's JSON text, the rows by None
+    sections: dict[bytes | None, np.ndarray] = {}
+    key, blocks, variables = None, [], []
+    for text in _line_blocks(file):
+        if variables:
+            variables.append(text)
+            continue
+        at = 0
+        # a number section holds no quote, so most blocks need no search
+        for found in [*(_KEY.finditer(text) if b'"' in text else ()), None]:
+            if key is not None:
+                values = _block_numbers(
+                    text[at:found.start() if found else None],
+                    codes=key[1] is None)
+                if values is None:
+                    return None
+                blocks.append(values)
+            if found is None:
+                break
+            if key is not None:
+                sections[key[1]] = np.concatenate(blocks)
+            key, blocks, at = found, [], found.end()
+            if found[2] == b"variables":
+                variables.append(text[at:])
+                break
+    codes = sections.pop(None, np.zeros(0, np.uint8))
     try:
-        variables, categories = _variables_of(json.loads(window.read(
-            variables_at + len(_VARIABLES_KEY),
-            window.size - len(_TAIL)).decode()))
-    except (ValueError, KeyError, TypeError, AttributeError, RecursionError):
+        names, categories = _variables_of(json.loads(
+            b"".join(variables).removesuffix(_TAIL)))
+        dataset = DiscreteDataset(
+            names, categories,
+            codes.reshape(-1, len(names)) if names else codes.reshape(0, 0),
+            {json.loads(name): column for name, column in sections.items()})
+    except (ValueError, KeyError, TypeError, AttributeError, RecursionError,
+            SchemaError):
         return None
-    found = _canonical_continuous(window, len(_HEAD))
-    if found is None:
-        return None
-    continuous, rows_at = found
-    if not (window.startswith(_ROWS_KEY, rows_at) and rows_at < variables_at):
-        return None
-    codes = _canonical_codes(window, rows_at + len(_ROWS_KEY), variables_at,
-                             [len(categories[v]) for v in variables])
-    if codes is None:
-        return None
-    try:
-        return DiscreteDataset(variables, categories, codes, continuous)
-    except SchemaError:
-        return None
+    file.seek(0)
+    for piece in dataset_pieces(dataset):
+        if file.read(len(piece)) != piece:
+            return None
+    return None if file.read(1) else dataset
+
+
+def _line_blocks(file: BinaryIO) -> Iterator[bytes]:
+    """The rest of ``file`` in blocks of whole lines: each read of
+    ``_BLOCK_BYTES`` is cut at its last newline, and what follows it (the
+    start of one line) is carried into the next block."""
+    carry: list[bytes] = []
+    while read := file.read(_BLOCK_BYTES):
+        cut = read.rfind(b"\n")
+        if cut < 0:
+            carry.append(read)
+            continue
+        yield b"".join([*carry, read[:cut]])
+        carry = [read[cut:]]
+    yield b"".join(carry)
+
+
+def _block_numbers(text: bytes, codes: bool) -> np.ndarray | None:
+    """The numbers of one block of a number section, read with its
+    brackets, spaces, newlines and outer commas dropped: codes in the
+    narrowest unsigned dtype that holds the block's largest, floats as
+    float64; else None.  A negative code is refused, so none wraps, and
+    so is a float that is not finite: ``np.fromstring`` reads
+    ``Infinity``, which only ``json`` takes."""
+    values = _numbers(text.translate(None, b"{}[] \n").strip(b","),
+                      np.int64 if codes else np.float64)
+    if values is None or not values.size:
+        return values
+    if codes:
+        return (None if values.min() < 0
+                else values.astype(np.min_scalar_type(values.max())))
+    return values if np.isfinite(values).all() else None
 
 
 def _numbers(text: bytes, dtype) -> np.ndarray | None:
@@ -563,133 +576,6 @@ def _numbers(text: bytes, dtype) -> np.ndarray | None:
             return np.fromstring(text, dtype=dtype, sep=",")
         except (ValueError, DeprecationWarning):
             return None
-
-
-def _canonical_codes(window: _Window, start: int, end: int,
-                     sizes: Sequence[int]) -> np.ndarray | None:
-    """The (n, k) codes of the canonical ``rows`` list at
-    ``[start, end)``, for k variables of ``sizes`` categories, in
-    ``code_dtype(sizes)``; else None.
-
-    The list is read a block of whole rows (about ``_BLOCK_BYTES``) at a
-    time (``_section``).  A block's codes must fill whole rows of k, and
-    they are range-checked before they are narrowed, so none wraps.
-    """
-    k = len(sizes)
-    dtype = code_dtype(sizes)
-    if window.startswith(b"[]", start) and end == start + 2:
-        return np.zeros((0, k), dtype=dtype)
-    if not (k and window.startswith(b"[\n", start)
-            and window.startswith(b"\n ]", end - 3)):
-        return None
-    limits = np.array(sizes)
-
-    def rows(block: bytes) -> np.ndarray | None:
-        values = _numbers(block.translate(None, b"[] \n"), np.int64)
-        if values is None or values.size % k:
-            return None
-        values = values.reshape(-1, k)
-        if ((values < 0) | (values >= limits)).any():
-            return None  # the constructor names the variable
-        return values.astype(dtype)
-
-    # "[\n", the rows joined by ",\n", then "\n ]"
-    return _section(window, start + 2, end - 3, b"\n  ],\n", 4, "\n  ", rows)
-
-
-def _blocks(window: _Window, start: int, end: int, mark: bytes, keep: int
-            ) -> Iterator[bytes]:
-    """``[start, end)`` a block at a time, one read each.  A block ends
-    at the first ``mark`` from ``_BLOCK_BYTES`` past its start on,
-    keeping the mark's first ``keep`` bytes, and the next block starts
-    after the mark; the last block ends at ``end``."""
-    while (found := window.find(mark, start + _BLOCK_BYTES, end)) >= 0:
-        yield window.read(start, found + keep)
-        start = found + len(mark)
-    yield window.read(start, end)
-
-
-def _canonical_continuous(window: _Window, at: int
-                          ) -> tuple[dict[str, np.ndarray], int] | None:
-    """The columns of the canonical ``continuous`` object at offset
-    ``at``, in file order, and the offset just past it; else None.  Names
-    must be sorted and distinct."""
-    if window.startswith(b"{}", at):
-        return {}, at + 2
-    if not window.startswith(b"{\n", at):
-        return None
-    columns: dict[str, np.ndarray] = {}
-    at += 2
-    while True:
-        # a name line, '  "<name>": [' or '  "<name>": []', then the items
-        line_end = window.find(b"\n", at)
-        line = window.read(at, line_end)
-        if line.endswith(b": [") and window.startswith(b"\n   ", line_end):
-            close = window.find(b"\n  ]", line_end)
-            values = (None if close < 0 else _section(
-                window, line_end + 4, close, _NUMBER_SEP, 0, "\n   ", _finite))
-            after = close + 4
-        elif line.endswith((b": []", b": [],")):
-            values = np.zeros(0)
-            after = line_end - line.endswith(b",")
-        else:
-            return None
-        if values is None or not line.startswith(b'  "'):
-            return None
-        try:
-            name = json.loads(line[2:line.rindex(b": [")].decode())
-        except ValueError:
-            return None
-        if not isinstance(name, str) or (
-                columns and name <= next(reversed(columns))):
-            return None
-        columns[name] = values
-        if window.startswith(b"\n }", after):
-            return columns, after + 3
-        if not window.startswith(b",\n", after):
-            return None
-        at = after + 2
-
-
-def _finite(block: bytes) -> np.ndarray | None:
-    """A block's floats, or None.  A float that is not finite is refused:
-    ``np.fromstring`` reads ``Infinity``, which only ``json`` takes."""
-    values = _numbers(block, np.float64)
-    return values if values is not None and np.isfinite(values).all() else None
-
-
-def _section(window: _Window, start: int, end: int, mark: bytes, keep: int,
-             ind: str, parse) -> np.ndarray | None:
-    """The items of the number section ``[start, end)`` of a list whose
-    items are indented by ``ind``, read in the blocks ``_blocks(...,
-    mark, keep)`` gives, each made an array by ``parse``; else None.
-
-    They are kept only when the writer gives their bytes back: each run
-    of whole blocks holding at least ``_CHUNK`` items, and the
-    last run, joined by the bytes cut between blocks, must be exactly
-    ``array_text`` of its items after the rest of the separator
-    ``"," + ind``.  One writer call per run, not per block, so a small
-    block costs no call of its own.
-    """
-    cut = mark[keep:]
-    lead = ("," + ind).encode()[len(cut):]
-    arrays, run, items = [], [], 0
-    # the None after the last block closes the last run
-    for block in itertools.chain(_blocks(window, start, end, mark, keep),
-                                 [None]):
-        if block is not None:
-            values = parse(block)
-            if values is None or not len(values):
-                return None
-            arrays.append(values)
-            run.append(block)
-            items += len(values)
-        if run and (block is None or items >= _CHUNK):
-            text = array_text(np.concatenate(arrays[-len(run):]), ind)
-            if cut.join(run) != lead + text:
-                return None
-            run, items = [], 0
-    return np.concatenate(arrays)
 
 
 # --- array sidecars ----------------------------------------------------------
@@ -774,7 +660,7 @@ def read_sidecar(sidecar: BinaryIO, text: BinaryIO) -> DiscreteDataset | None:
                 and all(type(name) is str for name in names)
                 and names == sorted(set(names))):
             return None
-    except (KeyError, TypeError, AttributeError):
+    except (KeyError, TypeError, AttributeError, SchemaError):
         return None
     # the sidecar's size before any allocation, then the text's hash
     at = sidecar.tell()

@@ -980,6 +980,28 @@ class TestSilentlyDroppedInputs:
         assert "'a'" in e_schema_message(capsys)
         assert not Path("r.json").exists()
 
+    @pytest.mark.parametrize("command", [
+        ["fit", "--graph", "paper-default", "--out", "c.json"],
+        ["cmi", "--graph", "paper-default", "--x", "Age", "--y", "SubsErr"],
+        ["ace", "--treatment", "Age", "--effect", "SubsErr"],
+    ], ids=["fit", "cmi", "ace"])
+    def test_dataset_variable_listed_twice(self, tmp_path, monkeypatch,
+                                           capsys, command):
+        # read as given, the second Age column would never be read
+        monkeypatch.chdir(tmp_path)
+        assert run_cli("synth", "--spec", "paper-shaped", "--n", "200",
+                       "--out", "a.json") == 0
+        doc = json.loads(Path("a.json").read_text())
+        j = [v["name"] for v in doc["variables"]].index("Age")
+        doc["variables"].append(doc["variables"][j])
+        for row in doc["rows"]:
+            row.append(row[j])
+        Path("a.json").write_text(ingest.write_report(doc))
+        capsys.readouterr()
+        assert run_cli(*command, "--in", "a.json") == 1
+        assert e_schema_message(capsys) == "variable 'Age' listed twice"
+        assert not Path("c.json").exists()
+
     def test_discretize_bin_of_an_unbinned_node(self, workdir, capsys):
         run_cli("covariates", "--in", str(workdir / "records.jsonl"),
                 "--out", str(workdir / "cov.jsonl"),
