@@ -152,7 +152,7 @@ class DiscreteDataset:
         of JSON integers and each continuous column a list of numbers;
         a bool in either is SchemaError."""
         try:
-            variables, categories = _variables_of(doc["variables"])
+            categories = _variables_of(doc["variables"])
             rows = doc["rows"]
             continuous = doc.get("continuous", {}).items()
         except (KeyError, TypeError, AttributeError) as exc:
@@ -161,8 +161,8 @@ class DiscreteDataset:
             rows, "iu", "dataset rows must be equal-length lists of integer "
                         "category codes")
         if codes.size == 0:
-            codes = codes.reshape(0, len(variables))
-        return cls(variables, categories, codes, {
+            codes = codes.reshape(0, len(categories))
+        return cls(list(categories), categories, codes, {
             name: _typed_array(values, "iuf",
                                f"continuous column {name!r} must hold numbers")
             for name, values in continuous})
@@ -201,26 +201,10 @@ def code_dtype(counts: Iterable[int]) -> np.dtype:
     return np.min_scalar_type(max(max(counts, default=0) - 1, 0))
 
 
-def _variables_of(entries) -> tuple[list[str], dict[str, list]]:
-    """Names, in order, and categories of a document's ``variables``.
-    Each entry needs a string ``name`` and a list ``categories`` of
-    strings or integers (not bools); a name or a category given twice is
-    SchemaError naming the variable."""
-    categories: dict[str, list] = {}
-    for entry in entries:
-        name, values = entry["name"], entry["categories"]
-        if not isinstance(name, str):
-            raise SchemaError(f"variable name {name!r} is not a string")
-        if name in categories:
-            raise SchemaError(f"variable {name!r} listed twice")
-        if not (type(values) is list
-                and all(type(c) in (str, int) for c in values)):
-            raise SchemaError(f"variable {name!r}: categories must be a "
-                              f"list of strings or integers")
-        if len(set(values)) != len(values):
-            raise SchemaError(f"variable {name!r}: duplicate categories")
-        categories[name] = values
-    return list(categories), categories
+def _variables_of(entries) -> dict[str, tuple[str, ...]]:
+    """A document's ``variables`` as ``ingest.read_labels`` reads them."""
+    return ingest.read_labels(((v["name"], v["categories"]) for v in entries),
+                              "variable")
 
 
 def _typed_array(values, kinds: str, message: str) -> np.ndarray:
@@ -518,11 +502,12 @@ def _canonical_dataset(file: BinaryIO) -> DiscreteDataset | None:
                 break
     codes = sections.pop(None, np.zeros(0, np.uint8))
     try:
-        names, categories = _variables_of(json.loads(
+        categories = _variables_of(json.loads(
             b"".join(variables).removesuffix(_TAIL)))
         dataset = DiscreteDataset(
-            names, categories,
-            codes.reshape(-1, len(names)) if names else codes.reshape(0, 0),
+            list(categories), categories,
+            codes.reshape(-1, len(categories)) if categories
+            else codes.reshape(0, 0),
             {json.loads(name): column for name, column in sections.items()})
     except (ValueError, KeyError, TypeError, AttributeError, RecursionError,
             SchemaError):
@@ -647,7 +632,7 @@ def read_sidecar(sidecar: BinaryIO, text: BinaryIO) -> DiscreteDataset | None:
     """
     header = _sidecar_header(sidecar)
     try:
-        variables, categories = _variables_of(header["variables"])
+        categories = _variables_of(header["variables"])
         rows, names = header["rows"], header["continuous"]
         digest = header["sha256"]
         dtype = code_dtype(len(c) for c in categories.values())
@@ -656,7 +641,7 @@ def read_sidecar(sidecar: BinaryIO, text: BinaryIO) -> DiscreteDataset | None:
                 and header["bytes"] == text.seek(0, io.SEEK_END)
                 and header["codes"] == dtype.str
                 and header["floats"] == _FLOAT_DTYPE
-                and variables and type(rows) is int and rows >= 0
+                and categories and type(rows) is int and rows >= 0
                 and all(type(name) is str for name in names)
                 and names == sorted(set(names))):
             return None
@@ -664,14 +649,14 @@ def read_sidecar(sidecar: BinaryIO, text: BinaryIO) -> DiscreteDataset | None:
         return None
     # the sidecar's size before any allocation, then the text's hash
     at = sidecar.tell()
-    payload = rows * (len(variables) * dtype.itemsize + 8 * len(names))
+    payload = rows * (len(categories) * dtype.itemsize + 8 * len(names))
     if (sidecar.seek(0, io.SEEK_END) - at != payload + _TRAILER_BYTES
             or _file_sha256(text) != digest):
         return None
     sidecar.seek(0)
     own = _sha256()
     own.update(sidecar.read(at))
-    codes = np.empty((rows, len(variables)), dtype)
+    codes = np.empty((rows, len(categories)), dtype)
     continuous = {name: np.empty(rows) for name in names}
     for array in (codes, *continuous.values()):
         buffer = array.reshape(-1).view(np.uint8)
@@ -681,7 +666,8 @@ def read_sidecar(sidecar: BinaryIO, text: BinaryIO) -> DiscreteDataset | None:
     if sidecar.read() != own.hexdigest().encode() + b"\n":
         return None
     try:
-        return DiscreteDataset(variables, categories, codes, continuous)
+        return DiscreteDataset(list(categories), categories, codes,
+                               continuous)
     except SchemaError:
         return None
 
@@ -803,15 +789,15 @@ class ConditionalTable:
     def parent_configs(self) -> Iterator[tuple[str, ...]]:
         yield from itertools.product(*self.parent_categories)
 
-    def validate_normalized(self, tol: float = _NORM_TOL) -> "ConditionalTable":
+    def validate_normalized(self) -> "ConditionalTable":
         """Raise NotNormalizedError naming the first parent configuration
         whose probabilities are not all finite and >= 0, or do not sum to
-        1 within `tol`."""
+        1 within ``_NORM_TOL``."""
         rows = self.probs.reshape(-1, self.probs.shape[-1])
         totals = rows.sum(axis=-1)
         # NaN fails both comparisons, and +inf the second
         bad = np.flatnonzero(~((rows >= 0).all(axis=-1)
-                               & (np.abs(totals - 1.0) <= tol)))
+                               & (np.abs(totals - 1.0) <= _NORM_TOL)))
         if bad.size:
             config = next(itertools.islice(self.parent_configs(), bad[0], None))
             raise NotNormalizedError(

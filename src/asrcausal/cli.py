@@ -301,6 +301,12 @@ def _dir_inputs(path: str | None) -> list[str]:
         raise IoError(f"cannot read {path}: {exc}") from None
 
 
+def _apart(out: str, other: str | None, option: str) -> None:
+    """SchemaError when ``option`` names the file ``--out`` names."""
+    if other and Path(other).resolve() == Path(out).resolve():
+        raise SchemaError(f"--out and {option} name one file, {other!r}")
+
+
 def _load_graph(value: str) -> ingest.CausalGraph:
     from . import ingest
 
@@ -327,6 +333,7 @@ def _cmd_synth(config) -> list[str]:
     from . import causal as causal_mod
     from . import ingest, synthetic
 
+    _apart(config.out, config.truths, "--truths")
     spec = _load_scm(config.spec, config.n, config.seed)
     written = causal_mod.write_dataset(config.out, synthetic.generate(spec))
     if config.truths:
@@ -439,6 +446,7 @@ def _cmd_discretize(config) -> list[str]:
     from . import causal as causal_mod
     from . import discretize, ingest
 
+    _apart(config.out, config.schemes_out, "--schemes-out")
     methods = _parse_bin_overrides(config.bin)
     records = _read_records(config.records)
     persisted = None

@@ -33,7 +33,7 @@ from .errors import (
     TooShortError,
     ZeroPosteriorError,
 )
-from .ingest import FrequencyTable, is_number, read_jsonl
+from .ingest import FrequencyTable, is_number, read_jsonl, read_labels
 
 POSTERIOR_FLOOR = 1e-10
 _SUM_TOL = 1e-6
@@ -106,17 +106,13 @@ class PhoneSegment:
             raise SchemaError(f"phone {self.phone!r} not in inventory")
 
 
-def check_inventory(inventory) -> None:
-    """SchemaError, naming the phone, unless ``inventory`` maps each phone
-    to a non-empty list of state labels."""
+def check_inventory(inventory) -> dict[str, tuple[str, ...]]:
+    """``inventory``, an object of phone -> state labels, as
+    ``ingest.read_labels`` reads it; else SchemaError naming the phone."""
     if not isinstance(inventory, Mapping):
         raise SchemaError("the phone inventory must be an object mapping "
                           "each phone to its state labels")
-    for phone, states in inventory.items():
-        if not (isinstance(states, (list, tuple)) and states
-                and all(isinstance(state, str) for state in states)):
-            raise SchemaError(f"phone {phone!r}: states must be a non-empty "
-                              f"list of labels")
+    return read_labels(inventory.items(), "phone", ("state", "states"))
 
 
 @dataclass(frozen=True)
@@ -395,8 +391,8 @@ def parse_posterior_frames(stream: Iterable[str],
                            ) -> dict[str, UtterancePosteriors]:
     """Parse line-delimited ``{utterance_id, t, probs}`` records into one
     (frames x states) float array per utterance, rows in ``t`` order and
-    columns in ``inventory_states`` order; ``check_inventory`` checks the
-    inventory first.
+    columns in ``inventory_states`` order of the inventory as
+    ``check_inventory`` reads it.
 
     Every frame's row streams into one float64 buffer, so no per-frame
     object outlives its chunk of lines, and an utterance whose frames
@@ -406,8 +402,7 @@ def parse_posterior_frames(stream: Iterable[str],
     each frame is recorded by one routine, which refuses a second frame
     for the same utterance and ``t`` as SchemaError naming the line.
     """
-    check_inventory(inventory)
-    states = inventory_states(inventory)
+    states = inventory_states(check_inventory(inventory))
     zeros = [0.0] * len(states)
     rows = array("d")   # every frame's posteriors, in line order
     n_rows = 0
@@ -473,8 +468,8 @@ def parse_posterior_frames(stream: Iterable[str],
 def parse_segments(stream: Iterable[str], inventory: Mapping[str, Sequence[str]]
                    ) -> dict[str, list[PhoneSegment]]:
     """Parse line-delimited ``{utterance_id, phone, t_s, t_e}`` records
-    against a phone inventory, which ``check_inventory`` checks first."""
-    check_inventory(inventory)
+    against a phone inventory, as ``check_inventory`` reads it."""
+    inventory = check_inventory(inventory)
     segments: dict[str, list[PhoneSegment]] = {}
     for line_no, raw, utt_id in _utterance_lines(
             stream, ("phone", "t_s", "t_e")):

@@ -14,6 +14,9 @@ Formats (all diff-able, hand-editable text):
   graph type, lives here, so loading a graph loads no NumPy;
 * reports: canonical JSON, keys sorted, reals quantized to 6 decimals.
 
+Declared labels, a graph node's or a dataset variable's categories and
+a phone's states in an inventory, are read by one rule, ``read_labels``.
+
 ``write_report`` is ``json.dumps(..., sort_keys=True, indent=1)`` of the
 quantized tree (``_quantized``), with any NumPy array in it made its
 ``tolist()``; this module loads no NumPy.  A dataset file, whose
@@ -275,30 +278,50 @@ _ERROR_NODES = ("SubsErr", "DelErr", "InsErr")
 _RULE_FACTORS = ("Age", "Gender", "VocabDiff", "GoP", "SNR", "NoWords")
 
 
+def read_labels(pairs: Iterable[tuple], owner: str,
+                nouns=("category", "categories")) -> dict[str, tuple]:
+    """Declared ``(name, labels)`` pairs as name -> labels, in order.  A
+    name is a string, given once; labels are a non-empty list or tuple of
+    distinct strings or integers (not bools), an integer read as its
+    decimal text, so ``[1, "1"]`` repeats one.  Else SchemaError naming
+    the ``owner`` (node, variable, phone), worded with its ``nouns``."""
+    one, many = nouns
+    read: dict[str, tuple[str, ...]] = {}
+    for name, labels in pairs:
+        if not isinstance(name, str):
+            raise SchemaError(f"{owner} name {name!r} is not a string")
+        if name in read:
+            raise SchemaError(f"{owner} {name!r} listed twice")
+        if not (isinstance(labels, (list, tuple)) and all(
+                isinstance(x, str) or type(x) is int for x in labels)):
+            raise SchemaError(f"{owner} {name!r}: {many} must be a list of "
+                              f"strings or integers")
+        if not labels:
+            raise SchemaError(f"{owner} {name!r}: needs >= 1 {one}")
+        read[name] = tuple(map(str, labels))
+        if len(set(read[name])) != len(labels):
+            raise SchemaError(f"{owner} {name!r}: duplicate {many}")
+    return read
+
+
 class CausalGraph:
     """Declared DAG of ``(name, kind, categories)`` nodes and ``(from,
-    to)`` edges, checked once, in order: unique names, each node's kind
-    and categories, each edge, acyclicity.  Parents and children follow
-    node declaration order, so CPT parent configurations do not depend on
-    edge order; ``topo_order`` is Kahn's with node-name tie-break."""
+    to)`` edges, checked once, in order: names and categories
+    (``read_labels``), kinds, each edge, acyclicity.  Parents and children
+    follow node declaration order, so CPT parent configurations do not
+    depend on edge order; ``topo_order`` is Kahn's, name tie-break."""
 
     def __init__(self, nodes: Iterable[tuple[str, str, Sequence[str]]],
                  edges: Iterable[tuple[str, str]]):
-        nodes = [(name, kind, tuple(cats)) for name, kind, cats in nodes]
-        self.nodes: list[str] = [name for name, _, _ in nodes]
-        if len(set(self.nodes)) != len(self.nodes):
-            raise SchemaError("duplicate node names in graph spec")
-        for name, kind, cats in nodes:
+        nodes = list(nodes)
+        self.categories = read_labels(
+            ((name, cats) for name, _, cats in nodes), "node")
+        self.nodes: list[str] = list(self.categories)
+        self.kinds = {name: kind for name, kind, _ in nodes}
+        for name, kind in self.kinds.items():
             if kind not in NODE_KINDS:
                 raise SchemaError(
                     f"node {name!r}: kind must be one of {NODE_KINDS}")
-            if not cats:
-                raise SchemaError(f"node {name!r}: needs >= 1 category")
-            if len(set(cats)) != len(cats):
-                raise SchemaError(f"node {name!r}: duplicate categories")
-        self.kinds = {name: kind for name, kind, _ in nodes}
-        self.categories: dict[str, tuple[str, ...]] = {
-            name: cats for name, _, cats in nodes}
         self.edges: list[tuple[str, str]] = []
         self._parents: dict[str, list[str]] = {n: [] for n in self.nodes}
         self._children: dict[str, list[str]] = {n: [] for n in self.nodes}
@@ -372,17 +395,7 @@ class CausalGraph:
             if not (isinstance(entry, dict)
                     and {"name", "kind", "categories"} <= set(entry)):
                 raise SchemaError(f"node {i}: needs name, kind, categories")
-            # a category is a string or an integer (not a bool), read as its
-            # decimal text
-            if not (isinstance(entry["name"], str)
-                    and isinstance(entry["categories"], list)
-                    and all(isinstance(c, str) or type(c) is int
-                            for c in entry["categories"])):
-                raise SchemaError(f"node {i} ({entry['name']!r}): needs a "
-                                  f"string name and a list of string or "
-                                  f"integer categories")
-            nodes.append((entry["name"], entry["kind"],
-                          map(str, entry["categories"])))
+            nodes.append((entry["name"], entry["kind"], entry["categories"]))
         for entry in raw["edges"]:
             if not (isinstance(entry, list)
                     and list(map(type, entry)) == [str, str]):

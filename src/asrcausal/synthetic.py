@@ -257,14 +257,13 @@ def _outcome_values(spec: ScmSpec, effect: str) -> np.ndarray:
     return np.arange(len(spec.graph.categories[effect]), dtype=np.float64)
 
 
-def _true_aces(spec: ScmSpec, treatment: str, effects: Sequence[str],
-               level_lo: str | None = None, level_hi: str | None = None
+def _true_aces(spec: ScmSpec, treatment: str, effects: Sequence[str]
                ) -> list[float]:
     """Exact ACE of ``treatment`` on each of ``effects``, enumerating the
     two mutilated models do(X=hi), do(X=lo) once for all of them."""
     graph = spec.graph
     arms = []
-    for level, _ in _arms(graph, treatment, level_lo, level_hi):
+    for level, _ in _arms(graph, treatment):
         joint = joint_tensor(graph, spec.tables, do={treatment: level})
         arms.append([float(np.dot(marginal(graph, joint, [effect]),
                                   _outcome_values(spec, effect)))
@@ -272,11 +271,9 @@ def _true_aces(spec: ScmSpec, treatment: str, effects: Sequence[str],
     return [high - low for high, low in zip(*arms)]
 
 
-def true_ace(spec: ScmSpec, treatment: str, effect: str,
-             level_lo: str | None = None, level_hi: str | None = None
-             ) -> float:
+def true_ace(spec: ScmSpec, treatment: str, effect: str) -> float:
     """Exact ACE by enumerating the two mutilated models do(X=hi), do(X=lo)."""
-    return _true_aces(spec, treatment, [effect], level_lo, level_hi)[0]
+    return _true_aces(spec, treatment, [effect])[0]
 
 
 def _cmi_of_joint(graph: CausalGraph, joint: np.ndarray, x: str, y: str,

@@ -287,6 +287,18 @@ class TestMalformedDataset:
         assert "Traceback" not in proc.stderr
         assert json.loads(proc.stderr)["error"] == "E_SCHEMA"
 
+    def test_variable_without_categories_is_e_schema(self, tmp_path, capsys):
+        # read as given, cmi would end inside the estimate with a traceback
+        doc = {"variables": [{"name": "X", "categories": []},
+                             {"name": "Y", "categories": ["lo", "hi"]}],
+               "rows": []}
+        (tmp_path / "d.json").write_text(json.dumps(doc))
+        assert run_cli("cmi", "--in", str(tmp_path / "d.json"),
+                       "--x", "X", "--y", "Y") == 1
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "E_SCHEMA",
+            "message": "variable 'X': needs >= 1 category"}
+
 
 class TestAlign:
     def test_scores_every_model(self, workdir):
@@ -333,6 +345,15 @@ class TestCovariates:
         assert all(r.vocab_difficulty is not None for r in records)
         # existing values are never overwritten
         assert all(r.snr_db is not None for r in records)
+
+    def test_empty_frequency_table_is_e_empty(self, workdir, capsys):
+        (workdir / "empty.csv").write_text("")
+        assert run_cli("covariates", "--in", str(workdir / "records.jsonl"),
+                       "--out", str(workdir / "cov.jsonl"),
+                       "--freq-table", str(workdir / "empty.csv")) == 1
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "E_EMPTY", "message": "frequency table has no rows"}
+        assert not (workdir / "cov.jsonl").exists()
 
     def test_gop_from_posterior_files(self, tmp_path):
         rec = {"id": "u1", "speaker_id": "s", "reference": "hi",
@@ -750,6 +771,33 @@ class TestCategoryContract:
         assert error["error"] == "E_SCHEMA"
         assert repr(node) in error["message"]
 
+    def test_integer_categories_match_the_graph(self, tmp_path):
+        # a graph file and a dataset that both declare [0, 1] give the
+        # bytes of the same files declaring ["0", "1"]
+        outputs = []
+        for name, labels in (("ints", [0, 1]), ("texts", ["0", "1"])):
+            run = tmp_path / name
+            run.mkdir()
+            (run / "g.json").write_text(json.dumps({
+                "nodes": [{"name": "X", "kind": "exogenous",
+                           "categories": labels},
+                          {"name": "Y", "kind": "endogenous",
+                           "categories": labels}],
+                "edges": [["X", "Y"]]}))
+            (run / "d.json").write_text(json.dumps({
+                "variables": [{"name": v, "categories": labels}
+                              for v in "XY"],
+                "rows": [[0, 0], [0, 1], [1, 1], [1, 1], [0, 0], [1, 0]]}))
+            common = ["--in", str(run / "d.json"), "--graph",
+                      str(run / "g.json")]
+            assert run_cli("fit", *common, "--out", str(run / "c.json")) == 0
+            assert run_cli("ace", *common, "--treatment", "X", "--effect",
+                           "Y", "--out", str(run / "a.json")) == 0
+            outputs.append([(run / f).read_bytes() for f in ("c.json",
+                                                             "a.json")])
+        assert outputs[0] == outputs[1]
+        assert json.loads(outputs[0][1])["ace"] == pytest.approx(1 / 3)
+
     def test_reordered_categories_are_e_schema(self, tmp_path, capsys):
         relabelled_dataset(tmp_path / "d.json", "GoP",
                            ["High", "Average", "Low"])
@@ -948,8 +996,15 @@ class TestRefusedOptions:
         (["covariates", "--in", "records.jsonl", "--out", "d.json",
           "--segments", "seg.jsonl", "--inventory", "inv.json"],
          "gop needs --posteriors, --segments and --inventory together"),
+        (["synth", "--spec", "paper-shaped", "--n", "50", "--out", "x.json",
+          "--truths", "x.json"],
+         "--out and --truths name one file, 'x.json'"),
+        (["discretize", "--records", "records.jsonl", "--out", "dd.json",
+          "--schemes-out", "./dd.json"],
+         "--out and --schemes-out name one file, './dd.json'"),
     ], ids=["bin-without-equals", "bin-unknown-method", "scores-no-model",
-            "posteriors-only", "no-posteriors"])
+            "posteriors-only", "no-posteriors", "synth-truths-over-out",
+            "discretize-schemes-over-out"])
     def test_is_e_schema(self, workdir, monkeypatch, capsys, argv, message):
         monkeypatch.chdir(workdir)
         before = sorted(p.name for p in workdir.iterdir())
@@ -1024,7 +1079,8 @@ class TestMistypedHandWrittenInputs:
         ({"nodes": [{**GRAPH_NODE, "categories": 3}], "edges": []}, "'A'"),
         ({"nodes": [{**GRAPH_NODE, "categories": "abc"}], "edges": []},
          "'A'"),
-        ({"nodes": [{**GRAPH_NODE, "name": ["A"]}], "edges": []}, "node 0"),
+        ({"nodes": [{**GRAPH_NODE, "name": ["A"]}], "edges": []},
+         "node name ['A']"),
         ({"nodes": [GRAPH_NODE, {**GRAPH_NODE, "name": "B"}],
           "edges": [[["A"], "B"]]}, "['A']"),
         ({"nodes": [{**GRAPH_NODE, "categories": [["x"], "y"]}],
@@ -1127,6 +1183,13 @@ class TestMistypedHandWrittenInputs:
     def test_inventory(self, tmp_path, capsys, inventory, named):
         assert run_cli(*self.gop_inputs(tmp_path, inventory=inventory)) == 1
         assert named in e_schema_message(capsys)
+
+    def test_inventory_state_listed_twice(self, tmp_path, capsys):
+        # read as given, the state's posterior would be added twice
+        argv = self.gop_inputs(tmp_path, inventory={"p": ["p_s", "p_s"]})
+        assert run_cli(*argv) == 1
+        assert e_schema_message(capsys) == "phone 'p': duplicate states"
+        assert not (tmp_path / "c.jsonl").exists()
 
 
 def spec_error(capsys) -> str:
@@ -1250,6 +1313,23 @@ class TestScoreStageErrors:
         assert not (tmp_path / "o.json").exists()
 
 
+    def test_report_records_on_differing_model_sets(self, tmp_path, capsys):
+        scored_records(tmp_path / "r.jsonl", [
+            ("u1", "K", {"a": "the cat", "b": "the cat sat"}),
+            ("u2", "K", {"a": "the cat", "b": "the mat"}),
+            ("u3", "K", {"a": "the cat"})])
+        assert run_cli("synth", "--spec", "paper-shaped", "--n", "300",
+                       "--out", str(tmp_path / "d.json")) == 0
+        assert run_cli("report", "--in", str(tmp_path / "d.json"),
+                       "--on-empty", "skip",
+                       "--records", str(tmp_path / "r.jsonl"),
+                       "--out", str(tmp_path / "rep.json")) == 1
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "E_MISSING_MODEL", "record": "u3",
+            "message": "no hypothesis for model 'b' (record 'u3')"}
+        assert not (tmp_path / "rep.json").exists()
+
+
 class TestAceAndCmiOptions:
     @pytest.fixture
     def data(self, tmp_path):
@@ -1296,6 +1376,20 @@ class TestAceAndCmiOptions:
         assert cmi("--graph", "paper-default", "--z", "SNR,")["z"] == ["SNR"]
         plain = cmi()
         assert plain["z"] == [] and plain["cmi"] != by_graph["cmi"]
+
+    @pytest.mark.parametrize("argv, message", [
+        (["cmi", "--x", "Nope", "--y", "GoP"],
+         "variable 'Nope' not in dataset"),
+        (["ace", "--treatment", "Nope", "--effect", "SubsErr"],
+         "treatment 'Nope' not in graph"),
+        (["ace", "--treatment", "Age", "--effect", "Nope"],
+         "effect 'Nope' not in dataset"),
+    ], ids=["cmi-x", "ace-treatment", "ace-effect"])
+    def test_name_not_in_dataset_or_graph(self, data, capsys, argv, message):
+        capsys.readouterr()
+        assert run_cli(*argv, "--in", str(data)) == 1
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "E_MISSING_VARIABLE", "message": message}
 
     def test_cmi_node_not_in_graph_exits_1_without_traceback(self, data):
         proc = subprocess.run(

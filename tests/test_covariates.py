@@ -346,6 +346,33 @@ class TestGopUtterance:
             gop_utterance(segs, frames)
 
 
+class TestInventory:
+    """An inventory is read as ``ingest.read_labels`` reads declared
+    labels, before any line of either file."""
+
+    def test_integer_state_matches_its_frame_key(self):
+        inventory = {"p": [5], "q": ["q_s"]}
+        frames = frames_from_rows([{"5": 0.75, "q_s": 0.25}], inventory)
+        assert frames.states == ("5", "q_s")
+        assert frames.probs.tolist() == [[0.75, 0.25]]
+        (segments,) = covariates.parse_segments([json.dumps(
+            {"utterance_id": "u", "phone": "p", "t_s": 0, "t_e": 1})],
+            inventory).values()
+        assert gop_utterance(segments, frames).utterance == 0.0
+
+    @pytest.mark.parametrize("states", [["p_s", "p_s"], [1, "1"]],
+                             ids=["text-twice", "integer-and-its-text"])
+    @pytest.mark.parametrize("parse", [parse_posterior_frames,
+                                       covariates.parse_segments],
+                             ids=["posteriors", "segments"])
+    def test_state_listed_twice_is_e_schema_naming_the_phone(self, parse,
+                                                              states):
+        # read as given, the state's posterior would be added twice
+        with pytest.raises(SchemaError) as err:
+            parse(["not read"], {"p": states, "q": ["q_s"]})
+        assert str(err.value) == "phone 'p': duplicate states"
+
+
 class TestParsePosteriorFrames:
     INVENTORY = {"p": ["p_s1"]}
 

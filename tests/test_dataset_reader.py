@@ -13,6 +13,7 @@ which must give exactly what the text gives, and which the CLI's loader
 must ignore unless it matches the text.
 """
 
+import hashlib
 import io
 import json
 import math
@@ -422,6 +423,10 @@ BAD_VARIABLES = {
                          "variable 'V0': categories must be a list"),
     "a name not a string": (variable(0, name=7),
                             "variable name 7 is not a string"),
+    "no categories": (variable(1, categories=[]),
+                      "variable 'V1': needs >= 1 category"),
+    "an integer and its text": (variable(1, categories=[*range(11), "10"]),
+                                "variable 'V1': duplicate categories"),
 }
 
 
@@ -437,6 +442,19 @@ def test_variables_are_checked(tmp_path, edit, message):
                  lambda raw: loaded(tmp_path / "data.json")):
         with pytest.raises(SchemaError, match=message):
             read(raw)
+
+
+def test_integer_categories_are_read_as_their_text(tmp_path):
+    # the writer quotes every label, so such a text takes the general reader
+    ints = dumped(variable(0, categories=list(range(12)))).encode()
+    texts = dumped(variable(0, categories=[str(i) for i in range(12)]))
+    expected = from_bytes(texts.encode())
+    assert expected.categories["V0"] == tuple(map(str, range(12)))
+    assert array_read(ints) is None
+    (tmp_path / "data.json").write_bytes(ints)
+    for read in (from_bytes, general,
+                 lambda raw: loaded(tmp_path / "data.json")):
+        assert_same(read(ints), expected)
 
 
 THREE = written(dataset(40, levels=3, columns=("Y",), seed=2)).decode()
@@ -837,6 +855,15 @@ def edited_header(**changes):
     return edit
 
 
+def rehashed(edit):
+    """A sidecar edit made by ``edit``, with the trailer hashing the
+    edited bytes, so only the sidecar's contents can refuse it."""
+    def rehash(raw: bytes) -> bytes:
+        body = edit(raw)[:-causal._TRAILER_BYTES]
+        return body + hashlib.sha256(body).hexdigest().encode() + b"\n"
+    return rehash
+
+
 def code_byte(raw: bytes) -> bytes:
     """The sidecar with its first code set to 255, out of range."""
     at = raw.index(b"\n}\n") + 3
@@ -882,6 +909,10 @@ SIDECAR_EDITS = {
     "a variable listed twice": edited_header(
         variables=lambda entries: entries + entries[:1]),
     "code out of range": code_byte,
+    "code out of range, trailer rehashed": rehashed(code_byte),
+    "a variable with no categories": rehashed(edited_header(
+        variables=lambda entries: [{**entries[0], "categories": []},
+                                   *entries[1:]])),
     "a code changed within range": code_changed,
 }
 
@@ -894,6 +925,17 @@ def test_a_broken_sidecar_gives_the_text(tmp_path, edit):
     sidecar.write_bytes(edit(sidecar.read_bytes()))
     assert sidecar_read(path) is None
     assert_same(loaded(path), from_path(path))
+
+
+def test_a_variable_without_categories_is_refused_with_its_sidecar(tmp_path):
+    # the constructor takes it, so the writer gives it a sidecar
+    path = with_sidecar(tmp_path, DiscreteDataset(
+        ["X", "Y"], {"X": [], "Y": ["a"]}, np.zeros((0, 2), np.int64)))
+    assert sidecar_of(path).exists()
+    assert sidecar_read(path) is None
+    with pytest.raises(SchemaError,
+                       match="^variable 'X': needs >= 1 category$"):
+        loaded(path)
 
 
 def one_code_changed(raw: bytes) -> bytes:

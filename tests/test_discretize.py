@@ -80,6 +80,11 @@ class TestQuantileBins:
         for label in scheme.labels:
             assert abs(counts[label] - len(values) / 3) <= 1
 
+    def test_too_few(self):
+        with pytest.raises(TooFewValuesError,
+                           match="^value: need >= 3 values, got 2$"):
+            fit_quantile_bins([1.0, 2.0], 3)
+
     def test_tied_boundaries_deduplicate(self):
         scheme = fit_quantile_bins([1.0] * 30, 3)
         assert len(scheme.labels) == len(scheme.boundaries) + 1
@@ -115,6 +120,9 @@ class TestKdeBins:
         counts = Counter(labels_of(scheme, values))
         for label in scheme.labels:
             assert abs(counts[label] - len(values) / 3) <= 1
+
+    def test_constant_column_falls_back_to_quantiles(self):
+        assert fit_kde_bins([4.0] * 20).method == "quantile"
 
     def test_extra_minima_lowest_density_wins(self):
         rng = np.random.default_rng(17)

@@ -38,6 +38,18 @@ class TestParseUtterances:
             ingest.parse_utterances(lines)
         assert "line 2" in str(err.value)
 
+    def test_integer_grade_read_as_text(self):
+        (record,) = ingest.parse_utterances([MINIMAL[:-1] + ', "grade": 3}'])
+        assert record.grade == "3"
+
+    def test_blank_lines_skipped_and_later_lines_keep_their_numbers(self):
+        second = MINIMAL.replace('"u1"', '"u2"')
+        records = ingest.parse_utterances([MINIMAL, "\n", "  \n", second])
+        assert [r.id for r in records] == ["u1", "u2"]
+        with pytest.raises(SchemaError) as err:
+            ingest.parse_utterances([MINIMAL, "\n", "", "[1]"])
+        assert str(err.value) == "line 4: line must be a JSON object"
+
     def test_duplicate_id(self):
         with pytest.raises(DuplicateIdError):
             ingest.parse_utterances([MINIMAL, MINIMAL])
@@ -228,6 +240,40 @@ class TestGraphSpec:
         nodes = [(n, graph.kinds[n], graph.categories[n]) for n in graph.nodes]
         again = ingest.CausalGraph(nodes, graph.edges[::-1]).topo_order
         assert again == order
+
+
+class TestReadLabels:
+    """One rule reads every declared list of labels: graph nodes, dataset
+    variables and phone inventories."""
+
+    def test_integers_read_as_their_text_in_order(self):
+        read = ingest.read_labels([("B", [0, 10, "x"]), ("A", ("y",))], "node")
+        assert read == {"B": ("0", "10", "x"), "A": ("y",)}
+        assert list(read) == ["B", "A"]
+
+    @pytest.mark.parametrize("pairs, message", [
+        ([(7, ["x"])], "node name 7 is not a string"),
+        ([("A", ["x"]), ("A", ["y"])], "node 'A' listed twice"),
+        ([("A", "xy")],
+         "node 'A': categories must be a list of strings or integers"),
+        ([("A", [True])],
+         "node 'A': categories must be a list of strings or integers"),
+        ([("A", [1.0])],
+         "node 'A': categories must be a list of strings or integers"),
+        ([("A", [])], "node 'A': needs >= 1 category"),
+        ([("A", ["x", "x"])], "node 'A': duplicate categories"),
+        ([("A", [1, "1"])], "node 'A': duplicate categories"),
+    ], ids=["int-name", "name-twice", "string", "bool", "float", "empty",
+            "label-twice", "integer-and-its-text"])
+    def test_refusals(self, pairs, message):
+        with pytest.raises(SchemaError) as err:
+            ingest.read_labels(pairs, "node")
+        assert str(err.value) == message
+
+    def test_nouns_word_the_messages(self):
+        with pytest.raises(SchemaError) as err:
+            ingest.read_labels([("p", [])], "phone", ("state", "states"))
+        assert str(err.value) == "phone 'p': needs >= 1 state"
 
 
 class TestWriteReport:
@@ -723,7 +769,7 @@ def record_line(**edit) -> list[str]:
     (lambda: ingest.merge_frequency_tables([]), EmptyInputError,
      "no frequency tables to merge"),
     (lambda: ingest.CausalGraph([NODE_A, NODE_A], []), SchemaError,
-     "duplicate node names in graph spec"),
+     "node 'A' listed twice"),
     (lambda: ingest.CausalGraph([("A", "latent", ("x",))], []), SchemaError,
      "node 'A': kind must be one of ('exogenous', 'endogenous')"),
     (lambda: ingest.CausalGraph([("A", "exogenous", ())], []), SchemaError,
